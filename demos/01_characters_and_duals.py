@@ -28,7 +28,7 @@ def show(ring):
     print(f"dual: RN={fl.rn} rational={fl.rational} h-integral={fl.h_integral}")
     print("dual orders h-hat_j:", np.round(dd.orders_hat, 6))
     print("dual codegrees:", np.round(hg.dual_codegrees(dd, ring, table), 6))
-    perm = hg.double_dual_check(ring, table)
+    perm = hg.double_dual_check(ring, table, dd)
     print("double dual isomorphic to the normalized ring via", perm)
 
 

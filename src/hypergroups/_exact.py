@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,16 +49,8 @@ def exact_det(matrix) -> Fraction:
     cols = []
     for j in range(n):
         col = [Fraction(arr[i, j]) for i in range(n)]
-        lcm = 1
-        for x in col:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in col))
         scale /= lcm
         cols.append([int(x * lcm) for x in col])
     rows = [[cols[j][i] for j in range(n)] for i in range(n)]
     return scale * _bareiss_int(rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

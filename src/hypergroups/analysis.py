@@ -1,0 +1,142 @@
+"""One ring under analysis: the invariants that more than one stage reads.
+
+A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
+property is computed on first use and then shared, so one analysis validates
+the ring, builds its character table and its dual and tests vanishing once,
+and every stage reads the same flag set, table, grouplikes and verdicts.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+import numpy as np
+
+from .burnside import _zero_thresholds, vanishing_elements
+from .core import FlagSet, FusionData
+from .dual import DualData, dual_hypergroup
+from .errors import CrossCheckFailed
+from .spectra import CharacterTable, character_table, fp_character, order
+from .structure import (
+    CentralSeries,
+    SubHypergroup,
+    _grouplike_character_indices,
+    adjoint,
+    central_series,
+    grouplike_indices,
+)
+from .tolerance import DEFAULT_TOL, Tolerance
+
+__all__ = ["RingAnalysis"]
+
+
+def _matches_grouplikes(found: set, grouplike) -> tuple:
+    """(verdict, witness): whether `found` is exactly the grouplike set, else
+    the smallest index in one but not the other."""
+    diff = found.symmetric_difference(grouplike)
+    return (False, min(diff)) if diff else (True, None)
+
+
+class RingAnalysis:
+    """The invariants of `data` at tolerance `tol` (default: the table's, else
+    DEFAULT_TOL), each computed once.  A given `table` is used as is."""
+
+    def __init__(
+        self,
+        data: FusionData,
+        tol: Tolerance | None = None,
+        seed: int = 0,
+        table: CharacterTable | None = None,
+    ):
+        self.data = data
+        self.tol = tol or (table.tol if table is not None else DEFAULT_TOL)
+        self.seed = seed
+        if table is not None:
+            self.table = table
+
+    @cached_property
+    def flags(self) -> FlagSet:
+        return self.data.flags_at(self.tol)
+
+    @cached_property
+    def table(self) -> CharacterTable:
+        return character_table(self.data, tol=self.tol, seed=self.seed)
+
+    @cached_property
+    def fp(self) -> int:
+        return fp_character(self.table)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return self.table.fp_dims()
+
+    @cached_property
+    def n_h(self) -> float:
+        return order(self.data, self.table, self.fp)
+
+    @cached_property
+    def grouplikes(self) -> tuple:
+        """Indices with x x* supported on the unit alone; with an FP column the
+        normalizable criterion h_i d_i d_{i*} = 1 must pick the same set."""
+        g = grouplike_indices(self.data, self.tol)
+        if self.table.fp_index is not None:
+            h, d, inv = self.table.h, self.d, self.data.involution
+            alt = tuple(
+                i
+                for i in range(self.data.rank)
+                if abs(h[i] * d[i] * d[inv[i]] - 1.0) <= 1e4 * self.tol.zero(1.0)
+            )
+            if alt != g:
+                raise CrossCheckFailed(
+                    f"grouplike sets disagree: tensor {g} vs h*d*d {alt}"
+                )
+        return g
+
+    @cached_property
+    def grouplike_chars(self) -> tuple:
+        """Characters with n_j = n(H); the value test |mu_j(x_i)| = d_i for
+        all i must pick the same set."""
+        by_codegree = _grouplike_character_indices(self.table, self.n_h, self.tol)
+        ratios = np.abs(self.table.values) / self.d[:, None]
+        by_values = tuple(
+            j
+            for j in range(self.data.rank)
+            if (np.abs(ratios[:, j] - 1.0) <= 1e4 * self.tol.zero(1.0)).all()
+        )
+        if by_codegree != by_values:
+            raise CrossCheckFailed(
+                f"grouplike characters: codegree test {by_codegree} vs value test {by_values}"
+            )
+        return by_codegree
+
+    @cached_property
+    def vanishing(self) -> tuple:
+        return vanishing_elements(self.data, self.table, self.tol)
+
+    @cached_property
+    def burnside(self) -> tuple:
+        """(verdict, witness): the non-vanishing elements are the grouplikes."""
+        nonvanishing = set(range(self.data.rank)) - set(self.vanishing)
+        return _matches_grouplikes(nonvanishing, self.grouplikes)
+
+    @cached_property
+    def dual_burnside(self) -> tuple:
+        """(verdict, witness): the zero-free characters are the grouplike ones."""
+        values = self.table.values
+        thr = _zero_thresholds(self.table, self.tol)
+        zero_free = {
+            j for j in range(self.data.rank) if (np.abs(values[:, j]) > thr[j]).all()
+        }
+        return _matches_grouplikes(zero_free, self.grouplike_chars)
+
+    @cached_property
+    def adjoint(self) -> SubHypergroup:
+        return adjoint(self.data, self.table, self.tol)
+
+    @cached_property
+    def series(self) -> CentralSeries:
+        return central_series(self.data, self.tol)
+
+    @cached_property
+    def dual(self) -> DualData:
+        return dual_hypergroup(self.data, self.table, self.fp, self.tol)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..core import FusionData, validate
+from ..core import FusionData
 from ..errors import ParseError
 from .groups import FiniteGroup, group_from_generators
 
@@ -106,7 +106,7 @@ def parse(text: str) -> FusionData:
                     tensor[i][j][k], f"tensor[{i}][{j}][{k}]"
                 )
     data = FusionData(str(doc["name"]), doc["involution"], entries)
-    validate(data)
+    data.flags  # validates, and keeps the flag set for later stages
     return data
 
 
@@ -164,7 +164,7 @@ def parse_text(text: str, name: str = "ring") -> FusionData:
             raise ParseError(1, 1, f"cannot infer involution for element {i}: hits {hits}")
         involution.append(hits[0])
     data = FusionData(name, involution, tensor)
-    validate(data)
+    data.flags  # validates, and keeps the flag set for later stages
     return data
 
 

@@ -21,14 +21,8 @@ from .errors import (
     SignMismatch,
     VerdictResidualMismatch,
 )
-from .spectra import CharacterTable, fp_character, order
-from .structure import (
-    adjoint_indices,
-    grouplike_indices,
-    product_support,
-    _support_threshold,
-)
-from .spectra import integral_element_of_subset
+from .spectra import CharacterTable, integral_element_of_subset
+from .structure import grouplike_indices, product_support, _support_threshold
 from .tolerance import DEFAULT_TOL, Tolerance, snap_value
 
 __all__ = [
@@ -68,6 +62,13 @@ class BurnsideReport:
     hypothesis_notes: list = field(default_factory=list)
 
 
+def _analysis(data: FusionData, table: CharacterTable, tol: Tolerance | None):
+    """The per-ring analysis behind this module's (data, table, tol) functions."""
+    from .analysis import RingAnalysis  # analysis reads this module's vanishing test
+
+    return RingAnalysis(data, tol, table=table)
+
+
 def _zero_thresholds(table: CharacterTable, tol: Tolerance) -> np.ndarray:
     """Per-character zero threshold: tol.abs + tol.rel * column norm."""
     colnorm = np.abs(table.values).max(axis=0)
@@ -83,21 +84,9 @@ def grouplike_elements(
     normalizable criterion h_i d_i d_{i*} = 1 is cross-checked against the
     tensor test.
     """
-    g = grouplike_indices(data, tol)
-    if table is not None and table.fp_index is not None:
-        d = table.fp_dims()
-        h = table.h
-        inv = data.involution
-        alt = tuple(
-            i
-            for i in range(data.rank)
-            if abs(h[i] * d[i] * d[inv[i]] - 1.0) <= 1e4 * tol.zero(1.0)
-        )
-        if alt != g:
-            raise CrossCheckFailed(
-                f"grouplike sets disagree: tensor {g} vs h*d*d {alt}"
-            )
-    return g
+    if table is None:
+        return grouplike_indices(data, tol)
+    return _analysis(data, table, tol).grouplikes
 
 
 def grouplike_closure_ok(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -146,7 +135,7 @@ def vanishing_elements(
     )
     if data.is_exact:
         for i in range(data.rank):
-            det = exact_det(_exact_left_matrix(data, i))
+            det = exact_det(data.left_matrix(i))
             if (det == 0) != (i in numeric):
                 raise ExactNumericDisagreement(
                     f"x_{i}: exact det {det} vs numeric vanishing {'yes' if i in numeric else 'no'}"
@@ -154,28 +143,11 @@ def vanishing_elements(
     return numeric
 
 
-def _exact_left_matrix(data: FusionData, i: int) -> np.ndarray:
-    m = data.rank
-    mat = np.empty((m, m), dtype=object)
-    for k in range(m):
-        for j in range(m):
-            v = data.tensor[i, j, k]
-            mat[k, j] = v if isinstance(v, (int, Fraction)) else Fraction(v)
-    return mat
-
-
 def is_burnside(
     data: FusionData, table: CharacterTable, tol: Tolerance | None = None
 ) -> tuple:
     """(verdict, witness): non-vanishing elements must be exactly the grouplikes."""
-    tol = tol or table.tol
-    g = set(grouplike_elements(data, table, tol))
-    vanishing = set(vanishing_elements(data, table, tol))
-    nonvanishing = set(range(data.rank)) - vanishing
-    if nonvanishing == g:
-        return True, None
-    witness = min(nonvanishing.symmetric_difference(g))
-    return False, witness
+    return _analysis(data, table, tol).burnside
 
 
 def grouplike_characters(
@@ -183,42 +155,14 @@ def grouplike_characters(
 ) -> tuple:
     """Characters with maximal formal codegree n_j = n(H); cross-checked by
     |mu_j(x_i)| = d_i for all i."""
-    tol = tol or table.tol
-    n_h = order(data, table, fp_character(table))
-    thr = 1e4 * tol.zero(1.0 + n_h)
-    by_codegree = tuple(
-        j for j in range(data.rank) if abs(table.codegrees[j] - n_h) <= thr
-    )
-    d = table.fp_dims()
-    ratios = np.abs(table.values) / d[:, None]
-    by_values = tuple(
-        j
-        for j in range(data.rank)
-        if (np.abs(ratios[:, j] - 1.0) <= 1e4 * tol.zero(1.0)).all()
-    )
-    if by_codegree != by_values:
-        raise CrossCheckFailed(
-            f"grouplike characters: codegree test {by_codegree} vs value test {by_values}"
-        )
-    return by_codegree
+    return _analysis(data, table, tol).grouplike_chars
 
 
 def is_dual_burnside(
     data: FusionData, table: CharacterTable, tol: Tolerance | None = None
 ) -> tuple:
     """(verdict, witness): zero-free character columns must be exactly the grouplikes."""
-    tol = tol or table.tol
-    thr = _zero_thresholds(table, tol)
-    zero_free = {
-        j
-        for j in range(data.rank)
-        if (np.abs(table.values[:, j]) > thr[j]).all()
-    }
-    gl = set(grouplike_characters(data, table, tol))
-    if zero_free == gl:
-        return True, None
-    witness = min(zero_free.symmetric_difference(gl))
-    return False, witness
+    return _analysis(data, table, tol).dual_burnside
 
 
 def p_values(table: CharacterTable) -> np.ndarray:
@@ -245,18 +189,14 @@ def product_P(
 
     exact_d = exact_fp_dims(data, table)
     if exact_d is not None:
-        out = basis_element(data, 0)
-        for i in range(data.rank):
-            xi = [Fraction(0)] * data.rank
-            xi[i] = Fraction(1, 1) / Fraction(exact_d[i])
-            out = multiply(data, out, Element(tuple(xi)))
+        inverses = [1 / Fraction(x) for x in exact_d]
     else:
-        d = table.fp_dims()
-        out = basis_element(data, 0)
-        for i in range(data.rank):
-            xi = [0.0] * data.rank
-            xi[i] = 1.0 / d[i]
-            out = multiply(data, out, Element(tuple(xi)))
+        inverses = [1.0 / x for x in table.fp_dims()]
+    out = basis_element(data, 0)
+    for i in range(data.rank):
+        xi = [0] * data.rank
+        xi[i] = inverses[i]
+        out = multiply(data, out, Element(tuple(xi)))
     expansion = (p_values(table)[None, :] * table.idempotents.T).sum(axis=1)
     if np.abs(out.float_coords() - expansion).max() > 1e6 * tol.zero(1.0):
         raise CrossCheckFailed("P product disagrees with its idempotent expansion")
@@ -330,13 +270,16 @@ def sgn_values(
     signature of the permutation the grouplike induces on the normalized basis
     (resp. on the characters).  The two must agree.
     """
-    tol = tol or table.tol
+    return _sgn_values(_analysis(data, table, tol))
+
+
+def _sgn_values(a) -> tuple[dict, dict]:
+    data, table, tol = a.data, a.table, a.tol
     thr = _support_threshold(data, tol)
-    d = table.fp_dims()
     m = data.rank
     sgn_el = {}
     pv = phat_values(table)
-    for i in grouplike_elements(data, table, tol):
+    for i in a.grouplikes:
         numeric = pv[i]
         if abs(numeric.imag) > 1e4 * tol.zero(1.0) or abs(abs(numeric.real) - 1.0) > 1e4 * tol.zero(1.0):
             raise SignMismatch(f"P-hat value at grouplike {i} is {numeric}, not +-1")
@@ -354,8 +297,8 @@ def sgn_values(
         sgn_el[i] = exact
     sgn_ch = {}
     qv = p_values(table)
-    norm = table.values / d[:, None]
-    for j in grouplike_characters(data, table, tol):
+    norm = table.values / a.d[:, None]
+    for j in a.grouplike_chars:
         numeric = qv[j]
         if abs(numeric.imag) > 1e4 * tol.zero(1.0) or abs(abs(numeric.real) - 1.0) > 1e4 * tol.zero(1.0):
             raise SignMismatch(f"mu_{j}(P) = {numeric}, not +-1")
@@ -386,11 +329,15 @@ def identity_checks(
     Each residual must sit on the same side of the tolerance as its verdict:
     small iff the verdict is true, else VerdictResidualMismatch.
     """
-    tol = tol or table.tol
+    return _identity_checks(_analysis(data, table, tol))
+
+
+def _identity_checks(a) -> dict:
+    data, table, tol = a.data, a.table, a.tol
     m = data.rank
-    burn, _ = is_burnside(data, table, tol)
-    dual_burn, _ = is_dual_burnside(data, table, tol)
-    gset = set(grouplike_elements(data, table, tol))
+    burn, _ = a.burnside
+    dual_burn, _ = a.dual_burnside
+    gset = set(a.grouplikes)
 
     # (i) Cor 4.5: P-hat^2 = sum of dual idempotents over grouplikes,
     # evaluated at the normalized basis.
@@ -399,8 +346,7 @@ def identity_checks(
     resid_phat = float(np.abs(pv**2 - indicator).max())
 
     # (ii) Eq (1.5): P^2 = lambda_{H_ad} as elements of H.
-    ad = adjoint_indices(data, None, tol)
-    lam_ad = integral_element_of_subset(data, table, ad)
+    lam_ad = integral_element_of_subset(data, table, a.adjoint.indices)
     p = product_P(data, table, tol)
     p2 = multiply(data, p, p)
     resid_p = float(np.abs(p2.float_coords() - lam_ad.float_coords()).max())
@@ -445,14 +391,15 @@ def burnside_hypothesis_report(
 ) -> dict:
     """Which hypotheses of the Burnside theorems hold, and whether a failed
     verdict on qualifying data is a categorification obstruction."""
-    tol = tol or table.tol
-    flags = data.flags
-    n_h = order(data, table, fp_character(table))
-    weakly_integral = isinstance(snap_value(n_h, tol), int)
-    integrality = "exact" if data.is_exact else "assumed"
-    burn, witness = is_burnside(data, table, tol)
+    return _hypothesis_report(_analysis(data, table, tol), dual_h_integral)
+
+
+def _hypothesis_report(a, dual_h_integral: bool | None) -> dict:
+    weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
+    integrality = "exact" if a.data.is_exact else "assumed"
+    burn, witness = a.burnside
     report = {
-        "rational": flags.rational,
+        "rational": a.flags.rational,
         "weakly_integral": weakly_integral,
         "dual_h_integral": dual_h_integral,
         "algebraic_integrality": integrality,
@@ -461,7 +408,7 @@ def burnside_hypothesis_report(
         "obstruction": None,
     }
     if (
-        flags.fusion_ring
+        a.flags.fusion_ring
         and weakly_integral
         and dual_h_integral
         and not burn
@@ -473,35 +420,25 @@ def burnside_hypothesis_report(
     return report
 
 
-def burnside_report(
-    data: FusionData,
-    table: CharacterTable,
-    dual_h_integral: bool | None = None,
-    tol: Tolerance | None = None,
-) -> BurnsideReport:
-    tol = tol or table.tol
-    g = grouplike_elements(data, table, tol)
-    vanish = vanishing_elements(data, table, tol)
-    nonvanish = tuple(i for i in range(data.rank) if i not in set(vanish))
-    burn, w1 = is_burnside(data, table, tol)
-    gl_chars = grouplike_characters(data, table, tol)
-    dual_burn, w2 = is_dual_burnside(data, table, tol)
-    sgn_el, sgn_ch = sgn_values(data, table, tol)
-    checks = identity_checks(data, table, tol)
-    hypo = burnside_hypothesis_report(data, table, dual_h_integral, tol)
-    notes = [hypo["obstruction"]] if hypo["obstruction"] else []
+def burnside_report(a, dual_h_integral: bool | None = None) -> BurnsideReport:
+    """The Burnside stage of a RingAnalysis: verdicts, witnesses, signs and
+    the identity residuals that certify them."""
+    burn, w1 = a.burnside
+    dual_burn, w2 = a.dual_burnside
+    sgn_el, sgn_ch = _sgn_values(a)
+    hypo = _hypothesis_report(a, dual_h_integral)
     return BurnsideReport(
-        grouplike_elements=g,
-        vanishing_elements=vanish,
-        nonvanishing=nonvanish,
+        grouplike_elements=a.grouplikes,
+        vanishing_elements=a.vanishing,
+        nonvanishing=tuple(i for i in range(a.data.rank) if i not in set(a.vanishing)),
         is_burnside=burn,
         burnside_witness=w1,
-        grouplike_characters=gl_chars,
+        grouplike_characters=a.grouplike_chars,
         is_dual_burnside=dual_burn,
         dual_witness=w2,
         sgn_elements=sgn_el,
         sgn_characters=sgn_ch,
-        identity_checks=checks,
-        grouplike_closure_ok=grouplike_closure_ok(data, g, tol),
-        hypothesis_notes=notes,
+        identity_checks=_identity_checks(a),
+        grouplike_closure_ok=grouplike_closure_ok(a.data, a.grouplikes, a.tol),
+        hypothesis_notes=[hypo["obstruction"]] if hypo["obstruction"] else [],
     )

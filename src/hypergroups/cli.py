@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .builders import (
     dump,
@@ -167,6 +166,10 @@ def _cmd_enumerate(args) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, f"type{'-'.join(map(str, dims))}_{idx}.json")
             dump(ring, path)
+        loc = f" -> {path}" if path else ""
+        if not ring.flags_at(tol).abelian:
+            print(f"[{idx}] {ring.name}: not screened (non-commutative){loc}")
+            continue
         table = character_table(ring, tol=tol, seed=args.seed)
         v1 = modular_prime_support(ring, table, tol)
         v2 = squarefree_factor_test(ring, table, tol)
@@ -174,7 +177,6 @@ def _cmd_enumerate(args) -> int:
         if out.excluded:
             excluded += 1
         mark = "EXCLUDED" if out.excluded else "open"
-        loc = f" -> {path}" if path else ""
         print(f"[{idx}] {ring.name}: modular categorification {mark} ({out.certificate}){loc}")
     word = "all excluded" if excluded == len(rings) else f"{excluded} of {len(rings)} excluded"
     print(f"{len(rings)} ring(s) up to relabeling; {word}")
@@ -188,8 +190,8 @@ def _cmd_batch(args) -> int:
         if f.endswith((".json", ".txt"))
     )
     tol = _tol(args)
-
-    def run(path):
+    errors = 0
+    for path in paths:
         try:
             rep = analyze(
                 load(path),
@@ -198,23 +200,16 @@ def _cmd_batch(args) -> int:
                 exact_only=args.exact_only,
                 modular_candidate=args.modular_candidate,
             )
-            b = rep.burnside or {}
-            return path, (
-                f"rank {rep.rank:3d}  burnside {str(b.get('is_burnside', '-')):5s} "
-                f"dual {str(b.get('is_dual_burnside', '-')):5s} "
-                f"nilpotency {rep.nilpotency_class if rep.nilpotency_class is not None else '-'}"
-            ), None
-        except Exception as exc:  # collected per file, batch continues
-            return path, None, f"{type(exc).__name__}: {exc}"
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(run, paths))
-    errors = 0
-    for path, line, err in results:
-        if err is None:
-            print(f"{path}: {line}")
-        else:
+        except Exception as exc:  # reported per file, batch continues
             errors += 1
-            print(f"{path}: ERROR {err}")
+            print(f"{path}: ERROR {type(exc).__name__}: {exc}")
+            continue
+        b = rep.burnside or {}
+        print(
+            f"{path}: rank {rep.rank:3d}  burnside {str(b.get('is_burnside', '-')):5s} "
+            f"dual {str(b.get('is_dual_burnside', '-')):5s} "
+            f"nilpotency {rep.nilpotency_class if rep.nilpotency_class is not None else '-'}"
+        )
     return 1 if errors else 0
 
 

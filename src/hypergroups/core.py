@@ -24,7 +24,7 @@ from .errors import (
     InvalidRescale,
     NotNormalizable,
 )
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import DEFAULT_TOL, Tolerance, snap_value
 
 __all__ = [
     "FusionData",
@@ -37,6 +37,8 @@ __all__ = [
     "rescale",
     "normalize",
     "basis_element",
+    "exact_character",
+    "regular_element",
     "scalar_kind",
 ]
 
@@ -107,7 +109,7 @@ class FusionData:
             )
         self.tensor = _freeze(arr)
         self._float_tensor = None
-        self._flags = None
+        self._flags = {}
 
     def float_tensor(self) -> np.ndarray:
         """float64 view of the tensor (cached)."""
@@ -140,9 +142,15 @@ class FusionData:
 
     @property
     def flags(self) -> "FlagSet":
-        if self._flags is None:
-            self._flags = validate(self)
-        return self._flags
+        return self.flags_at(DEFAULT_TOL)
+
+    def flags_at(self, tol: Tolerance) -> "FlagSet":
+        """validate(self, tol), run once per tolerance; exact tensors validate
+        identically at every tolerance, so they run it once."""
+        key = None if self.is_exact else tol
+        if key not in self._flags:
+            self._flags[key] = validate(self, tol)
+        return self._flags[key]
 
     def with_name(self, name: str) -> "FusionData":
         other = FusionData.__new__(FusionData)
@@ -190,24 +198,29 @@ class Element:
     def __len__(self):
         return len(self.coords)
 
-    def __add__(self, other: "Element") -> "Element":
-        if len(self) != len(other):
-            raise DimensionMismatch("element lengths differ")
-        return Element(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        if len(self) != len(other):
-            raise DimensionMismatch("element lengths differ")
-        return Element(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "Element":
-        return Element(tuple(c * x for x in self.coords))
-
 
 def basis_element(data: FusionData, i: int) -> Element:
     coords = [0] * data.rank
     coords[i] = 1
     return Element(tuple(coords))
+
+
+def regular_element(data: FusionData) -> Element:
+    """I(1) = sum_i h_i x_i x_{i*}; exact (Fractions) on exact tensors."""
+    m = data.rank
+    inv = data.involution
+    hs = orders(data)
+    if data.is_exact:
+        coords = [Fraction(0)] * m
+        for i in range(m):
+            row = data.tensor[i, inv[i]]
+            for k in range(m):
+                if row[k] != 0:
+                    coords[k] += Fraction(hs[i]) * Fraction(row[k])
+        return Element(tuple(coords))
+    N = data.float_tensor()
+    coords = np.einsum("i,ik->k", np.array(hs, dtype=float), N[np.arange(m), inv, :])
+    return Element(tuple(float(c) for c in coords))
 
 
 def orders(data: FusionData) -> list:
@@ -407,6 +420,24 @@ def rescale(data: FusionData, alphas) -> FusionData:
     return FusionData(f"{data.name}/rescaled", data.involution, new)
 
 
+def exact_character(data: FusionData, values, tol: Tolerance = DEFAULT_TOL) -> list | None:
+    """`values` snapped to rationals when they all snap and satisfy the
+    character equation sum_k N_ij^k v_k = v_i v_j exactly (exact tensor);
+    None otherwise."""
+    snapped = [snap_value(float(v), tol) for v in values]
+    if any(isinstance(s, float) for s in snapped):
+        return None
+    m = data.rank
+    for i in range(m):
+        for j in range(m):
+            lhs = sum(
+                Fraction(data.tensor[i, j, k]) * Fraction(snapped[k]) for k in range(m)
+            )
+            if lhs != Fraction(snapped[i]) * Fraction(snapped[j]):
+                return None
+    return snapped
+
+
 def normalize(data: FusionData, mu1_values, tol: Tolerance = DEFAULT_TOL) -> FusionData:
     """Rescale by a non-vanishing character so every row sum of the tensor is 1.
 
@@ -426,22 +457,18 @@ def normalize(data: FusionData, mu1_values, tol: Tolerance = DEFAULT_TOL) -> Fus
         bad = min(range(m), key=lambda i: abs(reals[i]))
         raise NotNormalizable(f"character vanishes on basis element {bad}")
 
-    if data.is_exact:
-        from .tolerance import snap_value
-
-        snapped = [snap_value(v, tol) for v in reals]
-        if not any(isinstance(s, float) for s in snapped):
-            ok = all(
-                sum(
-                    Fraction(data.tensor[i, j, k]) * Fraction(snapped[k])
-                    for k in range(m)
-                )
-                == Fraction(snapped[i]) * Fraction(snapped[j])
-                for i in range(m)
-                for j in range(m)
-            )
-            if ok:
-                if all(s == 1 for s in snapped):
-                    return data
-                return rescale(data, snapped).with_name(f"{data.name}/normalized")
-    return rescale(data, reals).with_name(f"{data.name}/normalized")
+    snapped = exact_character(data, reals, tol) if data.is_exact else None
+    if snapped is not None:
+        if all(s == 1 for s in snapped):
+            return data
+        return rescale(data, snapped).with_name(f"{data.name}/normalized")
+    # rescale compares its scalars exactly: check the float column within tol,
+    # then hand it an exact 1 at the unit and equal values at i and i*
+    inv = data.involution
+    if abs(reals[0] - 1.0) > tol.zero(1.0):
+        raise NotNormalizable(f"normalizing character is {reals[0]!r} at the unit")
+    for i in range(m):
+        if abs(reals[i] - reals[inv[i]]) > tol.zero(abs(reals[i])):
+            raise NotNormalizable(f"character values at {i} and {inv[i]} differ")
+    alphas = [1] + [(reals[i] + reals[inv[i]]) / 2 for i in range(1, m)]
+    return rescale(data, alphas).with_name(f"{data.name}/normalized")

@@ -11,15 +11,18 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import exact_det
+from .analysis import RingAnalysis
+from .burnside import grouplike_elements
 from .core import FusionData
 from .errors import HypergroupError, NotApplicable, NotNearGroup, NotWeaklyIntegral
-from .spectra import CharacterTable, fp_character, order
-from .burnside import grouplike_characters, grouplike_elements, is_burnside, is_dual_burnside
-from .structure import adjoint_indices, is_nilpotent, product_support, _support_threshold
+from .spectra import CharacterTable
+from .structure import product_support, _support_threshold
 from .tolerance import DEFAULT_TOL, Tolerance, snap_value
 
 __all__ = [
     "ExclusionVerdict",
+    "exclusions",
     "burnside_exclusion",
     "modular_prime_support",
     "squarefree_factor_test",
@@ -60,23 +63,43 @@ def prime_factorization(n: int) -> dict:
     return out
 
 
-def _require_fusion_ring(data: FusionData):
-    if not data.flags.fusion_ring:
+def exclusions(a: RingAnalysis, dual_h_integral: bool, modular_candidate: bool) -> list:
+    """The exclusion tests an analysis runs on a fusion ring; the modular-only
+    tests run when the ring is asserted to be a modular candidate."""
+    verdicts = [_burnside_exclusion(a, dual_h_integral), _divisibility_test(a)]
+    verdicts += [_frobenius_test(a, Fraction(alpha)) for alpha in (1, "1/2")]
+    if modular_candidate:
+        for name, test in (
+            ("modular_prime_support", _modular_prime_support),
+            ("squarefree_factor", _squarefree_factor_test),
+        ):
+            try:
+                verdicts.append(test(a))
+            except NotWeaklyIntegral as exc:
+                verdicts.append(ExclusionVerdict(name, False, False, str(exc)))
+        try:
+            verdicts.append(_near_group_modular_test(a))
+        except NotNearGroup:
+            pass
+    return verdicts
+
+
+def _require_fusion_ring(data: FusionData, tol: Tolerance):
+    if not data.flags_at(tol).fusion_ring:
         raise HypergroupError(f"{data.name}: test needs a fusion ring")
 
 
-def _integer_order(data: FusionData, table: CharacterTable, tol: Tolerance) -> int:
-    n_h = order(data, table, fp_character(table))
-    snapped = snap_value(n_h, tol)
+def _integer_order(a: RingAnalysis) -> int:
+    snapped = snap_value(a.n_h, a.tol)
     if not isinstance(snapped, int):
-        raise NotWeaklyIntegral(f"{data.name}: FPdim {n_h} is not an integer")
+        raise NotWeaklyIntegral(f"{a.data.name}: FPdim {a.n_h} is not an integer")
     return snapped
 
 
-def _integer_dim_squares(table: CharacterTable, tol: Tolerance) -> list[int] | None:
+def _integer_dim_squares(a: RingAnalysis) -> list[int] | None:
     out = []
-    for x in table.fp_dims():
-        s = snap_value(float(x) ** 2, tol)
+    for x in a.d:
+        s = snap_value(float(x) ** 2, a.tol)
         if not isinstance(s, int):
             return None
         out.append(s)
@@ -90,10 +113,12 @@ def burnside_exclusion(
     tol: Tolerance | None = None,
 ) -> ExclusionVerdict:
     """Weakly-integral fusion rings with h-integral dual must be Burnside."""
-    tol = tol or table.tol
-    _require_fusion_ring(data)
-    n_h = order(data, table, fp_character(table))
-    weakly_integral = isinstance(snap_value(n_h, tol), int)
+    return _burnside_exclusion(RingAnalysis(data, tol, table=table), dual_h_integral)
+
+
+def _burnside_exclusion(a: RingAnalysis, dual_h_integral: bool) -> ExclusionVerdict:
+    _require_fusion_ring(a.data, a.tol)
+    weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
     applicable = bool(weakly_integral and dual_h_integral)
     if not applicable:
         return ExclusionVerdict(
@@ -102,16 +127,12 @@ def burnside_exclusion(
             False,
             f"not applicable (weakly integral: {weakly_integral}, h-integral dual: {dual_h_integral})",
         )
-    burn, witness = is_burnside(data, table, tol)
+    burn, witness = a.burnside
     if burn:
         return ExclusionVerdict("burnside", True, False, "ring is Burnside")
-    d = table.fp_dims()
-    from ._exact import exact_det
-    from .burnside import _exact_left_matrix
-
-    det = exact_det(_exact_left_matrix(data, witness)) if data.is_exact else None
+    det = exact_det(a.data.left_matrix(witness)) if a.data.is_exact else None
     cert = (
-        f"basis element {witness} of FPdim {d[witness]:.6g} is non-vanishing "
+        f"basis element {witness} of FPdim {a.d[witness]:.6g} is non-vanishing "
         f"(det L = {det}) but not grouplike"
     )
     return ExclusionVerdict("burnside", True, True, cert)
@@ -121,15 +142,18 @@ def modular_prime_support(
     data: FusionData, table: CharacterTable, tol: Tolerance | None = None
 ) -> ExclusionVerdict:
     """Modular candidates obey V(FPdim) = V(|G(H)|) u V(d_i^2)."""
-    tol = tol or table.tol
-    _require_fusion_ring(data)
-    n = _integer_order(data, table, tol)
-    d_sq = _integer_dim_squares(table, tol)
+    return _modular_prime_support(RingAnalysis(data, tol, table=table))
+
+
+def _modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
+    _require_fusion_ring(a.data, a.tol)
+    n = _integer_order(a)
+    d_sq = _integer_dim_squares(a)
     if d_sq is None:
         return ExclusionVerdict(
             "modular_prime_support", False, False, "some d_i^2 is not an integer"
         )
-    g_count = len(grouplike_elements(data, table, tol))
+    g_count = len(a.grouplikes)
     for p in sorted(prime_factorization(n)):
         if g_count % p != 0 and all(sq % p != 0 for sq in d_sq):
             return ExclusionVerdict(
@@ -149,10 +173,13 @@ def squarefree_factor_test(
     """Square-free part test: the largest square-free divisor d of FPdim coprime
     to FPdim/d and to every d_i^2 must divide |G(H)|; perfect rings must have
     no powerless prime at all."""
-    tol = tol or table.tol
-    _require_fusion_ring(data)
-    n = _integer_order(data, table, tol)
-    d_sq = _integer_dim_squares(table, tol)
+    return _squarefree_factor_test(RingAnalysis(data, tol, table=table))
+
+
+def _squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
+    _require_fusion_ring(a.data, a.tol)
+    n = _integer_order(a)
+    d_sq = _integer_dim_squares(a)
     if d_sq is None:
         return ExclusionVerdict(
             "squarefree_factor", False, False, "some d_i^2 is not an integer"
@@ -163,7 +190,7 @@ def squarefree_factor_test(
     d = 1
     for p in valid:
         d *= p
-    g_count = len(grouplike_elements(data, table, tol))
+    g_count = len(a.grouplikes)
     perfect = g_count == 1
     if perfect and powerless:
         return ExclusionVerdict(
@@ -190,17 +217,19 @@ def divisibility_test(
 ) -> ExclusionVerdict:
     """For dual-Burnside rings (prod d_i)^2 / FPdim(H_ad) must be an integer;
     nilpotent rings additionally need V(FPdim(H_ad)) = u V(d_i^2)."""
-    tol = tol or table.tol
-    dual_burn, _ = is_dual_burnside(data, table, tol)
+    return _divisibility_test(RingAnalysis(data, tol, table=table))
+
+
+def _divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
+    dual_burn, _ = a.dual_burnside
     if not dual_burn:
         return ExclusionVerdict(
             "divisibility", False, False, "not applicable (ring is not dual-Burnside)"
         )
-    d = table.fp_dims()
-    ad = adjoint_indices(data, None, tol)
-    fp_ad = float(sum(table.h[i] * d[i] ** 2 for i in ad))
+    d = a.d
+    fp_ad = float(sum(a.table.h[i] * d[i] ** 2 for i in a.adjoint.indices))
     ratio = float(np.prod(d)) ** 2 / fp_ad
-    snapped = snap_value(ratio, tol)
+    snapped = snap_value(ratio, a.tol)
     if not isinstance(snapped, int):
         return ExclusionVerdict(
             "divisibility",
@@ -208,10 +237,10 @@ def divisibility_test(
             True,
             f"(prod d_i)^2 / FPdim(H_ad) = {ratio:.9g} is not an integer",
         )
-    cls = is_nilpotent(data, tol)
-    if cls is not None and data.flags.fusion_ring:
-        d_sq = _integer_dim_squares(table, tol)
-        fp_ad_int = snap_value(fp_ad, tol)
+    cls = a.series.nilpotency_class
+    if cls is not None and a.flags.fusion_ring:
+        d_sq = _integer_dim_squares(a)
+        fp_ad_int = snap_value(fp_ad, a.tol)
         if d_sq is not None and isinstance(fp_ad_int, int):
             lhs = set(prime_factorization(fp_ad_int)) if fp_ad_int > 1 else set()
             rhs = set()
@@ -233,7 +262,7 @@ def divisibility_test(
 def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
     """(group_size, m) when the ring is K(G, m): one non-invertible rho absorbed
     by every grouplike, with rho^2 = sum_G g + m rho."""
-    _require_fusion_ring(data)
+    _require_fusion_ring(data, tol)
     g = grouplike_elements(data, None, tol)
     non = [i for i in range(data.rank) if i not in set(g)]
     if len(non) != 1:
@@ -259,10 +288,13 @@ def near_group_modular_test(
 ) -> ExclusionVerdict:
     """Modular near-group screening: K(G, m) cannot be modular when G is
     non-trivial with m > 0, nor when m = 0 and |G| is not 1 or 2."""
-    tol = tol or table.tol
-    g_size, m = detect_near_group(data, tol)
+    return _near_group_modular_test(RingAnalysis(data, tol, table=table))
+
+
+def _near_group_modular_test(a: RingAnalysis) -> ExclusionVerdict:
+    g_size, m = detect_near_group(a.data, a.tol)
     excluded = (g_size > 1 and m > 0) or (m == 0 and g_size not in (1, 2))
-    g_hat = len(grouplike_characters(data, table, tol))
+    g_hat = len(a.grouplike_chars)
     cert = f"K(G,m) with |G| = {g_size}, m = {m}; |G(H)| = {g_size} vs |G(H-hat)| = {g_hat}"
     return ExclusionVerdict("near_group_modular", True, excluded, cert)
 
@@ -276,16 +308,19 @@ def is_frobenius(
     alpha = 1/2 checks FPdim / d_i^2 in Z (the usual half-Frobenius reading
     on integral data).
     """
-    tol = tol or table.tol
-    n = _integer_order(data, table, tol)
+    return _is_frobenius(RingAnalysis(data, tol, table=table), alpha)
+
+
+def _is_frobenius(a: RingAnalysis, alpha) -> bool:
+    n = _integer_order(a)
     alpha = Fraction(alpha)
     if alpha == 1:
-        dims = [snap_value(float(x), tol) for x in table.fp_dims()]
+        dims = [snap_value(float(x), a.tol) for x in a.d]
         if any(not isinstance(x, int) for x in dims):
             raise NotApplicable("alpha = 1 needs integral dimensions")
         return all(n % x == 0 for x in dims)
     if alpha == Fraction(1, 2):
-        d_sq = _integer_dim_squares(table, tol)
+        d_sq = _integer_dim_squares(a)
         if d_sq is None:
             raise NotApplicable("alpha = 1/2 needs integral d_i^2")
         return all(n % sq == 0 for sq in d_sq)
@@ -296,9 +331,12 @@ def frobenius_test(
     data: FusionData, table: CharacterTable, alpha, tol: Tolerance | None = None
 ) -> ExclusionVerdict:
     """Report of the alpha-Frobenius property (informational, never excluding)."""
-    tol = tol or table.tol
+    return _frobenius_test(RingAnalysis(data, tol, table=table), alpha)
+
+
+def _frobenius_test(a: RingAnalysis, alpha) -> ExclusionVerdict:
     try:
-        ok = is_frobenius(data, table, alpha, tol)
+        ok = _is_frobenius(a, alpha)
     except (NotApplicable, NotWeaklyIntegral) as exc:
         return ExclusionVerdict(f"frobenius({alpha})", False, False, str(exc))
     word = "holds" if ok else "fails"

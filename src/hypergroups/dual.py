@@ -9,6 +9,7 @@ tool chain applies to duals unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,8 @@ class DualData:
 
     `base` is the dual as plain FusionData (unit = the normalizing character).
     `char_order[j]` is the primal character-table column sitting at dual basis
-    position j, so position 0 always carries mu1.
+    position j, so position 0 always carries mu1.  `tol` is the tolerance the
+    dual was built at.
     """
 
     base: FusionData
@@ -50,10 +52,16 @@ class DualData:
     primal_name: str
     mu1: int
     char_order: tuple
+    tol: Tolerance
 
     @property
     def rank(self) -> int:
         return self.base.rank
+
+    @cached_property
+    def table(self) -> CharacterTable:
+        """Character table of the dual, built once at the default solver seed."""
+        return character_table(self.base, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,7 @@ def dual_hypergroup(
         primal_name=data.name,
         mu1=mu1,
         char_order=tuple(perm),
+        tol=tol,
     )
 
 
@@ -199,9 +208,8 @@ def dual_codegrees(
     n_primal = order(data, table, dd.mu1)
     nhat = n_primal / (h * d * d[inv])
     # direct computation on the dual tensor
-    dual_table = character_table(dd.base, tol=tol)
-    match = match_dual_characters(dd, table, dual_table)
-    direct = dual_table.codegrees[match]
+    match = match_dual_characters(dd, table, dd.table)
+    direct = dd.table.codegrees[match]
     if np.abs(direct - nhat).max() > 1e5 * tol.zero(1.0 + np.abs(nhat).max()):
         raise CrossCheckFailed(
             f"dual codegrees: formula vs direct mismatch {np.abs(direct - nhat).max():.3e}"
@@ -238,10 +246,11 @@ def match_dual_characters(
 def double_dual_check(
     data: FusionData,
     table: CharacterTable,
-    mu1: int | None = None,
+    dd: DualData,
     tol: Tolerance | None = None,
 ) -> tuple:
-    """Find the basis permutation identifying dual(dual(H)) with normalized H.
+    """Find the basis permutation identifying dual(dual(H)) with H normalized
+    by dd.mu1, where dd is the dual built from `table`.
 
     Returns pi such that ddual.tensor[pi[a], pi[b], pi[c]] matches the
     normalized primal tensor entrywise within tol.
@@ -249,10 +258,7 @@ def double_dual_check(
     from .core import normalize
 
     tol = tol or table.tol
-    if mu1 is None:
-        mu1 = fp_character(table)
-    dd = dual_hypergroup(data, table, mu1, tol)
-    dual_table = character_table(dd.base, tol=tol)
+    dual_table = dd.table
     unit_col = augmentation_index(dual_table)
     dd2 = dual_hypergroup(dd.base, dual_table, unit_col, tol)
     match = match_dual_characters(dd, table, dual_table)
@@ -262,14 +268,10 @@ def double_dual_check(
     col_to_pos = {col: pos for pos, col in enumerate(dd2.char_order)}
     pi = np.array([col_to_pos[match[i]] for i in range(data.rank)], dtype=int)
 
-    normalized = normalize(data, table.values[:, mu1], tol)
+    normalized = normalize(data, table.values[:, dd.mu1], tol)
     T1 = normalized.float_tensor()
     T2 = dd2.base.float_tensor()
-    resid = 0.0
-    for a in range(data.rank):
-        for b in range(data.rank):
-            for c in range(data.rank):
-                resid = max(resid, abs(T2[pi[a], pi[b], pi[c]] - T1[a, b, c]))
+    resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
     if resid > 1e6 * tol.zero(1.0 + np.abs(T1).max()):
         raise NoIsomorphismFound(f"double dual mismatch, residual {resid:.3e}")
     return tuple(int(x) for x in pi)

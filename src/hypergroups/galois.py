@@ -72,7 +72,7 @@ def galois_orbits(
     (smallest valid clusters first) with backtracking capped at 2^12 states.
     """
     tol = tol or table.tol
-    if not data.flags.rational:
+    if not data.flags_at(tol).rational:
         raise HypergroupError("Galois orbits need a rational hypergroup")
     m = data.rank
     values = table.values
@@ -183,7 +183,7 @@ def weak_integrality(
         verdict = "weakly_rational"
     else:
         verdict = "irrational"
-    flags = data.flags
+    flags = data.flags_at(tol)
     if (
         dual_burnside
         and flags.rational

@@ -12,31 +12,14 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__ as _version
+from .analysis import RingAnalysis
 from .burnside import BurnsideReport, burnside_report
-from .core import FusionData, validate
-from .criteria import (
-    burnside_exclusion,
-    divisibility_test,
-    frobenius_test,
-    modular_prime_support,
-    near_group_modular_test,
-    squarefree_factor_test,
-)
-from .dual import dual_codegrees, dual_flags, dual_hypergroup, double_dual_check
-from .errors import (
-    InexactTensor,
-    NoPositiveColumn,
-    NotNearGroup,
-    MultiplePositiveColumns,
-)
+from .core import FusionData
+from .criteria import exclusions
+from .dual import dual_codegrees, dual_flags, double_dual_check
+from .errors import InexactTensor, MultiplePositiveColumns, NoPositiveColumn
 from .galois import check_codegree_conjugation, galois_orbits, weak_integrality
-from .spectra import character_table, fp_character, order
-from .structure import (
-    adjoint,
-    central_series,
-    kernel_of_character,
-    universal_grading,
-)
+from .structure import kernel_of_character, universal_grading
 from .tolerance import DEFAULT_TOL, Tolerance
 
 __all__ = ["AnalysisReport", "analyze", "render_text", "render_structured"]
@@ -90,7 +73,8 @@ def analyze(
     exact_only: bool = False,
     modular_candidate: bool = False,
 ) -> AnalysisReport:
-    flags = validate(data, tol)
+    a = RingAnalysis(data, tol, seed)
+    flags = a.flags
     if exact_only and not data.is_exact:
         raise InexactTensor(f"{data.name}: --exact-only with a floating tensor")
     report = AnalysisReport(
@@ -109,7 +93,7 @@ def analyze(
         report.notes.append("non-abelian data: spectral analysis skipped")
         return report
 
-    table = character_table(data, tol=tol, seed=seed)
+    table = a.table
     report.character_table = [
         [_complex_pair(table.values[i, j]) for j in range(data.rank)]
         for i in range(data.rank)
@@ -117,21 +101,19 @@ def analyze(
     report.codegrees = [_round(x) for x in table.codegrees]
 
     try:
-        fp = fp_character(table)
+        a.fp
     except (NoPositiveColumn, MultiplePositiveColumns) as exc:
         report.notes.append(f"no FP character: {exc}")
         return report
 
-    d = table.fp_dims()
-    report.fp_dims = [_round(x) for x in d]
-    n_h = order(data, table, fp)
-    report.fp_dim_total = _round(n_h)
-    report.order = _round(n_h)
+    report.fp_dims = [_round(x) for x in a.d]
+    report.fp_dim_total = _round(a.n_h)
+    report.order = _round(a.n_h)
 
-    dd = dual_hypergroup(data, table, fp, tol)
+    dd = a.dual
     dfl = dual_flags(dd, tol)
     nhat = dual_codegrees(dd, data, table)
-    double_dual_check(data, table, fp, tol)
+    double_dual_check(data, table, dd, tol)
     report.dual = {
         "orders_hat": [_round(x) for x in dd.orders_hat],
         "involution_hat": list(dd.involution_hat),
@@ -142,7 +124,7 @@ def analyze(
         "double_dual_isomorphic": True,
     }
 
-    br: BurnsideReport = burnside_report(data, table, dfl.h_integral, tol)
+    br: BurnsideReport = burnside_report(a, dfl.h_integral)
     report.burnside = {
         "grouplike_elements": list(br.grouplike_elements),
         "vanishing_elements": list(br.vanishing_elements),
@@ -159,16 +141,14 @@ def analyze(
     report.residuals.update({k: _round(v) for k, v in br.identity_checks.items()})
     report.notes.extend(br.hypothesis_notes)
 
-    ad = adjoint(data, table, tol)
     grading = universal_grading(data, table, tol)
     report.grading = {
-        "adjoint": list(ad.indices),
+        "adjoint": list(a.adjoint.indices),
         "components": [list(c) for c in grading.components],
         "group_order": grading.group_order,
         "invariant_factors": list(grading.iso_class),
     }
-    series = central_series(data, tol)
-    report.nilpotency_class = series.nilpotency_class
+    report.nilpotency_class = a.series.nilpotency_class
 
     report.kernels = [
         list(kernel_of_character(data, table, j, tol).indices)
@@ -194,30 +174,6 @@ def analyze(
         }
 
     if flags.fusion_ring:
-        verdicts = [burnside_exclusion(data, table, dfl.h_integral, tol)]
-        verdicts.append(divisibility_test(data, table, tol))
-        for alpha in (1, "1/2"):
-            from fractions import Fraction
-
-            verdicts.append(
-                frobenius_test(data, table, Fraction(alpha), tol)
-            )
-        if modular_candidate:
-            from .criteria import ExclusionVerdict
-            from .errors import NotWeaklyIntegral
-
-            for name, test in (
-                ("modular_prime_support", modular_prime_support),
-                ("squarefree_factor", squarefree_factor_test),
-            ):
-                try:
-                    verdicts.append(test(data, table, tol))
-                except NotWeaklyIntegral as exc:
-                    verdicts.append(ExclusionVerdict(name, False, False, str(exc)))
-            try:
-                verdicts.append(near_group_modular_test(data, table, tol))
-            except NotNearGroup:
-                pass
         report.exclusions = [
             {
                 "test": v.test_name,
@@ -225,7 +181,7 @@ def analyze(
                 "excluded": v.excluded,
                 "certificate": v.certificate,
             }
-            for v in verdicts
+            for v in exclusions(a, dfl.h_integral, modular_candidate)
         ]
     return report
 

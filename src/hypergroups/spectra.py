@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, orders
+from .core import Element, FusionData, orders, regular_element
 from .errors import (
     DegenerateSpectrum,
     HomomorphismCheckFailed,
@@ -38,7 +38,6 @@ __all__ = [
     "integral_element",
     "snap",
     "verify_integer_fpdim",
-    "fp_dims",
     "integral_element_of_subset",
 ]
 
@@ -102,7 +101,7 @@ def character_table(
     column first when there is exactly one, then lexicographically by rounded
     value vectors, so repeated runs produce identical tables.
     """
-    if not data.flags.abelian:
+    if not data.flags_at(tol).abelian:
         raise NotAbelian(f"{data.name}: tensor is not commutative")
     m = data.rank
     L = data.left_matrices_float()
@@ -131,7 +130,9 @@ def character_table(
     if resid > 1e4 * tol.zero(scale * vmax * vmax):
         raise HomomorphismCheckFailed(f"residual {resid:.3e}")
 
-    values = values[:, _canonical_column_order(values, tol)]
+    positive = _positive_columns(values, tol)
+    fp = positive[0] if len(positive) == 1 else None
+    values = values[:, _canonical_column_order(values, fp)]
 
     h = np.array([float(x) for x in orders(data)])
     inv = list(data.involution)
@@ -144,10 +145,9 @@ def character_table(
         )
     idempotents = (h[None, :] * values[inv, :].T) / codegrees[:, None]
 
-    fp = _find_positive_column(values, tol)
     table = CharacterTable(
         values=values,
-        fp_index=fp,
+        fp_index=None if fp is None else 0,
         codegrees=codegrees,
         idempotents=idempotents,
         h=h,
@@ -157,31 +157,27 @@ def character_table(
     return table
 
 
-def _canonical_column_order(values: np.ndarray, tol: Tolerance) -> list[int]:
-    m = values.shape[0]
-    fp = _find_positive_column(values, tol)
-    cols = list(range(m))
+def _canonical_column_order(values: np.ndarray, fp: int | None) -> list[int]:
+    """The FP column first, then the others by their rounded value vectors."""
 
     def key(j):
         col = np.round(values[:, j], 9)
         return tuple((float(c.real), float(c.imag)) for c in col)
 
-    rest = sorted((j for j in cols if j != fp), key=key)
+    rest = sorted((j for j in range(values.shape[1]) if j != fp), key=key)
     return ([fp] if fp is not None else []) + rest
 
 
-def _find_positive_column(values: np.ndarray, tol: Tolerance) -> int | None:
-    m = values.shape[0]
-    candidates = []
-    for j in range(m):
+def _positive_columns(values: np.ndarray, tol: Tolerance) -> list[int]:
+    """Columns that are real and strictly positive within tol."""
+    out = []
+    for j in range(values.shape[1]):
         col = values[:, j]
         if np.abs(col.imag).max() <= tol.zero(1.0 + np.abs(col).max()) and (
             col.real > tol.zero(1.0)
         ).all():
-            candidates.append(j)
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+            out.append(j)
+    return out
 
 
 def _verify_table(data: FusionData, table: CharacterTable):
@@ -212,36 +208,18 @@ def _verify_table(data: FusionData, table: CharacterTable):
         delta[j, j] = F[j]
     if np.abs(prods - delta).max() > 1e4 * tol.zero(1.0):
         raise IdempotentResidual("F_j F_k != delta_jk F_j")
-    if np.abs(F.sum(axis=0) - _unit_vector(m)).max() > 1e4 * tol.zero(1.0):
+    if np.abs(F.sum(axis=0) - np.eye(m)[0]).max() > 1e4 * tol.zero(1.0):
         raise IdempotentResidual("sum of idempotents != 1")
-
-
-def _unit_vector(m: int) -> np.ndarray:
-    e = np.zeros(m, dtype=complex)
-    e[0] = 1.0
-    return e
 
 
 def fp_character(table: CharacterTable) -> int:
     """Index of the unique strictly positive column (the FP character)."""
-    values, tol = table.values, table.tol
-    m = table.rank
-    candidates = []
-    for j in range(m):
-        col = values[:, j]
-        if np.abs(col.imag).max() <= tol.zero(1.0 + np.abs(col).max()) and (
-            col.real > tol.zero(1.0)
-        ).all():
-            candidates.append(j)
+    candidates = _positive_columns(table.values, table.tol)
     if not candidates:
         raise NoPositiveColumn("no strictly positive character column")
     if len(candidates) > 1:
         raise MultiplePositiveColumns(f"positive columns {candidates}")
     return candidates[0]
-
-
-def fp_dims(table: CharacterTable) -> np.ndarray:
-    return table.fp_dims()
 
 
 def formal_codegrees(data: FusionData, table: CharacterTable) -> np.ndarray:
@@ -325,29 +303,11 @@ def verify_integer_fpdim(
     if not data.is_exact:
         raise InexactTensor("exact tensor required")
     m = data.rank
-    inv = data.involution
-    hs = orders(data)
-    coords = [Fraction(0)] * m
-    for i in range(m):
-        row = data.tensor[i, inv[i]]
-        for k in range(m):
-            if row[k] != 0:
-                coords[k] += Fraction(hs[i]) * Fraction(row[k])
+    coords = np.array(regular_element(data).coords, dtype=object)
     # L_{I(1)}[k, j] = sum_l coords_l N_{lj}^k
-    mat = np.empty((m, m), dtype=object)
-    for k in range(m):
-        for j in range(m):
-            acc = Fraction(0)
-            for l in range(m):
-                if coords[l] != 0 and data.tensor[l, j, k] != 0:
-                    acc += coords[l] * Fraction(data.tensor[l, j, k])
-            mat[k, j] = acc
-    shifted = np.empty((m, m), dtype=object)
-    for k in range(m):
-        for j in range(m):
-            shifted[k, j] = mat[k, j] - (Fraction(candidate) if k == j else Fraction(0))
-    if exact_det(shifted) != 0:
+    mat = np.tensordot(coords, data.tensor, axes=(0, 0)).T
+    if exact_det(mat - np.diag([Fraction(candidate)] * m)) != 0:
         return False
-    fl = np.array([[float(mat[k, j]) for j in range(m)] for k in range(m)])
+    fl = mat.astype(float)
     perron = float(np.max(np.linalg.eigvals(fl).real))
     return abs(perron - candidate) <= tol.zero(1.0 + abs(candidate))

@@ -114,7 +114,7 @@ def test_criterion_4_spectral_invariants(corpus_with_tables):
         assert abs((1.0 / n).sum() - 1.0) < 1e-10, ring.name
         dd = hg.dual_hypergroup(ring, table)
         assert abs(dd.orders_hat.sum() - hg.order(ring, table)) < 1e-8, ring.name
-        hg.double_dual_check(ring, table)
+        hg.double_dual_check(ring, table, dd)
     for name in catalog_names():
         g = catalog(name)
         table = hg.character_table(rep_ring(g))

@@ -173,9 +173,8 @@ def test_unverified_transcriptions_do_not_validate():
         except (ParseError, HypergroupError):
             pytest.skip(f"{fname}: transcription damaged in source, skipping scalar facts")
         from hypergroups._exact import exact_det
-        from hypergroups.burnside import _exact_left_matrix
 
-        det = abs(int(exact_det(_exact_left_matrix(ring, fact["matrix"]))))
+        det = abs(int(exact_det(ring.left_matrix(fact["matrix"]))))
         assert det == fact["det"]
 
 

@@ -189,7 +189,7 @@ def test_obstruction_flagged_for_qualifying_failure(s3_rep, s3_table):
 
 
 def test_burnside_report_assembly(ising_ring, ising_table):
-    rep = bn.burnside_report(ising_ring, ising_table, dual_h_integral=True)
+    rep = bn.burnside_report(hg.RingAnalysis(ising_ring, table=ising_table), dual_h_integral=True)
     assert rep.is_burnside and rep.is_dual_burnside
     assert rep.grouplike_closure_ok
     assert set(rep.vanishing_elements) | set(rep.nonvanishing) == {0, 1, 2}

@@ -150,3 +150,12 @@ def test_batch_empty_dir(tmp_path, capsys):
     d.mkdir()
     code, out, _ = run(capsys, "batch", str(d))
     assert code == 0 and out.strip() == ""
+
+
+def test_enumerate_skips_non_commutative_rings(capsys):
+    # type 1,1,1,1,1,1 has Z[C6] and the non-commutative Z[S3]
+    code, out, _ = run(capsys, "enumerate", "1,1,1,1,1,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert sum("not screened (non-commutative)" in l for l in lines) == 1
+    assert "2 ring(s) up to relabeling" in lines[-1]

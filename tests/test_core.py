@@ -136,6 +136,23 @@ def test_normalize_examples(ising_ring, ising_table, s3_rep, s3_table):
         hg.normalize(s3_rep, s3_table.values[:, zero_col])
 
 
+def test_normalize_float_column_within_tolerance(ising_ring):
+    import math
+
+    # one ulp off 1 at the unit, and unequal in the last bits at i and i*:
+    # accepted, and the result is normalized
+    col = [1.0 + 2.0**-52, 1.0, math.sqrt(2) * (1 + 2.0**-52)]
+    assert hg.normalize(ising_ring, col).flags.normalized
+    with pytest.raises(NotNormalizable):
+        hg.normalize(ising_ring, [1.0 + 1e-6, 1.0, math.sqrt(2)])
+
+
+def test_normalize_rejects_unequal_values_at_i_and_istar():
+    z3 = group_ring(catalog("C3"))  # x_1* = x_2
+    with pytest.raises(NotNormalizable):
+        hg.normalize(z3, [1.0, 1.5, 2.0])
+
+
 def test_serialize_roundtrip_preserves_flags(full_corpus):
     for ring in full_corpus[:8]:
         back = parse(serialize(ring))

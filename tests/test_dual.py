@@ -99,7 +99,7 @@ def test_dual_idempotent_pairing(ising_ring, ising_table):
 
 def test_double_dual_everywhere(corpus_with_tables):
     for ring, table in corpus_with_tables:
-        perm = hg.double_dual_check(ring, table)
+        perm = hg.double_dual_check(ring, table, hg.dual_hypergroup(ring, table))
         assert sorted(perm) == list(range(ring.rank)), ring.name
 
 

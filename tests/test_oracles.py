@@ -86,7 +86,7 @@ def test_regular_element_kernel_is_center_intersection(corpus_with_tables):
     for ring, table in corpus_with_tables[:12]:
         if table.fp_index is None:
             continue
-        el = st._regular_element(ring, table.tol)
+        el = hg.regular_element(ring)
         ker = st.kernel_of_element(ring, table, el)
         inter = None
         for i in range(ring.rank):
