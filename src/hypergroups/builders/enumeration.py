@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ..core import FusionData
+from ..core import FusionData, bracketings
 from ..errors import BudgetExceeded
 
 __all__ = ["enumerate_by_type", "normalize_type", "type_of"]
@@ -243,8 +243,7 @@ def _search_involution(m, d, sigma, nodes, budget):
             v = orbit_value[oid]
             for a, b, c in orb:
                 tensor[a, b, c] = v
-        lhs = np.tensordot(tensor, tensor, axes=(2, 0))
-        rhs = np.tensordot(tensor, tensor, axes=(2, 1)).transpose(2, 0, 1, 3)
+        lhs, rhs = bracketings(tensor)
         if (lhs == rhs).all():
             results.append(tensor)
 

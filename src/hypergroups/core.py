@@ -12,6 +12,7 @@ spectral code, never by mutating an exact ring.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,23 +235,40 @@ def orders(data: FusionData) -> list:
     return hs
 
 
-def _entry_is_zero(x, tol: Tolerance, scale: float) -> bool:
-    if isinstance(x, float):
-        return abs(x) <= tol.zero(scale)
-    return x == 0
+def integer_form(*arrays, terms: int) -> tuple[int, list[np.ndarray]]:
+    """Clear the denominators of exact (int / Fraction) arrays together.
+
+    Returns (L, [L * a for a in arrays]) with L the lcm of every denominator.
+    An equation whose terms are all products of the same number of entries
+    holds for the cleared arrays exactly when it holds for the originals.
+    The cleared arrays are int64 when no sum of `terms` products of two
+    cleared entries can overflow (terms * B**2 < 2**62, B the largest of L and
+    the cleared magnitudes), else object arrays of Python ints.
+    """
+    flats = [list(np.asarray(a, dtype=object).ravel()) for a in arrays]
+    scale = math.lcm(*{x.denominator for flat in flats for x in flat})
+    cleared = [[x.numerator * (scale // x.denominator) for x in flat] for flat in flats]
+    bound = max(scale, *(max(map(abs, c), default=0) for c in cleared))
+    dtype = np.int64 if terms * bound * bound < 2**62 else object
+    return scale, [
+        np.array(c, dtype=dtype).reshape(np.shape(a)) for c, a in zip(cleared, arrays)
+    ]
 
 
-def _entries_equal(x, y, tol: Tolerance, scale: float) -> bool:
-    if isinstance(x, float) or isinstance(y, float):
-        return abs(x - y) <= tol.zero(scale)
-    return x == y
+def bracketings(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of associativity for every basis triple, indexed [i, j, k, q]:
+    sum_p N_{ij}^p N_{pk}^q and sum_p N_{jk}^p N_{ip}^q."""
+    lhs = np.tensordot(tensor, tensor, axes=(2, 0))
+    rhs = np.tensordot(tensor, tensor, axes=(2, 1)).transpose(2, 0, 1, 3)
+    return lhs, rhs
 
 
 def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     """Check every hypergroup axiom and compute the flag set by tensor inspection.
 
     Raises AxiomViolation (with the first failing index tuple) or
-    DimensionMismatch.  Floating tensors are checked within `tol`.
+    DimensionMismatch.  Exact tensors are checked exactly on their integer
+    form; floating tensors are checked within `tol`.
     """
     m = data.rank
     N = data.tensor
@@ -264,6 +282,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     for i in range(m):
         if inv[inv[i]] != i:
             raise AxiomViolation("involution", (i,), "not an involution")
+    if data.is_exact:
+        return _validate_exact(data)
 
     scale = float(max(abs(float(x)) for x in N.ravel())) if m else 0.0
 
@@ -271,9 +291,9 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     for j in range(m):
         for k in range(m):
             want = 1 if j == k else 0
-            if not _entries_equal(N[0, j, k], want, tol, scale):
+            if abs(N[0, j, k] - want) > tol.zero(scale):
                 raise AxiomViolation("unit", (0, j, k))
-            if not _entries_equal(N[j, 0, k], want, tol, scale):
+            if abs(N[j, 0, k] - want) > tol.zero(scale):
                 raise AxiomViolation("unit", (j, 0, k))
 
     # Def 1.1: N_{ij}^0 = 0 unless j = i*, and N_{i,i*}^0 > 0
@@ -281,22 +301,15 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
         for j in range(m):
             e = N[i, j, 0]
             if j == inv[i]:
-                if isinstance(e, float):
-                    if not e > tol.zero(scale):
-                        raise AxiomViolation("involution", (i, j, 0), "N_{ii*}^0 <= 0")
-                elif not e > 0:
+                if not e > tol.zero(scale):
                     raise AxiomViolation("involution", (i, j, 0), "N_{ii*}^0 <= 0")
-            elif not _entry_is_zero(e, tol, scale):
+            elif abs(e) > tol.zero(scale):
                 raise AxiomViolation("involution", (i, j, 0), "N_{ij}^0 != 0 off involution")
 
     # associativity: sum_p N_{ij}^p N_{pk}^q = sum_p N_{jk}^p N_{ip}^q
-    lhs = np.tensordot(N, N, axes=(2, 0))  # [i,j,k,q]
-    rhs = np.tensordot(N, N, axes=(2, 1)).transpose(2, 0, 1, 3)  # [i,j,k,q]
-    if data.is_exact:
-        bad = np.argwhere(lhs != rhs)
-    else:
-        assoc_scale = max(scale * scale * m, scale)
-        bad = np.argwhere(np.abs(lhs - rhs) > tol.zero(assoc_scale))
+    lhs, rhs = bracketings(N)
+    assoc_scale = max(scale * scale * m, scale)
+    bad = np.argwhere(np.abs(lhs - rhs) > tol.zero(assoc_scale))
     if len(bad):
         i, j, k, q = (int(t) for t in bad[0])
         raise AxiomViolation("associativity", (i, j, k, q))
@@ -304,52 +317,95 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     return _compute_flags(data, tol, scale)
 
 
+def _first(mask: np.ndarray) -> tuple | None:
+    """Row-major first True index of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    if not len(hits):
+        return None
+    return tuple(int(t) for t in np.unravel_index(hits[0], mask.shape))
+
+
+def _validate_exact(data: FusionData) -> FlagSet:
+    """validate on C = L * N, the integer form of an exact tensor.
+
+    Each law names the index tuple that an element-by-element scan in the
+    order written first finds failing."""
+    m = data.rank
+    inv = np.array(data.involution, dtype=np.intp)
+    L, (C,) = integer_form(data.tensor, terms=m)
+    diag = np.arange(m)
+
+    # unit laws: C[0, j, k] = C[j, 0, k] = L delta_{jk}; (0, j, k) before (j, 0, k)
+    unit = np.zeros((m, m), dtype=C.dtype)
+    unit[diag, diag] = L
+    left, right = C[0] != unit, C[:, 0] != unit
+    hit = _first(left | right)
+    if hit is not None:
+        j, k = hit
+        raise AxiomViolation("unit", (0, j, k) if left[j, k] else (j, 0, k))
+
+    # Def 1.1: N_{ij}^0 = 0 unless j = i*, and N_{i,i*}^0 > 0
+    col0 = C[:, :, 0]
+    on_inv = np.zeros((m, m), dtype=bool)
+    on_inv[diag, inv] = True
+    hit = _first(np.where(on_inv, col0 <= 0, col0 != 0))
+    if hit is not None:
+        i, j = hit
+        if on_inv[i, j]:
+            raise AxiomViolation("involution", (i, j, 0), "N_{ii*}^0 <= 0")
+        raise AxiomViolation("involution", (i, j, 0), "N_{ij}^0 != 0 off involution")
+
+    # associativity; both sides scale by L^2
+    lhs, rhs = bracketings(C)
+    hit = _first(lhs != rhs)
+    if hit is not None:
+        raise AxiomViolation("associativity", hit)
+
+    rn = bool((C >= 0).all())
+    # N_{ii*}^0 = c / L with c > 0, so 1 / N_{ii*}^0 = L / c
+    unit_coeffs = col0[diag, inv]
+    return FlagSet(
+        symmetric=bool((col0 == col0.T).all()),
+        normalized=bool((C.sum(axis=2) == L).all()),
+        real=True,
+        rational=True,
+        real_non_negative=rn,
+        abelian=bool((C == C.transpose(1, 0, 2)).all()),
+        fusion_ring=rn and L == 1 and bool((unit_coeffs == 1).all()),
+        h_integral=bool((L % unit_coeffs == 0).all()),
+    )
+
+
 def _compute_flags(data: FusionData, tol: Tolerance, scale: float) -> FlagSet:
+    """Flag set of a floating tensor, within `tol`."""
     m = data.rank
     N = data.tensor
     inv = data.involution
     symmetric = all(
-        _entries_equal(N[a, b, 0], N[b, a, 0], tol, scale)
+        abs(N[a, b, 0] - N[b, a, 0]) <= tol.zero(scale)
         for a in range(m)
         for b in range(m)
     )
-    if data.is_exact:
-        normalized = all(sum(N[a, b, :]) == 1 for a in range(m) for b in range(m))
-        rn = all(x >= 0 for x in N.ravel())
-        rational = True
-        fusion_ring = rn and all(
-            isinstance(x, int) for x in N.ravel()
-        ) and all(N[i, inv[i], 0] == 1 for i in range(m))
-        h_integral = all(
-            Fraction(1) / Fraction(N[i, inv[i], 0]) % 1 == 0 for i in range(m)
-        )
-    else:
-        normalized = all(
-            abs(float(N[a, b, :].sum()) - 1.0) <= tol.zero(max(scale, 1.0) * m)
-            for a in range(m)
-            for b in range(m)
-        )
-        rn = all(x >= -tol.zero(scale) for x in N.ravel())
-        rational = False
-        fusion_ring = False
-        h_integral = all(
-            abs(1.0 / float(N[i, inv[i], 0]) - round(1.0 / float(N[i, inv[i], 0])))
-            <= tol.zero(1.0 / float(N[i, inv[i], 0]))
-            for i in range(m)
-        )
-    abelian = bool(
-        (N == N.transpose(1, 0, 2)).all()
-        if data.is_exact
-        else (np.abs(N - N.transpose(1, 0, 2)) <= tol.zero(scale)).all()
+    normalized = all(
+        abs(float(N[a, b, :].sum()) - 1.0) <= tol.zero(max(scale, 1.0) * m)
+        for a in range(m)
+        for b in range(m)
     )
+    rn = all(x >= -tol.zero(scale) for x in N.ravel())
+    h_integral = all(
+        abs(1.0 / float(N[i, inv[i], 0]) - round(1.0 / float(N[i, inv[i], 0])))
+        <= tol.zero(1.0 / float(N[i, inv[i], 0]))
+        for i in range(m)
+    )
+    abelian = bool((np.abs(N - N.transpose(1, 0, 2)) <= tol.zero(scale)).all())
     return FlagSet(
         symmetric=symmetric,
         normalized=normalized,
         real=True,
-        rational=rational,
+        rational=False,
         real_non_negative=rn,
         abelian=abelian,
-        fusion_ring=fusion_ring,
+        fusion_ring=False,
         h_integral=h_integral,
     )
 
@@ -406,14 +462,14 @@ def rescale(data: FusionData, alphas) -> FusionData:
             raise InvalidRescale("alpha_{i*} must equal conj(alpha_i)")
     exact = data.is_exact and not any(isinstance(a, float) for a in alphas)
     if exact:
-        new = np.empty((m, m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    v = data.tensor[i, j, k]
-                    new[i, j, k] = (
-                        0 if v == 0 else Fraction(v) * Fraction(alphas[k]) / (Fraction(alphas[i]) * Fraction(alphas[j]))
-                    )
+        # with one denominator for N and alpha, N_ij^k a_k / (a_i a_j) is
+        # C_ij^k w_k / (w_i w_j) on the cleared C and w
+        _, (C, w) = integer_form(data.tensor, alphas, terms=1)
+        num = (C * w[None, None, :]).ravel().tolist()
+        den = np.broadcast_to(w[:, None, None] * w[None, :, None], C.shape).ravel().tolist()
+        new = np.array(
+            [Fraction(n, d) if n else 0 for n, d in zip(num, den)], dtype=object
+        ).reshape(m, m, m)
     else:
         a = np.array([float(x) for x in alphas])
         new = data.float_tensor() * a[None, None, :] / (a[:, None, None] * a[None, :, None])
@@ -427,15 +483,9 @@ def exact_character(data: FusionData, values, tol: Tolerance = DEFAULT_TOL) -> l
     snapped = [snap_value(float(v), tol) for v in values]
     if any(isinstance(s, float) for s in snapped):
         return None
-    m = data.rank
-    for i in range(m):
-        for j in range(m):
-            lhs = sum(
-                Fraction(data.tensor[i, j, k]) * Fraction(snapped[k]) for k in range(m)
-            )
-            if lhs != Fraction(snapped[i]) * Fraction(snapped[j]):
-                return None
-    return snapped
+    # with one denominator for N and v, both sides scale by its square
+    _, (C, w) = integer_form(data.tensor, snapped, terms=data.rank)
+    return snapped if (C @ w == np.outer(w, w)).all() else None
 
 
 def normalize(data: FusionData, mu1_values, tol: Tolerance = DEFAULT_TOL) -> FusionData:

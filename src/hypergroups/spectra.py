@@ -9,12 +9,11 @@ before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, orders, regular_element
+from .core import Element, FusionData, integer_form, orders, regular_element
 from .errors import (
     DegenerateSpectrum,
     HomomorphismCheckFailed,
@@ -302,12 +301,13 @@ def verify_integer_fpdim(
     """
     if not data.is_exact:
         raise InexactTensor("exact tensor required")
-    m = data.rank
-    coords = np.array(regular_element(data).coords, dtype=object)
-    # L_{I(1)}[k, j] = sum_l coords_l N_{lj}^k
-    mat = np.tensordot(coords, data.tensor, axes=(0, 0)).T
-    if exact_det(mat - np.diag([Fraction(candidate)] * m)) != 0:
+    # D^2 L_{I(1)}[k, j] = sum_l w_l C_{lj}^k, with D the common denominator
+    # of the coordinates of I(1) and the tensor
+    D, (C, w) = integer_form(data.tensor, regular_element(data).coords, terms=data.rank)
+    mat = np.tensordot(w, C, axes=(0, 0)).T
+    shifted = mat.astype(object) - np.eye(data.rank, dtype=object) * (candidate * D * D)
+    if exact_det(shifted) != 0:
         return False
-    fl = mat.astype(float)
+    fl = (mat / (D * D)).astype(float)
     perron = float(np.max(np.linalg.eigvals(fl).real))
     return abs(perron - candidate) <= tol.zero(1.0 + abs(candidate))

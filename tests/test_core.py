@@ -1,10 +1,25 @@
+import itertools
+import math
+import random
+from fractions import Fraction
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 import hypergroups as hg
-from hypergroups.builders import catalog, class_hypergroup, group_ring, ising, serialize, parse
+from hypergroups import core
+from hypergroups.builders import (
+    catalog,
+    class_hypergroup,
+    group_ring,
+    ising,
+    parse,
+    rep_ring,
+    serialize,
+)
 from hypergroups.errors import AxiomViolation, InvalidRescale, NotNormalizable
+from hypergroups.tolerance import snap_value
 
 
 def test_group_ring_z2_all_flags(z2_ring):
@@ -46,6 +61,232 @@ def test_associativity_violation_detected():
     with pytest.raises(AxiomViolation) as exc:
         hg.validate(data)
     assert exc.value.law == "associativity"
+
+
+def _corrupt(ring, edits, involution=None):
+    tensor = np.array(ring.tensor, dtype=object)
+    for idx, v in edits.items():
+        tensor[idx] = v
+    return hg.FusionData(f"{ring.name}/corrupt", involution or ring.involution, tensor)
+
+
+def _corrupted_rings():
+    """Broken copies of corpus rings, each with the law and the first index
+    tuple that `validate` names (recorded from the element-by-element loops)."""
+    z6 = group_ring(catalog("C6"))  # x_i* = x_{6-i}
+    z8 = group_ring(catalog("C8"))  # x_2 x_3 = x_5
+    rep_s4 = rep_ring(catalog("S4"))
+    rescaled = hg.rescale(
+        rep_s4, [1, Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)]
+    )
+    cl_a5 = class_hypergroup(catalog("A5"))
+    cl_sl23 = class_hypergroup(catalog("SL(2,3)"))  # x_3 x_4 = x_1/4 + 3 x_6/4
+    flo = hg.rescale(ising(), [1.0, 1.0, math.sqrt(2)])
+    return [
+        # the unit loop checks (0, j, k) then (j, 0, k), row-major in (j, k)
+        ("z6-unit-right", _corrupt(z6, {(3, 0, 2): 1, (0, 4, 4): 0}), "unit", (3, 0, 2)),
+        ("z6-unit-left", _corrupt(z6, {(2, 0, 5): 1, (0, 2, 5): 1}), "unit", (0, 2, 5)),
+        ("z6-off-involution", _corrupt(z6, {(4, 1, 0): 1, (2, 1, 0): 1}),
+         "involution", (2, 1, 0)),
+        ("z8-zero-on-involution", _corrupt(z8, {(3, 5, 0): 0, (4, 1, 0): 1}),
+         "involution", (3, 5, 0)),
+        ("z8-not-an-involution", _corrupt(z8, {}, [0, 7, 6, 5, 4, 2, 3, 1]),
+         "involution", (2,)),
+        ("z8-associativity", _corrupt(z8, {(2, 3, 5): 0, (2, 3, 6): 1}),
+         "associativity", (1, 1, 3, 5)),
+        ("rep-s4-associativity", _corrupt(rep_s4, {(3, 4, 1): 1, (4, 3, 1): 1}),
+         "associativity", (1, 1, 3, 1)),
+        ("cl-s4-unit", _corrupt(
+            class_hypergroup(catalog("S4")), {(0, 2, 2): Fraction(1, 2), (0, 3, 1): Fraction(1, 2)}
+        ), "unit", (0, 2, 2)),
+        ("cl-a5-negative-on-involution", _corrupt(cl_a5, {(2, 2, 0): Fraction(-1, 3)}),
+         "involution", (2, 2, 0)),
+        ("cl-sl23-associativity", _corrupt(
+            cl_sl23, {(3, 4, 1): Fraction(1, 4) + Fraction(1, 7), (3, 4, 6): Fraction(3, 4) - Fraction(1, 7)}
+        ), "associativity", (1, 3, 4, 0)),
+        ("rescaled-rep-s4-associativity", _corrupt(rescaled, {(2, 2, 3): Fraction(1, 11)}),
+         "associativity", (1, 1, 2, 3)),
+        ("ising-associativity", _corrupt(ising(), {(2, 2, 1): 2}),
+         "associativity", (1, 2, 2, 0)),
+        ("ising-float-associativity", _corrupt(flo, {(2, 2, 1): 0.5 + 1e-3}),
+         "associativity", (1, 2, 2, 0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, law, indices",
+    [pytest.param(*case[1:], id=case[0]) for case in _corrupted_rings()],
+)
+def test_violation_names_first_failing_index(data, law, indices):
+    with pytest.raises(AxiomViolation) as exc:
+        hg.validate(data)
+    assert (exc.value.law, exc.value.indices) == (law, indices)
+
+
+def _reference_outcome(data):
+    """The flag set of an exact tensor, or the (law, indices) of its first
+    violation, by the element-by-element int / Fraction loops."""
+    m, N, inv = data.rank, data.tensor, data.involution
+    for j in range(m):
+        for k in range(m):
+            want = int(j == k)
+            if N[0, j, k] != want:
+                return ("unit", (0, j, k))
+            if N[j, 0, k] != want:
+                return ("unit", (j, 0, k))
+    for i in range(m):
+        for j in range(m):
+            if (not N[i, j, 0] > 0) if j == inv[i] else N[i, j, 0] != 0:
+                return ("involution", (i, j, 0))
+    for i, j, k, q in itertools.product(range(m), repeat=4):
+        lhs = sum(N[i, j, p] * N[p, k, q] for p in range(m))
+        rhs = sum(N[j, k, p] * N[i, p, q] for p in range(m))
+        if lhs != rhs:
+            return ("associativity", (i, j, k, q))
+    rn = all(x >= 0 for x in N.ravel())
+    return hg.FlagSet(
+        symmetric=all(N[a, b, 0] == N[b, a, 0] for a in range(m) for b in range(m)),
+        normalized=all(sum(N[a, b, :]) == 1 for a in range(m) for b in range(m)),
+        real=True,
+        rational=True,
+        real_non_negative=rn,
+        abelian=all(N[a, b, k] == N[b, a, k] for a, b, k in np.ndindex(m, m, m)),
+        fusion_ring=rn
+        and all(isinstance(x, int) for x in N.ravel())
+        and all(N[i, inv[i], 0] == 1 for i in range(m)),
+        h_integral=all(1 / Fraction(N[i, inv[i], 0]) % 1 == 0 for i in range(m)),
+    )
+
+
+def _outcome(data):
+    try:
+        return hg.validate(data)
+    except AxiomViolation as exc:
+        return (exc.law, exc.indices)
+
+
+_integer_form = core.integer_form
+
+
+def _object_int_integer_form(*arrays, terms):
+    scale, cleared = _integer_form(*arrays, terms=terms)
+    return scale, [c.astype(object) for c in cleared]
+
+
+def _both_paths(data):
+    """validate's outcome on the integer form as chosen, then on the same
+    integer form held as Python ints."""
+    native = _outcome(data)
+    with patch.object(core, "integer_form", _object_int_integer_form):
+        return native, _outcome(data)
+
+
+def _reference_rescale(data, alphas):
+    m = data.rank
+    out = np.empty((m, m, m), dtype=object)
+    for i, j, k in np.ndindex(m, m, m):
+        out[i, j, k] = Fraction(data.tensor[i, j, k]) * alphas[k] / (alphas[i] * alphas[j])
+    return out
+
+
+def _overflowing_ring():
+    # K(Rep(S3)) on the basis x_i / alpha_i with 31-bit coprime numerators and
+    # denominators: L alone exceeds 2^62
+    s3 = rep_ring(catalog("S3"))
+    alphas = [1, Fraction(2**31 - 1, 3**19), Fraction(2**31 - 19, 5**13)]
+    return hg.rescale(s3, alphas)
+
+
+def test_overflowing_ring_takes_the_object_path():
+    ring = _overflowing_ring()
+    scale, (cleared,) = core.integer_form(ring.tensor, terms=ring.rank)
+    assert cleared.dtype == object and scale >= 2**62
+    assert all(type(x) is int for x in cleared.ravel())
+    assert hg.validate(ring) == _reference_outcome(ring)
+
+    broken = _corrupt(ring, {(1, 2, 1): ring.tensor[1, 2, 1] + Fraction(1, 2**40)})
+    assert _outcome(broken) == _reference_outcome(broken)
+    assert _outcome(broken)[0] == "associativity"
+
+
+def test_integer_form_switches_on_magnitude():
+    _, (small,) = core.integer_form([Fraction(1, 2), 3], terms=4)
+    assert small.dtype == np.int64 and small.tolist() == [1, 6]
+    # 4 * (2^30)^2 = 2^62 no longer fits
+    _, (big,) = core.integer_form([2**30, 1], terms=4)
+    assert big.dtype == object
+
+
+def test_relabeled_rescaled_corpus_rings_agree_on_both_paths(full_corpus):
+    rng = random.Random(20231)
+    rings = [r for r in full_corpus if r.is_exact and r.rank <= 6]
+    dtypes, outcomes = set(), set()
+    for _ in range(24):
+        ring = rng.choice(rings)
+        m, inv = ring.rank, ring.involution
+        perm = [0] + rng.sample(range(1, m), m - 1)
+        where = {p: i for i, p in enumerate(perm)}
+        relabeled = hg.FusionData(
+            ring.name,
+            [where[inv[p]] for p in perm],
+            ring.tensor[np.ix_(perm, perm, perm)],
+        )
+        assert _both_paths(relabeled) == (ring.flags, ring.flags)
+
+        # small scalars keep the integer form in int64, large ones do not
+        size = rng.choice([10, 10**9])
+        alphas = [Fraction(1)] * m
+        for i in range(1, m):
+            if i <= relabeled.involution[i]:
+                alphas[i] = alphas[relabeled.involution[i]] = Fraction(
+                    rng.choice([-1, 1]) * rng.randint(1, size), rng.randint(1, size)
+                )
+        data = hg.rescale(relabeled, alphas)
+        assert (data.tensor == _reference_rescale(relabeled, alphas)).all()
+        dtypes.add(core.integer_form(data.tensor, terms=m)[1][0].dtype)
+        expected = _reference_outcome(data)
+        assert isinstance(expected, hg.FlagSet)
+        assert _both_paths(data) == (expected, expected)
+
+        i, j, k = rng.randrange(1, m), rng.randrange(1, m), rng.randrange(m)
+        broken = _corrupt(data, {(i, j, k): data.tensor[i, j, k] + Fraction(1, 7)})
+        expected = _reference_outcome(broken)
+        assert _both_paths(broken) == (expected, expected)
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "valid")
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert {"associativity", "involution"} <= outcomes
+
+
+def _reference_character(data, values, tol):
+    snapped = [snap_value(float(v), tol) for v in values]
+    if any(isinstance(s, float) for s in snapped):
+        return None
+    m = data.rank
+    for i in range(m):
+        for j in range(m):
+            lhs = sum(Fraction(data.tensor[i, j, k]) * snapped[k] for k in range(m))
+            if lhs != Fraction(snapped[i]) * snapped[j]:
+                return None
+    return snapped
+
+
+def test_exact_character_matches_reference_loop(corpus_with_tables):
+    accepted = rejected = 0
+    for ring, table in corpus_with_tables:
+        if not ring.is_exact:
+            continue
+        for j in range(ring.rank):
+            col = table.values[:, j]
+            if np.abs(col.imag).max() > 1e-9:
+                continue
+            got = core.exact_character(ring, col.real, table.tol)
+            assert got == _reference_character(ring, col.real, table.tol)
+            accepted += got is not None
+            rejected += got is None
+        # a value off by 1/2 satisfies no character equation
+        wrong = table.fp_dims() + np.eye(ring.rank)[-1] / 2
+        assert core.exact_character(ring, wrong, table.tol) is None
+    assert accepted and rejected
 
 
 def test_multiply_examples(z2_ring, ising_ring, s3_rep):

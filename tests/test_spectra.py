@@ -141,6 +141,11 @@ def test_verify_integer_fpdim(ising_ring, s3_rep):
     assert hg.verify_integer_fpdim(ising_ring, 4)
     assert hg.verify_integer_fpdim(s3_rep, 6)
     assert not hg.verify_integer_fpdim(s3_rep, 5)
+    # rational tensors: FPdim of a class hypergroup is |G|
+    for name, order in (("S3", 6), ("A4", 12)):
+        cl = class_hypergroup(catalog(name))
+        assert hg.verify_integer_fpdim(cl, order)
+        assert not hg.verify_integer_fpdim(cl, order - 1)
     floaty = hg.FusionData(
         "f", [0, 1], np.array([1.0, 0, 0, 1, 0, 1, 1, 0]).reshape(2, 2, 2)
     )
