@@ -3,17 +3,18 @@
 Variables are the Frobenius-reciprocity orbits of tensor entries; the search
 assigns them in row-major order with Frobenius-Perron row-sum pruning and
 deduplicates the results by canonical form under dimension-preserving basis
-relabelings.
+relabelings.  Involutions conjugate under those relabelings give relabeled
+rings, so only one involution per conjugacy class is searched.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
 from ..core import FusionData, bracketings
-from ..errors import BudgetExceeded
+from ..errors import BudgetExceeded, InvalidType
 
 __all__ = ["enumerate_by_type", "normalize_type", "type_of"]
 
@@ -29,11 +30,11 @@ def normalize_type(type_vector) -> list[int]:
             dims.extend([int(d)] * int(k))
     else:
         dims = [int(d) for d in tv]
+    if any(d < 1 for d in dims):
+        raise InvalidType("dimensions must be positive")
     dims.sort()
     if not dims or dims[0] != 1:
-        raise ValueError("type must contain the unit dimension 1")
-    if any(d < 1 for d in dims):
-        raise ValueError("dimensions must be positive")
+        raise InvalidType("type must contain the unit dimension 1")
     return dims
 
 
@@ -62,12 +63,15 @@ def _involutions_of_block(block: list[int]):
             yield [(a, b)] + tail
 
 
+def _blocks(dims: list[int]) -> list[list[int]]:
+    """Non-unit indices grouped by dimension, in ascending dimension order."""
+    m = len(dims)
+    return [[i for i in range(1, m) if dims[i] == d] for d in sorted(set(dims))]
+
+
 def _involution_candidates(dims: list[int]):
     m = len(dims)
-    blocks = []
-    for d in sorted(set(dims)):
-        block = [i for i in range(m) if dims[i] == d and i != 0]
-        blocks.append(block)
+    blocks = _blocks(dims)
 
     def rec(idx, acc):
         if idx == len(blocks):
@@ -80,6 +84,21 @@ def _involution_candidates(dims: list[int]):
             yield from rec(idx + 1, acc + swaps)
 
     yield from rec(0, [])
+
+
+def _involution_representatives(dims: list[int]):
+    """The first candidate of each conjugacy class under the relabelings.
+
+    The relabelings permute each block freely, so two involutions are
+    conjugate exactly when they swap the same number of pairs in every block.
+    """
+    blocks = _blocks(dims)
+    seen = set()
+    for sigma in _involution_candidates(dims):
+        swaps = tuple(sum(sigma[i] != i for i in block) for block in blocks)
+        if swaps not in seen:
+            seen.add(swaps)
+            yield sigma
 
 
 def _orbits(m: int, sigma: tuple):
@@ -110,8 +129,10 @@ def _orbits(m: int, sigma: tuple):
 def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
     """All fusion rings with the given type, up to basis relabeling.
 
-    `budget` caps the number of search nodes across all involution choices;
-    exceeding it raises BudgetExceeded, as does a type with sum k d^2 > 64.
+    The search runs over one involution per conjugacy class under the
+    dimension-preserving relabelings.  `budget` caps the number of search
+    nodes across those involutions; exceeding it raises BudgetExceeded, as
+    does a type with sum k d^2 > 64.
     """
     dims = normalize_type(type_vector)
     m = len(dims)
@@ -122,18 +143,16 @@ def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
     found: dict[tuple, FusionData] = {}
     relabelings = _relabelings(dims)
 
-    for sigma in _involution_candidates(dims):
+    for sigma in _involution_representatives(dims):
         tensors = _search_involution(m, d, sigma, nodes, budget)
         for tensor in tensors:
             key = _canonical_key(tensor, relabelings)
             if key not in found:
-                arr = np.empty((m, m, m), dtype=object)
                 canon = np.array(key, dtype=np.int64).reshape(m, m, m)
-                inv = _involution_of_tensor(canon)
-                for idx in np.ndindex(m, m, m):
-                    arr[idx] = int(canon[idx])
                 ring = FusionData(
-                    f"enum{type_of(dims)}#{len(found)}", inv, arr
+                    f"enum{type_of(dims)}#{len(found)}",
+                    _involution_of_tensor(canon),
+                    canon.astype(object),
                 )
                 ring.flags  # validates
                 found[key] = ring
@@ -141,43 +160,36 @@ def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
 
 
 def _involution_of_tensor(tensor: np.ndarray) -> list[int]:
-    m = tensor.shape[0]
-    inv = []
-    for i in range(m):
-        hits = [j for j in range(m) if tensor[i, j, 0] != 0]
-        inv.append(hits[0])
-    return inv
+    """i* for each i: the first j with N_{ij}^0 != 0."""
+    return (tensor[:, :, 0] != 0).argmax(axis=1).tolist()
 
 
-def _relabelings(dims: list[int]):
+def _relabelings(dims: list[int]) -> np.ndarray:
+    """(R, m) array of the relabelings that fix the unit and preserve dims."""
     m = len(dims)
-    blocks = []
-    for dv in sorted(set(dims)):
-        block = [i for i in range(m) if dims[i] == dv and i != 0]
-        blocks.append(block)
-    perms = [list(range(m))]
-    for block in blocks:
-        new_perms = []
-        for tail in permutations(block):
-            mapping = dict(zip(block, tail))
-            for base in perms:
-                p = list(base)
-                for a in block:
-                    p[a] = mapping[a]
-                new_perms.append(p)
-        perms = new_perms
-    return [tuple(p) for p in perms]
+    blocks = _blocks(dims)
+    rows = []
+    for images in product(*(permutations(block) for block in blocks)):
+        p = [0] * m
+        for block, image in zip(blocks, images):
+            for a, b in zip(block, image):
+                p[a] = b
+        rows.append(p)
+    return np.array(rows, dtype=np.intp)
 
 
-def _canonical_key(tensor: np.ndarray, relabelings) -> tuple:
-    m = tensor.shape[0]
-    best = None
-    for p in relabelings:
-        arr = tensor[np.ix_(p, p, p)]
-        key = tuple(int(x) for x in arr.ravel())
-        if best is None or key < best:
-            best = key
-    return best
+def _canonical_key(tensor: np.ndarray, P: np.ndarray) -> tuple:
+    """Lexicographically least raveled T[p, p, p] over the rows p of P.
+
+    P is `_relabelings(dims)`.  Every relabeled tensor is built at once as an
+    (R, m^3) uint8 stack (the entries of a type with sum d^2 <= 64 are at most
+    49) and the least row is taken with one lexsort, whose last key is the
+    primary one.
+    """
+    T = tensor.astype(np.uint8)
+    stack = T[P[:, :, None, None], P[:, None, :, None], P[:, None, None, :]]
+    stack = stack.reshape(len(P), -1)
+    return tuple(stack[np.lexsort(stack.T[::-1])[0]].tolist())
 
 
 def _search_involution(m, d, sigma, nodes, budget):

@@ -27,7 +27,7 @@ from .builders import (
 from .core import FusionData
 from .criteria import modular_prime_support, squarefree_factor_test
 from .dual import dual_hypergroup
-from .errors import HypergroupError, NumericFailure
+from .errors import HypergroupError, InvalidType, NumericFailure
 from .report import analyze, render_structured, render_text
 from .spectra import character_table
 from .structure import SubHypergroup, quotient
@@ -156,7 +156,10 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    dims = [int(t) for t in args.type.split(",")]
+    try:
+        dims = [int(t) for t in args.type.split(",")]
+    except ValueError:
+        raise InvalidType(f"type {args.type!r} is not a comma-separated list of integers") from None
     rings = enumerate_by_type(dims, budget=args.budget)
     tol = _tol(args)
     excluded = 0

@@ -48,6 +48,7 @@ __all__ = [
     "ParseError",
     "BudgetExceeded",
     "InvalidOrders",
+    "InvalidType",
 ]
 
 
@@ -217,3 +218,7 @@ class BudgetExceeded(HypergroupError):
 
 class InvalidOrders(HypergroupError):
     pass
+
+
+class InvalidType(HypergroupError, ValueError):
+    """A dimension type that names no fusion ring type (no unit, d < 1)."""

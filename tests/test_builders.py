@@ -218,6 +218,63 @@ def test_enumerate_budget():
         bd.enumerate_by_type([1, 1, 1, 1, 2, 2], budget=10)
 
 
+def _reference_key(tensor, rel):
+    # the plain definition: least raveled T[p, p, p] over every relabeling p
+    return min(tuple(int(x) for x in tensor[np.ix_(p, p, p)].ravel()) for p in rel)
+
+
+def test_canonical_key_matches_reference_and_is_invariant():
+    from hypergroups.builders.enumeration import _canonical_key, _relabelings
+
+    rng = np.random.default_rng(11)
+    # [1^4] holds Z[C2 x C2], every relabeling of which is an automorphism;
+    # [1^4, 2^2] and [1^4, 2^3] hold rings with smaller automorphism groups
+    for dims in ([1, 1, 1, 1], [1] * 6, [1, 1, 1, 1, 2, 2], [1, 1, 1, 1, 2, 2, 2]):
+        rel = _relabelings(dims)
+        m = len(dims)
+        for ring in bd.enumerate_by_type(dims):
+            t = ring.tensor.astype(np.int64)
+            key = _canonical_key(t, rel)
+            assert key == _reference_key(t, rel)
+            for q in rel[rng.choice(len(rel), size=min(len(rel), 5), replace=False)]:
+                moved = t[np.ix_(q, q, q)]
+                assert _canonical_key(moved, rel) == _reference_key(moved, rel) == key
+            assert key == tuple(np.ravel(ring.tensor).tolist())  # rings come canonical
+            assert len(key) == m**3
+
+
+def _conjugate(p, sigma):
+    # p sigma p^-1 as an index tuple
+    return tuple(p[np.asarray(sigma)[np.argsort(p)]].tolist())
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[1], [1, 1, 1, 1], [1] * 6, [1] * 6 + [3], [1] + [2] * 6, [1, 1, 1, 1, 2, 2, 2],
+     [1] * 6 + [2] * 3],
+    ids=lambda dims: "-".join(map(str, dims)),
+)
+def test_involution_representatives_one_per_class(dims):
+    from hypergroups.builders.enumeration import (
+        _involution_candidates,
+        _involution_representatives,
+        _relabelings,
+    )
+
+    rel = _relabelings(dims)
+    candidates = list(_involution_candidates(dims))
+    reps = list(_involution_representatives(dims))
+    # a block holds the non-unit basis elements of one dimension
+    block_sizes = [dims.count(d) - (d == 1) for d in set(dims)]
+    assert len(reps) == int(np.prod([n // 2 + 1 for n in block_sizes]))
+    classes = [{_conjugate(p, sigma) for p in rel} for sigma in reps]
+    for sigma in candidates:
+        assert sum(sigma in cls for cls in classes) == 1
+    for sigma, cls in zip(reps, classes):
+        assert sigma in cls
+        assert candidates.index(sigma) == min(candidates.index(c) for c in cls)
+
+
 def test_class_hypergroup_is_dual_of_rep_ring(s3_rep, s3_table):
     # dual(rep_ring(G)) agrees with the class hypergroup up to basis order
     dd = hg.dual_hypergroup(s3_rep, s3_table)

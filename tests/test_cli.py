@@ -159,3 +159,19 @@ def test_enumerate_skips_non_commutative_rings(capsys):
     lines = out.splitlines()
     assert sum("not screened (non-commutative)" in l for l in lines) == 1
     assert "2 ring(s) up to relabeling" in lines[-1]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("2,2", "type must contain the unit dimension 1"),
+        ("0,1,1", "dimensions must be positive"),
+        ("1,1,1,1,-1", "dimensions must be positive"),
+        ("1,x", "not a comma-separated list of integers"),
+    ],
+)
+def test_enumerate_malformed_type_is_a_domain_error(capsys, text, reason):
+    code, out, err = run(capsys, "enumerate", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.strip().splitlines()) == 1
