@@ -19,9 +19,9 @@ def main():
     for name in catalog_names():
         g = catalog(name)
         ring = rep_ring(g)
-        table = hg.character_table(ring)
-        burn, _ = bn.is_burnside(ring, table)
-        dual, witness = bn.is_dual_burnside(ring, table)
+        a = hg.RingAnalysis(ring)
+        burn, _ = a.burnside
+        dual, witness = a.dual_burnside
         note = "" if witness is None else f"  (witness column {witness})"
         print(
             f"{name:>10s} {ring.rank:4d} {str(g.is_nilpotent()):>9s} "
@@ -29,15 +29,11 @@ def main():
         )
     print()
     print("Signs of grouplike elements come from genuine basis permutations:")
-    ring = rep_ring(catalog("Q8"))
-    table = hg.character_table(ring)
-    sgn_el, sgn_ch = bn.sgn_values(ring, table)
+    sgn_el, sgn_ch = bn.sgn_values(hg.RingAnalysis(rep_ring(catalog("Q8"))))
     print("  Q8 rep ring: sgn(elements) =", sgn_el, " sgn(characters) =", sgn_ch)
     print()
     print("Verdict-certifying identity residuals for the Ising ring:")
-    ring = ising()
-    table = hg.character_table(ring)
-    for k, v in bn.identity_checks(ring, table).items():
+    for k, v in bn.identity_checks(hg.RingAnalysis(ising())).items():
         print(f"  {k:28s} {v:.3e}")
 
 

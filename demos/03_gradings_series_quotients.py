@@ -6,10 +6,7 @@ nilpotency class; the quotient construction collapses a sub-hypergroup and is
 dual to restriction (Harrison duality, checked internally by quotient()).
 """
 
-import numpy as np
-
 import hypergroups as hg
-from hypergroups import burnside as bn
 from hypergroups import structure as st
 from hypergroups.builders import catalog, class_hypergroup, ising, rep_ring
 
@@ -39,14 +36,14 @@ def series_tour(ring):
 def quotient_tour():
     ring = rep_ring(catalog("S3"))
     table = hg.character_table(ring)
-    gl = bn.grouplike_elements(ring, table)
+    gl = hg.RingAnalysis(ring, table=table).grouplikes
     q, classes = st.quotient(ring, st.SubHypergroup(gl, ring), table)
     print(f"{ring.name} // grouplikes: classes {[list(c) for c in classes]}")
     print("  quotient tensor of the big class squared:", list(q.tensor[1, 1]))
 
     cl = class_hypergroup(catalog("Q8"))
     tcl = hg.character_table(cl)
-    central = bn.grouplike_elements(cl, tcl)
+    central = hg.RingAnalysis(cl, table=tcl).grouplikes
     q2, classes2 = st.quotient(cl, st.SubHypergroup(central, cl), tcl)
     print(f"{cl.name} // central classes: rank {q2.rank} "
           f"(the class hypergroup of Q8/Z, i.e. of Z2xZ2)")

@@ -21,28 +21,24 @@ def main():
     print("enumerating type [1,1,1,1,2,2] ...")
     rings = enumerate_by_type([1, 1, 1, 1, 2, 2])
     for ring in rings:
-        table = hg.character_table(ring)
-        v = cr.modular_prime_support(ring, table)
+        v = cr.modular_prime_support(hg.RingAnalysis(ring))
         mark = "EXCLUDED" if v.excluded else "open"
         print(f"  {ring.name}: {mark} ({v.certificate})")
 
     print("\nhalf-Frobenius family [[1,4],[2,m]]:")
     for kk in (3, 5, 7):
-        ring = family_ring(2, [2, 2], [kk])
-        table = hg.character_table(ring)
-        v = cr.modular_prime_support(ring, table)
-        frob = cr.is_frobenius(ring, table, "1/2")
+        a = hg.RingAnalysis(family_ring(2, [2, 2], [kk]))
+        v = cr.modular_prime_support(a)
+        frob = cr.is_frobenius(a, "1/2")
         print(
-            f"  |K| = {kk}: FPdim {round(hg.order(ring, table))}, "
+            f"  |K| = {kk}: FPdim {round(a.n_h)}, "
             f"1/2-Frobenius {frob}, modular screening: "
             f"{'EXCLUDED' if v.excluded else 'open'} ({v.certificate})"
         )
 
     print("\nnear-group rings K(G, m):")
     for orders, m, label in (([], 1, "Fibonacci"), ([2], 0, "Ising"), ([3], 3, "K(Z3,3)")):
-        ring = near_group(orders, m)
-        table = hg.character_table(ring)
-        v = cr.near_group_modular_test(ring, table)
+        v = cr.near_group_modular_test(hg.RingAnalysis(near_group(orders, m)))
         print(f"  {label}: {'EXCLUDED' if v.excluded else 'admissible'} -- {v.certificate}")
 
     print("\nGalois orbits of the K(Z3,3) characters:")

@@ -1,5 +1,6 @@
-"""Burnside and dual-Burnside verdicts, grouplikes, vanishing sets, P and P-hat,
-signs, and the structural identity residuals that certify each verdict.
+"""The Burnside stage: vanishing sets, P and P-hat, signs, and the structural
+identity residuals that certify the Burnside and dual-Burnside verdicts, which
+RingAnalysis holds.
 
 The headline verdicts never rest on floats alone when exactness is available:
 every numeric zero claim on an exact tensor is confirmed by an exact
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, basis_element, multiply
+from .core import Element, FusionData, basis_element, exact_character, multiply
 from .errors import (
     CrossCheckFailed,
     ExactNumericDisagreement,
@@ -22,16 +24,14 @@ from .errors import (
     VerdictResidualMismatch,
 )
 from .spectra import CharacterTable, integral_element_of_subset
-from .structure import grouplike_indices, product_support, _support_threshold
 from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+
+if TYPE_CHECKING:
+    from .analysis import RingAnalysis
 
 __all__ = [
     "BurnsideReport",
-    "grouplike_elements",
     "vanishing_elements",
-    "is_burnside",
-    "grouplike_characters",
-    "is_dual_burnside",
     "product_P",
     "product_Phat",
     "product_Phat_values",
@@ -62,60 +62,29 @@ class BurnsideReport:
     hypothesis_notes: list = field(default_factory=list)
 
 
-def _analysis(data: FusionData, table: CharacterTable, tol: Tolerance | None):
-    """The per-ring analysis behind this module's (data, table, tol) functions."""
-    from .analysis import RingAnalysis  # analysis reads this module's vanishing test
-
-    return RingAnalysis(data, tol, table=table)
-
-
 def _zero_thresholds(table: CharacterTable, tol: Tolerance) -> np.ndarray:
     """Per-character zero threshold: tol.abs + tol.rel * column norm."""
     colnorm = np.abs(table.values).max(axis=0)
     return tol.abs + tol.rel * colnorm
 
 
-def grouplike_elements(
-    data: FusionData, table: CharacterTable | None = None, tol: Tolerance = DEFAULT_TOL
-) -> tuple:
-    """Indices with x x* supported on the unit alone.
-
-    Exact tensors are decided exactly; when a table is available the
-    normalizable criterion h_i d_i d_{i*} = 1 is cross-checked against the
-    tensor test.
-    """
-    if table is None:
-        return grouplike_indices(data, tol)
-    return _analysis(data, table, tol).grouplikes
-
-
 def grouplike_closure_ok(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the grouplikes are closed under product (single support) and involution."""
-    thr = _support_threshold(data, tol)
-    gset = set(gset)
-    if any(data.involution[i] not in gset for i in gset):
+    gl = sorted(set(gset))
+    if any(data.involution[i] not in gl for i in gl):
         return False
-    for i in gset:
-        for j in gset:
-            supp = product_support(data, i, j, thr)
-            if len(supp) != 1 or not supp <= gset:
-                return False
-    return True
+    products = data.support_at(tol)[np.ix_(gl, gl)]
+    inside = products[..., gl].sum(axis=2)
+    return bool((inside == 1).all() and (products.sum(axis=2) == 1).all())
 
 
 def grouplike_group_table(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL):
     """Cayley table of the normalized grouplikes, or None if not closed."""
     if not grouplike_closure_ok(data, gset, tol):
         return None
-    thr = _support_threshold(data, tol)
     gl = sorted(gset)
-    pos = {g: t for t, g in enumerate(gl)}
-    table = np.zeros((len(gl), len(gl)), dtype=int)
-    for a, i in enumerate(gl):
-        for b, j in enumerate(gl):
-            (k,) = product_support(data, i, j, thr)
-            table[a, b] = pos[k]
-    return table
+    # each product is a single grouplike: its position among gl
+    return data.support_at(tol)[np.ix_(gl, gl, gl)].argmax(axis=2)
 
 
 def vanishing_elements(
@@ -143,28 +112,6 @@ def vanishing_elements(
     return numeric
 
 
-def is_burnside(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> tuple:
-    """(verdict, witness): non-vanishing elements must be exactly the grouplikes."""
-    return _analysis(data, table, tol).burnside
-
-
-def grouplike_characters(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> tuple:
-    """Characters with maximal formal codegree n_j = n(H); cross-checked by
-    |mu_j(x_i)| = d_i for all i."""
-    return _analysis(data, table, tol).grouplike_chars
-
-
-def is_dual_burnside(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> tuple:
-    """(verdict, witness): zero-free character columns must be exactly the grouplikes."""
-    return _analysis(data, table, tol).dual_burnside
-
-
 def p_values(table: CharacterTable) -> np.ndarray:
     """mu_j(P) = prod_i mu_j(x_i)/d_i for each character j."""
     d = table.fp_dims()
@@ -185,9 +132,7 @@ def product_P(
     Verified against the idempotent expansion P = sum_j mu_j(P) F_j.
     """
     tol = tol or table.tol
-    from .structure import exact_fp_dims
-
-    exact_d = exact_fp_dims(data, table)
+    exact_d = exact_character(data, table.fp_dims(), table.tol) if data.is_exact else None
     if exact_d is not None:
         inverses = [1 / Fraction(x) for x in exact_d]
     else:
@@ -261,21 +206,15 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def sgn_values(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> tuple[dict, dict]:
+def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     """Signs of grouplike elements and grouplike characters.
 
     Float path: products of normalized character values.  Exact path: the
     signature of the permutation the grouplike induces on the normalized basis
     (resp. on the characters).  The two must agree.
     """
-    return _sgn_values(_analysis(data, table, tol))
-
-
-def _sgn_values(a) -> tuple[dict, dict]:
     data, table, tol = a.data, a.table, a.tol
-    thr = _support_threshold(data, tol)
+    S = data.support_at(tol)
     m = data.rank
     sgn_el = {}
     pv = phat_values(table)
@@ -283,13 +222,9 @@ def _sgn_values(a) -> tuple[dict, dict]:
         numeric = pv[i]
         if abs(numeric.imag) > 1e4 * tol.zero(1.0) or abs(abs(numeric.real) - 1.0) > 1e4 * tol.zero(1.0):
             raise SignMismatch(f"P-hat value at grouplike {i} is {numeric}, not +-1")
-        perm = []
-        for k in range(m):
-            supp = product_support(data, i, k, thr)
-            if len(supp) != 1:
-                raise SignMismatch(f"grouplike {i} does not permute the basis")
-            perm.append(supp.pop())
-        exact = _permutation_sign(perm)
+        if (S[i].sum(axis=1) != 1).any():
+            raise SignMismatch(f"grouplike {i} does not permute the basis")
+        exact = _permutation_sign(S[i].argmax(axis=1).tolist())
         if exact != int(np.sign(numeric.real)):
             raise SignMismatch(
                 f"sgn(x_{i}): permutation {exact} vs product {numeric.real:+.3f}"
@@ -321,18 +256,12 @@ def _sgn_values(a) -> tuple[dict, dict]:
     return sgn_el, sgn_ch
 
 
-def identity_checks(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> dict:
+def identity_checks(a: RingAnalysis) -> dict:
     """Residuals of the verdict-certifying identities.
 
     Each residual must sit on the same side of the tolerance as its verdict:
     small iff the verdict is true, else VerdictResidualMismatch.
     """
-    return _identity_checks(_analysis(data, table, tol))
-
-
-def _identity_checks(a) -> dict:
     data, table, tol = a.data, a.table, a.tol
     m = data.rank
     burn, _ = a.burnside
@@ -383,18 +312,9 @@ def _identity_checks(a) -> dict:
     return out
 
 
-def burnside_hypothesis_report(
-    data: FusionData,
-    table: CharacterTable,
-    dual_h_integral: bool | None = None,
-    tol: Tolerance | None = None,
-) -> dict:
+def burnside_hypothesis_report(a: RingAnalysis, dual_h_integral: bool | None = None) -> dict:
     """Which hypotheses of the Burnside theorems hold, and whether a failed
     verdict on qualifying data is a categorification obstruction."""
-    return _hypothesis_report(_analysis(data, table, tol), dual_h_integral)
-
-
-def _hypothesis_report(a, dual_h_integral: bool | None) -> dict:
     weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
     integrality = "exact" if a.data.is_exact else "assumed"
     burn, witness = a.burnside
@@ -420,13 +340,13 @@ def _hypothesis_report(a, dual_h_integral: bool | None) -> dict:
     return report
 
 
-def burnside_report(a, dual_h_integral: bool | None = None) -> BurnsideReport:
+def burnside_report(a: RingAnalysis, dual_h_integral: bool | None = None) -> BurnsideReport:
     """The Burnside stage of a RingAnalysis: verdicts, witnesses, signs and
     the identity residuals that certify them."""
     burn, w1 = a.burnside
     dual_burn, w2 = a.dual_burnside
-    sgn_el, sgn_ch = _sgn_values(a)
-    hypo = _hypothesis_report(a, dual_h_integral)
+    sgn_el, sgn_ch = sgn_values(a)
+    hypo = burnside_hypothesis_report(a, dual_h_integral)
     return BurnsideReport(
         grouplike_elements=a.grouplikes,
         vanishing_elements=a.vanishing,
@@ -438,7 +358,7 @@ def burnside_report(a, dual_h_integral: bool | None = None) -> BurnsideReport:
         dual_witness=w2,
         sgn_elements=sgn_el,
         sgn_characters=sgn_ch,
-        identity_checks=_identity_checks(a),
+        identity_checks=identity_checks(a),
         grouplike_closure_ok=grouplike_closure_ok(a.data, a.grouplikes, a.tol),
         hypothesis_notes=[hypo["obstruction"]] if hypo["obstruction"] else [],
     )

@@ -24,6 +24,7 @@ from .builders import (
     serialize,
     class_hypergroup,
 )
+from .analysis import RingAnalysis
 from .core import FusionData
 from .criteria import modular_prime_support, squarefree_factor_test
 from .dual import dual_hypergroup
@@ -148,7 +149,13 @@ def _cmd_dual(args) -> int:
 def _cmd_quotient(args) -> int:
     data = load(args.path)
     tol = _tol(args)
-    sub = SubHypergroup(tuple(int(t) for t in args.sub.split(",")), data)
+    try:
+        indices = tuple(int(t) for t in args.sub.split(","))
+    except ValueError:
+        raise HypergroupError(
+            f"--sub {args.sub!r} is not a comma-separated list of integers"
+        ) from None
+    sub = SubHypergroup(indices, data)
     q, classes = quotient(data, sub, tol=tol, seed=args.seed)
     print(f"classes: {[list(c) for c in classes]}", file=sys.stderr)
     _write_ring(q, args.out)
@@ -170,12 +177,12 @@ def _cmd_enumerate(args) -> int:
             path = os.path.join(args.out_dir, f"type{'-'.join(map(str, dims))}_{idx}.json")
             dump(ring, path)
         loc = f" -> {path}" if path else ""
-        if not ring.flags_at(tol).abelian:
+        a = RingAnalysis(ring, tol, args.seed)
+        if not a.flags.abelian:
             print(f"[{idx}] {ring.name}: not screened (non-commutative){loc}")
             continue
-        table = character_table(ring, tol=tol, seed=args.seed)
-        v1 = modular_prime_support(ring, table, tol)
-        v2 = squarefree_factor_test(ring, table, tol)
+        v1 = modular_prime_support(a)
+        v2 = squarefree_factor_test(a)
         out = v1 if v1.excluded else v2
         if out.excluded:
             excluded += 1

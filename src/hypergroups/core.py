@@ -111,6 +111,7 @@ class FusionData:
         self.tensor = _freeze(arr)
         self._float_tensor = None
         self._flags = {}
+        self._support = {}
 
     def float_tensor(self) -> np.ndarray:
         """float64 view of the tensor (cached)."""
@@ -153,6 +154,16 @@ class FusionData:
             self._flags[key] = validate(self, tol)
         return self._flags[key]
 
+    def support_at(self, tol: Tolerance) -> np.ndarray:
+        """The constituent relation as a read-only boolean (m, m, m) array:
+        S[i, j, k] says x_k is a constituent of x_i x_j.  S = N > 0 on exact
+        tensors and N > tol.zero(1 + max|N|) on floating ones; built once per
+        tolerance, and once for an exact tensor."""
+        key = None if self.is_exact else tol
+        if key not in self._support:
+            self._support[key] = _freeze(_constituents(self, tol))
+        return self._support[key]
+
     def with_name(self, name: str) -> "FusionData":
         other = FusionData.__new__(FusionData)
         other.__dict__.update(self.__dict__)
@@ -161,6 +172,12 @@ class FusionData:
 
     def __repr__(self):
         return f"FusionData({self.name!r}, rank={self.rank}, kind={self.scalar_kind})"
+
+
+def _constituents(data: FusionData, tol: Tolerance) -> np.ndarray:
+    if data.is_exact:
+        return data.tensor > 0
+    return data.tensor > tol.zero(1.0 + float(np.abs(data.tensor).max()))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,9 @@ import numpy as np
 
 from ._exact import exact_det
 from .analysis import RingAnalysis
-from .burnside import grouplike_elements
 from .core import FusionData
 from .errors import HypergroupError, NotApplicable, NotNearGroup, NotWeaklyIntegral
-from .spectra import CharacterTable
-from .structure import product_support, _support_threshold
+from .structure import grouplike_indices
 from .tolerance import DEFAULT_TOL, Tolerance, snap_value
 
 __all__ = [
@@ -66,19 +64,19 @@ def prime_factorization(n: int) -> dict:
 def exclusions(a: RingAnalysis, dual_h_integral: bool, modular_candidate: bool) -> list:
     """The exclusion tests an analysis runs on a fusion ring; the modular-only
     tests run when the ring is asserted to be a modular candidate."""
-    verdicts = [_burnside_exclusion(a, dual_h_integral), _divisibility_test(a)]
-    verdicts += [_frobenius_test(a, Fraction(alpha)) for alpha in (1, "1/2")]
+    verdicts = [burnside_exclusion(a, dual_h_integral), divisibility_test(a)]
+    verdicts += [frobenius_test(a, Fraction(alpha)) for alpha in (1, "1/2")]
     if modular_candidate:
         for name, test in (
-            ("modular_prime_support", _modular_prime_support),
-            ("squarefree_factor", _squarefree_factor_test),
+            ("modular_prime_support", modular_prime_support),
+            ("squarefree_factor", squarefree_factor_test),
         ):
             try:
                 verdicts.append(test(a))
             except NotWeaklyIntegral as exc:
                 verdicts.append(ExclusionVerdict(name, False, False, str(exc)))
         try:
-            verdicts.append(_near_group_modular_test(a))
+            verdicts.append(near_group_modular_test(a))
         except NotNearGroup:
             pass
     return verdicts
@@ -106,17 +104,8 @@ def _integer_dim_squares(a: RingAnalysis) -> list[int] | None:
     return out
 
 
-def burnside_exclusion(
-    data: FusionData,
-    table: CharacterTable,
-    dual_h_integral: bool,
-    tol: Tolerance | None = None,
-) -> ExclusionVerdict:
+def burnside_exclusion(a: RingAnalysis, dual_h_integral: bool) -> ExclusionVerdict:
     """Weakly-integral fusion rings with h-integral dual must be Burnside."""
-    return _burnside_exclusion(RingAnalysis(data, tol, table=table), dual_h_integral)
-
-
-def _burnside_exclusion(a: RingAnalysis, dual_h_integral: bool) -> ExclusionVerdict:
     _require_fusion_ring(a.data, a.tol)
     weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
     applicable = bool(weakly_integral and dual_h_integral)
@@ -138,14 +127,8 @@ def _burnside_exclusion(a: RingAnalysis, dual_h_integral: bool) -> ExclusionVerd
     return ExclusionVerdict("burnside", True, True, cert)
 
 
-def modular_prime_support(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> ExclusionVerdict:
+def modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
     """Modular candidates obey V(FPdim) = V(|G(H)|) u V(d_i^2)."""
-    return _modular_prime_support(RingAnalysis(data, tol, table=table))
-
-
-def _modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
     _require_fusion_ring(a.data, a.tol)
     n = _integer_order(a)
     d_sq = _integer_dim_squares(a)
@@ -167,16 +150,10 @@ def _modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
     )
 
 
-def squarefree_factor_test(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> ExclusionVerdict:
+def squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
     """Square-free part test: the largest square-free divisor d of FPdim coprime
     to FPdim/d and to every d_i^2 must divide |G(H)|; perfect rings must have
     no powerless prime at all."""
-    return _squarefree_factor_test(RingAnalysis(data, tol, table=table))
-
-
-def _squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
     _require_fusion_ring(a.data, a.tol)
     n = _integer_order(a)
     d_sq = _integer_dim_squares(a)
@@ -212,15 +189,9 @@ def _squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
     )
 
 
-def divisibility_test(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> ExclusionVerdict:
+def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
     """For dual-Burnside rings (prod d_i)^2 / FPdim(H_ad) must be an integer;
     nilpotent rings additionally need V(FPdim(H_ad)) = u V(d_i^2)."""
-    return _divisibility_test(RingAnalysis(data, tol, table=table))
-
-
-def _divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
     dual_burn, _ = a.dual_burnside
     if not dual_burn:
         return ExclusionVerdict(
@@ -263,16 +234,16 @@ def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
     """(group_size, m) when the ring is K(G, m): one non-invertible rho absorbed
     by every grouplike, with rho^2 = sum_G g + m rho."""
     _require_fusion_ring(data, tol)
-    g = grouplike_elements(data, None, tol)
+    g = grouplike_indices(data, tol)
     non = [i for i in range(data.rank) if i not in set(g)]
     if len(non) != 1:
         raise NotNearGroup(f"{data.name}: {len(non)} non-invertible basis elements")
     rho = non[0]
-    thr = _support_threshold(data, tol)
+    S = data.support_at(tol)
+    only_rho = np.zeros(data.rank, dtype=bool)
+    only_rho[rho] = True
     for i in g:
-        if product_support(data, i, rho, thr) != {rho} or product_support(
-            data, rho, i, thr
-        ) != {rho}:
+        if not ((S[i, rho] == only_rho).all() and (S[rho, i] == only_rho).all()):
             raise NotNearGroup(f"{data.name}: grouplike {i} does not absorb rho")
         if data.tensor[i, rho, rho] != 1:
             raise NotNearGroup(f"{data.name}: grouplike action on rho not multiplicity-free")
@@ -283,15 +254,9 @@ def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
     return len(g), m
 
 
-def near_group_modular_test(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> ExclusionVerdict:
+def near_group_modular_test(a: RingAnalysis) -> ExclusionVerdict:
     """Modular near-group screening: K(G, m) cannot be modular when G is
     non-trivial with m > 0, nor when m = 0 and |G| is not 1 or 2."""
-    return _near_group_modular_test(RingAnalysis(data, tol, table=table))
-
-
-def _near_group_modular_test(a: RingAnalysis) -> ExclusionVerdict:
     g_size, m = detect_near_group(a.data, a.tol)
     excluded = (g_size > 1 and m > 0) or (m == 0 and g_size not in (1, 2))
     g_hat = len(a.grouplike_chars)
@@ -299,19 +264,13 @@ def _near_group_modular_test(a: RingAnalysis) -> ExclusionVerdict:
     return ExclusionVerdict("near_group_modular", True, excluded, cert)
 
 
-def is_frobenius(
-    data: FusionData, table: CharacterTable, alpha, tol: Tolerance | None = None
-) -> bool:
+def is_frobenius(a: RingAnalysis, alpha) -> bool:
     """FPdim(H)^alpha / d_i is an algebraic integer for every i.
 
     alpha = 1 needs an integral ring and checks FPdim / d_i in Z;
     alpha = 1/2 checks FPdim / d_i^2 in Z (the usual half-Frobenius reading
     on integral data).
     """
-    return _is_frobenius(RingAnalysis(data, tol, table=table), alpha)
-
-
-def _is_frobenius(a: RingAnalysis, alpha) -> bool:
     n = _integer_order(a)
     alpha = Fraction(alpha)
     if alpha == 1:
@@ -327,16 +286,10 @@ def _is_frobenius(a: RingAnalysis, alpha) -> bool:
     raise NotApplicable(f"unsupported alpha {alpha}")
 
 
-def frobenius_test(
-    data: FusionData, table: CharacterTable, alpha, tol: Tolerance | None = None
-) -> ExclusionVerdict:
+def frobenius_test(a: RingAnalysis, alpha) -> ExclusionVerdict:
     """Report of the alpha-Frobenius property (informational, never excluding)."""
-    return _frobenius_test(RingAnalysis(data, tol, table=table), alpha)
-
-
-def _frobenius_test(a: RingAnalysis, alpha) -> ExclusionVerdict:
     try:
-        ok = _is_frobenius(a, alpha)
+        ok = is_frobenius(a, alpha)
     except (NotApplicable, NotWeaklyIntegral) as exc:
         return ExclusionVerdict(f"frobenius({alpha})", False, False, str(exc))
     word = "holds" if ok else "fails"

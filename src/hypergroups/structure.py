@@ -1,8 +1,8 @@
 """Sub-hypergroup machinery: generated closures, kernels, adjoint, supports,
 universal grading, perp, quotients, central series and nilpotency.
 
-Support membership uses exact positivity on exact tensors and a shared
-threshold on floating ones, so the lattice laws tested downstream see one
+Every "x_k is a constituent of x_i x_j" question reads the one boolean tensor
+`FusionData.support_at(tol)`, so the lattice laws tested downstream see one
 consistent notion of "constituent".
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Element, FusionData, exact_character, regular_element, rescale
+from .core import Element, FusionData, normalize
 from .errors import (
     BiperpMismatch,
     ClassInconsistency,
@@ -54,10 +54,8 @@ __all__ = [
     "commutator_indices",
     "central_series",
     "is_nilpotent",
-    "restrict",
     "all_sub_hypergroups",
     "grouplike_indices",
-    "exact_fp_dims",
 ]
 
 
@@ -105,38 +103,30 @@ class CentralSeries:
 
 # ---------------------------------------------------------------- supports
 
-def _support_threshold(data: FusionData, tol: Tolerance) -> float:
-    if data.is_exact:
-        return 0.0
-    return tol.zero(1.0 + float(np.abs(data.float_tensor()).max()))
+def _close(data: FusionData, S: np.ndarray, member: np.ndarray) -> tuple:
+    """Smallest index set containing 0 and `member` (a boolean mask) that is
+    closed under the involution and under the constituents S of products."""
+    inv = np.array(data.involution)
+    member = member.copy()
+    member[0] = True
+    while True:
+        grown = member | S[np.ix_(member, member)].any(axis=(0, 1))
+        grown[inv[grown]] = True
+        if (grown == member).all():
+            return tuple(np.flatnonzero(member).tolist())
+        member = grown
 
 
-def _entry_positive(x, thr: float) -> bool:
-    if isinstance(x, float):
-        return x > thr
-    return x > 0
-
-
-def product_support(data: FusionData, i: int, j: int, thr: float) -> set:
-    return {k for k in range(data.rank) if _entry_positive(data.tensor[i, j, k], thr)}
+def _self_products(data: FusionData, tol: Tolerance) -> np.ndarray:
+    """Row i: the constituents of x_i x_{i*}."""
+    return data.support_at(tol)[np.arange(data.rank), data.involution]
 
 
 def closure(data: FusionData, seeds, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Smallest involution- and product-closed index set containing 0 and seeds."""
-    thr = _support_threshold(data, tol)
-    inv = data.involution
-    result = {0} | {inv[i] for i in seeds} | set(seeds)
-    queue = list(result)
-    while queue:
-        a = queue.pop()
-        for b in sorted(result):
-            for prod in (product_support(data, a, b, thr), product_support(data, b, a, thr)):
-                for k in prod:
-                    for c in (k, inv[k]):
-                        if c not in result:
-                            result.add(c)
-                            queue.append(c)
-    return tuple(sorted(result))
+    member = np.zeros(data.rank, dtype=bool)
+    member[list(seeds)] = True
+    return _close(data, data.support_at(tol), member)
 
 
 def element_support(data: FusionData, x: Element, tol: Tolerance) -> set:
@@ -165,6 +155,12 @@ def generated_sub(data: FusionData, x: Element, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def _check_sub(data: FusionData, indices, tol: Tolerance):
+    """Raise ClosureViolation unless `indices` name a sub-hypergroup."""
+    outside = [i for i in indices if not 0 <= i < data.rank]
+    if outside:
+        raise ClosureViolation(
+            f"indices {outside} are out of range for rank {data.rank}"
+        )
     got = closure(data, [i for i in indices if i != 0], tol)
     if got != tuple(sorted(set(indices) | {0})):
         raise ClosureViolation(
@@ -234,14 +230,15 @@ def center_of_element(
 # ---------------------------------------------------------------- adjoint
 
 def adjoint_indices(data: FusionData, indices=None, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Adjoint of (the restriction to `indices` of) the ring, combinatorially."""
-    if indices is None or len(indices) == data.rank:
-        sub = data
-        back = list(range(data.rank))
-    else:
-        sub, back = restrict(data, indices)
-    cl = closure(sub, element_support(sub, regular_element(sub), tol), tol)
-    return tuple(sorted(back[i] for i in cl))
+    """Adjoint of the sub-hypergroup on the closed set `indices` (default: the
+    whole ring): generated, inside it, by the constituents of x x* over its
+    members x, which are the support of its regular element I(1)."""
+    inside = np.ones(data.rank, dtype=bool)
+    if indices is not None:
+        inside[:] = False
+        inside[[0, *indices]] = True
+    seeds = _self_products(data, tol)[inside].any(axis=0) & inside
+    return _close(data, data.support_at(tol) & inside, seeds)
 
 
 def adjoint(
@@ -303,13 +300,9 @@ def _components(m: int, edges) -> list[list[int]]:
 
 def grouplike_indices(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Basis elements with x x* supported on the unit alone (Def of grouplike)."""
-    thr = _support_threshold(data, tol)
-    inv = data.involution
-    out = []
-    for i in range(data.rank):
-        if product_support(data, i, inv[i], thr) == {0}:
-            out.append(i)
-    return tuple(out)
+    xx = _self_products(data, tol)
+    unit_only = xx[:, 0] & ~xx[:, 1:].any(axis=1)
+    return tuple(np.flatnonzero(unit_only).tolist())
 
 
 def _grouplike_character_indices(table: CharacterTable, n_order: float, tol: Tolerance) -> tuple:
@@ -385,22 +378,15 @@ def universal_grading(
     if not data.flags_at(tol).real_non_negative:
         raise HypergroupError("universal grading needs RN data")
     m = data.rank
-    thr = _support_threshold(data, tol)
+    S = data.support_at(tol)
     ad = adjoint_indices(data, None, tol)
+    # linked[a, b]: x_b is a constituent of s x_a or x_a s for some s in H_ad
+    linked = S[list(ad)].any(axis=0) | S[:, list(ad)].any(axis=1)
     # stable labels: component of the unit first, then by smallest member
-    components = _components(
-        m,
-        (
-            (a, b)
-            for s in ad
-            for a in range(m)
-            for b in product_support(data, s, a, thr) | product_support(data, a, s, thr)
-        ),
-    )
-    label_of = {}
+    components = _components(m, zip(*np.nonzero(linked)))
+    label = np.empty(m, dtype=int)
     for lbl, comp in enumerate(components):
-        for a in comp:
-            label_of[a] = lbl
+        label[comp] = lbl
     if tuple(components[0]) != ad:
         raise GradingCrossCheckFailed(
             f"identity component {sorted(components[0])} != adjoint {ad}"
@@ -409,10 +395,7 @@ def universal_grading(
     gtable = np.full((g, g), -1, dtype=int)
     for la, comp_a in enumerate(components):
         for lb, comp_b in enumerate(components):
-            targets = set()
-            for a in comp_a:
-                for b in comp_b:
-                    targets |= {label_of[k] for k in product_support(data, a, b, thr)}
+            targets = set(label[S[np.ix_(comp_a, comp_b)].any(axis=(0, 1))].tolist())
             if len(targets) != 1:
                 raise GradingCrossCheckFailed(
                     f"component product {la} * {lb} spreads over {sorted(targets)}"
@@ -421,7 +404,7 @@ def universal_grading(
     _check_group_table(gtable)
 
     if table is not None:
-        _grading_spectral_checks(data, table, components, label_of, gtable, tol)
+        _grading_spectral_checks(data, table, components, tol)
 
     iso = _abelian_invariants(gtable) if (gtable == gtable.T).all() else ()
     return GradingResult(
@@ -446,7 +429,7 @@ def _check_group_table(t: np.ndarray):
                     raise GradingCrossCheckFailed("grading table not associative")
 
 
-def _grading_spectral_checks(data, table, components, label_of, gtable, tol):
+def _grading_spectral_checks(data, table, components, tol):
     m = data.rank
     n_h = order(data, table, fp_character(table))
     gl_chars = _grouplike_character_indices(table, n_h, tol)
@@ -516,14 +499,6 @@ def perp_characters(
 
 # ---------------------------------------------------------------- quotient
 
-def exact_fp_dims(data: FusionData, table: CharacterTable) -> list | None:
-    """FP dimensions as exact scalars when they snap and satisfy the character
-    equation exactly on an exact tensor; None otherwise."""
-    if not data.is_exact:
-        return None
-    return exact_character(data, table.fp_dims(), table.tol)
-
-
 def quotient(
     data: FusionData,
     sub: SubHypergroup,
@@ -537,32 +512,25 @@ def quotient(
     relation supp(aS) meets supp(bS); the quotient tensor entry on classes
     [a][b] -> [c] is the sum over w in [c] of the coefficient of w in the
     product of normalized representatives (representative independence is
-    asserted).  Result validates as an ARN hypergroup; Harrison duality with
-    S-perp is checked when a character table is available.
+    asserted).  `sub` must be a sub-hypergroup (else ClosureViolation).  The
+    result validates as an ARN hypergroup, and its characters are checked to
+    be the restrictions of the S-perp characters (Harrison duality).
     """
     flags = data.flags_at(tol)
     if not flags.abelian:
         raise NotAbelian("quotients are defined for abelian data")
     if not flags.real_non_negative:
         raise HypergroupError("quotients are defined for RN data")
+    _check_sub(data, sub.indices, tol)
     if table is None:
         table = character_table(data, tol=tol, seed=seed)
-    exact_d = exact_fp_dims(data, table)
-    if exact_d is not None:
-        normalized = rescale(data, exact_d) if any(x != 1 for x in exact_d) else data
-    else:
-        normalized = rescale(data, list(table.fp_dims()))
-    thr = _support_threshold(normalized, tol)
+    normalized = normalize(data, table.fp_dims(), tol)
 
     m = data.rank
-    supp_s = []
-    for a in range(m):
-        s_union = set()
-        for s in sub.indices:
-            s_union |= product_support(normalized, a, s, thr)
-        supp_s.append(s_union)
-    overlaps = ((a, b) for a in range(m) for b in range(a + 1, m) if supp_s[a] & supp_s[b])
-    classes = list(map(tuple, _components(m, overlaps)))
+    # reach[a, w]: x_w is a constituent of a s for some s in S
+    reach = normalized.support_at(tol)[:, list(sub.indices)].any(axis=1)
+    meets = np.triu(reach @ reach.T, 1)
+    classes = list(map(tuple, _components(m, zip(*np.nonzero(meets)))))
     class_of = {}
     for lbl, cls in enumerate(classes):
         for a in cls:
@@ -599,8 +567,7 @@ def quotient(
     qflags = result.flags
     if not (qflags.abelian and qflags.real_non_negative):
         raise ClassInconsistency("quotient is not an ARN hypergroup")
-    if table is not None:
-        _harrison_check(data, table, sub, result, classes, tol, seed)
+    _harrison_check(data, table, sub, result, classes, tol, seed)
     return result, classes
 
 
@@ -629,21 +596,19 @@ def _harrison_check(data, table, sub, quot, classes, tol, seed):
 # ---------------------------------------------------------------- commutator and series
 
 def commutator_indices(data: FusionData, indices, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    thr = _support_threshold(data, tol)
-    inv = data.involution
-    sset = set(indices)
-    seeds = [
-        x
-        for x in range(data.rank)
-        if product_support(data, x, inv[x], thr) <= sset
-    ]
-    return closure(data, seeds, tol)
+    """Closure of the x with supp(x x*) inside `indices`."""
+    outside = np.ones(data.rank, dtype=bool)
+    outside[list(indices)] = False
+    seeds = ~(_self_products(data, tol) & outside).any(axis=1)
+    return _close(data, data.support_at(tol), seeds)
 
 
 def commutator_sub(
     data: FusionData, sub: SubHypergroup, tol: Tolerance = DEFAULT_TOL
 ) -> SubHypergroup:
-    """S^co: generated by all x with supp(x x*) inside S; sandwich law asserted."""
+    """S^co: generated by all x with supp(x x*) inside S; sandwich law asserted.
+    `sub` must be a sub-hypergroup (else ClosureViolation)."""
+    _check_sub(data, sub.indices, tol)
     co = commutator_indices(data, sub.indices, tol)
     # (S^co)_ad <= S <= (S_ad)^co
     co_ad = adjoint_indices(data, co, tol)
@@ -698,22 +663,6 @@ def central_series(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> CentralSer
 
 def is_nilpotent(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> int | None:
     return central_series(data, tol).nilpotency_class
-
-
-# ---------------------------------------------------------------- misc helpers
-
-def restrict(data: FusionData, indices) -> tuple:
-    """Sub-tensor on a closed index set; returns (FusionData, back-map)."""
-    idx = sorted(set(indices) | {0})
-    pos = {a: t for t, a in enumerate(idx)}
-    k = len(idx)
-    sub = np.empty((k, k, k), dtype=data.tensor.dtype)
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                sub[pos[a], pos[b], pos[c]] = data.tensor[a, b, c]
-    inv = [pos[data.involution[a]] for a in idx]
-    return FusionData(f"{data.name}|{idx}", inv, sub), idx
 
 
 def all_sub_hypergroups(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> list:

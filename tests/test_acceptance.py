@@ -38,11 +38,11 @@ def test_criterion_1_burnside_classical_suite():
     for name in catalog_names():
         ring = rep_ring(catalog(name))
         table = hg.character_table(ring)
-        verdict, witness = bn.is_burnside(ring, table)
+        verdict, witness = hg.RingAnalysis(ring, table=table).burnside
         assert verdict, name
         d = table.fp_dims()
         vanishing = set(bn.vanishing_elements(ring, table))  # exact/numeric agreement inside
-        grouplikes = set(bn.grouplike_elements(ring, table))
+        grouplikes = set(hg.RingAnalysis(ring, table=table).grouplikes)
         for i in range(ring.rank):
             if d[i] > 1 + 1e-9:
                 assert i in vanishing, (name, i)
@@ -60,7 +60,7 @@ def test_criterion_2_dual_burnside_facts():
     for name in catalog_names():
         ring = rep_ring(catalog(name), tol=tol)
         table = hg.character_table(ring, tol=tol)
-        verdict, _ = bn.is_dual_burnside(ring, table, tol)
+        verdict, _ = hg.RingAnalysis(ring, tol, table=table).dual_burnside
         if name in expected_false:
             assert not verdict, name
         if name == "SL(2,3)":
@@ -82,7 +82,7 @@ def test_criterion_3_eq_9_10_identity():
         # G/Z via the hypergroup quotient of the class side by its grouplike classes
         cl = class_hypergroup(g)
         tcl = hg.character_table(cl)
-        central = bn.grouplike_elements(cl, tcl)
+        central = hg.RingAnalysis(cl, table=tcl).grouplikes
         assert len(central) == len(g.center())
         q, _ = st.quotient(cl, st.SubHypergroup(central, cl), tcl)
         tq = hg.character_table(q)
@@ -130,7 +130,8 @@ def test_criterion_5_grading_and_nilpotency(corpus_with_tables, ising_ring):
         table = hg.character_table(ring)
         grading = st.universal_grading(ring, table)
         assert grading.group_order == len(g.center()), name
-        assert grading.group_order == len(bn.grouplike_characters(ring, table)), name
+        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
+        assert grading.group_order == len(glc), name
     series = st.central_series(ising_ring)
     assert series.nilpotency_class == 2
     assert series.upper[-1].indices == (0,)
@@ -155,7 +156,7 @@ def test_criterion_6_adjoint_laws(corpus_with_tables):
         P = bn.product_P(ring, table)
         P2 = hg.multiply(ring, P, P)
         assert st.generated_sub(ring, P2).indices == ad.indices, ring.name
-        glc = bn.grouplike_characters(ring, table)
+        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
         assert st.perp_characters(ring, table, glc) == frozenset(ad.indices), ring.name
         subs = st.all_sub_hypergroups(ring)
         if len(subs) <= 8:
@@ -210,8 +211,7 @@ def test_criterion_7_enumeration_and_exclusion():
     assert len(rings) == 4
     assert elapsed < 5.0
     for ring in rings:
-        table = hg.character_table(ring)
-        v = cr.modular_prime_support(ring, table)
+        v = cr.modular_prime_support(hg.RingAnalysis(ring))
         assert v.excluded and "prime 3" in v.certificate, ring.name
 
     family_checked = 0
@@ -222,10 +222,10 @@ def test_criterion_7_enumeration_and_exclusion():
         if shape is not None:
             n, m = shape
             ring = family_ring(n, [n, n], [m + 1])
-            table = hg.character_table(ring)
-            v = cr.modular_prime_support(ring, table)
+            a = hg.RingAnalysis(ring)
+            v = cr.modular_prime_support(a)
             if not v.excluded:
-                v = cr.squarefree_factor_test(ring, table)
+                v = cr.squarefree_factor_test(a)
             assert v.excluded, dims
             family_checked += 1
         elif _type_level_powerless_exclusion(dims) is not None:
@@ -258,10 +258,9 @@ def test_criterion_8_near_group_rules():
     coeff_minus = row[pos]
     assert abs(coeff_plus - (x2**2 + 3) / (x1**2 + 3)) < 1e-9
     assert abs(coeff_minus - (x1**2 - x2**2) / (x1**2 + 3)) < 1e-9
-    assert cr.near_group_modular_test(k33, table).excluded
+    assert cr.near_group_modular_test(hg.RingAnalysis(k33, table=table)).excluded
     for ring in (near_group([2], 0), near_group([], 1)):
-        t = hg.character_table(ring)
-        assert not cr.near_group_modular_test(ring, t).excluded, ring.name
+        assert not cr.near_group_modular_test(hg.RingAnalysis(ring)).excluded, ring.name
     _report(8, "K(Z3,3) psi-minus^2 coefficients reproduced at 1e-9 and excluded; Ising/Fib kept")
 
 
@@ -270,7 +269,7 @@ def test_criterion_9_rational_rn_dual_burnside_is_weakly_rational(corpus_with_ta
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        dual_burn, _ = bn.is_dual_burnside(ring, table)
+        dual_burn, _ = hg.RingAnalysis(ring, table=table).dual_burnside
         # weak_integrality raises TheoremViolation on any counterexample
         verdict = ga.weak_integrality(ring, table, dual_burn)
         if dual_burn and ring.flags.rational and ring.flags.real_non_negative:

@@ -40,6 +40,13 @@ def test_analyze_builds_each_invariant_once():
     }
 
 
+def test_analyze_builds_the_support_tensor_once():
+    ring = rep_ring(catalog("S4"))
+    with mock.patch.object(core, "_constituents", wraps=core._constituents) as spy:
+        analyze(ring, modular_candidate=True)
+    assert sum(c.args[0] is ring for c in spy.call_args_list) == 1
+
+
 def test_float_ring_is_validated_once_at_the_analysis_tolerance():
     ring = hg.FusionData("Z2/float", (0, 1), [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
     tol = hg.Tolerance(abs=1e-8, rel=1e-8)

@@ -11,10 +11,10 @@ from conftest import NILPOTENT_CATALOG, s3_indices
 def test_grouplike_elements_examples(ising_ring, ising_table, s3_rep, s3_table):
     z4 = group_ring(catalog("C4"))
     t4 = hg.character_table(z4)
-    assert bn.grouplike_elements(z4, t4) == (0, 1, 2, 3)
-    assert bn.grouplike_elements(ising_ring, ising_table) == (0, 1)
+    assert hg.RingAnalysis(z4, table=t4).grouplikes == (0, 1, 2, 3)
+    assert hg.RingAnalysis(ising_ring, table=ising_table).grouplikes == (0, 1)
     s, _ = s3_indices(s3_rep)
-    assert bn.grouplike_elements(s3_rep, s3_table) == (0, s)
+    assert hg.RingAnalysis(s3_rep, table=s3_table).grouplikes == (0, s)
 
 
 def test_vanishing_elements(s3_rep, s3_table, fib_ring, fib_table):
@@ -36,20 +36,20 @@ def test_exact_numeric_agreement_enforced(s3_rep, s3_table):
 
 
 def test_is_burnside(s3_rep, s3_table, fib_ring, fib_table):
-    assert bn.is_burnside(s3_rep, s3_table) == (True, None)
-    verdict, witness = bn.is_burnside(fib_ring, fib_table)
+    assert hg.RingAnalysis(s3_rep, table=s3_table).burnside == (True, None)
+    verdict, witness = hg.RingAnalysis(fib_ring, table=fib_table).burnside
     assert not verdict and witness == 1
 
 
 def test_grouplike_characters(ising_ring, ising_table, s3_table, s3_rep, q8_rep, q8_table):
-    assert len(bn.grouplike_characters(ising_ring, ising_table)) == 2
-    assert bn.grouplike_characters(s3_rep, s3_table) == (0,)
-    assert len(bn.grouplike_characters(q8_rep, q8_table)) == 2
+    assert len(hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars) == 2
+    assert hg.RingAnalysis(s3_rep, table=s3_table).grouplike_chars == (0,)
+    assert len(hg.RingAnalysis(q8_rep, table=q8_table).grouplike_chars) == 2
 
 
 def test_is_dual_burnside(ising_ring, ising_table, s3_rep, s3_table):
-    assert bn.is_dual_burnside(ising_ring, ising_table) == (True, None)
-    verdict, witness = bn.is_dual_burnside(s3_rep, s3_table)
+    assert hg.RingAnalysis(ising_ring, table=ising_table).dual_burnside == (True, None)
+    verdict, witness = hg.RingAnalysis(s3_rep, table=s3_table).dual_burnside
     assert not verdict
     # the witness is the (1,1,-1) column: zero-free but codegree 3 < 6
     col = s3_table.values[:, witness]
@@ -60,7 +60,7 @@ def test_is_dual_burnside(ising_ring, ising_table, s3_rep, s3_table):
 def test_sl23_dual_burnside():
     ring = rep_ring(catalog("SL(2,3)"))
     table = hg.character_table(ring)
-    assert bn.is_dual_burnside(ring, table)[0]
+    assert hg.RingAnalysis(ring, table=table).dual_burnside[0]
 
 
 def test_product_P(q8_rep, q8_table, z2_ring, s3_rep, s3_table):
@@ -72,7 +72,7 @@ def test_product_P(q8_rep, q8_table, z2_ring, s3_rep, s3_table):
     expected[tq] = 0.5
     assert np.allclose(P.float_coords(), expected)
     P2 = hg.multiply(q8_rep, P, P)
-    gl = bn.grouplike_elements(q8_rep, q8_table)
+    gl = hg.RingAnalysis(q8_rep, table=q8_table).grouplikes
     expected2 = np.array([0.25 if i in gl else 0.0 for i in range(5)])
     assert np.allclose(P2.float_coords(), expected2)
 
@@ -103,7 +103,7 @@ def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
     phat = bn.product_Phat(q8_rep, q8_table, dd)
     assert len(phat) == q8_rep.rank
     vals = bn.phat_values(q8_table)
-    gl = set(bn.grouplike_elements(q8_rep, q8_table))
+    gl = set(hg.RingAnalysis(q8_rep, table=q8_table).grouplikes)
     for i in range(q8_rep.rank):
         if i in gl:
             assert abs(abs(vals[i]) - 1) < 1e-9
@@ -121,12 +121,12 @@ def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
 
 def test_sgn_examples(z2_ring, s3_rep, s3_table, ising_ring, ising_table):
     t = hg.character_table(z2_ring)
-    el, ch = bn.sgn_values(z2_ring, t)
+    el, ch = bn.sgn_values(hg.RingAnalysis(z2_ring, table=t))
     assert el[0] == 1 and el[1] == -1
     s, _ = s3_indices(s3_rep)
-    el, ch = bn.sgn_values(s3_rep, s3_table)
+    el, ch = bn.sgn_values(hg.RingAnalysis(s3_rep, table=s3_table))
     assert el[0] == 1 and el[s] == -1
-    el, ch = bn.sgn_values(ising_ring, ising_table)
+    el, ch = bn.sgn_values(hg.RingAnalysis(ising_ring, table=ising_table))
     assert set(el.values()) <= {1, -1} and set(ch.values()) <= {1, -1}
 
 
@@ -134,11 +134,11 @@ def test_phat_bound_equality_iff_grouplike(corpus_with_tables):
     for ring, table in corpus_with_tables:
         vals = np.abs(bn.phat_values(table))
         assert (vals <= 1 + 1e-8).all(), ring.name
-        gl = set(bn.grouplike_elements(ring, table))
+        a = hg.RingAnalysis(ring, table=table)
         for i in range(ring.rank):
-            assert (abs(vals[i] - 1) < 1e-8) == (i in gl), ring.name
+            assert (abs(vals[i] - 1) < 1e-8) == (i in a.grouplikes), ring.name
         mu_vals = np.abs(bn.p_values(table))
-        glc = set(bn.grouplike_characters(ring, table))
+        glc = set(a.grouplike_chars)
         for j in range(ring.rank):
             assert (abs(mu_vals[j] - 1) < 1e-8) == (j in glc), ring.name
 
@@ -147,7 +147,7 @@ def test_grouplike_character_products_permute(q8_rep, q8_table):
     # mu grouplike, mu * mu_k matches a unique character column
     d = q8_table.fp_dims()
     norm = q8_table.values / d[:, None]
-    for j in bn.grouplike_characters(q8_rep, q8_table):
+    for j in hg.RingAnalysis(q8_rep, table=q8_table).grouplike_chars:
         seen = set()
         for k in range(q8_rep.rank):
             prod = norm[:, j] * q8_table.values[:, k]
@@ -159,11 +159,11 @@ def test_grouplike_character_products_permute(q8_rep, q8_table):
 
 
 def test_identity_checks_examples(q8_rep, q8_table, ising_ring, ising_table, fib_ring, fib_table):
-    checks = bn.identity_checks(q8_rep, q8_table)
+    checks = bn.identity_checks(hg.RingAnalysis(q8_rep, table=q8_table))
     assert checks["p_sq_vs_adjoint_integral"] < 1e-9  # Eq (9.10) both sides
-    checks = bn.identity_checks(ising_ring, ising_table)
+    checks = bn.identity_checks(hg.RingAnalysis(ising_ring, table=ising_table))
     assert checks["p4_minus_p2"] < 1e-9
-    checks = bn.identity_checks(fib_ring, fib_table)
+    checks = bn.identity_checks(hg.RingAnalysis(fib_ring, table=fib_table))
     assert checks["phat4_minus_phat2"] >= 1e-4
 
 
@@ -172,19 +172,23 @@ def test_nilpotent_corpus_is_burnside_and_dual(corpus_with_tables):
         from hypergroups.structure import is_nilpotent
 
         if is_nilpotent(ring) is not None:
-            assert bn.is_burnside(ring, table)[0], ring.name
-            assert bn.is_dual_burnside(ring, table)[0], ring.name
+            a = hg.RingAnalysis(ring, table=table)
+            assert a.burnside[0] and a.dual_burnside[0], ring.name
 
 
 def test_hypothesis_report(fib_ring, fib_table):
-    rep = bn.burnside_hypothesis_report(fib_ring, fib_table, dual_h_integral=False)
+    rep = bn.burnside_hypothesis_report(
+        hg.RingAnalysis(fib_ring, table=fib_table), dual_h_integral=False
+    )
     assert not rep["weakly_integral"]
     assert rep["obstruction"] is None
 
 
 def test_obstruction_flagged_for_qualifying_failure(s3_rep, s3_table):
     # S3 is Burnside, so no obstruction; force the hypothetical branch shape
-    rep = bn.burnside_hypothesis_report(s3_rep, s3_table, dual_h_integral=True)
+    rep = bn.burnside_hypothesis_report(
+        hg.RingAnalysis(s3_rep, table=s3_table), dual_h_integral=True
+    )
     assert rep["burnside"] and rep["obstruction"] is None
 
 

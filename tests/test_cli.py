@@ -115,6 +115,18 @@ def test_quotient_command(tmp_path, capsys):
     assert q.rank == 2
 
 
+@pytest.mark.parametrize(
+    "sub, reason",
+    [("0,1", "not closed"), ("0,7", "out of range"), ("0,x", "comma-separated list of integers")],
+)
+def test_quotient_rejects_a_non_sub_hypergroup(tmp_path, capsys, sub, reason):
+    src = str(tmp_path / "z4.json")
+    bd.dump(bd.group_ring(bd.catalog("C4")), src)
+    code, out, err = run(capsys, "quotient", src, "--sub", sub)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+
+
 def test_enumerate_command(tmp_path, capsys):
     outdir = str(tmp_path / "enum")
     code, out, _ = run(capsys, "enumerate", "1,1,1,1,2,2", "--out-dir", outdir)

@@ -25,35 +25,37 @@ def test_prime_factorization():
 
 def test_burnside_exclusion_group_ring():
     ring = group_ring(catalog("C6"))
-    v = cr.burnside_exclusion(ring, _table(ring), dual_h_integral=True)
+    v = cr.burnside_exclusion(hg.RingAnalysis(ring), dual_h_integral=True)
     assert v.applicable and not v.excluded
 
 
 def test_burnside_exclusion_not_applicable_fibonacci(fib_ring, fib_table):
-    v = cr.burnside_exclusion(fib_ring, fib_table, dual_h_integral=False)
+    v = cr.burnside_exclusion(
+        hg.RingAnalysis(fib_ring, table=fib_table), dual_h_integral=False
+    )
     assert not v.applicable and not v.excluded
 
 
 def test_modular_prime_support_family():
     ring = family_ring(2, [2, 2], [3])
-    v = cr.modular_prime_support(ring, _table(ring))
+    v = cr.modular_prime_support(hg.RingAnalysis(ring))
     assert v.excluded and "prime 3" in v.certificate
 
 
 def test_modular_prime_support_s3(s3_rep, s3_table):
-    v = cr.modular_prime_support(s3_rep, s3_table)
+    v = cr.modular_prime_support(hg.RingAnalysis(s3_rep, table=s3_table))
     assert v.excluded and "prime 3" in v.certificate
 
 
 def test_modular_prime_support_pointed_ok():
     ring = group_ring(catalog("C6"))
-    v = cr.modular_prime_support(ring, _table(ring))
+    v = cr.modular_prime_support(hg.RingAnalysis(ring))
     assert v.applicable and not v.excluded
 
 
 def test_squarefree_factor_family():
     ring = family_ring(2, [2, 2], [3])
-    v = cr.squarefree_factor_test(ring, _table(ring))
+    v = cr.squarefree_factor_test(hg.RingAnalysis(ring))
     assert v.excluded and "d = 3" in v.certificate
 
 
@@ -61,29 +63,29 @@ def test_squarefree_factor_perfect_ring():
     # Rep(A5) as a ring is perfect (no nontrivial grouplikes); FPdim 60 = 2^2*3*5
     # has powerless primes, so no modular categorification
     ring = rep_ring(catalog("A5"))
-    v = cr.squarefree_factor_test(ring, _table(ring))
+    v = cr.squarefree_factor_test(hg.RingAnalysis(ring))
     assert v.excluded and "perfect" in v.certificate
 
 
 def test_squarefree_factor_group_ring_ok():
     ring = group_ring(catalog("C6"))
-    v = cr.squarefree_factor_test(ring, _table(ring))
+    v = cr.squarefree_factor_test(hg.RingAnalysis(ring))
     assert not v.excluded
 
 
 def test_divisibility_ising(ising_ring, ising_table):
-    v = cr.divisibility_test(ising_ring, ising_table)
+    v = cr.divisibility_test(hg.RingAnalysis(ising_ring, table=ising_table))
     assert v.applicable and not v.excluded
 
 
 def test_divisibility_q8(q8_rep, q8_table):
-    v = cr.divisibility_test(q8_rep, q8_table)
+    v = cr.divisibility_test(hg.RingAnalysis(q8_rep, table=q8_table))
     assert v.applicable and not v.excluded
     assert "= 1" in v.certificate  # (1*1*1*1*2)^2 / FPdim(H_ad) = 4/4
 
 
 def test_divisibility_not_applicable(s3_rep, s3_table):
-    v = cr.divisibility_test(s3_rep, s3_table)
+    v = cr.divisibility_test(hg.RingAnalysis(s3_rep, table=s3_table))
     assert not v.applicable
 
 
@@ -97,21 +99,22 @@ def test_near_group_detection(ising_ring, fib_ring):
 
 def test_near_group_modular_verdicts(ising_ring, ising_table, fib_ring, fib_table):
     k33 = near_group([3], 3)
-    v = cr.near_group_modular_test(k33, _table(k33))
+    v = cr.near_group_modular_test(hg.RingAnalysis(k33))
     assert v.excluded
     assert "|G(H)| = 3" in v.certificate and "|G(H-hat)| = 1" in v.certificate
-    assert not cr.near_group_modular_test(ising_ring, ising_table).excluded
-    assert not cr.near_group_modular_test(fib_ring, fib_table).excluded
+    for ring, table in ((ising_ring, ising_table), (fib_ring, fib_table)):
+        assert not cr.near_group_modular_test(hg.RingAnalysis(ring, table=table)).excluded
     ty3 = near_group([3], 0)  # Tambara-Yamagami shape with |G| = 3
-    assert cr.near_group_modular_test(ty3, _table(ty3)).excluded
+    assert cr.near_group_modular_test(hg.RingAnalysis(ty3)).excluded
 
 
 def test_frobenius(s3_rep, s3_table):
-    assert cr.is_frobenius(s3_rep, s3_table, 1)
+    assert cr.is_frobenius(hg.RingAnalysis(s3_rep, table=s3_table), 1)
     fam = family_ring(2, [2, 2], [3])
     t = _table(fam)
-    assert cr.is_frobenius(fam, t, Fraction(1, 2))
-    v = cr.frobenius_test(fam, t, Fraction(1, 2))
+    a = hg.RingAnalysis(fam)
+    assert cr.is_frobenius(a, Fraction(1, 2))
+    v = cr.frobenius_test(a, Fraction(1, 2))
     assert v.applicable and not v.excluded and "holds" in v.certificate
 
 
@@ -122,13 +125,14 @@ def test_rep_rings_never_excluded_by_ungated_tests(corpus_with_tables):
             continue
         dd = hg.dual_hypergroup(ring, table)
         h_int = hg.dual_flags(dd).h_integral
-        assert not cr.burnside_exclusion(ring, table, h_int).excluded, ring.name
-        assert not cr.divisibility_test(ring, table).excluded, ring.name
+        a = hg.RingAnalysis(ring, table=table)
+        assert not cr.burnside_exclusion(a, h_int).excluded, ring.name
+        assert not cr.divisibility_test(a).excluded, ring.name
 
 
 def test_verdicts_deterministic(s3_rep):
     t1 = _table(s3_rep)
     t2 = _table(s3_rep)
-    v1 = cr.modular_prime_support(s3_rep, t1)
-    v2 = cr.modular_prime_support(s3_rep, t2)
+    v1 = cr.modular_prime_support(hg.RingAnalysis(s3_rep, table=t1))
+    v2 = cr.modular_prime_support(hg.RingAnalysis(s3_rep, table=t2))
     assert v1 == v2

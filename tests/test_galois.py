@@ -89,12 +89,10 @@ def test_weak_integrality_examples(s3_rep, s3_table, ising_ring, ising_table, fi
 
 def test_weak_integrality_theorem_guard(corpus_with_tables):
     # rational + RN + dual-Burnside implies at least weakly rational
-    from hypergroups.burnside import is_dual_burnside
-
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        dual_burn, _ = is_dual_burnside(ring, table)
+        dual_burn, _ = hg.RingAnalysis(ring, table=table).dual_burnside
         verdict = ga.weak_integrality(ring, table, dual_burn)
         if dual_burn and ring.flags.rational and ring.flags.real_non_negative:
             assert verdict in ("integral", "weakly_integral", "weakly_rational"), ring.name

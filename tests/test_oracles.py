@@ -98,7 +98,7 @@ def test_regular_element_kernel_is_center_intersection(corpus_with_tables):
 def test_grouplike_group_structure():
     fam = family_ring(2, [2, 2], [3])
     table = hg.character_table(fam)
-    gl = bn.grouplike_elements(fam, table)
+    gl = hg.RingAnalysis(fam, table=table).grouplikes
     cayley = bn.grouplike_group_table(fam, gl)
     assert cayley is not None and cayley.shape == (4, 4)
     # Z2 x Z2: every element is an involution

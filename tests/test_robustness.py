@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hypergroups as hg
-from hypergroups import burnside as bn
 from hypergroups import structure as st
 from hypergroups.builders import catalog, class_hypergroup, ising, rep_ring
 
@@ -20,9 +19,10 @@ def test_float_tensor_pipeline_matches_exact(name):
     te = hg.character_table(exact)
     tf = hg.character_table(floaty)
     assert np.allclose(sorted(te.codegrees), sorted(tf.codegrees), atol=1e-8)
-    assert bn.grouplike_elements(exact, te) == bn.grouplike_elements(floaty, tf)
-    assert bn.is_burnside(exact, te)[0] == bn.is_burnside(floaty, tf)[0]
-    assert bn.is_dual_burnside(exact, te)[0] == bn.is_dual_burnside(floaty, tf)[0]
+    ae, af = hg.RingAnalysis(exact, table=te), hg.RingAnalysis(floaty, table=tf)
+    assert ae.grouplikes == af.grouplikes
+    assert ae.burnside[0] == af.burnside[0]
+    assert ae.dual_burnside[0] == af.dual_burnside[0]
     assert st.adjoint(exact, te).indices == st.adjoint(floaty, tf).indices
     assert st.is_nilpotent(exact) == st.is_nilpotent(floaty)
 
@@ -33,19 +33,14 @@ def test_class_hypergroup_float_path():
     te = hg.character_table(exact)
     tf = hg.character_table(floaty)
     assert np.allclose(sorted(te.codegrees), sorted(tf.codegrees), atol=1e-8)
-    assert bn.is_burnside(exact, te)[0] == bn.is_burnside(floaty, tf)[0]
+    assert hg.RingAnalysis(exact, table=te).burnside[0] == hg.RingAnalysis(floaty, table=tf).burnside[0]
 
 
 def test_verdicts_invariant_under_rescaling():
     rng = np.random.default_rng(23)
     for ring in (ising(), rep_ring(catalog("S3")), rep_ring(catalog("Q8"))):
-        table = hg.character_table(ring)
-        base = (
-            bn.grouplike_elements(ring, table),
-            set(bn.vanishing_elements(ring, table)),
-            bn.is_burnside(ring, table)[0],
-            bn.is_dual_burnside(ring, table)[0],
-        )
+        a = hg.RingAnalysis(ring)
+        base = (a.grouplikes, set(a.vanishing), a.burnside[0], a.dual_burnside[0])
         inv = ring.involution
         for _ in range(3):
             alphas = [1.0] * ring.rank
@@ -55,13 +50,8 @@ def test_verdicts_invariant_under_rescaling():
                     alphas[i] = a
                     alphas[inv[i]] = a
             re = hg.rescale(ring, alphas)
-            tab = hg.character_table(re)
-            got = (
-                bn.grouplike_elements(re, tab),
-                set(bn.vanishing_elements(re, tab)),
-                bn.is_burnside(re, tab)[0],
-                bn.is_dual_burnside(re, tab)[0],
-            )
+            a = hg.RingAnalysis(re)
+            got = (a.grouplikes, set(a.vanishing), a.burnside[0], a.dual_burnside[0])
             assert got == base, ring.name
 
 

@@ -176,8 +176,6 @@ def test_dual_bases_identity(corpus_with_tables):
 
 def test_value_bound_and_codegree_bound(corpus_with_tables):
     # |mu_j(x_i)| <= d_i and n_j <= n(H), equality iff grouplike character
-    from hypergroups.burnside import grouplike_characters
-
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
@@ -185,7 +183,7 @@ def test_value_bound_and_codegree_bound(corpus_with_tables):
         assert (np.abs(table.values) <= d[:, None] + 1e-9).all(), ring.name
         n_h = hg.order(ring, table)
         assert (table.codegrees <= n_h + 1e-8).all(), ring.name
-        gl = set(grouplike_characters(ring, table))
+        gl = set(hg.RingAnalysis(ring, table=table).grouplike_chars)
         for j in range(ring.rank):
             is_max = abs(table.codegrees[j] - n_h) < 1e-8
             assert is_max == (j in gl), ring.name

@@ -6,7 +6,7 @@ import hypergroups as hg
 from hypergroups import structure as st
 from hypergroups import burnside as bn
 from hypergroups.builders import catalog, class_hypergroup, group_ring, rep_ring
-from hypergroups.errors import NotAbelian, NotPositive
+from hypergroups.errors import ClosureViolation, NotAbelian, NotPositive
 from conftest import s3_indices
 
 
@@ -49,7 +49,7 @@ def test_kernel_and_center_of_element(ising_ring, ising_table, s3_rep, s3_table)
     ) == frozenset({s3_table.fp_index})
     center = st.center_of_element(ising_ring, ising_table, 2)
     # |mu(rho)| = sqrt(2) for the two grouplike characters
-    assert center == frozenset(bn.grouplike_characters(ising_ring, ising_table))
+    assert center == frozenset(hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars)
 
 
 def test_adjoint_examples(ising_ring, ising_table, s3_rep, s3_table):
@@ -68,7 +68,7 @@ def test_support_examples(ising_ring, ising_table):
     assert st.support(ising_ring, ising_table, trivial) == frozenset({0, 1, 2})
     sub = st.SubHypergroup((0, 1), ising_ring)
     assert st.support(ising_ring, ising_table, sub) == frozenset(
-        bn.grouplike_characters(ising_ring, ising_table)
+        hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars
     )
 
 
@@ -91,7 +91,8 @@ def test_grading_matches_center_for_catalog():
         table = hg.character_table(ring)
         g = st.universal_grading(ring, table)
         assert g.group_order == len(grp.center()), name
-        assert g.group_order == len(bn.grouplike_characters(ring, table)), name
+        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
+        assert g.group_order == len(glc), name
 
 
 def test_perp_examples(ising_ring, ising_table):
@@ -101,14 +102,14 @@ def test_perp_examples(ising_ring, ising_table):
     assert st.perp(ising_ring, ising_table, whole) == frozenset({ising_table.fp_index})
     sub = st.SubHypergroup((0, 1), ising_ring)
     assert st.perp(ising_ring, ising_table, sub) == frozenset(
-        bn.grouplike_characters(ising_ring, ising_table)
+        hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars
     )
 
 
 def test_grouplike_char_perp_is_adjoint(corpus_with_tables):
     # Cor 7.16: G(H-hat)-perp = H_ad
     for ring, table in corpus_with_tables:
-        glc = bn.grouplike_characters(ring, table)
+        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
         ad = st.adjoint(ring, table)
         assert st.perp_characters(ring, table, glc) == frozenset(ad.indices), ring.name
 
@@ -236,13 +237,13 @@ def test_grouplike_constituent_law(corpus_with_tables):
     for ring, table in corpus_with_tables[:16]:
         if table.fp_index is None:
             continue
-        thr = st._support_threshold(ring, table.tol)
-        gl = bn.grouplike_elements(ring, table)
+        support = ring.support_at(table.tol)
+        gl = hg.RingAnalysis(ring, table=table).grouplikes
         d = table.fp_dims()
         inv = ring.involution
         for g in gl:
             for i in range(ring.rank):
-                lhs = g in st.product_support(ring, i, inv[i], thr)
+                lhs = support[i, inv[i], g]
                 gx = hg.multiply(ring, hg.basis_element(ring, g), hg.basis_element(ring, i))
                 target = np.zeros(ring.rank)
                 target[i] = d[g]
@@ -254,7 +255,7 @@ def test_adjoint_trivial_iff_dual_pointed(corpus_with_tables):
     # H_ad = C iff dual pointed; H_ad = H iff dual perfect
     for ring, table in corpus_with_tables:
         ad = st.adjoint(ring, table)
-        glc = bn.grouplike_characters(ring, table)
+        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
         assert ad.is_trivial == (len(glc) == ring.rank), ring.name
         assert ad.is_whole == (len(glc) == 1), ring.name
 
@@ -264,7 +265,7 @@ def test_quotient_vanishing_lift():
     ring = rep_ring(catalog("S4"))
     table = hg.character_table(ring)
     # S = {1, sgn}: the grouplike elements
-    gl = bn.grouplike_elements(ring, table)
+    gl = hg.RingAnalysis(ring, table=table).grouplikes
     q, classes = st.quotient(ring, st.SubHypergroup(gl, ring), table)
     qtable = hg.character_table(q)
     qvanish = bn.vanishing_elements(q, qtable)
@@ -275,7 +276,172 @@ def test_quotient_vanishing_lift():
             assert member in vanish
 
 
-def test_restrict_roundtrip(ising_ring):
-    sub, back = st.restrict(ising_ring, (0, 1))
-    assert sub.rank == 2 and back == [0, 1]
-    assert sub.flags.fusion_ring
+def test_sub_arguments_are_checked():
+    z4 = group_ring(catalog("C4"))
+    with pytest.raises(ClosureViolation, match="not closed"):
+        st.quotient(z4, st.SubHypergroup((0, 1), z4))
+    with pytest.raises(ClosureViolation, match="out of range"):
+        st.quotient(z4, st.SubHypergroup((0, 7), z4))
+    with pytest.raises(ClosureViolation, match="not closed"):
+        st.commutator_sub(z4, st.SubHypergroup((0, 1), z4))
+
+
+def test_quotient_of_irrational_and_float_rings(ising_ring):
+    # FP dims that do not snap to rationals normalize on the float path
+    q, classes = st.quotient(ising_ring, st.SubHypergroup((0, 1), ising_ring))
+    assert classes == [(0, 1), (2,)] and q.rank == 2
+    floaty = hg.FusionData("Ising/float", ising_ring.involution, ising_ring.float_tensor())
+    qf, classes_f = st.quotient(floaty, st.SubHypergroup((0, 1), floaty))
+    assert classes_f == classes
+    assert np.allclose(qf.float_tensor(), q.float_tensor(), atol=1e-12)
+
+
+def test_one_support_tensor_per_tolerance(ising_ring):
+    support = ising_ring.support_at(hg.Tolerance(abs=1e-3, rel=1e-3))
+    assert support is ising_ring.support_at(hg.Tolerance())  # exact: one key
+    assert support.dtype == bool and not support.flags.writeable
+    assert (support == (ising_ring.float_tensor() > 0)).all()
+    floaty = hg.FusionData("Ising/float", ising_ring.involution, ising_ring.float_tensor())
+    loose, tight = hg.Tolerance(abs=10.0, rel=1e-9), hg.Tolerance()
+    assert not floaty.support_at(loose).any()  # every entry is below the threshold
+    assert (floaty.support_at(tight) == support).all()
+
+
+# ---------------------------------------------------------------- set-based references
+# The element-by-element constituent relation that support_at replaced, kept
+# here as an independent reference for the boolean-array readers.
+
+def _ref_threshold(data, tol):
+    if data.is_exact:
+        return 0.0
+    return tol.zero(1.0 + float(np.abs(data.float_tensor()).max()))
+
+
+def _ref_supp(data, i, j, thr):
+    """Constituents of x_i x_j, entry by entry."""
+    return {k for k in range(data.rank) if data.tensor[i, j, k] > thr}
+
+
+def _ref_closure(data, seeds, tol):
+    thr = _ref_threshold(data, tol)
+    inv = data.involution
+    result = {0} | {inv[i] for i in seeds} | set(seeds)
+    queue = list(result)
+    while queue:
+        a = queue.pop()
+        for b in sorted(result):
+            for prod in (_ref_supp(data, a, b, thr), _ref_supp(data, b, a, thr)):
+                for k in prod:
+                    for c in (k, inv[k]):
+                        if c not in result:
+                            result.add(c)
+                            queue.append(c)
+    return tuple(sorted(result))
+
+
+def _ref_restrict(data, indices):
+    idx = sorted(set(indices) | {0})
+    pos = {a: t for t, a in enumerate(idx)}
+    sub = data.tensor[np.ix_(idx, idx, idx)]
+    inv = [pos[data.involution[a]] for a in idx]
+    return hg.FusionData(f"{data.name}|{idx}", inv, sub), idx
+
+
+def _ref_adjoint(data, indices, tol):
+    sub, back = (data, list(range(data.rank))) if indices is None else _ref_restrict(data, indices)
+    seeds = st.element_support(sub, hg.regular_element(sub), tol)
+    return tuple(sorted(back[i] for i in _ref_closure(sub, seeds, tol)))
+
+
+def _ref_grouplikes(data, tol):
+    thr = _ref_threshold(data, tol)
+    inv = data.involution
+    return tuple(
+        i for i in range(data.rank) if _ref_supp(data, i, inv[i], thr) == {0}
+    )
+
+
+def _ref_commutator(data, indices, tol):
+    thr = _ref_threshold(data, tol)
+    inv = data.involution
+    seeds = [
+        x for x in range(data.rank) if _ref_supp(data, x, inv[x], thr) <= set(indices)
+    ]
+    return _ref_closure(data, seeds, tol)
+
+
+def _ref_series(data, tol):
+    upper = [tuple(range(data.rank))]
+    while upper[-1] != (0,):
+        nxt = _ref_adjoint(data, upper[-1], tol)
+        if nxt == upper[-1]:
+            break
+        upper.append(nxt)
+    lower = [(0,)]
+    while len(lower[-1]) < data.rank:
+        nxt = _ref_commutator(data, lower[-1], tol)
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+    return upper, lower
+
+
+def _ref_grading_components(data, tol):
+    thr = _ref_threshold(data, tol)
+    ad = _ref_adjoint(data, None, tol)
+    label = list(range(data.rank))
+    changed = True
+    while changed:  # propagate the smallest member along the adjoint-bimodule edges
+        changed = False
+        for s in ad:
+            for a in range(data.rank):
+                for b in _ref_supp(data, s, a, thr) | _ref_supp(data, a, s, thr):
+                    low = min(label[a], label[b])
+                    if label[a] != low or label[b] != low:
+                        label[a] = label[b] = low
+                        changed = True
+    return tuple(
+        tuple(a for a in range(data.rank) if label[a] == root) for root in sorted(set(label))
+    )
+
+
+def _variants(ring, seed):
+    """The ring, a seeded relabeling of it, and a floating copy of the
+    relabeling with noise far below the support threshold on its zeros."""
+    rng = np.random.default_rng(seed)
+    m, inv = ring.rank, ring.involution
+    perm = [0, *(1 + rng.permutation(m - 1)).tolist()]
+    where = {p: i for i, p in enumerate(perm)}
+    relabeled = hg.FusionData(
+        f"{ring.name}/relabeled",
+        [where[inv[p]] for p in perm],
+        ring.tensor[np.ix_(perm, perm, perm)],
+    )
+    noisy = relabeled.float_tensor().copy()
+    zeros = noisy == 0
+    noisy[zeros] = rng.uniform(0.0, 1e-13, int(zeros.sum()))
+    return ring, relabeled, hg.FusionData(f"{ring.name}/noisy", relabeled.involution, noisy)
+
+
+def test_support_readers_match_set_based_references(full_corpus, tol):
+    for seed, ring in enumerate(full_corpus):
+        for data in _variants(ring, seed):
+            name = data.name
+            for i in range(data.rank):
+                assert st.closure(data, [i], tol) == _ref_closure(data, [i], tol), (name, i)
+            assert st.grouplike_indices(data, tol) == _ref_grouplikes(data, tol), name
+            subs = [s.indices for s in st.all_sub_hypergroups(data, tol)]
+            assert st.adjoint_indices(data, None, tol) == _ref_adjoint(data, None, tol), name
+            for s in subs:
+                assert st.adjoint_indices(data, s, tol) == _ref_adjoint(data, s, tol), (name, s)
+                assert st.commutator_indices(data, s, tol) == _ref_commutator(data, s, tol), (
+                    name,
+                    s,
+                )
+            series = st.central_series(data, tol)
+            assert (
+                [u.indices for u in series.upper],
+                [low.indices for low in series.lower],
+            ) == _ref_series(data, tol), name
+            grading = st.universal_grading(data, tol=tol)
+            assert grading.components == _ref_grading_components(data, tol), name
