@@ -14,21 +14,21 @@ from hypergroups.builders import catalog, fibonacci, group_ring, ising, rep_ring
 def show(ring):
     print("=" * 64)
     print(ring, "flags:", [k for k, v in ring.flags.as_dict().items() if v])
-    table = hg.character_table(ring)
+    a = hg.RingAnalysis(ring)
+    table = a.table
     print("character table (rows = basis, columns = characters):")
     print(np.round(table.values, 6))
     print("formal codegrees n_j:", np.round(table.codegrees, 6))
     print("FP dimensions d_i:", np.round(table.fp_dims(), 6))
-    print("order n(H) = FPdim(H):", round(hg.order(ring, table), 9))
+    print("order n(H) = FPdim(H):", round(a.n_h, 9))
     lam = hg.integral_element(ring, table)
     print("integral (idempotent at FPdim):", np.round(lam.float_coords(), 6))
 
-    dd = hg.dual_hypergroup(ring, table)
-    fl = hg.dual_flags(dd)
+    fl = a.dual_flags
     print(f"dual: RN={fl.rn} rational={fl.rational} h-integral={fl.h_integral}")
-    print("dual orders h-hat_j:", np.round(dd.orders_hat, 6))
-    print("dual codegrees:", np.round(hg.dual_codegrees(dd, ring, table), 6))
-    perm = hg.double_dual_check(ring, table, dd)
+    print("dual orders h-hat_j:", np.round(a.dual.orders_hat, 6))
+    print("dual codegrees:", np.round(hg.dual_codegrees(a), 6))
+    perm = hg.double_dual_check(a)
     print("double dual isomorphic to the normalized ring via", perm)
 
 

@@ -14,9 +14,9 @@ from hypergroups.builders import catalog, class_hypergroup, ising, rep_ring
 def grading_tour(name):
     g = catalog(name)
     ring = rep_ring(g)
-    table = hg.character_table(ring)
-    ad = st.adjoint(ring, table)
-    grading = st.universal_grading(ring, table)
+    a = hg.RingAnalysis(ring)
+    ad = st.adjoint(a)
+    grading = st.universal_grading(a)
     print(f"{ring.name}: adjoint basis {ad.indices}")
     print(f"  universal grading group of order {grading.group_order} "
           f"(invariant factors {list(grading.iso_class)}), |Z({name})| = {len(g.center())}")
@@ -35,16 +35,14 @@ def series_tour(ring):
 
 def quotient_tour():
     ring = rep_ring(catalog("S3"))
-    table = hg.character_table(ring)
-    gl = hg.RingAnalysis(ring, table=table).grouplikes
-    q, classes = st.quotient(ring, st.SubHypergroup(gl, ring), table)
+    a = hg.RingAnalysis(ring)
+    q, classes = st.quotient(a, st.SubHypergroup(a.grouplikes, ring))
     print(f"{ring.name} // grouplikes: classes {[list(c) for c in classes]}")
     print("  quotient tensor of the big class squared:", list(q.tensor[1, 1]))
 
     cl = class_hypergroup(catalog("Q8"))
-    tcl = hg.character_table(cl)
-    central = hg.RingAnalysis(cl, table=tcl).grouplikes
-    q2, classes2 = st.quotient(cl, st.SubHypergroup(central, cl), tcl)
+    acl = hg.RingAnalysis(cl)
+    q2, classes2 = st.quotient(acl, st.SubHypergroup(acl.grouplikes, cl))
     print(f"{cl.name} // central classes: rank {q2.rank} "
           f"(the class hypergroup of Q8/Z, i.e. of Z2xZ2)")
 

@@ -42,11 +42,10 @@ def main():
         print(f"  {label}: {'EXCLUDED' if v.excluded else 'admissible'} -- {v.certificate}")
 
     print("\nGalois orbits of the K(Z3,3) characters:")
-    ring = near_group([3], 3)
-    table = hg.character_table(ring)
-    part = ga.galois_orbits(ring, table)
+    a = hg.RingAnalysis(near_group([3], 3))
+    part = ga.galois_orbits(a)
     print("  orbits:", [list(o) for o in part.orbits])
-    print("  codegrees:", np.round(table.codegrees, 6))
+    print("  codegrees:", np.round(a.table.codegrees, 6))
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
 property is computed on first use and then shared, so one analysis validates
-the ring, builds its character table and its dual and tests vanishing once,
-and every stage reads the same flag set, table, grouplikes and verdicts.
+the ring, builds its character table, finds its FP column and order n(H),
+builds its dual and aligns the dual's characters, and tests vanishing once.
+Every spectral stage (structure, dual, Burnside, Galois, criteria) takes the
+analysis and reads the same flag set, table, dual, grouplikes and verdicts.
 """
 
 from __future__ import annotations
@@ -14,13 +16,18 @@ import numpy as np
 
 from .burnside import _zero_thresholds, vanishing_elements
 from .core import FlagSet, FusionData
-from .dual import DualData, dual_hypergroup
+from .dual import (
+    DualData,
+    DualFlags,
+    dual_flags,
+    dual_hypergroup,
+    match_dual_characters,
+)
 from .errors import CrossCheckFailed
 from .spectra import CharacterTable, character_table, fp_character, order
 from .structure import (
     CentralSeries,
     SubHypergroup,
-    _grouplike_character_indices,
     adjoint,
     central_series,
     grouplike_indices,
@@ -72,7 +79,7 @@ class RingAnalysis:
 
     @cached_property
     def n_h(self) -> float:
-        return order(self.data, self.table, self.fp)
+        return order(self.table, self.fp)
 
     @cached_property
     def grouplikes(self) -> tuple:
@@ -94,9 +101,11 @@ class RingAnalysis:
 
     @cached_property
     def grouplike_chars(self) -> tuple:
-        """Characters with n_j = n(H); the value test |mu_j(x_i)| = d_i for
-        all i must pick the same set."""
-        by_codegree = _grouplike_character_indices(self.table, self.n_h, self.tol)
+        """Characters with maximal formal codegree n_j = n(H); the value test
+        |mu_j(x_i)| = d_i for all i must pick the same set."""
+        thr = 1e4 * self.tol.zero(1.0 + self.n_h)
+        close = np.abs(self.table.codegrees - self.n_h) <= thr
+        by_codegree = tuple(np.flatnonzero(close).tolist())
         ratios = np.abs(self.table.values) / self.d[:, None]
         by_values = tuple(
             j
@@ -111,7 +120,7 @@ class RingAnalysis:
 
     @cached_property
     def vanishing(self) -> tuple:
-        return vanishing_elements(self.data, self.table, self.tol)
+        return vanishing_elements(self)
 
     @cached_property
     def burnside(self) -> tuple:
@@ -131,7 +140,7 @@ class RingAnalysis:
 
     @cached_property
     def adjoint(self) -> SubHypergroup:
-        return adjoint(self.data, self.table, self.tol)
+        return adjoint(self)
 
     @cached_property
     def series(self) -> CentralSeries:
@@ -140,3 +149,13 @@ class RingAnalysis:
     @cached_property
     def dual(self) -> DualData:
         return dual_hypergroup(self.data, self.table, self.fp, self.tol)
+
+    @cached_property
+    def dual_flags(self) -> DualFlags:
+        return dual_flags(self.dual, self.tol)
+
+    @cached_property
+    def dual_match(self) -> np.ndarray:
+        """dual_match[i]: the column of the dual's character table that is
+        evaluation at x_i / d_i."""
+        return match_dual_characters(self.dual, self.table)

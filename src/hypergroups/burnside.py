@@ -87,20 +87,16 @@ def grouplike_group_table(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL):
     return data.support_at(tol)[np.ix_(gl, gl, gl)].argmax(axis=2)
 
 
-def vanishing_elements(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> tuple:
+def vanishing_elements(a: RingAnalysis) -> tuple:
     """Indices killed by some character.
 
     On exact tensors the numeric verdict is confirmed per element against the
     exact determinant of the left multiplication matrix; disagreement aborts.
     """
-    tol = tol or table.tol
-    thr = _zero_thresholds(table, tol)
+    data, values = a.data, a.table.values
+    thr = _zero_thresholds(a.table, a.tol)
     numeric = tuple(
-        i
-        for i in range(data.rank)
-        if (np.abs(table.values[i, :]) <= thr).any()
+        i for i in range(data.rank) if (np.abs(values[i, :]) <= thr).any()
     )
     if data.is_exact:
         for i in range(data.rank):
@@ -124,65 +120,58 @@ def phat_values(table: CharacterTable) -> np.ndarray:
     return np.prod(table.values / d[:, None], axis=1)
 
 
-def product_P(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> Element:
+def product_P(a: RingAnalysis) -> Element:
     """P = prod_i x_i / d_i, exact (Fractions) when the ring is integral.
 
     Verified against the idempotent expansion P = sum_j mu_j(P) F_j.
     """
-    tol = tol or table.tol
-    exact_d = exact_character(data, table.fp_dims(), table.tol) if data.is_exact else None
+    data, table = a.data, a.table
+    exact_d = exact_character(data, a.d, a.tol) if data.is_exact else None
     if exact_d is not None:
         inverses = [1 / Fraction(x) for x in exact_d]
     else:
-        inverses = [1.0 / x for x in table.fp_dims()]
+        inverses = [1.0 / x for x in a.d]
     out = basis_element(data, 0)
     for i in range(data.rank):
         xi = [0] * data.rank
         xi[i] = inverses[i]
         out = multiply(data, out, Element(tuple(xi)))
     expansion = (p_values(table)[None, :] * table.idempotents.T).sum(axis=1)
-    if np.abs(out.float_coords() - expansion).max() > 1e6 * tol.zero(1.0):
+    if np.abs(out.float_coords() - expansion).max() > 1e6 * a.tol.zero(1.0):
         raise CrossCheckFailed("P product disagrees with its idempotent expansion")
     return out
 
 
-def product_Phat(data: FusionData, table: CharacterTable, dual_data, tol=None) -> Element:
+def product_Phat(a: RingAnalysis) -> Element:
     """P-hat = prod_j mu_j, multiplied out inside the dual hypergroup.
 
     Returned in dual-basis coordinates; cross-checked against the pointwise
     evaluations prod_j mu_j(x_i/d_i).
     """
-    tol = tol or table.tol
-    out = basis_element(dual_data.base, 0)
-    for j in range(dual_data.rank):
-        out = multiply(dual_data.base, out, basis_element(dual_data.base, j))
-    d = table.fp_dims()
+    dual = a.dual
+    out = basis_element(dual.base, 0)
+    for j in range(dual.rank):
+        out = multiply(dual.base, out, basis_element(dual.base, j))
     coords = out.float_coords()
-    cols = list(dual_data.char_order)
-    evals = np.einsum("p,ip->i", coords, table.values[:, cols].astype(complex)) / d
-    expect = phat_values(table)
-    if np.abs(evals - expect).max() > 1e6 * tol.zero(1.0):
+    cols = list(dual.char_order)
+    evals = np.einsum("p,ip->i", coords, a.table.values[:, cols].astype(complex)) / a.d
+    expect = phat_values(a.table)
+    if np.abs(evals - expect).max() > 1e6 * a.tol.zero(1.0):
         raise CrossCheckFailed("P-hat product disagrees with pointwise evaluations")
     return out
 
 
-def product_Phat_values(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> np.ndarray:
+def product_Phat_values(a: RingAnalysis) -> np.ndarray:
     """P-hat as the vector of its evaluations at the normalized basis.
 
     Cross-checked against Prop 4.1: on non-vanishing x_i the value equals
     det(L_{x_i/d_i}), and it vanishes on vanishing elements.
     """
-    tol = tol or table.tol
-    vals = phat_values(table)
-    d = table.fp_dims()
-    L = data.left_matrices_float()
-    for i in range(data.rank):
-        det = np.linalg.det(L[i] / d[i])
-        if abs(det - vals[i]) > 1e6 * tol.zero(1.0 + abs(det)):
+    vals = phat_values(a.table)
+    L = a.data.left_matrices_float()
+    for i in range(a.data.rank):
+        det = np.linalg.det(L[i] / a.d[i])
+        if abs(det - vals[i]) > 1e6 * a.tol.zero(1.0 + abs(det)):
             raise CrossCheckFailed(
                 f"P-hat({i}) = {vals[i]} != det L_(x_i/d_i) = {det}"
             )
@@ -276,7 +265,7 @@ def identity_checks(a: RingAnalysis) -> dict:
 
     # (ii) Eq (1.5): P^2 = lambda_{H_ad} as elements of H.
     lam_ad = integral_element_of_subset(data, table, a.adjoint.indices)
-    p = product_P(data, table, tol)
+    p = product_P(a)
     p2 = multiply(data, p, p)
     resid_p = float(np.abs(p2.float_coords() - lam_ad.float_coords()).max())
 
@@ -312,9 +301,10 @@ def identity_checks(a: RingAnalysis) -> dict:
     return out
 
 
-def burnside_hypothesis_report(a: RingAnalysis, dual_h_integral: bool | None = None) -> dict:
+def burnside_hypothesis_report(a: RingAnalysis) -> dict:
     """Which hypotheses of the Burnside theorems hold, and whether a failed
     verdict on qualifying data is a categorification obstruction."""
+    dual_h_integral = a.dual_flags.h_integral
     weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
     integrality = "exact" if a.data.is_exact else "assumed"
     burn, witness = a.burnside
@@ -340,13 +330,13 @@ def burnside_hypothesis_report(a: RingAnalysis, dual_h_integral: bool | None = N
     return report
 
 
-def burnside_report(a: RingAnalysis, dual_h_integral: bool | None = None) -> BurnsideReport:
+def burnside_report(a: RingAnalysis) -> BurnsideReport:
     """The Burnside stage of a RingAnalysis: verdicts, witnesses, signs and
     the identity residuals that certify them."""
     burn, w1 = a.burnside
     dual_burn, w2 = a.dual_burnside
     sgn_el, sgn_ch = sgn_values(a)
-    hypo = burnside_hypothesis_report(a, dual_h_integral)
+    hypo = burnside_hypothesis_report(a)
     return BurnsideReport(
         grouplike_elements=a.grouplikes,
         vanishing_elements=a.vanishing,

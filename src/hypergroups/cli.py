@@ -148,7 +148,6 @@ def _cmd_dual(args) -> int:
 
 def _cmd_quotient(args) -> int:
     data = load(args.path)
-    tol = _tol(args)
     try:
         indices = tuple(int(t) for t in args.sub.split(","))
     except ValueError:
@@ -156,7 +155,7 @@ def _cmd_quotient(args) -> int:
             f"--sub {args.sub!r} is not a comma-separated list of integers"
         ) from None
     sub = SubHypergroup(indices, data)
-    q, classes = quotient(data, sub, tol=tol, seed=args.seed)
+    q, classes = quotient(RingAnalysis(data, _tol(args), args.seed), sub)
     print(f"classes: {[list(c) for c in classes]}", file=sys.stderr)
     _write_ring(q, args.out)
     return 0

@@ -25,7 +25,7 @@ from .errors import (
     InvalidRescale,
     NotNormalizable,
 )
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .tolerance import DEFAULT_TOL, Tolerance, snap_array
 
 __all__ = [
     "FusionData",
@@ -497,9 +497,10 @@ def exact_character(data: FusionData, values, tol: Tolerance = DEFAULT_TOL) -> l
     """`values` snapped to rationals when they all snap and satisfy the
     character equation sum_k N_ij^k v_k = v_i v_j exactly (exact tensor);
     None otherwise."""
-    snapped = [snap_value(float(v), tol) for v in values]
-    if any(isinstance(s, float) for s in snapped):
+    snapped = snap_array(values, tol)
+    if snapped is None:
         return None
+    snapped = snapped.tolist()
     # with one denominator for N and v, both sides scale by its square
     _, (C, w) = integer_form(data.tensor, snapped, terms=data.rank)
     return snapped if (C @ w == np.outer(w, w)).all() else None

@@ -61,10 +61,10 @@ def prime_factorization(n: int) -> dict:
     return out
 
 
-def exclusions(a: RingAnalysis, dual_h_integral: bool, modular_candidate: bool) -> list:
+def exclusions(a: RingAnalysis, modular_candidate: bool) -> list:
     """The exclusion tests an analysis runs on a fusion ring; the modular-only
     tests run when the ring is asserted to be a modular candidate."""
-    verdicts = [burnside_exclusion(a, dual_h_integral), divisibility_test(a)]
+    verdicts = [burnside_exclusion(a), divisibility_test(a)]
     verdicts += [frobenius_test(a, Fraction(alpha)) for alpha in (1, "1/2")]
     if modular_candidate:
         for name, test in (
@@ -104,9 +104,10 @@ def _integer_dim_squares(a: RingAnalysis) -> list[int] | None:
     return out
 
 
-def burnside_exclusion(a: RingAnalysis, dual_h_integral: bool) -> ExclusionVerdict:
+def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
     """Weakly-integral fusion rings with h-integral dual must be Burnside."""
     _require_fusion_ring(a.data, a.tol)
+    dual_h_integral = a.dual_flags.h_integral
     weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
     applicable = bool(weakly_integral and dual_h_integral)
     if not applicable:

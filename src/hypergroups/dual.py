@@ -1,19 +1,23 @@
 """Dual hypergroups of abelian normalizable hypergroups.
 
 The dual lives on the characters; its structure constants come from the
-orthogonality relations.  The dual tensor is materialized as a FusionData over
-floats and opportunistically snapped to exact rationals, so the whole primal
-tool chain applies to duals unchanged.
+orthogonality relations.  `dual_hypergroup` builds the dual from a character
+table and a normalizing character as FusionData, snapped in one array pass to
+exact rationals when every entry snaps, so the whole primal tool chain applies
+to duals unchanged.  The stages that read the dual of a ring under analysis
+(`dual_codegrees`, `double_dual_check`) take its RingAnalysis, which builds
+the dual, its flags and its character alignment once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FusionData
+from .core import FusionData, normalize
 from .errors import (
     CrossCheckFailed,
     DualAxiomViolation,
@@ -22,7 +26,10 @@ from .errors import (
     NotNormalizable,
 )
 from .spectra import CharacterTable, character_table, fp_character, order
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .tolerance import DEFAULT_TOL, Tolerance, snap_array
+
+if TYPE_CHECKING:
+    from .analysis import RingAnalysis
 
 __all__ = [
     "DualData",
@@ -99,7 +106,7 @@ def dual_hypergroup(
     d = A[:, mu1]
     if (np.abs(d) <= tol.zero(1.0 + np.abs(d).max())).any():
         raise NotNormalizable("normalizing character vanishes somewhere")
-    n_primal = order(data, table, mu1)
+    n_primal = order(table, mu1)
 
     perm = [mu1] + [j for j in range(m) if j != mu1]
     Ap = A[:, perm]
@@ -114,20 +121,13 @@ def dual_hypergroup(
         raise DualAxiomViolation(f"dual tensor has imaginary part {imax:.3e}")
     real = phat.real
 
-    snapped = np.empty(real.shape, dtype=object)
-    all_exact = True
-    for idx in np.ndindex(*real.shape):
-        s = snap_value(float(real[idx]), tol)
-        if isinstance(s, float):
-            all_exact = False
-            break
-        snapped[idx] = s
-    tensor = snapped if all_exact else real
+    snapped = snap_array(real, tol)
+    tensor = real if snapped is None else snapped
 
     involution_hat = _involution_from_tensor(real, tol)
     base = FusionData(f"dual({data.name})", involution_hat, tensor)
     try:
-        flags = base.flags
+        flags = base.flags_at(tol)
     except HypergroupError as exc:
         raise DualAxiomViolation(f"dual tensor fails hypergroup axioms: {exc}") from exc
     if not flags.normalized:
@@ -186,41 +186,31 @@ def dual_flags(dd: DualData, tol: Tolerance = DEFAULT_TOL) -> DualFlags:
     t = dd.base.float_tensor()
     rn = bool((t >= -tol.zero(1.0 + np.abs(t).max())).all())
     rational = dd.base.is_exact
-    h_integral = all(
-        isinstance(snap_value(float(h), tol), int) and snap_value(float(h), tol) > 0
-        for h in dd.orders_hat
-    )
+    hs = snap_array(dd.orders_hat, tol)
+    h_integral = hs is not None and all(isinstance(h, int) and h > 0 for h in hs)
     return DualFlags(rn=rn, rational=rational, h_integral=h_integral)
 
 
-def dual_codegrees(
-    dd: DualData, data: FusionData, table: CharacterTable
-) -> np.ndarray:
+def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     """n-hat_i = n(H) / (h_i d_i d_{i*}), cross-checked on the dual tensor.
 
     Indexed by the primal basis (the characters of the dual are evaluations at
     the normalized primal basis elements).
     """
-    tol = table.tol
-    d = table.values[:, dd.mu1].real
-    h = table.h
-    inv = list(data.involution)
-    n_primal = order(data, table, dd.mu1)
-    nhat = n_primal / (h * d * d[inv])
+    d = a.d
+    nhat = a.n_h / (a.table.h * d * d[list(a.data.involution)])
     # direct computation on the dual tensor
-    match = match_dual_characters(dd, table, dd.table)
-    direct = dd.table.codegrees[match]
-    if np.abs(direct - nhat).max() > 1e5 * tol.zero(1.0 + np.abs(nhat).max()):
+    direct = a.dual.table.codegrees[a.dual_match]
+    if np.abs(direct - nhat).max() > 1e5 * a.tol.zero(1.0 + np.abs(nhat).max()):
         raise CrossCheckFailed(
             f"dual codegrees: formula vs direct mismatch {np.abs(direct - nhat).max():.3e}"
         )
     return nhat
 
 
-def match_dual_characters(
-    dd: DualData, table: CharacterTable, dual_table: CharacterTable
-) -> np.ndarray:
-    """match[i] = dual-table column equal to evaluation at x_i / d_i.
+def match_dual_characters(dd: DualData, table: CharacterTable) -> np.ndarray:
+    """match[i] = column of dd.table equal to evaluation at x_i / d_i, where
+    dd is the dual built from `table`.
 
     The characters of the dual are ev_{x_i/d_i}; this aligns the dual's own
     canonical character order with the primal basis.
@@ -232,7 +222,7 @@ def match_dual_characters(
     match = np.full(m, -1, dtype=int)
     used = set()
     for i in range(m):
-        diffs = np.abs(dual_table.values.T - rows[i][None, :]).max(axis=1)
+        diffs = np.abs(dd.table.values.T - rows[i][None, :]).max(axis=1)
         j = int(diffs.argmin())
         if diffs[j] > 1e6 * tol.zero(1.0 + np.abs(rows).max()) or j in used:
             raise CrossCheckFailed(
@@ -243,32 +233,22 @@ def match_dual_characters(
     return match
 
 
-def double_dual_check(
-    data: FusionData,
-    table: CharacterTable,
-    dd: DualData,
-    tol: Tolerance | None = None,
-) -> tuple:
+def double_dual_check(a: RingAnalysis) -> tuple:
     """Find the basis permutation identifying dual(dual(H)) with H normalized
-    by dd.mu1, where dd is the dual built from `table`.
+    by the FP character, through the dual of the analysis.
 
     Returns pi such that ddual.tensor[pi[a], pi[b], pi[c]] matches the
     normalized primal tensor entrywise within tol.
     """
-    from .core import normalize
+    dd, tol = a.dual, a.tol
+    dd2 = dual_hypergroup(dd.base, dd.table, augmentation_index(dd.table), tol)
 
-    tol = tol or table.tol
-    dual_table = dd.table
-    unit_col = augmentation_index(dual_table)
-    dd2 = dual_hypergroup(dd.base, dual_table, unit_col, tol)
-    match = match_dual_characters(dd, table, dual_table)
-
-    # dd2 basis position a holds dual-table column dd2.char_order[a];
-    # primal index i sits at dual-table column match[i].
+    # dd2 basis position p holds dual-table column dd2.char_order[p];
+    # primal index i sits at dual-table column dual_match[i].
     col_to_pos = {col: pos for pos, col in enumerate(dd2.char_order)}
-    pi = np.array([col_to_pos[match[i]] for i in range(data.rank)], dtype=int)
+    pi = np.array([col_to_pos[col] for col in a.dual_match], dtype=int)
 
-    normalized = normalize(data, table.values[:, dd.mu1], tol)
+    normalized = normalize(a.data, a.table.values[:, dd.mu1], tol)
     T1 = normalized.float_tensor()
     T2 = dd2.base.float_tensor()
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())

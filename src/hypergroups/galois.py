@@ -3,7 +3,8 @@ and the weak rationality / integrality verdicts.
 
 Orbits are found without any exact polynomial factorization: clusters of
 characters are valid once every per-basis-element orbit polynomial has
-near-rational coefficients.
+near-rational coefficients.  Each stage takes the RingAnalysis and reads its
+table, order n(H), FP dimensions, dual orders and verdicts from there.
 """
 
 from __future__ import annotations
@@ -11,18 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FusionData
 from .errors import (
     ConjugationViolation,
     HypergroupError,
     NoValidPartition,
     TheoremViolation,
 )
-from .spectra import CharacterTable, fp_character, order, verify_integer_fpdim
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .spectra import verify_integer_fpdim
+from .tolerance import Tolerance, snap_array, snap_value
+
+if TYPE_CHECKING:
+    from .analysis import RingAnalysis
 
 __all__ = [
     "OrbitPartition",
@@ -63,24 +67,23 @@ def _coeff_residual(values: np.ndarray, cluster, tol: Tolerance) -> float:
     return worst
 
 
-def galois_orbits(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> OrbitPartition:
+def galois_orbits(a: RingAnalysis) -> OrbitPartition:
     """Finest partition of the characters whose orbit polynomials are rational.
 
     Rational characters are the singleton orbits; the rest are grown greedily
     (smallest valid clusters first) with backtracking capped at 2^12 states.
     """
-    tol = tol or table.tol
-    if not data.flags_at(tol).rational:
+    tol = a.tol
+    if not a.flags.rational:
         raise HypergroupError("Galois orbits need a rational hypergroup")
-    m = data.rank
-    values = table.values
+    m = a.data.rank
+    values = a.table.values
     rational_mask = []
     for j in range(m):
         col = values[:, j]
-        ok = np.abs(col.imag).max() <= 1e4 * tol.zero(1.0 + np.abs(col).max()) and all(
-            not isinstance(snap_value(float(c), tol), float) for c in col.real
+        ok = (
+            np.abs(col.imag).max() <= 1e4 * tol.zero(1.0 + np.abs(col).max())
+            and snap_array(col.real, tol) is not None
         )
         rational_mask.append(bool(ok))
     singles = [j for j in range(m) if rational_mask[j]]
@@ -121,19 +124,14 @@ def galois_orbits(
     )
 
 
-def check_codegree_conjugation(
-    partition: OrbitPartition,
-    codegrees: np.ndarray,
-    orders_hat: np.ndarray | None = None,
-    dual_h_integral: bool = False,
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict:
+def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> dict:
     """Codegrees are permuted with the characters: per orbit, their elementary
     symmetric functions are near-rational; with an h-integral dual the dual
     orders are constant on each orbit."""
+    tol = a.tol
     report = {}
     for orb in partition.orbits:
-        ns = codegrees[list(orb)]
+        ns = a.table.codegrees[list(orb)]
         coeffs = np.poly(ns)
         worst = 0.0
         for c in coeffs:
@@ -144,8 +142,8 @@ def check_codegree_conjugation(
                 )
             worst = max(worst, abs(float(c) - float(s)))
         report[orb] = {"codegree_residual": worst}
-        if orders_hat is not None and dual_h_integral:
-            hs = orders_hat[list(orb)]
+        if a.dual_flags.h_integral:
+            hs = a.dual.orders_hat[list(orb)]
             spread = float(np.abs(hs - hs[0]).max())
             if spread > 1e4 * tol.zero(1.0 + float(np.abs(hs).max())):
                 raise ConjugationViolation(
@@ -155,40 +153,32 @@ def check_codegree_conjugation(
     return report
 
 
-def weak_integrality(
-    data: FusionData,
-    table: CharacterTable,
-    dual_burnside: bool | None = None,
-    tol: Tolerance | None = None,
-) -> str:
+def weak_integrality(a: RingAnalysis) -> str:
     """Verdict in {integral, weakly_integral, weakly_rational, irrational}.
 
     For exact tensors an integer order is confirmed by the exact determinant
     path.  Theorem guard: a rational RN dual-Burnside ring must be at least
     weakly rational, else the build is broken.
     """
-    tol = tol or table.tol
-    n_h = order(data, table, fp_character(table))
+    data, n_h, tol = a.data, a.n_h, a.tol
     snapped = snap_value(n_h, tol)
     if isinstance(snapped, int) and data.is_exact:
         if not verify_integer_fpdim(data, snapped, tol):
             snapped = float(n_h)
-    d = table.fp_dims()
     if isinstance(snapped, int):
         dims_integral = all(
-            isinstance(snap_value(float(x), tol), int) for x in d
+            isinstance(snap_value(float(x), tol), int) for x in a.d
         )
         verdict = "integral" if dims_integral else "weakly_integral"
     elif isinstance(snapped, Fraction):
         verdict = "weakly_rational"
     else:
         verdict = "irrational"
-    flags = data.flags_at(tol)
     if (
-        dual_burnside
-        and flags.rational
-        and flags.real_non_negative
-        and verdict == "irrational"
+        verdict == "irrational"
+        and a.flags.rational
+        and a.flags.real_non_negative
+        and a.dual_burnside[0]
     ):
         raise TheoremViolation(
             f"{data.name}: rational RN dual-Burnside ring with irrational order {n_h}"

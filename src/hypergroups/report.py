@@ -16,7 +16,7 @@ from .analysis import RingAnalysis
 from .burnside import BurnsideReport, burnside_report
 from .core import FusionData
 from .criteria import exclusions
-from .dual import dual_codegrees, dual_flags, double_dual_check
+from .dual import dual_codegrees, double_dual_check
 from .errors import InexactTensor, MultiplePositiveColumns, NoPositiveColumn
 from .galois import check_codegree_conjugation, galois_orbits, weak_integrality
 from .structure import kernel_of_character, universal_grading
@@ -111,9 +111,9 @@ def analyze(
     report.order = _round(a.n_h)
 
     dd = a.dual
-    dfl = dual_flags(dd, tol)
-    nhat = dual_codegrees(dd, data, table)
-    double_dual_check(data, table, dd, tol)
+    dfl = a.dual_flags
+    nhat = dual_codegrees(a)
+    double_dual_check(a)
     report.dual = {
         "orders_hat": [_round(x) for x in dd.orders_hat],
         "involution_hat": list(dd.involution_hat),
@@ -124,7 +124,7 @@ def analyze(
         "double_dual_isomorphic": True,
     }
 
-    br: BurnsideReport = burnside_report(a, dfl.h_integral)
+    br: BurnsideReport = burnside_report(a)
     report.burnside = {
         "grouplike_elements": list(br.grouplike_elements),
         "vanishing_elements": list(br.vanishing_elements),
@@ -141,7 +141,7 @@ def analyze(
     report.residuals.update({k: _round(v) for k, v in br.identity_checks.items()})
     report.notes.extend(br.hypothesis_notes)
 
-    grading = universal_grading(data, table, tol)
+    grading = universal_grading(a)
     report.grading = {
         "adjoint": list(a.adjoint.indices),
         "components": [list(c) for c in grading.components],
@@ -150,18 +150,13 @@ def analyze(
     }
     report.nilpotency_class = a.series.nilpotency_class
 
-    report.kernels = [
-        list(kernel_of_character(data, table, j, tol).indices)
-        for j in range(data.rank)
-    ]
+    report.kernels = [list(kernel_of_character(a, j).indices) for j in range(data.rank)]
 
-    report.weak_integrality = weak_integrality(data, table, br.is_dual_burnside, tol)
+    report.weak_integrality = weak_integrality(a)
 
     if flags.rational:
-        orbits = galois_orbits(data, table, tol)
-        conj = check_codegree_conjugation(
-            orbits, table.codegrees, dd.orders_hat, dfl.h_integral, tol
-        )
+        orbits = galois_orbits(a)
+        conj = check_codegree_conjugation(a, orbits)
         report.galois = {
             "orbits": [list(o) for o in orbits.orbits],
             "rational_characters": [
@@ -181,7 +176,7 @@ def analyze(
                 "excluded": v.excluded,
                 "certificate": v.certificate,
             }
-            for v in exclusions(a, dfl.h_integral, modular_candidate)
+            for v in exclusions(a, modular_candidate)
         ]
     return report
 

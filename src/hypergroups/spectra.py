@@ -235,7 +235,7 @@ def formal_codegrees(data: FusionData, table: CharacterTable) -> np.ndarray:
     return n
 
 
-def order(data: FusionData, table: CharacterTable, mu1: int | None = None) -> float:
+def order(table: CharacterTable, mu1: int | None = None) -> float:
     """n(H, B, mu1) = sum_i h_i |mu1(x_i)|^2 for a non-vanishing character mu1."""
     tol = table.tol
     if mu1 is None:

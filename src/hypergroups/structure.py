@@ -3,12 +3,16 @@ universal grading, perp, quotients, central series and nilpotency.
 
 Every "x_k is a constituent of x_i x_j" question reads the one boolean tensor
 `FusionData.support_at(tol)`, so the lattice laws tested downstream see one
-consistent notion of "constituent".
+consistent notion of "constituent".  The tensor-only functions take the ring
+and a tolerance; the character-side ones (kernels, centers, adjoint, supports,
+perp, the universal grading and quotients) take the RingAnalysis and read its
+table, FP dimensions, order and grouplike characters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,14 +30,11 @@ from .errors import (
     SeriesDisagreement,
     SupportMismatch,
 )
-from .spectra import (
-    CharacterTable,
-    character_table,
-    fp_character,
-    integral_element_of_subset,
-    order,
-)
+from .spectra import character_table, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, Tolerance
+
+if TYPE_CHECKING:
+    from .analysis import RingAnalysis
 
 __all__ = [
     "SubHypergroup",
@@ -170,60 +171,50 @@ def _check_sub(data: FusionData, indices, tol: Tolerance):
 
 # ---------------------------------------------------------------- kernels
 
-def kernel_of_character(
-    data: FusionData, table: CharacterTable, j: int, tol: Tolerance | None = None
-) -> SubHypergroup:
+def _acts_like_fp(a: RingAnalysis) -> np.ndarray:
+    """[i, j]: mu_j(x_i) = FPdim(x_i) within tolerance."""
+    d = a.d[:, None]
+    return np.abs(a.table.values - d) <= 1e4 * a.tol.zero(1.0 + d)
+
+
+def kernel_of_character(a: RingAnalysis, j: int) -> SubHypergroup:
     """ker(mu_j) = {i : mu_j(x_i) = FPdim(x_i)}; verified closed."""
-    tol = tol or table.tol
-    d = table.fp_dims()
-    thr = 1e4 * tol.zero(1.0 + d.max())
+    d = a.d
+    thr = 1e4 * a.tol.zero(1.0 + d.max())
     idx = tuple(
-        i for i in range(data.rank) if abs(table.values[i, j] - d[i]) <= thr
+        i for i in range(a.data.rank) if abs(a.table.values[i, j] - d[i]) <= thr
     )
-    _check_sub(data, idx, tol)
-    return SubHypergroup(idx, data)
+    _check_sub(a.data, idx, a.tol)
+    return SubHypergroup(idx, a.data)
 
 
-def kernel_of_element(
-    data: FusionData, table: CharacterTable, x: Element, tol: Tolerance | None = None
-) -> frozenset:
+def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     """ker(x) = {j : mu_j(x) = FPdim(x)} for x in the positive cone.
 
     Asserts Lemma-style consistency: the kernel of a positive sum equals the
     intersection of the kernels of its constituents.
     """
-    tol = tol or table.tol
-    d = table.fp_dims()
+    data, tol = a.data, a.tol
     xv = x.float_coords()
-    fp = float(xv @ d)
-    vals = xv @ table.values
+    fp = float(xv @ a.d)
+    vals = xv @ a.table.values
     thr = 1e4 * tol.zero(1.0 + fp)
     ker = frozenset(j for j in range(data.rank) if abs(vals[j] - fp) <= thr)
-    supp = element_support(data, x, tol)
-    inter = None
-    for i in supp:
-        ki = frozenset(
-            j
-            for j in range(data.rank)
-            if abs(table.values[i, j] - d[i]) <= 1e4 * tol.zero(1.0 + d[i])
-        )
-        inter = ki if inter is None else (inter & ki)
-    if inter is not None and inter != ker:
+    supp = sorted(element_support(data, x, tol))
+    inter = frozenset(np.flatnonzero(_acts_like_fp(a)[supp].all(axis=0)).tolist())
+    if supp and inter != ker:
         raise ClosureViolation(
             f"kernel of sum {sorted(ker)} != intersection {sorted(inter)}"
         )
     return ker
 
 
-def center_of_element(
-    data: FusionData, table: CharacterTable, i: int, tol: Tolerance | None = None
-) -> frozenset:
+def center_of_element(a: RingAnalysis, i: int) -> frozenset:
     """Z(x_i) = {j : |mu_j(x_i)| = FPdim(x_i)}."""
-    tol = tol or table.tol
-    d = table.fp_dims()
-    thr = 1e4 * tol.zero(1.0 + d[i])
+    d = a.d
+    thr = 1e4 * a.tol.zero(1.0 + d[i])
     return frozenset(
-        j for j in range(data.rank) if abs(abs(table.values[i, j]) - d[i]) <= thr
+        j for j in range(a.data.rank) if abs(abs(a.table.values[i, j]) - d[i]) <= thr
     )
 
 
@@ -241,32 +232,23 @@ def adjoint_indices(data: FusionData, indices=None, tol: Tolerance = DEFAULT_TOL
     return _close(data, data.support_at(tol) & inside, seeds)
 
 
-def adjoint(
-    data: FusionData, table: CharacterTable, tol: Tolerance | None = None
-) -> SubHypergroup:
+def adjoint(a: RingAnalysis) -> SubHypergroup:
     """H_ad = <I(1)>, with the Prop-6.4 support cross-check J_ad = {j : n_j = FPdim}."""
-    tol = tol or table.tol
-    ad = SubHypergroup(adjoint_indices(data, None, tol), data)
-    fpd = order(data, table, fp_character(table))
-    by_codegree = frozenset(_grouplike_character_indices(table, fpd, tol))
-    js = support(data, table, ad, tol)
+    ad = SubHypergroup(adjoint_indices(a.data, None, a.tol), a.data)
+    by_codegree = frozenset(a.grouplike_chars)
+    js = support(a, ad)
     if js != by_codegree:
         raise SupportMismatch(f"J_ad {sorted(js)} != codegree test {sorted(by_codegree)}")
     return ad
 
 
-def support(
-    data: FusionData,
-    table: CharacterTable,
-    sub: SubHypergroup,
-    tol: Tolerance | None = None,
-) -> frozenset:
+def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     """J_S: characters with mu_j(lambda_S) = 1; verified lambda_S = sum_{J_S} F_j."""
-    tol = tol or table.tol
-    lam = integral_element_of_subset(data, table, sub.indices)
+    table, tol = a.table, a.tol
+    lam = integral_element_of_subset(a.data, table, sub.indices)
     vals = lam.float_coords() @ table.values
     thr = 1e4 * tol.zero(1.0)
-    js = frozenset(j for j in range(data.rank) if abs(vals[j] - 1.0) <= thr)
+    js = frozenset(j for j in range(a.data.rank) if abs(vals[j] - 1.0) <= thr)
     rebuilt = table.idempotents[sorted(js)].sum(axis=0)
     if np.abs(rebuilt - lam.float_coords()).max() > 1e5 * tol.zero(1.0):
         raise IdempotentResidual(
@@ -303,14 +285,6 @@ def grouplike_indices(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> tuple:
     xx = _self_products(data, tol)
     unit_only = xx[:, 0] & ~xx[:, 1:].any(axis=1)
     return tuple(np.flatnonzero(unit_only).tolist())
-
-
-def _grouplike_character_indices(table: CharacterTable, n_order: float, tol: Tolerance) -> tuple:
-    """Characters with maximal formal codegree n_j = n(H)."""
-    thr = 1e4 * tol.zero(1.0 + n_order)
-    return tuple(
-        j for j in range(table.rank) if abs(table.codegrees[j] - n_order) <= thr
-    )
 
 
 def _abelian_invariants(table: np.ndarray) -> tuple:
@@ -363,19 +337,16 @@ def _abelian_invariants(table: np.ndarray) -> tuple:
     return tuple(sorted(factors))
 
 
-def universal_grading(
-    data: FusionData,
-    table: CharacterTable | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> GradingResult:
+def universal_grading(a: RingAnalysis) -> GradingResult:
     """Universal grading from the adjoint-bimodule graph, with spectral cross-checks.
 
     The combinatorial path (components of the graph with an edge a-b whenever
-    some adjoint element s has N_{sa}^b > 0) is authoritative; the
-    character-side partition and the component count |G(H-hat)| are mandatory
-    cross-checks.
+    some adjoint element s has N_{sa}^b > 0) is authoritative; on abelian data
+    the character-side partition and the component count |G(H-hat)| are
+    mandatory cross-checks.
     """
-    if not data.flags_at(tol).real_non_negative:
+    data, tol = a.data, a.tol
+    if not a.flags.real_non_negative:
         raise HypergroupError("universal grading needs RN data")
     m = data.rank
     S = data.support_at(tol)
@@ -403,8 +374,8 @@ def universal_grading(
             gtable[la, lb] = targets.pop()
     _check_group_table(gtable)
 
-    if table is not None:
-        _grading_spectral_checks(data, table, components, tol)
+    if a.flags.abelian:
+        _grading_spectral_checks(a, components)
 
     iso = _abelian_invariants(gtable) if (gtable == gtable.T).all() else ()
     return GradingResult(
@@ -429,17 +400,14 @@ def _check_group_table(t: np.ndarray):
                     raise GradingCrossCheckFailed("grading table not associative")
 
 
-def _grading_spectral_checks(data, table, components, tol):
-    m = data.rank
-    n_h = order(data, table, fp_character(table))
-    gl_chars = _grouplike_character_indices(table, n_h, tol)
+def _grading_spectral_checks(a: RingAnalysis, components):
+    m, n_h, d, gl_chars = a.data.rank, a.n_h, a.d, a.grouplike_chars
     if len(gl_chars) != len(components):
         raise GradingCrossCheckFailed(
             f"|components| = {len(components)} != |G(H-hat)| = {len(gl_chars)}"
         )
     # character-side partition: omega_i = (mu_j(x_i)/d_i)_{j grouplike}
-    d = table.fp_dims()
-    omega = table.values[:, list(gl_chars)] / d[:, None]
+    omega = a.table.values[:, list(gl_chars)] / d[:, None]
     keys = [tuple(np.round(omega[i], 6)) for i in range(m)]
     part_of = {}
     for i in range(m):
@@ -451,10 +419,10 @@ def _grading_spectral_checks(data, table, components, tol):
             "character-side grading partition differs from bimodule components"
         )
     # regular component dimensions: FPdim(R_g) = FPdim(H)/|U|
-    h = table.h
+    h = a.table.h
     for comp in components:
         r = sum(h[i] * d[i] ** 2 for i in comp)
-        if abs(r - n_h / len(components)) > 1e5 * tol.zero(1.0 + n_h):
+        if abs(r - n_h / len(components)) > 1e5 * a.tol.zero(1.0 + n_h):
             raise GradingCrossCheckFailed(
                 f"FPdim(R_g) = {r} != FPdim(H)/|U| = {n_h / len(components)}"
             )
@@ -462,20 +430,10 @@ def _grading_spectral_checks(data, table, components, tol):
 
 # ---------------------------------------------------------------- perp
 
-def perp(
-    data: FusionData,
-    table: CharacterTable,
-    sub: SubHypergroup,
-    tol: Tolerance | None = None,
-) -> frozenset:
+def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     """S-perp: characters restricting to FPdim on S; biperp must return S."""
-    tol = tol or table.tol
-    d = table.fp_dims()
-    out = set(range(data.rank))
-    for i in sub.indices:
-        thr = 1e4 * tol.zero(1.0 + d[i])
-        out &= {j for j in out if abs(table.values[i, j] - d[i]) <= thr}
-    back = perp_characters(data, table, out, tol)
+    out = np.flatnonzero(_acts_like_fp(a)[list(sub.indices)].all(axis=0)).tolist()
+    back = perp_characters(a, out)
     if back != frozenset(sub.indices):
         raise BiperpMismatch(
             f"(S-perp)-perp = {sorted(back)} != S = {list(sub.indices)}"
@@ -483,29 +441,15 @@ def perp(
     return frozenset(out)
 
 
-def perp_characters(
-    data: FusionData, table: CharacterTable, char_indices, tol: Tolerance | None = None
-) -> frozenset:
+def perp_characters(a: RingAnalysis, char_indices) -> frozenset:
     """Perp of a set of characters: basis elements where each acts like FPdim."""
-    tol = tol or table.tol
-    d = table.fp_dims()
-    out = set()
-    for i in range(data.rank):
-        thr = 1e4 * tol.zero(1.0 + d[i])
-        if all(abs(table.values[i, j] - d[i]) <= thr for j in char_indices):
-            out.add(i)
-    return frozenset(out)
+    acts = _acts_like_fp(a)[:, list(char_indices)].all(axis=1)
+    return frozenset(np.flatnonzero(acts).tolist())
 
 
 # ---------------------------------------------------------------- quotient
 
-def quotient(
-    data: FusionData,
-    sub: SubHypergroup,
-    table: CharacterTable | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
-) -> tuple:
+def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
     """H // S on FPdim-normalized representatives.
 
     Returns (quotient FusionData, classes).  Classes come from the overlap
@@ -513,28 +457,27 @@ def quotient(
     [a][b] -> [c] is the sum over w in [c] of the coefficient of w in the
     product of normalized representatives (representative independence is
     asserted).  `sub` must be a sub-hypergroup (else ClosureViolation).  The
-    result validates as an ARN hypergroup, and its characters are checked to
-    be the restrictions of the S-perp characters (Harrison duality).
+    result validates as an ARN hypergroup at the analysis tolerance, and its
+    characters are checked to be the restrictions of the S-perp characters
+    (Harrison duality).
     """
-    flags = data.flags_at(tol)
-    if not flags.abelian:
+    data, tol = a.data, a.tol
+    if not a.flags.abelian:
         raise NotAbelian("quotients are defined for abelian data")
-    if not flags.real_non_negative:
+    if not a.flags.real_non_negative:
         raise HypergroupError("quotients are defined for RN data")
     _check_sub(data, sub.indices, tol)
-    if table is None:
-        table = character_table(data, tol=tol, seed=seed)
-    normalized = normalize(data, table.fp_dims(), tol)
+    normalized = normalize(data, a.d, tol)
 
     m = data.rank
-    # reach[a, w]: x_w is a constituent of a s for some s in S
+    # reach[p, w]: x_w is a constituent of x_p s for some s in S
     reach = normalized.support_at(tol)[:, list(sub.indices)].any(axis=1)
     meets = np.triu(reach @ reach.T, 1)
     classes = list(map(tuple, _components(m, zip(*np.nonzero(meets)))))
     class_of = {}
     for lbl, cls in enumerate(classes):
-        for a in cls:
-            class_of[a] = lbl
+        for p in cls:
+            class_of[p] = lbl
 
     q = len(classes)
     exact = normalized.is_exact
@@ -542,9 +485,9 @@ def quotient(
     for la, ca in enumerate(classes):
         for lb, cb in enumerate(classes):
             ref = None
-            for a in ca:
-                for b in cb:
-                    row = normalized.tensor[a, b]
+            for p in ca:
+                for r in cb:
+                    row = normalized.tensor[p, r]
                     ent = [0] * q
                     for w in range(m):
                         ent[class_of[w]] += row[w] if exact else float(row[w])
@@ -564,27 +507,27 @@ def quotient(
     inv = data.involution
     qinv = [class_of[inv[cls[0]]] for cls in classes]
     result = FusionData(f"{data.name}//{list(sub.indices)}", qinv, qt)
-    qflags = result.flags
+    qflags = result.flags_at(tol)
     if not (qflags.abelian and qflags.real_non_negative):
         raise ClassInconsistency("quotient is not an ARN hypergroup")
-    _harrison_check(data, table, sub, result, classes, tol, seed)
+    _harrison_check(a, sub, result, classes)
     return result, classes
 
 
-def _harrison_check(data, table, sub, quot, classes, tol, seed):
+def _harrison_check(a: RingAnalysis, sub, quot, classes):
     """Characters of H//S are the restrictions of the S-perp characters."""
-    qtable = character_table(quot, tol=tol, seed=seed)
-    sperp = perp(data, table, sub, tol)
-    d = table.fp_dims()
+    qtable = character_table(quot, tol=a.tol, seed=a.seed)
+    sperp = perp(a, sub)
+    values, d = a.table.values, a.d
     reps = [cls[0] for cls in classes]
     cols_needed = []
     for j in sorted(sperp):
-        cols_needed.append(np.array([table.values[a, j] / d[a] for a in reps]))
+        cols_needed.append(np.array([values[p, j] / d[p] for p in reps]))
     matched = set()
     for vec in cols_needed:
         diffs = np.abs(qtable.values.T - vec[None, :]).max(axis=1)
         jq = int(diffs.argmin())
-        if diffs[jq] > 1e6 * tol.zero(1.0) or jq in matched:
+        if diffs[jq] > 1e6 * a.tol.zero(1.0) or jq in matched:
             raise ClassInconsistency(
                 "Harrison duality failed: S-perp restriction is not a quotient character"
             )

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "snap_value"]
+import numpy as np
+
+__all__ = ["Tolerance", "DEFAULT_TOL", "snap_value", "snap_array"]
 
 
 @dataclass(frozen=True)
@@ -25,11 +27,6 @@ class Tolerance:
     def zero(self, scale: float = 0.0) -> float:
         """Threshold below which a value of the given ambient scale counts as zero."""
         return self.abs + self.rel * abs(scale)
-
-    def close(self, a, b, scale: float | None = None) -> bool:
-        if scale is None:
-            scale = max(abs(a), abs(b))
-        return abs(a - b) <= self.zero(scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -49,3 +46,23 @@ def snap_value(value: float, tol: Tolerance = DEFAULT_TOL) -> int | Fraction | f
     if abs(x - float(q)) <= tol.zero(x):
         return q
     return x
+
+
+def snap_array(values, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """`snap_value` on every entry: an object array of ints and Fractions, or
+    None when some entry stays a float.
+
+    The integer test runs on the whole array at once; only the entries that
+    fail it go through `snap_value` one by one.
+    """
+    x = np.asarray(values, dtype=float)
+    n = np.round(x)
+    ints = np.abs(x - n) <= tol.abs + tol.rel * np.abs(x)
+    out = np.empty(x.shape, dtype=object)
+    out[ints] = [int(v) for v in n[ints]]
+    for idx in zip(*np.nonzero(~ints)):
+        s = snap_value(x[idx], tol)
+        if isinstance(s, float):
+            return None
+        out[idx] = s
+    return out

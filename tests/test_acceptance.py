@@ -37,12 +37,12 @@ def test_criterion_1_burnside_classical_suite():
     t0 = time.monotonic()
     for name in catalog_names():
         ring = rep_ring(catalog(name))
-        table = hg.character_table(ring)
-        verdict, witness = hg.RingAnalysis(ring, table=table).burnside
+        a = hg.RingAnalysis(ring)
+        verdict, witness = a.burnside
         assert verdict, name
-        d = table.fp_dims()
-        vanishing = set(bn.vanishing_elements(ring, table))  # exact/numeric agreement inside
-        grouplikes = set(hg.RingAnalysis(ring, table=table).grouplikes)
+        d = a.table.fp_dims()
+        vanishing = set(bn.vanishing_elements(a))  # exact/numeric agreement inside
+        grouplikes = set(a.grouplikes)
         for i in range(ring.rank):
             if d[i] > 1 + 1e-9:
                 assert i in vanishing, (name, i)
@@ -76,22 +76,23 @@ def test_criterion_3_eq_9_10_identity():
     for name in ("Q8", "D4"):
         g = catalog(name)
         ring = rep_ring(g)
-        table = hg.character_table(ring)
-        P = bn.product_P(ring, table)
+        a = hg.RingAnalysis(ring)
+        table = a.table
+        P = bn.product_P(a)
         P2 = hg.multiply(ring, P, P)
         # G/Z via the hypergroup quotient of the class side by its grouplike classes
         cl = class_hypergroup(g)
-        tcl = hg.character_table(cl)
-        central = hg.RingAnalysis(cl, table=tcl).grouplikes
+        acl = hg.RingAnalysis(cl)
+        central = acl.grouplikes
         assert len(central) == len(g.center())
-        q, _ = st.quotient(cl, st.SubHypergroup(central, cl), tcl)
+        q, _ = st.quotient(acl, st.SubHypergroup(central, cl))
         tq = hg.character_table(q)
         dq = hg.dual_hypergroup(q, tq)
         dims_gz = sorted(
             int(round(float(np.sqrt(h)))) for h in dq.orders_hat
         )  # Irr(G/Z) degrees
         d = table.fp_dims()
-        ad = st.adjoint(ring, table).indices
+        ad = st.adjoint(a).indices
         assert sorted(int(round(d[i])) for i in ad) == dims_gz, name
         z_over_g = len(g.center()) / g.order
         rhs = np.zeros(ring.rank)
@@ -112,9 +113,9 @@ def test_criterion_4_spectral_invariants(corpus_with_tables):
         second = np.einsum("ij,lj,j->il", table.values, table.values.conj(), 1.0 / n)
         assert np.abs(second - np.diag(1.0 / table.h)).max() < 1e-9, ring.name
         assert abs((1.0 / n).sum() - 1.0) < 1e-10, ring.name
-        dd = hg.dual_hypergroup(ring, table)
-        assert abs(dd.orders_hat.sum() - hg.order(ring, table)) < 1e-8, ring.name
-        hg.double_dual_check(ring, table, dd)
+        a = hg.RingAnalysis(ring, table=table)
+        assert abs(a.dual.orders_hat.sum() - hg.order(table)) < 1e-8, ring.name
+        hg.double_dual_check(a)
     for name in catalog_names():
         g = catalog(name)
         table = hg.character_table(rep_ring(g))
@@ -127,10 +128,10 @@ def test_criterion_5_grading_and_nilpotency(corpus_with_tables, ising_ring):
     for name in catalog_names():
         g = catalog(name)
         ring = rep_ring(g)
-        table = hg.character_table(ring)
-        grading = st.universal_grading(ring, table)
+        a = hg.RingAnalysis(ring)
+        grading = st.universal_grading(a)
         assert grading.group_order == len(g.center()), name
-        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
+        glc = a.grouplike_chars
         assert grading.group_order == len(glc), name
     series = st.central_series(ising_ring)
     assert series.nilpotency_class == 2
@@ -152,12 +153,13 @@ def test_criterion_6_adjoint_laws(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        ad = st.adjoint(ring, table)  # contains the Prop-6.4 support cross-check
-        P = bn.product_P(ring, table)
+        a = hg.RingAnalysis(ring, table=table)
+        ad = st.adjoint(a)  # contains the Prop-6.4 support cross-check
+        P = bn.product_P(a)
         P2 = hg.multiply(ring, P, P)
         assert st.generated_sub(ring, P2).indices == ad.indices, ring.name
-        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
-        assert st.perp_characters(ring, table, glc) == frozenset(ad.indices), ring.name
+        glc = a.grouplike_chars
+        assert st.perp_characters(a, glc) == frozenset(ad.indices), ring.name
         subs = st.all_sub_hypergroups(ring)
         if len(subs) <= 8:
             for s1 in subs:
@@ -165,9 +167,9 @@ def test_criterion_6_adjoint_laws(corpus_with_tables):
                     join = st.SubHypergroup(
                         st.closure(ring, set(s1.indices) | set(s2.indices)), ring
                     )
-                    assert st.support(ring, table, join) == st.support(
-                        ring, table, s1
-                    ) & st.support(ring, table, s2), ring.name
+                    assert st.support(a, join) == st.support(a, s1) & st.support(
+                        a, s2
+                    ), ring.name
                     pair_count += 1
     _report(6, f"J_ad, <P^2> = H_ad, G(H-hat)-perp = H_ad; {pair_count} join pairs checked")
 
@@ -269,9 +271,10 @@ def test_criterion_9_rational_rn_dual_burnside_is_weakly_rational(corpus_with_ta
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        dual_burn, _ = hg.RingAnalysis(ring, table=table).dual_burnside
+        a = hg.RingAnalysis(ring, table=table)
+        dual_burn, _ = a.dual_burnside
         # weak_integrality raises TheoremViolation on any counterexample
-        verdict = ga.weak_integrality(ring, table, dual_burn)
+        verdict = ga.weak_integrality(a)
         if dual_burn and ring.flags.rational and ring.flags.real_non_negative:
             assert verdict in ("integral", "weakly_integral", "weakly_rational"), ring.name
             checked += 1

@@ -1,12 +1,25 @@
 """One analysis computes each shared invariant once."""
 
 import math
+import sys
 from unittest import mock
 
 import hypergroups as hg
-from hypergroups import analysis, core, dual
+from hypergroups import analysis, core, dual, spectra, tolerance
 from hypergroups.builders import catalog, near_group, rep_ring
 from hypergroups.report import analyze
+
+
+def _spy_everywhere(fn):
+    """Start a mock wrapping `fn` at every module-level name in the package
+    bound to it, so calls through any import count; stop with patch.stopall."""
+    spy = mock.Mock(wraps=fn)
+    for name, mod in list(sys.modules.items()):
+        if name == "hypergroups" or name.startswith("hypergroups."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    mock.patch.object(mod, attr, spy).start()
+    return spy
 
 
 def test_analyze_builds_each_invariant_once():
@@ -54,6 +67,43 @@ def test_float_ring_is_validated_once_at_the_analysis_tolerance():
         analyze(ring, tol=tol)
     primal = [c for c in spy.call_args_list if c.args[0] is ring]
     assert len(primal) == 1 and primal[0].args[1] == tol
+    # the dual and the double dual are validated at the same tolerance
+    assert len(spy.call_args_list) == 3
+    assert all(c.args[1] == tol for c in spy.call_args_list)
+
+
+def test_analyze_reads_the_fp_column_order_and_dual_alignment_once():
+    ring = rep_ring(catalog("S4"))
+    try:
+        spies = {
+            name: _spy_everywhere(fn)
+            for name, fn in [
+                ("fp_character", spectra.fp_character),
+                ("order", spectra.order),
+                ("match", dual.match_dual_characters),
+                ("dual", dual.dual_hypergroup),
+            ]
+        }
+        analyze(ring, modular_candidate=True)
+    finally:
+        mock.patch.stopall()
+    counts = {name: spy.call_count for name, spy in spies.items()}
+    # n(H) once for the analysis, then once inside each dual it builds:
+    # the dual of the ring and the dual of that dual (the double-dual check)
+    assert counts == {"fp_character": 1, "order": 3, "match": 1, "dual": 2}
+    assert [c.args[0] for c in spies["order"].call_args_list[1:]] == [
+        c.args[1] for c in spies["dual"].call_args_list
+    ]
+
+
+def test_dual_tensor_snaps_only_its_non_integer_entries():
+    ring = rep_ring(catalog("S3"))
+    table = hg.character_table(ring)
+    with mock.patch.object(tolerance, "snap_value", wraps=tolerance.snap_value) as spy:
+        dd = hg.dual_hypergroup(ring, table)
+    fractions = sum(not isinstance(x, int) for x in dd.base.tensor.ravel())
+    assert dd.base.is_exact and 0 < fractions < dd.rank**3
+    assert spy.call_count == fractions
 
 
 def test_near_groups_that_failed_rescale_now_report():

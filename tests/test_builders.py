@@ -94,7 +94,7 @@ def test_family_ring_examples():
     fam = bd.family_ring(2, [2, 2], [3])
     assert fam.rank == 6
     t = hg.character_table(fam)
-    assert abs(hg.order(fam, t) - 12) < 1e-8
+    assert abs(hg.order(t) - 12) < 1e-8
     assert sorted(int(round(x)) for x in t.fp_dims()) == [1, 1, 1, 1, 2, 2]
     # n = 1 degenerates to the group ring of K
     triv = bd.family_ring(1, [], [5])
@@ -153,7 +153,7 @@ def test_data1_file_loads_and_matches_enumeration():
     ring = bd.load(path)
     assert ring.rank == 6 and ring.flags.fusion_ring
     t = hg.character_table(ring)
-    assert abs(hg.order(ring, t) - 12) < 1e-8
+    assert abs(hg.order(t) - 12) < 1e-8
     # paper-style text block parses to the same ring
     text_ring = bd.load(os.path.join(DATA_DIR, "type-1-1-1-1-2-2_data1.txt"))
     assert (text_ring.tensor == ring.tensor).all()
@@ -192,7 +192,7 @@ def test_enumerate_type_112122():
     for r in rings:
         assert r.flags.fusion_ring
         t = hg.character_table(r)
-        assert abs(hg.order(r, t) - 12) < 1e-8
+        assert abs(hg.order(t) - 12) < 1e-8
 
 
 def test_enumerate_canonicalization_idempotent():

@@ -19,10 +19,10 @@ def test_grouplike_elements_examples(ising_ring, ising_table, s3_rep, s3_table):
 
 def test_vanishing_elements(s3_rep, s3_table, fib_ring, fib_table):
     _, t = s3_indices(s3_rep)
-    assert bn.vanishing_elements(s3_rep, s3_table) == (t,)
-    assert bn.vanishing_elements(fib_ring, fib_table) == ()
+    assert bn.vanishing_elements(hg.RingAnalysis(s3_rep, table=s3_table)) == (t,)
+    assert bn.vanishing_elements(hg.RingAnalysis(fib_ring, table=fib_table)) == ()
     z6 = group_ring(catalog("C6"))
-    assert bn.vanishing_elements(z6, hg.character_table(z6)) == ()
+    assert bn.vanishing_elements(hg.RingAnalysis(z6)) == ()
 
 
 def test_exact_numeric_agreement_enforced(s3_rep, s3_table):
@@ -32,7 +32,7 @@ def test_exact_numeric_agreement_enforced(s3_rep, s3_table):
 
     loose = Tolerance(abs=10.0, rel=10.0)
     with pytest.raises(ExactNumericDisagreement):
-        bn.vanishing_elements(s3_rep, s3_table, loose)
+        bn.vanishing_elements(hg.RingAnalysis(s3_rep, loose, table=s3_table))
 
 
 def test_is_burnside(s3_rep, s3_table, fib_ring, fib_table):
@@ -65,7 +65,7 @@ def test_sl23_dual_burnside():
 
 def test_product_P(q8_rep, q8_table, z2_ring, s3_rep, s3_table):
     # Q8: invertibles multiply to 1, so P = t/2 and P^2 = (1+a+b+ab)/4
-    P = bn.product_P(q8_rep, q8_table)
+    P = bn.product_P(hg.RingAnalysis(q8_rep, table=q8_table))
     d = q8_table.fp_dims()
     tq = int(np.argmax(d))
     expected = np.zeros(5)
@@ -76,31 +76,29 @@ def test_product_P(q8_rep, q8_table, z2_ring, s3_rep, s3_table):
     expected2 = np.array([0.25 if i in gl else 0.0 for i in range(5)])
     assert np.allclose(P2.float_coords(), expected2)
 
-    t = hg.character_table(z2_ring)
-    assert np.allclose(bn.product_P(z2_ring, t).float_coords(), [0, 1])
+    assert np.allclose(bn.product_P(hg.RingAnalysis(z2_ring)).float_coords(), [0, 1])
 
     # S3: s t = t, so P = t/2
     s, tt = s3_indices(s3_rep)
-    P = bn.product_P(s3_rep, s3_table)
+    P = bn.product_P(hg.RingAnalysis(s3_rep, table=s3_table))
     expected = np.zeros(3)
     expected[tt] = 0.5
     assert np.allclose(P.float_coords(), expected)
 
 
 def test_product_P_exact_for_integral_rings(q8_rep, q8_table):
-    P = bn.product_P(q8_rep, q8_table)
+    P = bn.product_P(hg.RingAnalysis(q8_rep, table=q8_table))
     assert P.is_exact
 
 
 def test_phat_values_against_determinants(s3_rep, s3_table):
-    bn.product_Phat_values(s3_rep, s3_table)  # raises CrossCheckFailed on mismatch
+    bn.product_Phat_values(hg.RingAnalysis(s3_rep, table=s3_table))  # raises CrossCheckFailed on mismatch
 
 
 def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
     # Q8 is Burnside: P-hat^2 must be the sum of the grouplike dual idempotents,
     # i.e. P-hat evaluates to +-1 exactly on the grouplikes
-    dd = hg.dual_hypergroup(q8_rep, q8_table)
-    phat = bn.product_Phat(q8_rep, q8_table, dd)
+    phat = bn.product_Phat(hg.RingAnalysis(q8_rep, table=q8_table))
     assert len(phat) == q8_rep.rank
     vals = bn.phat_values(q8_table)
     gl = set(hg.RingAnalysis(q8_rep, table=q8_table).grouplikes)
@@ -177,23 +175,19 @@ def test_nilpotent_corpus_is_burnside_and_dual(corpus_with_tables):
 
 
 def test_hypothesis_report(fib_ring, fib_table):
-    rep = bn.burnside_hypothesis_report(
-        hg.RingAnalysis(fib_ring, table=fib_table), dual_h_integral=False
-    )
+    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(fib_ring, table=fib_table))
     assert not rep["weakly_integral"]
     assert rep["obstruction"] is None
 
 
 def test_obstruction_flagged_for_qualifying_failure(s3_rep, s3_table):
     # S3 is Burnside, so no obstruction; force the hypothetical branch shape
-    rep = bn.burnside_hypothesis_report(
-        hg.RingAnalysis(s3_rep, table=s3_table), dual_h_integral=True
-    )
+    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(s3_rep, table=s3_table))
     assert rep["burnside"] and rep["obstruction"] is None
 
 
 def test_burnside_report_assembly(ising_ring, ising_table):
-    rep = bn.burnside_report(hg.RingAnalysis(ising_ring, table=ising_table), dual_h_integral=True)
+    rep = bn.burnside_report(hg.RingAnalysis(ising_ring, table=ising_table))
     assert rep.is_burnside and rep.is_dual_burnside
     assert rep.grouplike_closure_ok
     assert set(rep.vanishing_elements) | set(rep.nonvanishing) == {0, 1, 2}

@@ -409,12 +409,12 @@ def test_orders_of_fusion_rings_are_one(full_corpus):
 
 def test_order_invariant_under_rescaling(ising_ring, ising_table):
     rng = np.random.default_rng(7)
-    n0 = hg.order(ising_ring, ising_table)
+    n0 = hg.order(ising_table)
     for _ in range(5):
         alphas = [1.0, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))]
         re = hg.rescale(ising_ring, alphas)
         tab = hg.character_table(re)
-        assert abs(hg.order(re, tab) - n0) < 1e-8
+        assert abs(hg.order(tab) - n0) < 1e-8
 
 
 def test_multiply_associative_random_triples(full_corpus):

@@ -25,14 +25,12 @@ def test_prime_factorization():
 
 def test_burnside_exclusion_group_ring():
     ring = group_ring(catalog("C6"))
-    v = cr.burnside_exclusion(hg.RingAnalysis(ring), dual_h_integral=True)
+    v = cr.burnside_exclusion(hg.RingAnalysis(ring))
     assert v.applicable and not v.excluded
 
 
 def test_burnside_exclusion_not_applicable_fibonacci(fib_ring, fib_table):
-    v = cr.burnside_exclusion(
-        hg.RingAnalysis(fib_ring, table=fib_table), dual_h_integral=False
-    )
+    v = cr.burnside_exclusion(hg.RingAnalysis(fib_ring, table=fib_table))
     assert not v.applicable and not v.excluded
 
 
@@ -123,10 +121,8 @@ def test_rep_rings_never_excluded_by_ungated_tests(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.name.startswith("K(Rep("):
             continue
-        dd = hg.dual_hypergroup(ring, table)
-        h_int = hg.dual_flags(dd).h_integral
         a = hg.RingAnalysis(ring, table=table)
-        assert not cr.burnside_exclusion(a, h_int).excluded, ring.name
+        assert not cr.burnside_exclusion(a).excluded, ring.name
         assert not cr.divisibility_test(a).excluded, ring.name
 
 

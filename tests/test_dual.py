@@ -52,23 +52,18 @@ def test_z3_dual_all_flags():
 
 
 def test_dual_codegrees(ising_ring, ising_table, z2_ring, s3_rep, s3_table):
-    nhat = hg.dual_codegrees(
-        hg.dual_hypergroup(ising_ring, ising_table), ising_ring, ising_table
-    )
+    nhat = hg.dual_codegrees(hg.RingAnalysis(ising_ring, table=ising_table))
     assert sorted(np.round(nhat, 8)) == [2.0, 4.0, 4.0]
-    t2 = hg.character_table(z2_ring)
-    nhat = hg.dual_codegrees(hg.dual_hypergroup(z2_ring, t2), z2_ring, t2)
+    nhat = hg.dual_codegrees(hg.RingAnalysis(z2_ring))
     assert list(np.round(nhat, 8)) == [2.0, 2.0]
-    nhat = hg.dual_codegrees(
-        hg.dual_hypergroup(s3_rep, s3_table), s3_rep, s3_table
-    )
+    nhat = hg.dual_codegrees(hg.RingAnalysis(s3_rep, table=s3_table))
     assert sorted(np.round(nhat, 8)) == [1.5, 6.0, 6.0]
 
 
 def test_dual_order_equals_primal_order(corpus_with_tables):
     for ring, table in corpus_with_tables:
         dd = hg.dual_hypergroup(ring, table)
-        n = hg.order(ring, table)
+        n = hg.order(table)
         assert abs(dd.orders_hat.sum() - n) < 1e-8, ring.name
         assert np.abs(dd.orders_hat - n / table.codegrees).max() < 1e-8, ring.name
 
@@ -83,8 +78,8 @@ def test_dual_is_normalized(corpus_with_tables):
 def test_dual_idempotent_pairing(ising_ring, ising_table):
     # <E-hat_i, x_j/d_j> = delta_ij via the dual table alignment
     dd = hg.dual_hypergroup(ising_ring, ising_table)
-    dual_table = hg.character_table(dd.base)
-    match = match_dual_characters(dd, ising_table, dual_table)
+    dual_table = dd.table
+    match = match_dual_characters(dd, ising_table)
     d = ising_table.fp_dims()
     m = ising_ring.rank
     for i in range(m):
@@ -99,7 +94,7 @@ def test_dual_idempotent_pairing(ising_ring, ising_table):
 
 def test_double_dual_everywhere(corpus_with_tables):
     for ring, table in corpus_with_tables:
-        perm = hg.double_dual_check(ring, table, hg.dual_hypergroup(ring, table))
+        perm = hg.double_dual_check(hg.RingAnalysis(ring, table=table))
         assert sorted(perm) == list(range(ring.rank)), ring.name
 
 

@@ -11,13 +11,13 @@ from conftest import PHI
 
 
 def test_orbits_s3_all_singletons(s3_rep, s3_table):
-    part = ga.galois_orbits(s3_rep, s3_table)
+    part = ga.galois_orbits(hg.RingAnalysis(s3_rep, table=s3_table))
     assert part.orbits == ((0,), (1,), (2,))
     assert all(part.rational_mask)
 
 
 def test_orbits_fibonacci(fib_ring, fib_table):
-    part = ga.galois_orbits(fib_ring, fib_table)
+    part = ga.galois_orbits(hg.RingAnalysis(fib_ring, table=fib_table))
     assert part.orbits == ((0, 1),)
     assert not any(part.rational_mask)
     # symmetric functions: sum of roots 1, product -1 at rho
@@ -27,7 +27,7 @@ def test_orbits_fibonacci(fib_ring, fib_table):
 
 
 def test_orbits_ising(ising_ring, ising_table):
-    part = ga.galois_orbits(ising_ring, ising_table)
+    part = ga.galois_orbits(hg.RingAnalysis(ising_ring, table=ising_table))
     paired = next(o for o in part.orbits if len(o) == 2)
     single = next(o for o in part.orbits if len(o) == 1)
     # the +-sqrt(2) columns pair up; the (1,-1,0) column is rational
@@ -41,14 +41,14 @@ def test_orbits_rejects_irrational_tensor(fib_ring, fib_table):
     )
     table = hg.character_table(floaty)
     with pytest.raises(HypergroupError):
-        ga.galois_orbits(floaty, table)
+        ga.galois_orbits(hg.RingAnalysis(floaty, table=table))
 
 
 def test_singleton_orbits_are_exactly_rational_characters(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.flags.rational:
             continue
-        part = ga.galois_orbits(ring, table)
+        part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
         for orb in part.orbits:
             if len(orb) == 1:
                 assert part.rational_mask[orb[0]], ring.name
@@ -61,30 +61,28 @@ def test_rep_ring_orbit_polynomials_integer(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.name.startswith("K(Rep("):
             continue
-        part = ga.galois_orbits(ring, table)
+        part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
         for orb, resid in part.certificates.items():
             assert resid < 1e-7, (ring.name, orb)
 
 
 def test_codegree_conjugation(fib_ring, fib_table, ising_ring, ising_table):
-    part = ga.galois_orbits(fib_ring, fib_table)
-    report = ga.check_codegree_conjugation(part, fib_table.codegrees)
+    fib = hg.RingAnalysis(fib_ring, table=fib_table)
+    report = ga.check_codegree_conjugation(fib, ga.galois_orbits(fib))
     # n1 * n2 = (1 + phi^2)(1 + phi^-2) = 5
     prod = fib_table.codegrees.prod()
     assert abs(prod - 5) < 1e-8
-    part = ga.galois_orbits(ising_ring, ising_table)
-    dd = hg.dual_hypergroup(ising_ring, ising_table)
-    report = ga.check_codegree_conjugation(
-        part, ising_table.codegrees, dd.orders_hat, dual_h_integral=True
-    )
+    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+    part = ga.galois_orbits(ising)
+    report = ga.check_codegree_conjugation(ising, part)
     paired = next(o for o in part.orbits if len(o) == 2)
     assert report[paired]["dual_order_spread"] < 1e-9
 
 
 def test_weak_integrality_examples(s3_rep, s3_table, ising_ring, ising_table, fib_ring, fib_table):
-    assert ga.weak_integrality(s3_rep, s3_table) == "integral"
-    assert ga.weak_integrality(ising_ring, ising_table) == "weakly_integral"
-    assert ga.weak_integrality(fib_ring, fib_table) == "irrational"
+    assert ga.weak_integrality(hg.RingAnalysis(s3_rep, table=s3_table)) == "integral"
+    assert ga.weak_integrality(hg.RingAnalysis(ising_ring, table=ising_table)) == "weakly_integral"
+    assert ga.weak_integrality(hg.RingAnalysis(fib_ring, table=fib_table)) == "irrational"
 
 
 def test_weak_integrality_theorem_guard(corpus_with_tables):
@@ -92,8 +90,9 @@ def test_weak_integrality_theorem_guard(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        dual_burn, _ = hg.RingAnalysis(ring, table=table).dual_burnside
-        verdict = ga.weak_integrality(ring, table, dual_burn)
+        a = hg.RingAnalysis(ring, table=table)
+        dual_burn, _ = a.dual_burnside
+        verdict = ga.weak_integrality(a)
         if dual_burn and ring.flags.rational and ring.flags.real_non_negative:
             assert verdict in ("integral", "weakly_integral", "weakly_rational"), ring.name
 
@@ -105,15 +104,15 @@ def test_h_integral_dual_order_sum(corpus_with_tables):
             continue
         total = hg.snap(float(dd.orders_hat.sum()))
         assert isinstance(total, int), ring.name
-        assert abs(total - hg.order(ring, table)) < 1e-8, ring.name
+        assert abs(total - hg.order(table)) < 1e-8, ring.name
 
 
 def test_fp_singleton_orbit_iff_rational_fpdim(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.flags.rational or table.fp_index is None:
             continue
-        part = ga.galois_orbits(ring, table)
-        n_h = hg.order(ring, table)
+        part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
+        n_h = hg.order(table)
         fp_rational = not isinstance(hg.snap(n_h), float)
         fp_orbit = part.orbit_of(table.fp_index)
         # rational FPdim iff the FP character is fixed by the Galois action

@@ -2,10 +2,14 @@
 
 tests/data/corpus_report_digests.json holds the SHA-256 of
 render_structured(analyze(ring, modular_candidate=mc)) for every corpus()
-ring, with mc False and True.  A refactor that claims "the same behaviour"
-must leave every digest unchanged.  To record the digests again after a
-deliberate behaviour change, run `PYTHONPATH=src python tests/test_golden.py`
-and say in CHANGES.md why they moved.
+ring, with mc False and True.  tests/data/corpus_variant_digests.json holds
+the same digest (mc True) for three more variants of each ring: solver seed 7,
+Tolerance(1e-8, 1e-8), and a copy of the ring with a float tensor; where a
+variant raises, it holds the error class instead.  A refactor that claims "the
+same behaviour" must leave every digest unchanged.  To record the digests
+again after a deliberate behaviour change, run
+`PYTHONPATH=src python tests/test_golden.py` and say in CHANGES.md why they
+moved.
 """
 
 import hashlib
@@ -13,32 +17,72 @@ import json
 import os
 
 from hypergroups.builders import corpus
+from hypergroups.core import FusionData
+from hypergroups.errors import HypergroupError
 from hypergroups.report import analyze, render_structured
+from hypergroups.tolerance import Tolerance
 
-DIGESTS = os.path.join(os.path.dirname(__file__), "data", "corpus_report_digests.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+DIGESTS = os.path.join(DATA, "corpus_report_digests.json")
+VARIANT_DIGESTS = os.path.join(DATA, "corpus_variant_digests.json")
+
+VARIANTS = {
+    "seed=7": lambda ring: (ring, {"seed": 7}),
+    "tol=1e-8": lambda ring: (ring, {"tol": Tolerance(abs=1e-8, rel=1e-8)}),
+    "float": lambda ring: (
+        FusionData(ring.name + "/float", ring.involution, ring.float_tensor()),
+        {},
+    ),
+}
+
+
+def _digest(ring, **kwargs) -> str:
+    text = render_structured(analyze(ring, **kwargs))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def report_digests() -> dict:
     out = {}
     for ring in corpus():
         for mc in (False, True):
-            text = render_structured(analyze(ring, modular_candidate=mc))
-            out[f"{ring.name} modular_candidate={mc}"] = hashlib.sha256(
-                text.encode()
-            ).hexdigest()
+            out[f"{ring.name} modular_candidate={mc}"] = _digest(
+                ring, modular_candidate=mc
+            )
     return out
 
 
-def test_corpus_reports_match_golden_digests():
-    with open(DIGESTS, encoding="utf-8") as fh:
+def variant_digests() -> dict:
+    out = {}
+    for ring in corpus():
+        for label, make in VARIANTS.items():
+            variant, kwargs = make(ring)
+            try:
+                out[f"{ring.name} {label}"] = _digest(
+                    variant, modular_candidate=True, **kwargs
+                )
+            except HypergroupError as exc:
+                out[f"{ring.name} {label}"] = f"error: {type(exc).__name__}"
+    return out
+
+
+def _compare(path: str, got: dict):
+    with open(path, encoding="utf-8") as fh:
         want = json.load(fh)
-    got = report_digests()
     assert sorted(got) == sorted(want)
     changed = [k for k in want if got[k] != want[k]]
     assert not changed, f"reports changed: {changed}"
 
 
+def test_corpus_reports_match_golden_digests():
+    _compare(DIGESTS, report_digests())
+
+
+def test_variant_reports_match_golden_digests():
+    _compare(VARIANT_DIGESTS, variant_digests())
+
+
 if __name__ == "__main__":
-    with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump(report_digests(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, digests in ((DIGESTS, report_digests), (VARIANT_DIGESTS, variant_digests)):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(digests(), fh, indent=1, sort_keys=True)
+            fh.write("\n")

@@ -86,11 +86,12 @@ def test_regular_element_kernel_is_center_intersection(corpus_with_tables):
     for ring, table in corpus_with_tables[:12]:
         if table.fp_index is None:
             continue
+        a = hg.RingAnalysis(ring, table=table)
         el = hg.regular_element(ring)
-        ker = st.kernel_of_element(ring, table, el)
+        ker = st.kernel_of_element(a, el)
         inter = None
         for i in range(ring.rank):
-            z = st.center_of_element(ring, table, i)
+            z = st.center_of_element(a, i)
             inter = z if inter is None else inter & z
         assert ker == inter, ring.name
 

@@ -6,10 +6,18 @@ import pytest
 import hypergroups as hg
 from hypergroups import structure as st
 from hypergroups.builders import catalog, class_hypergroup, ising, rep_ring
+from hypergroups.report import analyze
 
 
 def as_float(ring):
     return hg.FusionData(ring.name + "/float", ring.involution, ring.float_tensor())
+
+
+def noisy_copy(ring, scale):
+    """Float copy with seeded uniform noise in [-scale, scale] on every entry."""
+    m = ring.rank
+    noise = np.random.default_rng(0).uniform(-scale, scale, (m, m, m))
+    return hg.FusionData(ring.name + "/noisy", ring.involution, ring.float_tensor() + noise)
 
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "SL(2,3)", "A5"])
@@ -23,7 +31,7 @@ def test_float_tensor_pipeline_matches_exact(name):
     assert ae.grouplikes == af.grouplikes
     assert ae.burnside[0] == af.burnside[0]
     assert ae.dual_burnside[0] == af.dual_burnside[0]
-    assert st.adjoint(exact, te).indices == st.adjoint(floaty, tf).indices
+    assert st.adjoint(ae).indices == st.adjoint(af).indices
     assert st.is_nilpotent(exact) == st.is_nilpotent(floaty)
 
 
@@ -72,3 +80,24 @@ def test_dual_of_dual_flags_roundtrip(ising_ring, ising_table):
     dd2 = hg.dual_hypergroup(dd.base, tdd, augmentation_index(tdd))
     fl = hg.dual_flags(dd2)
     assert fl.rn and fl.h_integral
+
+
+def test_dual_of_a_noisy_ring_is_validated_at_the_analysis_tolerance():
+    # 2e-9 noise passes validation at 1e-8 but not at the default 1e-9; the
+    # dual used to be validated at the default and failed its unit axiom
+    tol = hg.Tolerance(abs=1e-8, rel=1e-8)
+    ring = noisy_copy(class_hypergroup(catalog("A4")), 2e-9)
+    assert ring.flags_at(tol).abelian
+    report = analyze(ring, tol=tol)
+    exact = analyze(class_hypergroup(catalog("A4")))
+    assert report.dual["double_dual_isomorphic"]
+    assert report.burnside["is_burnside"] == exact.burnside["is_burnside"]
+
+
+def test_quotient_of_a_noisy_ring_is_validated_at_the_analysis_tolerance():
+    tol = hg.Tolerance(abs=1e-8, rel=1e-8)
+    ring = noisy_copy(ising(), 2e-9)
+    q, classes = st.quotient(hg.RingAnalysis(ring, tol), st.SubHypergroup((0, 1), ring))
+    assert classes == [(0, 1), (2,)]
+    exact, _ = st.quotient(hg.RingAnalysis(ising()), st.SubHypergroup((0, 1), ising()))
+    assert np.allclose(q.float_tensor(), exact.float_tensor(), atol=1e-7)

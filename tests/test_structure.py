@@ -25,9 +25,8 @@ def test_generated_sub_rejects_negative(ising_ring):
 
 
 def test_kernel_of_character(ising_ring, ising_table, s3_rep, s3_table):
-    assert st.kernel_of_character(
-        ising_ring, ising_table, ising_table.fp_index
-    ).indices == (0, 1, 2)
+    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+    assert st.kernel_of_character(ising, ising_table.fp_index).indices == (0, 1, 2)
     s, t = s3_indices(s3_rep)
     sign_col = next(
         j
@@ -35,50 +34,49 @@ def test_kernel_of_character(ising_ring, ising_table, s3_rep, s3_table):
         if abs(s3_table.values[s, j] - 1) < 1e-8
         and abs(s3_table.values[t, j] + 1) < 1e-8
     )
-    assert st.kernel_of_character(s3_rep, s3_table, sign_col).indices == (0, s)
+    s3 = hg.RingAnalysis(s3_rep, table=s3_table)
+    assert st.kernel_of_character(s3, sign_col).indices == (0, s)
     zero_col = next(j for j in range(3) if abs(s3_table.values[t, j]) < 1e-8)
-    assert st.kernel_of_character(s3_rep, s3_table, zero_col).indices == (0,)
+    assert st.kernel_of_character(s3, zero_col).indices == (0,)
 
 
 def test_kernel_and_center_of_element(ising_ring, ising_table, s3_rep, s3_table):
+    ising = hg.RingAnalysis(ising_ring, table=ising_table)
     one = hg.basis_element(ising_ring, 0)
-    assert st.kernel_of_element(ising_ring, ising_table, one) == frozenset({0, 1, 2})
+    assert st.kernel_of_element(ising, one) == frozenset({0, 1, 2})
     _, t = s3_indices(s3_rep)
     assert st.kernel_of_element(
-        s3_rep, s3_table, hg.basis_element(s3_rep, t)
+        hg.RingAnalysis(s3_rep, table=s3_table), hg.basis_element(s3_rep, t)
     ) == frozenset({s3_table.fp_index})
-    center = st.center_of_element(ising_ring, ising_table, 2)
+    center = st.center_of_element(ising, 2)
     # |mu(rho)| = sqrt(2) for the two grouplike characters
-    assert center == frozenset(hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars)
+    assert center == frozenset(ising.grouplike_chars)
 
 
 def test_adjoint_examples(ising_ring, ising_table, s3_rep, s3_table):
     z5 = group_ring(catalog("C5"))
-    assert st.adjoint(z5, hg.character_table(z5)).indices == (0,)
-    assert st.adjoint(ising_ring, ising_table).indices == (0, 1)
-    assert st.adjoint(s3_rep, s3_table).indices == (0, 1, 2)
+    assert st.adjoint(hg.RingAnalysis(z5)).indices == (0,)
+    assert st.adjoint(hg.RingAnalysis(ising_ring, table=ising_table)).indices == (0, 1)
+    assert st.adjoint(hg.RingAnalysis(s3_rep, table=s3_table)).indices == (0, 1, 2)
 
 
 def test_support_examples(ising_ring, ising_table):
+    ising = hg.RingAnalysis(ising_ring, table=ising_table)
     whole = st.SubHypergroup((0, 1, 2), ising_ring)
-    assert st.support(ising_ring, ising_table, whole) == frozenset(
-        {ising_table.fp_index}
-    )
+    assert st.support(ising, whole) == frozenset({ising_table.fp_index})
     trivial = st.SubHypergroup((0,), ising_ring)
-    assert st.support(ising_ring, ising_table, trivial) == frozenset({0, 1, 2})
+    assert st.support(ising, trivial) == frozenset({0, 1, 2})
     sub = st.SubHypergroup((0, 1), ising_ring)
-    assert st.support(ising_ring, ising_table, sub) == frozenset(
-        hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars
-    )
+    assert st.support(ising, sub) == frozenset(ising.grouplike_chars)
 
 
 def test_universal_grading(ising_ring, ising_table, s3_rep, s3_table, q8_rep, q8_table):
-    g = st.universal_grading(ising_ring, ising_table)
+    g = st.universal_grading(hg.RingAnalysis(ising_ring, table=ising_table))
     assert g.group_order == 2 and g.iso_class == (2,)
     assert g.components == ((0, 1), (2,))
-    g = st.universal_grading(s3_rep, s3_table)
+    g = st.universal_grading(hg.RingAnalysis(s3_rep, table=s3_table))
     assert g.group_order == 1
-    g = st.universal_grading(q8_rep, q8_table)
+    g = st.universal_grading(hg.RingAnalysis(q8_rep, table=q8_table))
     assert g.group_order == 2  # |Z(Q8)| = 2
 
 
@@ -88,34 +86,35 @@ def test_grading_matches_center_for_catalog():
     for name in catalog_names():
         grp = catalog(name)
         ring = rep_ring(grp)
-        table = hg.character_table(ring)
-        g = st.universal_grading(ring, table)
+        a = hg.RingAnalysis(ring)
+        g = st.universal_grading(a)
         assert g.group_order == len(grp.center()), name
-        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
+        glc = a.grouplike_chars
         assert g.group_order == len(glc), name
 
 
 def test_perp_examples(ising_ring, ising_table):
+    ising = hg.RingAnalysis(ising_ring, table=ising_table)
     trivial = st.SubHypergroup((0,), ising_ring)
-    assert st.perp(ising_ring, ising_table, trivial) == frozenset({0, 1, 2})
+    assert st.perp(ising, trivial) == frozenset({0, 1, 2})
     whole = st.SubHypergroup((0, 1, 2), ising_ring)
-    assert st.perp(ising_ring, ising_table, whole) == frozenset({ising_table.fp_index})
+    assert st.perp(ising, whole) == frozenset({ising_table.fp_index})
     sub = st.SubHypergroup((0, 1), ising_ring)
-    assert st.perp(ising_ring, ising_table, sub) == frozenset(
-        hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars
-    )
+    assert st.perp(ising, sub) == frozenset(ising.grouplike_chars)
 
 
 def test_grouplike_char_perp_is_adjoint(corpus_with_tables):
     # Cor 7.16: G(H-hat)-perp = H_ad
     for ring, table in corpus_with_tables:
-        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
-        ad = st.adjoint(ring, table)
-        assert st.perp_characters(ring, table, glc) == frozenset(ad.indices), ring.name
+        a = hg.RingAnalysis(ring, table=table)
+        ad = st.adjoint(a)
+        assert st.perp_characters(a, a.grouplike_chars) == frozenset(ad.indices), ring.name
 
 
 def test_quotient_trivial_is_identity(s3_rep, s3_table):
-    q, classes = st.quotient(s3_rep, st.SubHypergroup((0,), s3_rep), s3_table)
+    q, classes = st.quotient(
+        hg.RingAnalysis(s3_rep, table=s3_table), st.SubHypergroup((0,), s3_rep)
+    )
     assert q.rank == s3_rep.rank
     # normalized version of the ring itself
     assert q.flags.normalized
@@ -127,14 +126,16 @@ def test_quotient_z4_by_order2():
     sq = next(
         i for i in range(1, 4) if z4.tensor[i, i, 0] == 1 and i == z4.involution[i]
     )
-    q, classes = st.quotient(z4, st.SubHypergroup((0, sq), z4))
+    q, classes = st.quotient(hg.RingAnalysis(z4), st.SubHypergroup((0, sq), z4))
     assert q.rank == 2
     assert q.tensor[1, 1, 0] == 1  # Z[Z2]
 
 
 def test_quotient_s3_example(s3_rep, s3_table):
     s, t = s3_indices(s3_rep)
-    q, classes = st.quotient(s3_rep, st.SubHypergroup((0, s), s3_rep), s3_table)
+    q, classes = st.quotient(
+        hg.RingAnalysis(s3_rep, table=s3_table), st.SubHypergroup((0, s), s3_rep)
+    )
     assert q.rank == 2
     assert [c for c in classes] == [(0, s), (t,)]
     # normalized class tensor [t][t] = 1/2 [1] + 1/2 [t]
@@ -148,7 +149,7 @@ def test_quotient_s3_example(s3_rep, s3_table):
 def test_quotient_rejects_nonabelian():
     ring = group_ring(catalog("S3"))
     with pytest.raises(NotAbelian):
-        st.quotient(ring, st.SubHypergroup((0,), ring))
+        st.quotient(hg.RingAnalysis(ring), st.SubHypergroup((0,), ring))
 
 
 def test_commutator_examples(ising_ring, s3_rep):
@@ -195,12 +196,13 @@ def test_brauer_criterion(corpus_with_tables):
     for ring, table in corpus_with_tables[:14]:
         if table.fp_index is None:
             continue
+        a = hg.RingAnalysis(ring, table=table)
         for i in range(ring.rank):
             x = hg.basis_element(ring, i)
             gen = st.generated_sub(ring, x)
-            ker = st.kernel_of_element(ring, table, x)
+            ker = st.kernel_of_element(a, x)
             assert gen.is_whole == (ker == frozenset({table.fp_index})), ring.name
-            js = st.support(ring, table, gen)
+            js = st.support(a, gen)
             assert js == ker, (ring.name, i)
 
 
@@ -209,9 +211,10 @@ def test_p_squared_generates_adjoint(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        P = bn.product_P(ring, table)
+        a = hg.RingAnalysis(ring, table=table)
+        P = bn.product_P(a)
         P2 = hg.multiply(ring, P, P)
-        ad = set(st.adjoint(ring, table).indices)
+        ad = set(st.adjoint(a).indices)
         assert set(st.generated_sub(ring, P2).indices) == ad, ring.name
         assert ad <= set(st.generated_sub(ring, P).indices), ring.name
 
@@ -222,13 +225,14 @@ def test_join_support_law(corpus_with_tables):
         subs = st.all_sub_hypergroups(ring)
         if len(subs) > 8:
             continue
+        a = hg.RingAnalysis(ring, table=table)
         for s1 in subs:
             for s2 in subs:
                 join = st.SubHypergroup(
                     st.closure(ring, set(s1.indices) | set(s2.indices)), ring
                 )
-                lhs = st.support(ring, table, join)
-                rhs = st.support(ring, table, s1) & st.support(ring, table, s2)
+                lhs = st.support(a, join)
+                rhs = st.support(a, s1) & st.support(a, s2)
                 assert lhs == rhs, (ring.name, s1.indices, s2.indices)
 
 
@@ -254,8 +258,9 @@ def test_grouplike_constituent_law(corpus_with_tables):
 def test_adjoint_trivial_iff_dual_pointed(corpus_with_tables):
     # H_ad = C iff dual pointed; H_ad = H iff dual perfect
     for ring, table in corpus_with_tables:
-        ad = st.adjoint(ring, table)
-        glc = hg.RingAnalysis(ring, table=table).grouplike_chars
+        a = hg.RingAnalysis(ring, table=table)
+        ad = st.adjoint(a)
+        glc = a.grouplike_chars
         assert ad.is_trivial == (len(glc) == ring.rank), ring.name
         assert ad.is_whole == (len(glc) == 1), ring.name
 
@@ -263,14 +268,12 @@ def test_adjoint_trivial_iff_dual_pointed(corpus_with_tables):
 def test_quotient_vanishing_lift():
     # a class vanishing in H//S lifts to a vanishing element of H
     ring = rep_ring(catalog("S4"))
-    table = hg.character_table(ring)
+    a = hg.RingAnalysis(ring)
     # S = {1, sgn}: the grouplike elements
-    gl = hg.RingAnalysis(ring, table=table).grouplikes
-    q, classes = st.quotient(ring, st.SubHypergroup(gl, ring), table)
-    qtable = hg.character_table(q)
-    qvanish = bn.vanishing_elements(q, qtable)
+    q, classes = st.quotient(a, st.SubHypergroup(a.grouplikes, ring))
+    qvanish = bn.vanishing_elements(hg.RingAnalysis(q))
     assert qvanish  # the quotient does have a vanishing class here
-    vanish = set(bn.vanishing_elements(ring, table))
+    vanish = set(bn.vanishing_elements(a))
     for lbl in qvanish:
         for member in classes[lbl]:
             assert member in vanish
@@ -279,19 +282,19 @@ def test_quotient_vanishing_lift():
 def test_sub_arguments_are_checked():
     z4 = group_ring(catalog("C4"))
     with pytest.raises(ClosureViolation, match="not closed"):
-        st.quotient(z4, st.SubHypergroup((0, 1), z4))
+        st.quotient(hg.RingAnalysis(z4), st.SubHypergroup((0, 1), z4))
     with pytest.raises(ClosureViolation, match="out of range"):
-        st.quotient(z4, st.SubHypergroup((0, 7), z4))
+        st.quotient(hg.RingAnalysis(z4), st.SubHypergroup((0, 7), z4))
     with pytest.raises(ClosureViolation, match="not closed"):
         st.commutator_sub(z4, st.SubHypergroup((0, 1), z4))
 
 
 def test_quotient_of_irrational_and_float_rings(ising_ring):
     # FP dims that do not snap to rationals normalize on the float path
-    q, classes = st.quotient(ising_ring, st.SubHypergroup((0, 1), ising_ring))
+    q, classes = st.quotient(hg.RingAnalysis(ising_ring), st.SubHypergroup((0, 1), ising_ring))
     assert classes == [(0, 1), (2,)] and q.rank == 2
     floaty = hg.FusionData("Ising/float", ising_ring.involution, ising_ring.float_tensor())
-    qf, classes_f = st.quotient(floaty, st.SubHypergroup((0, 1), floaty))
+    qf, classes_f = st.quotient(hg.RingAnalysis(floaty), st.SubHypergroup((0, 1), floaty))
     assert classes_f == classes
     assert np.allclose(qf.float_tensor(), q.float_tensor(), atol=1e-12)
 
@@ -443,5 +446,5 @@ def test_support_readers_match_set_based_references(full_corpus, tol):
                 [u.indices for u in series.upper],
                 [low.indices for low in series.lower],
             ) == _ref_series(data, tol), name
-            grading = st.universal_grading(data, tol=tol)
+            grading = st.universal_grading(hg.RingAnalysis(data, tol))
             assert grading.components == _ref_grading_components(data, tol), name
