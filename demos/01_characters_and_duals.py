@@ -25,7 +25,7 @@ def show(ring):
     print("integral (idempotent at FPdim):", np.round(lam.float_coords(), 6))
 
     fl = a.dual_flags
-    print(f"dual: RN={fl.rn} rational={fl.rational} h-integral={fl.h_integral}")
+    print(f"dual: RN={fl.real_non_negative} rational={fl.rational} h-integral={fl.h_integral}")
     print("dual orders h-hat_j:", np.round(a.dual.orders_hat, 6))
     print("dual codegrees:", np.round(hg.dual_codegrees(a), 6))
     perm = hg.double_dual_check(a)

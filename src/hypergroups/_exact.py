@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
+
+from .core import integer_form
 
 __all__ = ["exact_det"]
 
@@ -41,16 +42,5 @@ def exact_det(matrix) -> Fraction:
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise ValueError(f"not square: {arr.shape}")
-    entries = list(arr.ravel())
-    if all(isinstance(x, int) for x in entries):
-        return Fraction(_bareiss_int([list(r) for r in arr.tolist()]))
-    # clear denominators column by column, then run the integer path
-    scale = Fraction(1)
-    cols = []
-    for j in range(n):
-        col = [Fraction(arr[i, j]) for i in range(n)]
-        lcm = math.lcm(*(x.denominator for x in col))
-        scale /= lcm
-        cols.append([int(x * lcm) for x in col])
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return scale * _bareiss_int(rows)
+    scale, (cleared,) = integer_form(arr, terms=1)
+    return Fraction(_bareiss_int(cleared.tolist()), scale**n)

@@ -14,15 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .burnside import _zero_thresholds, vanishing_elements
+from .burnside import vanishing_elements
 from .core import FlagSet, FusionData
-from .dual import (
-    DualData,
-    DualFlags,
-    dual_flags,
-    dual_hypergroup,
-    match_dual_characters,
-)
+from .dual import DualData, dual_hypergroup, match_dual_characters
 from .errors import CrossCheckFailed
 from .spectra import CharacterTable, character_table, fp_character, order
 from .structure import (
@@ -132,7 +126,7 @@ class RingAnalysis:
     def dual_burnside(self) -> tuple:
         """(verdict, witness): the zero-free characters are the grouplike ones."""
         values = self.table.values
-        thr = _zero_thresholds(self.table, self.tol)
+        thr = self.tol.zero(np.abs(values).max(axis=0))
         zero_free = {
             j for j in range(self.data.rank) if (np.abs(values[:, j]) > thr[j]).all()
         }
@@ -151,8 +145,8 @@ class RingAnalysis:
         return dual_hypergroup(self.data, self.table, self.fp, self.tol)
 
     @cached_property
-    def dual_flags(self) -> DualFlags:
-        return dual_flags(self.dual, self.tol)
+    def dual_flags(self) -> FlagSet:
+        return self.dual.base.flags_at(self.tol)
 
     @cached_property
     def dual_match(self) -> np.ndarray:

@@ -11,7 +11,7 @@ from ..core import FusionData, rescale
 from ..dual import dual_hypergroup
 from ..errors import InvalidOrders, SnapFailure
 from ..spectra import character_table
-from ..tolerance import DEFAULT_TOL, Tolerance, snap_value
+from ..tolerance import DEFAULT_TOL, Tolerance, snap_array, snap_value
 from .groups import FiniteGroup, abelian_group, catalog, catalog_names
 
 __all__ = [
@@ -81,20 +81,10 @@ def rep_ring(g: FiniteGroup, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Fus
         if not isinstance(d, int) or d <= 0:
             raise SnapFailure(f"irreducible degree sqrt({h}) does not snap to int")
         dims.append(d)
-    if dd.base.is_exact:
-        ring = rescale(dd.base, [Fraction(1, d) for d in dims])
-        entries = list(ring.tensor.ravel())
-        if any((isinstance(x, Fraction) and x.denominator != 1) or x < 0 for x in entries):
-            raise SnapFailure("rescaled dual is not a non-negative integer tensor")
-        tensor = np.array([int(x) for x in entries], dtype=object).reshape(ring.tensor.shape)
-    else:
-        ring = rescale(dd.base, [1.0 / d for d in dims])
-        tensor = np.empty(ring.tensor.shape, dtype=object)
-        for idx in np.ndindex(*ring.tensor.shape):
-            s = snap_value(float(ring.tensor[idx]), tol)
-            if not isinstance(s, int) or s < 0:
-                raise SnapFailure(f"entry {ring.tensor[idx]} does not snap to Z>=0")
-            tensor[idx] = s
+    ring = rescale(dd.base, [Fraction(1, d) for d in dims])
+    tensor = ring.tensor if ring.is_exact else snap_array(ring.tensor, tol)
+    if tensor is None or any(not isinstance(x, int) or x < 0 for x in tensor.ravel()):
+        raise SnapFailure("rescaled dual is not a non-negative integer tensor")
     out = FusionData(f"K(Rep({g.name}))", ring.involution, tensor)
     if not out.flags.fusion_ring:
         raise SnapFailure(f"K(Rep({g.name})) does not validate as a fusion ring")

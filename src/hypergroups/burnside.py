@@ -62,12 +62,6 @@ class BurnsideReport:
     hypothesis_notes: list = field(default_factory=list)
 
 
-def _zero_thresholds(table: CharacterTable, tol: Tolerance) -> np.ndarray:
-    """Per-character zero threshold: tol.abs + tol.rel * column norm."""
-    colnorm = np.abs(table.values).max(axis=0)
-    return tol.abs + tol.rel * colnorm
-
-
 def grouplike_closure_ok(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the grouplikes are closed under product (single support) and involution."""
     gl = sorted(set(gset))
@@ -94,7 +88,7 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
     exact determinant of the left multiplication matrix; disagreement aborts.
     """
     data, values = a.data, a.table.values
-    thr = _zero_thresholds(a.table, a.tol)
+    thr = a.tol.zero(np.abs(values).max(axis=0))
     numeric = tuple(
         i for i in range(data.rank) if (np.abs(values[i, :]) <= thr).any()
     )

@@ -225,20 +225,9 @@ def basis_element(data: FusionData, i: int) -> Element:
 
 def regular_element(data: FusionData) -> Element:
     """I(1) = sum_i h_i x_i x_{i*}; exact (Fractions) on exact tensors."""
-    m = data.rank
-    inv = data.involution
-    hs = orders(data)
-    if data.is_exact:
-        coords = [Fraction(0)] * m
-        for i in range(m):
-            row = data.tensor[i, inv[i]]
-            for k in range(m):
-                if row[k] != 0:
-                    coords[k] += Fraction(hs[i]) * Fraction(row[k])
-        return Element(tuple(coords))
-    N = data.float_tensor()
-    coords = np.einsum("i,ik->k", np.array(hs, dtype=float), N[np.arange(m), inv, :])
-    return Element(tuple(float(c) for c in coords))
+    hs = np.array(orders(data), dtype=data.tensor.dtype)
+    rows = data.tensor[np.arange(data.rank), data.involution]
+    return Element(tuple(np.einsum("i,ik->k", hs, rows).tolist()))
 
 
 def orders(data: FusionData) -> list:
@@ -284,8 +273,13 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     """Check every hypergroup axiom and compute the flag set by tensor inspection.
 
     Raises AxiomViolation (with the first failing index tuple) or
-    DimensionMismatch.  Exact tensors are checked exactly on their integer
-    form; floating tensors are checked within `tol`.
+    DimensionMismatch.  One pass checks both kinds of tensor on an array A
+    with unit value `one`: an exact tensor on its integer form (A = L * N,
+    one = L) with every zero test exact, a floating tensor on A = N, one = 1,
+    within tol.zero at a fixed scale per law: s = max|N|, max(s^2 m, s) for
+    associativity and max(s, 1) m for the row sums of `normalized`.  Each law
+    names the index tuple that an element-by-element scan in the order
+    written first finds failing.
     """
     m = data.rank
     N = data.tensor
@@ -299,39 +293,61 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     for i in range(m):
         if inv[inv[i]] != i:
             raise AxiomViolation("involution", (i,), "not an involution")
-    if data.is_exact:
-        return _validate_exact(data)
+    exact = data.is_exact
+    if exact:
+        one, (A,) = integer_form(N, terms=m)
+        s, eps = 0, lambda scale: 0
+    else:
+        one, A = 1.0, N
+        s, eps = float(np.abs(N).max()), tol.zero
+    zero = eps(s)
+    diag = np.arange(m)
 
-    scale = float(max(abs(float(x)) for x in N.ravel())) if m else 0.0
-
-    # unit laws: tensor[0, j, k] = tensor[j, 0, k] = delta_{jk}
-    for j in range(m):
-        for k in range(m):
-            want = 1 if j == k else 0
-            if abs(N[0, j, k] - want) > tol.zero(scale):
-                raise AxiomViolation("unit", (0, j, k))
-            if abs(N[j, 0, k] - want) > tol.zero(scale):
-                raise AxiomViolation("unit", (j, 0, k))
+    # unit laws: A[0, j, k] = A[j, 0, k] = one delta_{jk}; (0, j, k) before (j, 0, k)
+    unit = np.zeros((m, m), dtype=A.dtype)
+    unit[diag, diag] = one
+    left = np.abs(A[0] - unit) > zero
+    right = np.abs(A[:, 0] - unit) > zero
+    hit = _first(left | right)
+    if hit is not None:
+        j, k = hit
+        raise AxiomViolation("unit", (0, j, k) if left[j, k] else (j, 0, k))
 
     # Def 1.1: N_{ij}^0 = 0 unless j = i*, and N_{i,i*}^0 > 0
-    for i in range(m):
-        for j in range(m):
-            e = N[i, j, 0]
-            if j == inv[i]:
-                if not e > tol.zero(scale):
-                    raise AxiomViolation("involution", (i, j, 0), "N_{ii*}^0 <= 0")
-            elif abs(e) > tol.zero(scale):
-                raise AxiomViolation("involution", (i, j, 0), "N_{ij}^0 != 0 off involution")
+    col0 = A[:, :, 0]
+    on_inv = np.zeros((m, m), dtype=bool)
+    on_inv[diag, inv] = True
+    hit = _first(np.where(on_inv, col0 <= zero, np.abs(col0) > zero))
+    if hit is not None:
+        i, j = hit
+        if on_inv[i, j]:
+            raise AxiomViolation("involution", (i, j, 0), "N_{ii*}^0 <= 0")
+        raise AxiomViolation("involution", (i, j, 0), "N_{ij}^0 != 0 off involution")
 
-    # associativity: sum_p N_{ij}^p N_{pk}^q = sum_p N_{jk}^p N_{ip}^q
-    lhs, rhs = bracketings(N)
-    assoc_scale = max(scale * scale * m, scale)
-    bad = np.argwhere(np.abs(lhs - rhs) > tol.zero(assoc_scale))
-    if len(bad):
-        i, j, k, q = (int(t) for t in bad[0])
-        raise AxiomViolation("associativity", (i, j, k, q))
+    # associativity; on the integer form both sides scale by L^2
+    lhs, rhs = bracketings(A)
+    hit = _first(np.abs(lhs - rhs) > eps(max(s * s * m, s)))
+    if hit is not None:
+        raise AxiomViolation("associativity", hit)
 
-    return _compute_flags(data, tol, scale)
+    rn = bool((A >= -zero).all())
+    unit_coeffs = col0[diag, inv]
+    if exact:
+        # N_{ii*}^0 = c / L with c > 0, so h_i = 1 / N_{ii*}^0 = L / c
+        h_integral = (one % unit_coeffs == 0).all()
+    else:
+        h = 1.0 / unit_coeffs
+        h_integral = (np.abs(h - np.round(h)) <= tol.zero(h)).all()
+    return FlagSet(
+        symmetric=bool((np.abs(col0 - col0.T) <= zero).all()),
+        normalized=bool((np.abs(A.sum(axis=2) - one) <= eps(max(s, 1.0) * m)).all()),
+        real=True,
+        rational=exact,
+        real_non_negative=rn,
+        abelian=bool((np.abs(A - A.transpose(1, 0, 2)) <= zero).all()),
+        fusion_ring=rn and exact and one == 1 and bool((unit_coeffs == 1).all()),
+        h_integral=bool(h_integral),
+    )
 
 
 def _first(mask: np.ndarray) -> tuple | None:
@@ -340,91 +356,6 @@ def _first(mask: np.ndarray) -> tuple | None:
     if not len(hits):
         return None
     return tuple(int(t) for t in np.unravel_index(hits[0], mask.shape))
-
-
-def _validate_exact(data: FusionData) -> FlagSet:
-    """validate on C = L * N, the integer form of an exact tensor.
-
-    Each law names the index tuple that an element-by-element scan in the
-    order written first finds failing."""
-    m = data.rank
-    inv = np.array(data.involution, dtype=np.intp)
-    L, (C,) = integer_form(data.tensor, terms=m)
-    diag = np.arange(m)
-
-    # unit laws: C[0, j, k] = C[j, 0, k] = L delta_{jk}; (0, j, k) before (j, 0, k)
-    unit = np.zeros((m, m), dtype=C.dtype)
-    unit[diag, diag] = L
-    left, right = C[0] != unit, C[:, 0] != unit
-    hit = _first(left | right)
-    if hit is not None:
-        j, k = hit
-        raise AxiomViolation("unit", (0, j, k) if left[j, k] else (j, 0, k))
-
-    # Def 1.1: N_{ij}^0 = 0 unless j = i*, and N_{i,i*}^0 > 0
-    col0 = C[:, :, 0]
-    on_inv = np.zeros((m, m), dtype=bool)
-    on_inv[diag, inv] = True
-    hit = _first(np.where(on_inv, col0 <= 0, col0 != 0))
-    if hit is not None:
-        i, j = hit
-        if on_inv[i, j]:
-            raise AxiomViolation("involution", (i, j, 0), "N_{ii*}^0 <= 0")
-        raise AxiomViolation("involution", (i, j, 0), "N_{ij}^0 != 0 off involution")
-
-    # associativity; both sides scale by L^2
-    lhs, rhs = bracketings(C)
-    hit = _first(lhs != rhs)
-    if hit is not None:
-        raise AxiomViolation("associativity", hit)
-
-    rn = bool((C >= 0).all())
-    # N_{ii*}^0 = c / L with c > 0, so 1 / N_{ii*}^0 = L / c
-    unit_coeffs = col0[diag, inv]
-    return FlagSet(
-        symmetric=bool((col0 == col0.T).all()),
-        normalized=bool((C.sum(axis=2) == L).all()),
-        real=True,
-        rational=True,
-        real_non_negative=rn,
-        abelian=bool((C == C.transpose(1, 0, 2)).all()),
-        fusion_ring=rn and L == 1 and bool((unit_coeffs == 1).all()),
-        h_integral=bool((L % unit_coeffs == 0).all()),
-    )
-
-
-def _compute_flags(data: FusionData, tol: Tolerance, scale: float) -> FlagSet:
-    """Flag set of a floating tensor, within `tol`."""
-    m = data.rank
-    N = data.tensor
-    inv = data.involution
-    symmetric = all(
-        abs(N[a, b, 0] - N[b, a, 0]) <= tol.zero(scale)
-        for a in range(m)
-        for b in range(m)
-    )
-    normalized = all(
-        abs(float(N[a, b, :].sum()) - 1.0) <= tol.zero(max(scale, 1.0) * m)
-        for a in range(m)
-        for b in range(m)
-    )
-    rn = all(x >= -tol.zero(scale) for x in N.ravel())
-    h_integral = all(
-        abs(1.0 / float(N[i, inv[i], 0]) - round(1.0 / float(N[i, inv[i], 0])))
-        <= tol.zero(1.0 / float(N[i, inv[i], 0]))
-        for i in range(m)
-    )
-    abelian = bool((np.abs(N - N.transpose(1, 0, 2)) <= tol.zero(scale)).all())
-    return FlagSet(
-        symmetric=symmetric,
-        normalized=normalized,
-        real=True,
-        rational=False,
-        real_non_negative=rn,
-        abelian=abelian,
-        fusion_ring=False,
-        h_integral=h_integral,
-    )
 
 
 def multiply(data: FusionData, x: Element, y: Element) -> Element:

@@ -26,16 +26,14 @@ from .errors import (
     NotNormalizable,
 )
 from .spectra import CharacterTable, character_table, fp_character, order
-from .tolerance import DEFAULT_TOL, Tolerance, snap_array
+from .tolerance import Tolerance, snap_array
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
 
 __all__ = [
     "DualData",
-    "DualFlags",
     "dual_hypergroup",
-    "dual_flags",
     "dual_codegrees",
     "double_dual_check",
     "augmentation_index",
@@ -71,13 +69,6 @@ class DualData:
         return character_table(self.base, tol=self.tol)
 
 
-@dataclass(frozen=True)
-class DualFlags:
-    rn: bool
-    rational: bool
-    h_integral: bool
-
-
 def augmentation_index(table: CharacterTable) -> int:
     """Column of the all-ones character (exists iff the data is normalized)."""
     dev = np.abs(table.values - 1.0).max(axis=0)
@@ -104,8 +95,6 @@ def dual_hypergroup(
         mu1 = fp_character(table)
     A = table.values
     d = A[:, mu1]
-    if (np.abs(d) <= tol.zero(1.0 + np.abs(d).max())).any():
-        raise NotNormalizable("normalizing character vanishes somewhere")
     n_primal = order(table, mu1)
 
     perm = [mu1] + [j for j in range(m) if j != mu1]
@@ -179,16 +168,6 @@ def _check_involution_conjugation(Ap, d, involution_hat, tol: Tolerance):
             raise DualAxiomViolation(
                 f"dual involution {j} -> {js} does not match value conjugation"
             )
-
-
-def dual_flags(dd: DualData, tol: Tolerance = DEFAULT_TOL) -> DualFlags:
-    """RN / rational / h-integral classification of a built dual."""
-    t = dd.base.float_tensor()
-    rn = bool((t >= -tol.zero(1.0 + np.abs(t).max())).all())
-    rational = dd.base.is_exact
-    hs = snap_array(dd.orders_hat, tol)
-    h_integral = hs is not None and all(isinstance(h, int) and h > 0 for h in hs)
-    return DualFlags(rn=rn, rational=rational, h_integral=h_integral)
 
 
 def dual_codegrees(a: RingAnalysis) -> np.ndarray:

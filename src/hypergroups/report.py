@@ -117,7 +117,7 @@ def analyze(
     report.dual = {
         "orders_hat": [_round(x) for x in dd.orders_hat],
         "involution_hat": list(dd.involution_hat),
-        "rn": dfl.rn,
+        "rn": dfl.real_non_negative,
         "rational": dfl.rational,
         "h_integral": dfl.h_integral,
         "codegrees_hat": [_round(x) for x in nhat],

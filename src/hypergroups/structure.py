@@ -130,28 +130,20 @@ def closure(data: FusionData, seeds, tol: Tolerance = DEFAULT_TOL) -> tuple:
     return _close(data, data.support_at(tol), member)
 
 
-def element_support(data: FusionData, x: Element, tol: Tolerance) -> set:
-    thr = 0.0 if (data.is_exact and x.is_exact) else tol.zero(
-        1.0 + float(np.abs(x.float_coords()).max())
-    )
-    out = set()
-    for i, c in enumerate(x.coords):
-        if isinstance(c, float):
-            if c < -thr:
-                raise NotPositive(f"coordinate {i} is negative")
-            if c > thr:
-                out.add(i)
-        else:
-            if c < 0:
-                raise NotPositive(f"coordinate {i} is negative")
-            if c > 0:
-                out.add(i)
-    return out
+def element_support(x: Element, tol: Tolerance) -> set:
+    """Indices of the positive coordinates of a positive-cone element, compared
+    with 0 on an exact element and within tol otherwise."""
+    thr = 0 if x.is_exact else tol.zero(1.0 + float(np.abs(x.float_coords()).max()))
+    c = np.array(x.coords, dtype=object)
+    neg = np.flatnonzero(c < -thr)
+    if len(neg):
+        raise NotPositive(f"coordinate {neg[0]} is negative")
+    return set(np.flatnonzero(c > thr).tolist())
 
 
 def generated_sub(data: FusionData, x: Element, tol: Tolerance = DEFAULT_TOL) -> SubHypergroup:
     """Sub-hypergroup generated by the constituents of a positive-cone element."""
-    seeds = element_support(data, x, tol)
+    seeds = element_support(x, tol)
     return SubHypergroup(closure(data, seeds, tol), data)
 
 
@@ -200,7 +192,7 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     vals = xv @ a.table.values
     thr = 1e4 * tol.zero(1.0 + fp)
     ker = frozenset(j for j in range(data.rank) if abs(vals[j] - fp) <= thr)
-    supp = sorted(element_support(data, x, tol))
+    supp = sorted(element_support(x, tol))
     inter = frozenset(np.flatnonzero(_acts_like_fp(a)[supp].all(axis=0)).tolist())
     if supp and inter != ker:
         raise ClosureViolation(
@@ -350,7 +342,7 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
         raise HypergroupError("universal grading needs RN data")
     m = data.rank
     S = data.support_at(tol)
-    ad = adjoint_indices(data, None, tol)
+    ad = a.adjoint.indices
     # linked[a, b]: x_b is a constituent of s x_a or x_a s for some s in H_ad
     linked = S[list(ad)].any(axis=0) | S[:, list(ad)].any(axis=1)
     # stable labels: component of the unit first, then by smallest member
@@ -474,38 +466,27 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
     reach = normalized.support_at(tol)[:, list(sub.indices)].any(axis=1)
     meets = np.triu(reach @ reach.T, 1)
     classes = list(map(tuple, _components(m, zip(*np.nonzero(meets)))))
-    class_of = {}
+    label = np.empty(m, dtype=int)
     for lbl, cls in enumerate(classes):
-        for p in cls:
-            class_of[p] = lbl
+        label[list(cls)] = lbl
 
-    q = len(classes)
+    # sums[p, r, c]: coefficient of class c in x_p x_r; each block of
+    # representative pairs must agree with its first pair
     exact = normalized.is_exact
-    qt = np.zeros((q, q, q), dtype=object)
-    for la, ca in enumerate(classes):
-        for lb, cb in enumerate(classes):
-            ref = None
-            for p in ca:
-                for r in cb:
-                    row = normalized.tensor[p, r]
-                    ent = [0] * q
-                    for w in range(m):
-                        ent[class_of[w]] += row[w] if exact else float(row[w])
-                    if ref is None:
-                        ref = ent
-                    else:
-                        if exact:
-                            same = ref == ent
-                        else:
-                            same = max(abs(x - y) for x, y in zip(ref, ent)) <= 1e4 * tol.zero(1.0)
-                        if not same:
-                            raise ClassInconsistency(
-                                f"class product [{la}][{lb}] depends on representatives"
-                            )
-            for lc in range(q):
-                qt[la, lb, lc] = ref[lc]
+    onehot = np.zeros((m, len(classes)), dtype=object if exact else float)
+    onehot[np.arange(m), label] = 1
+    sums = normalized.tensor @ onehot
+    reps = [cls[0] for cls in classes]
+    qt = sums[np.ix_(reps, reps)]
+    spread = np.abs(sums - qt[np.ix_(label, label)]).max(axis=2)
+    bad = np.argwhere(spread > (0 if exact else 1e4 * tol.zero(1.0)))
+    if len(bad):
+        la, lb = min((int(label[p]), int(label[r])) for p, r in bad)
+        raise ClassInconsistency(
+            f"class product [{la}][{lb}] depends on representatives"
+        )
     inv = data.involution
-    qinv = [class_of[inv[cls[0]]] for cls in classes]
+    qinv = [label[inv[cls[0]]] for cls in classes]
     result = FusionData(f"{data.name}//{list(sub.indices)}", qinv, qt)
     qflags = result.flags_at(tol)
     if not (qflags.abelian and qflags.real_non_negative):

@@ -57,7 +57,7 @@ def snap_array(values, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """
     x = np.asarray(values, dtype=float)
     n = np.round(x)
-    ints = np.abs(x - n) <= tol.abs + tol.rel * np.abs(x)
+    ints = np.abs(x - n) <= tol.zero(x)
     out = np.empty(x.shape, dtype=object)
     out[ints] = [int(v) for v in n[ints]]
     for idx in zip(*np.nonzero(~ints)):

@@ -9,6 +9,7 @@ import pytest
 
 import hypergroups as hg
 from hypergroups import core
+from hypergroups._exact import exact_det
 from hypergroups.builders import (
     catalog,
     class_hypergroup,
@@ -82,6 +83,7 @@ def _corrupted_rings():
     cl_a5 = class_hypergroup(catalog("A5"))
     cl_sl23 = class_hypergroup(catalog("SL(2,3)"))  # x_3 x_4 = x_1/4 + 3 x_6/4
     flo = hg.rescale(ising(), [1.0, 1.0, math.sqrt(2)])
+    z6f, z8f, cl_a5f = (_float_copy(r) for r in (z6, z8, cl_a5))
     return [
         # the unit loop checks (0, j, k) then (j, 0, k), row-major in (j, k)
         ("z6-unit-right", _corrupt(z6, {(3, 0, 2): 1, (0, 4, 4): 0}), "unit", (3, 0, 2)),
@@ -110,7 +112,25 @@ def _corrupted_rings():
          "associativity", (1, 2, 2, 0)),
         ("ising-float-associativity", _corrupt(flo, {(2, 2, 1): 0.5 + 1e-3}),
          "associativity", (1, 2, 2, 0)),
+        ("z6-float-unit-right", _corrupt(z6f, {(3, 0, 2): 0.5, (0, 4, 4): 0.0}),
+         "unit", (3, 0, 2)),
+        ("z6-float-unit-left", _corrupt(z6f, {(2, 0, 5): 0.5, (0, 2, 5): 0.5}),
+         "unit", (0, 2, 5)),
+        # noise below tol.zero(max|N|) passes; the violation after it is named
+        ("cl-a5-float-unit-past-noise", _corrupt(
+            cl_a5f, {(0, 1, 1): 1 + 1e-12, (3, 0, 3): 1 - 1e-12, (0, 3, 3): 1 + 1e-3}
+        ), "unit", (0, 3, 3)),
+        ("z6-float-off-involution", _corrupt(z6f, {(4, 1, 0): 0.5, (2, 1, 0): 1e-6}),
+         "involution", (2, 1, 0)),
+        ("z8-float-zero-on-involution", _corrupt(z8f, {(3, 5, 0): 1e-12, (4, 1, 0): 0.5}),
+         "involution", (3, 5, 0)),
+        ("cl-a5-float-negative-on-involution", _corrupt(cl_a5f, {(2, 2, 0): -1 / 3}),
+         "involution", (2, 2, 0)),
     ]
+
+
+def _float_copy(ring):
+    return hg.FusionData(f"{ring.name}/float", ring.involution, ring.float_tensor())
 
 
 @pytest.mark.parametrize(
@@ -121,6 +141,57 @@ def test_violation_names_first_failing_index(data, law, indices):
     with pytest.raises(AxiomViolation) as exc:
         hg.validate(data)
     assert (exc.value.law, exc.value.indices) == (law, indices)
+
+
+def test_float_copies_flag_like_their_exact_rings(full_corpus):
+    # a float tensor is never rational or a fusion ring; every other flag is
+    # the exact ring's
+    for ring in full_corpus:
+        exact = ring.flags.as_dict()
+        got = _float_copy(ring).flags.as_dict()
+        assert (got.pop("rational"), got.pop("fusion_ring")) == (False, False)
+        del exact["rational"], exact["fusion_ring"]
+        assert got == exact, ring.name
+
+
+def _reference_det(matrix):
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in np.asarray(matrix, dtype=object).tolist()]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def test_exact_det_matches_fraction_elimination(full_corpus):
+    matrices = [
+        ring.left_matrix(i)
+        for ring in full_corpus
+        if ring.scalar_kind == "rational"
+        for i in range(ring.rank)
+    ]
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.25:  # a singular one: repeat a row
+            rows[rng.randrange(1, n)] = rows[0][:]
+        matrices.append(np.array(rows, dtype=object))
+    dets = [exact_det(mat) for mat in matrices]
+    assert dets == [_reference_det(mat) for mat in matrices]
+    assert 0 in dets and any(d.denominator > 1 for d in dets)
 
 
 def _reference_outcome(data):

@@ -21,8 +21,8 @@ def test_z2_self_dual(z2_ring):
 def test_s3_dual_is_class_hypergroup(s3_rep, s3_table):
     dd = hg.dual_hypergroup(s3_rep, s3_table)
     assert sorted(np.round(dd.orders_hat, 8)) == [1.0, 2.0, 3.0]
-    fl = hg.dual_flags(dd)
-    assert fl.rn and fl.rational and fl.h_integral
+    fl = dd.base.flags
+    assert fl.real_non_negative and fl.rational and fl.h_integral
     # it is the normalized class hypergroup of S3, up to basis order
     cl = class_hypergroup(catalog("S3"))
     assert sorted(float(h) for h in hg.orders(cl)) == [1.0, 2.0, 3.0]
@@ -31,14 +31,14 @@ def test_s3_dual_is_class_hypergroup(s3_rep, s3_table):
 def test_ising_dual(ising_ring, ising_table):
     dd = hg.dual_hypergroup(ising_ring, ising_table)
     assert sorted(np.round(dd.orders_hat, 8)) == [1.0, 1.0, 2.0]
-    fl = hg.dual_flags(dd)
-    assert fl.rn and fl.rational and fl.h_integral
+    fl = dd.base.flags
+    assert fl.real_non_negative and fl.rational and fl.h_integral
 
 
 def test_fibonacci_dual_not_h_integral(fib_ring, fib_table):
     dd = hg.dual_hypergroup(fib_ring, fib_table)
-    fl = hg.dual_flags(dd)
-    assert fl.rn
+    fl = dd.base.flags
+    assert fl.real_non_negative
     assert not fl.h_integral
     expected = (1 + PHI**2) / (1 + PHI**-2)
     assert any(abs(h - expected) < 1e-8 for h in dd.orders_hat)
@@ -47,8 +47,8 @@ def test_fibonacci_dual_not_h_integral(fib_ring, fib_table):
 def test_z3_dual_all_flags():
     ring = group_ring(catalog("C3"))
     t = hg.character_table(ring)
-    fl = hg.dual_flags(hg.dual_hypergroup(ring, t))
-    assert fl.rn and fl.rational and fl.h_integral
+    fl = hg.dual_hypergroup(ring, t).base.flags
+    assert fl.real_non_negative and fl.rational and fl.h_integral
 
 
 def test_dual_codegrees(ising_ring, ising_table, z2_ring, s3_rep, s3_table):

@@ -100,7 +100,7 @@ def test_weak_integrality_theorem_guard(corpus_with_tables):
 def test_h_integral_dual_order_sum(corpus_with_tables):
     for ring, table in corpus_with_tables:
         dd = hg.dual_hypergroup(ring, table)
-        if not hg.dual_flags(dd).h_integral:
+        if not dd.base.flags.h_integral:
             continue
         total = hg.snap(float(dd.orders_hat.sum()))
         assert isinstance(total, int), ring.name

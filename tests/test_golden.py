@@ -5,8 +5,12 @@ render_structured(analyze(ring, modular_candidate=mc)) for every corpus()
 ring, with mc False and True.  tests/data/corpus_variant_digests.json holds
 the same digest (mc True) for three more variants of each ring: solver seed 7,
 Tolerance(1e-8, 1e-8), and a copy of the ring with a float tensor; where a
-variant raises, it holds the error class instead.  A refactor that claims "the
-same behaviour" must leave every digest unchanged.  To record the digests
+variant raises, it holds the error class instead.
+tests/data/near_group_report_digests.json holds the digest of
+render_structured(analyze(ring)) for the 96 near-group rings K(G, m), G an
+abelian group of order <= 12 other than C11 and 0 <= m <= 5, or the digest of
+"Class: message" where the analysis raises.  A refactor that claims "the same
+behaviour" must leave every digest unchanged.  To record the digests
 again after a deliberate behaviour change, run
 `PYTHONPATH=src python tests/test_golden.py` and say in CHANGES.md why they
 moved.
@@ -16,7 +20,7 @@ import hashlib
 import json
 import os
 
-from hypergroups.builders import corpus
+from hypergroups.builders import corpus, near_group
 from hypergroups.core import FusionData
 from hypergroups.errors import HypergroupError
 from hypergroups.report import analyze, render_structured
@@ -25,6 +29,11 @@ from hypergroups.tolerance import Tolerance
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS = os.path.join(DATA, "corpus_report_digests.json")
 VARIANT_DIGESTS = os.path.join(DATA, "corpus_variant_digests.json")
+NEAR_GROUP_DIGESTS = os.path.join(DATA, "near_group_report_digests.json")
+
+# the abelian groups of order <= 12 except C11, as cyclic orders
+NEAR_GROUPS = [[], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2],
+               [9], [3, 3], [10], [12], [2, 6]]
 
 VARIANTS = {
     "seed=7": lambda ring: (ring, {"seed": 7}),
@@ -36,9 +45,12 @@ VARIANTS = {
 }
 
 
-def _digest(ring, **kwargs) -> str:
-    text = render_structured(analyze(ring, **kwargs))
+def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest(ring, **kwargs) -> str:
+    return _sha(render_structured(analyze(ring, **kwargs)))
 
 
 def report_digests() -> dict:
@@ -65,6 +77,18 @@ def variant_digests() -> dict:
     return out
 
 
+def near_group_digests() -> dict:
+    out = {}
+    for orders in NEAR_GROUPS:
+        for m in range(6):
+            ring = near_group(orders, m)
+            try:
+                out[ring.name] = _digest(ring)
+            except HypergroupError as exc:
+                out[ring.name] = _sha(f"{type(exc).__name__}: {exc}")
+    return out
+
+
 def _compare(path: str, got: dict):
     with open(path, encoding="utf-8") as fh:
         want = json.load(fh)
@@ -81,8 +105,16 @@ def test_variant_reports_match_golden_digests():
     _compare(VARIANT_DIGESTS, variant_digests())
 
 
+def test_near_group_reports_match_golden_digests():
+    _compare(NEAR_GROUP_DIGESTS, near_group_digests())
+
+
 if __name__ == "__main__":
-    for path, digests in ((DIGESTS, report_digests), (VARIANT_DIGESTS, variant_digests)):
+    for path, digests in (
+        (DIGESTS, report_digests),
+        (VARIANT_DIGESTS, variant_digests),
+        (NEAR_GROUP_DIGESTS, near_group_digests),
+    ):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(digests(), fh, indent=1, sort_keys=True)
             fh.write("\n")

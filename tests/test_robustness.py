@@ -78,8 +78,8 @@ def test_dual_of_dual_flags_roundtrip(ising_ring, ising_table):
     from hypergroups.dual import augmentation_index
 
     dd2 = hg.dual_hypergroup(dd.base, tdd, augmentation_index(tdd))
-    fl = hg.dual_flags(dd2)
-    assert fl.rn and fl.h_integral
+    fl = dd2.base.flags
+    assert fl.real_non_negative and fl.h_integral
 
 
 def test_dual_of_a_noisy_ring_is_validated_at_the_analysis_tolerance():

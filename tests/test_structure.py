@@ -186,7 +186,7 @@ def test_dual_nilpotency_class_equal(corpus_with_tables):
     # Theorem: H nilpotent iff dual nilpotent, same class (dualizable corpus rings)
     for ring, table in corpus_with_tables:
         dd = hg.dual_hypergroup(ring, table)
-        if not hg.dual_flags(dd).rn:
+        if not dd.base.flags.real_non_negative:
             continue
         assert st.is_nilpotent(ring) == st.is_nilpotent(dd.base), ring.name
 
@@ -352,7 +352,7 @@ def _ref_restrict(data, indices):
 
 def _ref_adjoint(data, indices, tol):
     sub, back = (data, list(range(data.rank))) if indices is None else _ref_restrict(data, indices)
-    seeds = st.element_support(sub, hg.regular_element(sub), tol)
+    seeds = st.element_support(hg.regular_element(sub), tol)
     return tuple(sorted(back[i] for i in _ref_closure(sub, seeds, tol)))
 
 
