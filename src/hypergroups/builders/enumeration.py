@@ -1,10 +1,16 @@
 """Backtracking enumeration of fusion rings with a prescribed type.
 
-Variables are the Frobenius-reciprocity orbits of tensor entries; the search
-assigns them in row-major order with Frobenius-Perron row-sum pruning and
-deduplicates the results by canonical form under dimension-preserving basis
-relabelings.  Involutions conjugate under those relabelings give relabeled
-rings, so only one involution per conjugacy class is searched.
+The variables are the orbits of tensor entries under Frobenius reciprocity,
+N_{ij}^k = N_{i*k}^j = N_{kj*}^i.  Every entry carries its orbit's id, so a
+complete assignment becomes a tensor by one gather.  The search assigns the
+free orbits in row-major order of their first entries.  Each row sum
+sum_k N_{ij}^k d_k must reach d_i d_j, so at a node the values an orbit can
+take form one interval: at most what every row it meets still needs, and at
+least what the later orbits cannot supply at their caps.  Only that interval
+is visited, and associativity is checked at the leaves.  The results are
+deduplicated by canonical form under dimension-preserving basis relabelings.
+Involutions conjugate under those relabelings give relabeled rings, so only
+one involution per conjugacy class is searched.
 """
 
 from __future__ import annotations
@@ -101,38 +107,83 @@ def _involution_representatives(dims: list[int]):
             yield sigma
 
 
-def _orbits(m: int, sigma: tuple):
-    """Orbits of entry triples under N_{ij}^k = N_{i*k}^j = N_{kj*}^i."""
-    seen = np.full((m, m, m), -1, dtype=int)
-    orbits = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if seen[i, j, k] >= 0:
-                    continue
-                orb = []
-                stack = [(i, j, k)]
-                oid = len(orbits)
-                while stack:
-                    t = stack.pop()
-                    if seen[t] >= 0:
-                        continue
-                    seen[t] = oid
-                    orb.append(t)
-                    a, b, c = t
-                    stack.append((sigma[a], c, b))
-                    stack.append((c, sigma[b], a))
-                orbits.append(orb)
-    return orbits
+def _orbit_labels(m: int, sigma) -> np.ndarray:
+    """(m, m, m) orbit ids of the entries under N_{ij}^k = N_{i*k}^j = N_{kj*}^i.
+
+    The two reciprocity maps (i,j,k) -> (i*,k,j) and (i,j,k) -> (k,j*,i) are
+    involutions, so each entry takes the least flat index over its orbit by
+    min-label propagation.  Ids count the orbits in the row-major order of
+    that first entry.
+    """
+    s = np.asarray(sigma, dtype=np.intp)
+    i, j, k = np.indices((m, m, m))
+    flat = np.arange(m ** 3)
+    cube = flat.reshape(m, m, m)
+    maps = (cube[s[i], k, j].ravel(), cube[k, s[j], i].ravel())
+    label = flat
+    while True:
+        new = np.minimum(label, np.minimum(label[maps[0]], label[maps[1]]))
+        if (new == label).all():
+            break
+        label = new
+    ids = np.cumsum(label == flat) - 1
+    return ids[label].reshape(m, m, m)
+
+
+def _search_setup(oid_of: np.ndarray, d: np.ndarray, sigma):
+    """Forced values, caps and the per-variable row steps of one involution.
+
+    Returns None when no ring has this involution: an orbit forced to two
+    values or above its cap, or a row sum out of reach from the start.
+    Otherwise returns (values, caps, steps, need):
+    - values[o]: orbit o's forced value (unit row and column, N^0 column),
+      0 for the variable orbits;
+    - caps[o]: the least d_a d_b // d_c over the members (a, b, c) of o;
+    - steps: one (o, rows) per variable orbit o, in search order (ascending
+      id, i.e. by first entry); rows holds (r, W_r, rem_r) for each row
+      r = a m + b that o meets, with W_r the sum of d_c over o's members in
+      row r and rem_r the row's sum with every later variable at its cap;
+    - need[r]: d_a d_b minus the forced part of row r's sum.
+    """
+    m = len(d)
+    n = int(oid_of.max()) + 1
+    i, j, k = np.indices((m, m, m))
+    s = np.asarray(sigma)
+    forced = np.where(i == 0, j == k, np.where(j == 0, i == k, np.where(k == 0, j == s[i], -1)))
+    values = np.full(n, -1)
+    np.maximum.at(values, oid_of, forced)
+    entry_caps = d[:, None, None] * d[None, :, None] // d
+    caps = np.full(n, entry_caps.max())
+    np.minimum.at(caps, oid_of, entry_caps)
+    if ((forced >= 0) & (forced != values[oid_of])).any() or (values > caps).any():
+        return None
+    variables = np.flatnonzero(values < 0)
+    values[variables] = 0
+    need = (np.outer(d, d) - values[oid_of] @ d).ravel()
+    weight = np.zeros((n, m * m), dtype=np.int64)
+    np.add.at(weight, (oid_of.ravel(), np.arange(m ** 3) // m), np.tile(d, m * m))
+    weight = weight[variables]
+    at_cap = caps[variables, None] * weight
+    rem = at_cap[::-1].cumsum(axis=0)[::-1] - at_cap
+    if (need < 0).any() or (need > at_cap.sum(axis=0)).any():
+        return None
+    steps = [(o, []) for o in variables.tolist()]
+    pos, row = np.nonzero(weight)
+    for p, r, w, x in zip(pos.tolist(), row.tolist(),
+                          weight[pos, row].tolist(), rem[pos, row].tolist()):
+        steps[p][1].append((r, w, x))
+    return values.tolist(), caps.tolist(), steps, need.tolist()
 
 
 def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
     """All fusion rings with the given type, up to basis relabeling.
 
     The search runs over one involution per conjugacy class under the
-    dimension-preserving relabelings.  `budget` caps the number of search
-    nodes across those involutions; exceeding it raises BudgetExceeded, as
-    does a type with sum k d^2 > 64.
+    dimension-preserving relabelings.  For each, the entries are labelled by
+    their Frobenius-reciprocity orbit, and each node visits only the interval
+    of values that keeps every row sum it touches within reach.  `budget`
+    caps the number of search nodes across those involutions; exceeding it
+    raises BudgetExceeded, as does a type with sum k d^2 > 64.
     """
     dims = normalize_type(type_vector)
     m = len(dims)
@@ -193,98 +244,43 @@ def _canonical_key(tensor: np.ndarray, P: np.ndarray) -> tuple:
 
 
 def _search_involution(m, d, sigma, nodes, budget):
-    orbits = _orbits(m, sigma)
-    # forced entries: unit rows/columns and the N^0 column
-    forced_value = {}
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                v = None
-                if i == 0:
-                    v = 1 if j == k else 0
-                elif j == 0:
-                    v = 1 if i == k else 0
-                elif k == 0:
-                    v = 1 if j == sigma[i] else 0
-                if v is not None:
-                    forced_value[(i, j, k)] = v
-
-    orbit_value = [None] * len(orbits)
-    variables = []
-    for oid, orb in enumerate(orbits):
-        vals = {forced_value[t] for t in orb if t in forced_value}
-        if len(vals) > 1:
-            return []
-        if vals:
-            orbit_value[oid] = vals.pop()
-        else:
-            variables.append(oid)
-    caps = []
-    for orb in orbits:
-        caps.append(min(int(d[a] * d[b] // d[c]) for a, b, c in orb))
-    for oid, v in enumerate(orbit_value):
-        if v is not None and v > caps[oid]:
-            return []
-
-    # row bookkeeping: target and potential contributions
-    target = {(i, j): int(d[i] * d[j]) for i in range(m) for j in range(m)}
-    cur = {}
-    rem = {}
-    for (i, j) in target:
-        cur[(i, j)] = 0
-        rem[(i, j)] = 0
-    members_by_orbit = []
-    for oid, orb in enumerate(orbits):
-        members_by_orbit.append([(a, b, c, int(d[c])) for a, b, c in orb])
-        if orbit_value[oid] is not None:
-            for a, b, c, w in members_by_orbit[oid]:
-                cur[(a, b)] += orbit_value[oid] * w
-        else:
-            for a, b, c, w in members_by_orbit[oid]:
-                rem[(a, b)] += caps[oid] * w
-    for (i, j) in target:
-        if cur[(i, j)] > target[(i, j)] or cur[(i, j)] + rem[(i, j)] < target[(i, j)]:
-            return []
-
-    variables.sort(key=lambda oid: min(orbits[oid]))
+    oid_of = _orbit_labels(m, sigma)
+    setup = _search_setup(oid_of, d, sigma)
+    if setup is None:
+        return []
+    values, caps, steps, need = setup
     results = []
-
-    def leaf_check():
-        tensor = np.zeros((m, m, m), dtype=np.int64)
-        for oid, orb in enumerate(orbits):
-            v = orbit_value[oid]
-            for a, b, c in orb:
-                tensor[a, b, c] = v
-        lhs, rhs = bracketings(tensor)
-        if (lhs == rhs).all():
-            results.append(tensor)
 
     def dfs(pos):
         nodes["n"] += 1
         if nodes["n"] > budget:
             raise BudgetExceeded(f"search exceeded {budget} nodes")
-        if pos == len(variables):
-            leaf_check()
+        if pos == len(steps):
+            tensor = np.array(values, dtype=np.int64)[oid_of]
+            lhs, rhs = bracketings(tensor)
+            if (lhs == rhs).all():
+                results.append(tensor)
             return
-        oid = variables[pos]
-        mem = members_by_orbit[oid]
-        for v in range(caps[oid] + 1):
-            ok = True
-            for a, b, c, w in mem:
-                cur[(a, b)] += v * w
-                rem[(a, b)] -= caps[oid] * w
-            for a, b, c, w in mem:
-                if cur[(a, b)] > target[(a, b)] or cur[(a, b)] + rem[(a, b)] < target[(a, b)]:
-                    ok = False
-                    break
-            if ok:
-                orbit_value[oid] = v
-                dfs(pos + 1)
-                orbit_value[oid] = None
-            for a, b, c, w in mem:
-                cur[(a, b)] -= v * w
-                rem[(a, b)] += caps[oid] * w
-        return
+        oid, rows = steps[pos]
+        # v keeps every row r of the orbit feasible iff
+        # need_r - rem_r <= v W_r <= need_r; both bounds are monotone in v
+        lo, hi = 0, caps[oid]
+        for r, w, rem in rows:
+            if need[r] // w < hi:
+                hi = need[r] // w
+            if (need[r] - rem + w - 1) // w > lo:
+                lo = (need[r] - rem + w - 1) // w
+        if lo > hi:
+            return
+        for r, w, _ in rows:
+            need[r] -= lo * w
+        for v in range(lo, hi + 1):
+            values[oid] = v
+            dfs(pos + 1)
+            for r, w, _ in rows:
+                need[r] -= w
+        for r, w, _ in rows:
+            need[r] += (hi + 1) * w
 
     dfs(0)
     return results

@@ -29,22 +29,16 @@ class FiniteGroup:
     name: str
     cayley: np.ndarray  # (n, n) int, cayley[i, j] = index of g_i g_j, unit = 0
     element_names: list[str] | None = None
-    _inverse: np.ndarray | None = field(default=None, repr=False)
+    _inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._inverse = np.argmax(self.cayley == 0, axis=1)
 
     @property
     def order(self) -> int:
         return self.cayley.shape[0]
 
     def inverse(self, i: int) -> int:
-        if self._inverse is None:
-            n = self.order
-            inv = np.full(n, -1, dtype=int)
-            for a in range(n):
-                for b in range(n):
-                    if self.cayley[a, b] == 0:
-                        inv[a] = b
-                        break
-            self._inverse = inv
         return int(self._inverse[i])
 
     def conj(self, a: int, g: int) -> int:
@@ -52,25 +46,19 @@ class FiniteGroup:
         return int(self.cayley[self.cayley[g, a], self.inverse(g)])
 
     def conjugacy_classes(self) -> list[tuple]:
-        """Classes as sorted index tuples; identity class first, then by (size, min)."""
-        n = self.order
-        seen = [False] * n
+        """Classes as sorted index tuples; identity class first, then by (size, min).
+
+        Entry [g, a] of the one table cayley[cayley, g^{-1}] is g a g^{-1}, so
+        the class of a is the set of column a.
+        """
+        conj = self.cayley[self.cayley, self._inverse[:, None]]
+        seen = np.zeros(self.order, dtype=bool)
         classes = []
-        for a in range(n):
-            if seen[a]:
-                continue
-            cls = {a}
-            frontier = [a]
-            while frontier:
-                x = frontier.pop()
-                for g in range(n):
-                    y = self.conj(x, g)
-                    if y not in cls:
-                        cls.add(y)
-                        frontier.append(y)
-            for x in cls:
-                seen[x] = True
-            classes.append(tuple(sorted(cls)))
+        for a in range(self.order):
+            if not seen[a]:
+                cls = tuple(sorted(set(conj[:, a].tolist())))
+                seen[list(cls)] = True
+                classes.append(cls)
         classes.sort(key=lambda c: (0 not in c, len(c), c))
         return classes
 

@@ -34,6 +34,42 @@ def test_catalog_orders_and_nilpotency():
         assert g.is_nilpotent() == (name in NILPOTENT_CATALOG), name
 
 
+def _reference_conjugacy_classes(g):
+    # closure of each class under conjugation by every element, one conj at a time
+    n = g.order
+    seen = [False] * n
+    classes = []
+    for a in range(n):
+        if seen[a]:
+            continue
+        cls = {a}
+        frontier = [a]
+        while frontier:
+            x = frontier.pop()
+            for h in range(n):
+                y = g.conj(x, h)
+                if y not in cls:
+                    cls.add(y)
+                    frontier.append(y)
+        for x in cls:
+            seen[x] = True
+        classes.append(tuple(sorted(cls)))
+    classes.sort(key=lambda c: (0 not in c, len(c), c))
+    return classes
+
+
+def test_conjugacy_classes_match_reference_loop():
+    groups = [bd.catalog(name) for name in bd.catalog_names()]
+    groups.append(bd.parse_group("(01234),(01)", "S5"))
+    groups.append(bd.parse_group("(012345),(01)", "S6"))
+    for g in groups:
+        inv = [g.inverse(a) for a in range(g.order)]
+        assert all(g.cayley[a, inv[a]] == 0 for a in range(g.order)), g.name
+        assert g.conjugacy_classes() == _reference_conjugacy_classes(g), g.name
+    sizes = [len(c) for c in groups[-1].conjugacy_classes()]
+    assert sizes == [1, 15, 15, 40, 40, 45, 90, 90, 120, 120, 144]
+
+
 def test_class_hypergroup_examples():
     cl = bd.class_hypergroup(bd.catalog("C2"))
     assert cl.rank == 2 and cl.flags.fusion_ring
@@ -216,6 +252,143 @@ def test_enumerate_budget():
         bd.enumerate_by_type([[1, 1], [10, 1]])  # 1 + 100 > 64
     with pytest.raises(BudgetExceeded):
         bd.enumerate_by_type([1, 1, 1, 1, 2, 2], budget=10)
+
+
+# search nodes enumerate_by_type visits, recorded before the interval-step
+# search; the tree, not only its output, must stay the same
+SEARCH_NODES = {
+    (1,) * 6: 213,
+    (1,) * 6 + (3,): 349,
+    (1,) + (2,) * 6: 111,
+    (1,) * 6 + (2,) * 2: 2583,
+    (1,) * 4 + (2,) * 2: 300,
+    (1,) * 4 + (2,) * 3: 2680,
+    (1,) * 2 + (2,) * 4: 1707,
+    (1,) * 7: 734,
+}
+
+
+def _ring_entries(rings):
+    return [(r.name, list(r.involution), r.tensor.ravel().tolist()) for r in rings]
+
+
+@pytest.mark.parametrize("dims", list(SEARCH_NODES), ids=lambda dims: "-".join(map(str, dims)))
+def test_enumerate_visits_the_recorded_search_tree(dims):
+    n = SEARCH_NODES[dims]
+    rings = bd.enumerate_by_type(list(dims))
+    assert _ring_entries(bd.enumerate_by_type(list(dims), budget=n)) == _ring_entries(rings)
+    with pytest.raises(BudgetExceeded):
+        bd.enumerate_by_type(list(dims), budget=n - 1)
+
+
+def _reference_orbits(m, sigma):
+    # breadth-first orbits of entry triples under N_{ij}^k = N_{i*k}^j = N_{kj*}^i
+    seen = np.full((m, m, m), -1, dtype=int)
+    orbits = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if seen[i, j, k] >= 0:
+                    continue
+                orb = []
+                stack = [(i, j, k)]
+                oid = len(orbits)
+                while stack:
+                    t = stack.pop()
+                    if seen[t] >= 0:
+                        continue
+                    seen[t] = oid
+                    orb.append(t)
+                    a, b, c = t
+                    stack.append((sigma[a], c, b))
+                    stack.append((c, sigma[b], a))
+                orbits.append(orb)
+    return orbits
+
+
+def _reference_setup(m, d, sigma, orbits):
+    # the element-by-element forced values, caps and row bookkeeping; None when
+    # the involution admits no ring before the search starts
+    forced_value = {}
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if i == 0:
+                    forced_value[(i, j, k)] = 1 if j == k else 0
+                elif j == 0:
+                    forced_value[(i, j, k)] = 1 if i == k else 0
+                elif k == 0:
+                    forced_value[(i, j, k)] = 1 if j == sigma[i] else 0
+    orbit_value = [None] * len(orbits)
+    variables = []
+    for oid, orb in enumerate(orbits):
+        vals = {forced_value[t] for t in orb if t in forced_value}
+        if len(vals) > 1:
+            return None
+        if vals:
+            orbit_value[oid] = vals.pop()
+        else:
+            variables.append(oid)
+    caps = [min(int(d[a] * d[b] // d[c]) for a, b, c in orb) for orb in orbits]
+    if any(v is not None and v > caps[oid] for oid, v in enumerate(orbit_value)):
+        return None
+    need = [int(d[r // m] * d[r % m]) for r in range(m * m)]
+    rem = [0] * (m * m)
+    weights = {}
+    for oid, orb in enumerate(orbits):
+        weights[oid] = {}
+        for a, b, c in orb:
+            weights[oid][a * m + b] = weights[oid].get(a * m + b, 0) + int(d[c])
+            if orbit_value[oid] is None:
+                rem[a * m + b] += caps[oid] * int(d[c])
+            else:
+                need[a * m + b] -= orbit_value[oid] * int(d[c])
+    if any(x < 0 or x > y for x, y in zip(need, rem)):
+        return None
+    variables.sort(key=lambda oid: min(orbits[oid]))
+    steps = []
+    for oid in variables:
+        for r, w in weights[oid].items():
+            rem[r] -= caps[oid] * w
+        steps.append((oid, sorted((r, w, rem[r]) for r, w in weights[oid].items())))
+    return orbit_value, caps, steps, need
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[1] * 6, [1] * 6 + [3], [1] + [2] * 6, [1] * 6 + [2] * 2, [1] * 4 + [2] * 2,
+     [1] * 4 + [2] * 3, [1] * 2 + [2] * 4, [1] * 7, [1] * 6 + [2] * 3, [1] * 4 + [2] * 4],
+    ids=lambda dims: "-".join(map(str, dims)),
+)
+def test_search_setup_matches_reference_loops(dims):
+    from hypergroups.builders.enumeration import (
+        _involution_representatives,
+        _orbit_labels,
+        _search_setup,
+    )
+
+    m = len(dims)
+    d = np.array(dims, dtype=np.int64)
+    for sigma in _involution_representatives(dims):
+        orbits = _reference_orbits(m, sigma)
+        oid_of = _orbit_labels(m, sigma)
+        # the same partition, with the same ids
+        assert oid_of.max() + 1 == len(orbits)
+        for oid, orb in enumerate(orbits):
+            assert all(oid_of[t] == oid for t in orb)
+        want = _reference_setup(m, d, sigma, orbits)
+        got = _search_setup(oid_of, d, sigma)
+        if want is None:
+            assert got is None, sigma
+            continue
+        orbit_value, caps, steps, need = want
+        values, got_caps, got_steps, got_need = got
+        assert got_caps == caps
+        assert [values[o] for o, v in enumerate(orbit_value) if v is not None] == [
+            v for v in orbit_value if v is not None
+        ]
+        assert [(o, sorted(rows)) for o, rows in got_steps] == steps
+        assert got_need == need
 
 
 def _reference_key(tensor, rel):

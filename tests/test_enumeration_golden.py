@@ -17,7 +17,8 @@ from hypergroups.builders import enumerate_by_type
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "enumeration_digests.json")
 
-# the seven types of the benchmark's enumerate workload, [1^7] and [1^6, 2^3]
+# the seven types of the benchmark's enumerate workload, [1^7], [1^6, 2^3]
+# and [1^4, 2^4], the widest search tree in reach (99,779 nodes)
 TYPES = [
     [1] * 6,
     [1] * 6 + [3],
@@ -28,6 +29,7 @@ TYPES = [
     [1] * 2 + [2] * 4,
     [1] * 7,
     [1] * 6 + [2] * 3,
+    [1] * 4 + [2] * 4,
 ]
 
 
