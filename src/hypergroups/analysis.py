@@ -10,6 +10,7 @@ analysis and reads the same flag set, table, dual, grouplikes and verdicts.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +19,7 @@ from .burnside import vanishing_elements
 from .core import FlagSet, FusionData
 from .dual import DualData, dual_hypergroup, match_dual_characters
 from .errors import CrossCheckFailed
-from .spectra import CharacterTable, character_table, fp_character, order
+from .spectra import CharacterTable, character_table, fp_character, order, verify_integer_fpdim
 from .structure import (
     CentralSeries,
     SubHypergroup,
@@ -26,7 +27,7 @@ from .structure import (
     central_series,
     grouplike_indices,
 )
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import DEFAULT_TOL, Tolerance, snap_value
 
 __all__ = ["RingAnalysis"]
 
@@ -74,6 +75,15 @@ class RingAnalysis:
     @cached_property
     def n_h(self) -> float:
         return order(self.table, self.fp)
+
+    @cached_property
+    def fpdim(self) -> int | Fraction | float:
+        """FPdim(H) = n(H): its rational snap (an int or a Fraction), confirmed
+        by the exact determinant on an exact tensor, else the float."""
+        snapped = snap_value(self.n_h, self.tol)
+        if isinstance(snapped, float) or not self.data.is_exact:
+            return snapped
+        return snapped if verify_integer_fpdim(self.data, snapped, self.tol) else self.n_h
 
     @cached_property
     def grouplikes(self) -> tuple:

@@ -24,7 +24,7 @@ from .errors import (
     VerdictResidualMismatch,
 )
 from .spectra import CharacterTable, integral_element_of_subset
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .tolerance import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -299,7 +299,7 @@ def burnside_hypothesis_report(a: RingAnalysis) -> dict:
     """Which hypotheses of the Burnside theorems hold, and whether a failed
     verdict on qualifying data is a categorification obstruction."""
     dual_h_integral = a.dual_flags.h_integral
-    weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
+    weakly_integral = isinstance(a.fpdim, int)
     integrality = "exact" if a.data.is_exact else "assumed"
     burn, witness = a.burnside
     report = {

@@ -88,10 +88,9 @@ def _require_fusion_ring(data: FusionData, tol: Tolerance):
 
 
 def _integer_order(a: RingAnalysis) -> int:
-    snapped = snap_value(a.n_h, a.tol)
-    if not isinstance(snapped, int):
+    if not isinstance(a.fpdim, int):
         raise NotWeaklyIntegral(f"{a.data.name}: FPdim {a.n_h} is not an integer")
-    return snapped
+    return a.fpdim
 
 
 def _integer_dim_squares(a: RingAnalysis) -> list[int] | None:
@@ -108,7 +107,7 @@ def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
     """Weakly-integral fusion rings with h-integral dual must be Burnside."""
     _require_fusion_ring(a.data, a.tol)
     dual_h_integral = a.dual_flags.h_integral
-    weakly_integral = isinstance(snap_value(a.n_h, a.tol), int)
+    weakly_integral = isinstance(a.fpdim, int)
     applicable = bool(weakly_integral and dual_h_integral)
     if not applicable:
         return ExclusionVerdict(

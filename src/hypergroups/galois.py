@@ -1,29 +1,30 @@
-"""Numeric detection of Galois orbits of characters, codegree conjugation checks,
-and the weak rationality / integrality verdicts.
+"""Galois orbits of characters, codegree conjugation checks, and the weak
+rationality / integrality verdicts.
 
-Orbits are found without any exact polynomial factorization: clusters of
-characters are valid once every per-basis-element orbit polynomial has
-near-rational coefficients.  Each stage takes the RingAnalysis and reads its
-table, order n(H), FP dimensions, dual orders and verdicts from there.
+A set of characters is a union of Galois orbits exactly when the sum of its
+primitive idempotents is a rational idempotent, which is tested exactly on
+the cleared integer form of the tensor.  Each stage takes the RingAnalysis
+and reads its table, FPdim, FP dimensions, dual orders and verdicts from
+there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .core import integer_form
 from .errors import (
     ConjugationViolation,
     HypergroupError,
     NoValidPartition,
     TheoremViolation,
 )
-from .spectra import verify_integer_fpdim
-from .tolerance import Tolerance, snap_array, snap_value
+from .tolerance import snap_array, snap_value
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -41,8 +42,13 @@ SEARCH_CAP = 2**12
 @dataclass(frozen=True)
 class OrbitPartition:
     orbits: tuple  # tuple of sorted character-index tuples
-    rational_mask: tuple  # per character
-    certificates: dict  # orbit -> max residual of symmetric functions
+    certificates: dict  # orbit O -> max |E_O - e|, e its exact idempotent sum
+
+    @property
+    def rational_mask(self) -> tuple:
+        """Per character: whether it is rational, i.e. its orbit is itself."""
+        sizes = {j: len(orb) for orb in self.orbits for j in orb}
+        return tuple(sizes[j] == 1 for j in sorted(sizes))
 
     def orbit_of(self, j: int) -> tuple:
         for orb in self.orbits:
@@ -51,77 +57,58 @@ class OrbitPartition:
         raise KeyError(j)
 
 
-def _coeff_residual(values: np.ndarray, cluster, tol: Tolerance) -> float:
-    """Max distance of the orbit-polynomial coefficients to snapped rationals."""
-    worst = 0.0
-    for i in range(values.shape[0]):
-        roots = values[i, list(cluster)]
-        coeffs = np.poly(roots)
-        if np.abs(coeffs.imag).max() > 1e5 * tol.zero(1.0 + np.abs(coeffs).max()):
-            return np.inf
-        for c in coeffs.real:
-            s = snap_value(float(c), tol)
-            if isinstance(s, float):
-                return np.inf
-            worst = max(worst, abs(float(c) - float(s)))
-    return worst
-
-
 def galois_orbits(a: RingAnalysis) -> OrbitPartition:
-    """Finest partition of the characters whose orbit polynomials are rational.
+    """The Galois orbits of the characters of a rational hypergroup.
 
-    Rational characters are the singleton orbits; the rest are grown greedily
-    (smallest valid clusters first) with backtracking capped at 2^12 states.
+    A set O of characters is a union of orbits iff its idempotent sum
+    E_O = sum_{j in O} F_j is rational, and a rational E_O is an idempotent.
+    So O passes when E_O snaps to a rational vector e with e e = e exactly
+    on the cleared integer form of the tensor.  The test is exact, so the
+    smallest passing set holding the lowest unplaced character is that
+    character's orbit; sets are tried by size, at most SEARCH_CAP in all.
     """
     tol = a.tol
     if not a.flags.rational:
         raise HypergroupError("Galois orbits need a rational hypergroup")
     m = a.data.rank
-    values = a.table.values
-    rational_mask = []
-    for j in range(m):
-        col = values[:, j]
-        ok = (
-            np.abs(col.imag).max() <= 1e4 * tol.zero(1.0 + np.abs(col).max())
-            and snap_array(col.real, tol) is not None
-        )
-        rational_mask.append(bool(ok))
-    singles = [j for j in range(m) if rational_mask[j]]
-    rest = [j for j in range(m) if not rational_mask[j]]
+    F = a.table.idempotents
+    scale, (C,) = integer_form(a.data.tensor, terms=1)
+    C = C.astype(object).reshape(m, m * m)
 
-    state = {"count": 0}
+    def certificate(cluster: tuple) -> float | None:
+        """|E_O - e| when E_O snaps to a rational idempotent e, else None."""
+        E = F[list(cluster)].sum(axis=0)
+        snapped = snap_array(np.stack([E.imag, E.real]), tol)
+        if snapped is None or snapped[0].any():
+            return None
+        e = snapped[1]
+        # e = w / D and N = C / scale: e e = e iff sum_ij w_i w_j C_ij^k = D scale w_k
+        D, (w,) = integer_form(e, terms=1)
+        w = w.astype(object)
+        if (w @ (w @ C).reshape(m, m) != D * scale * w).any():
+            return None
+        return float(np.abs(E - e.astype(float)).max())
 
-    def search(remaining: list[int]) -> list[tuple] | None:
-        if not remaining:
-            return []
-        pivot = remaining[0]
-        others = remaining[1:]
-        for size in range(2, len(remaining) + 1):
-            for extra in combinations(others, size - 1):
-                state["count"] += 1
-                if state["count"] > SEARCH_CAP:
-                    raise NoValidPartition("cluster search cap exceeded")
-                cluster = (pivot,) + extra
-                if _coeff_residual(values, cluster, tol) < np.inf:
-                    rem = [j for j in others if j not in extra]
-                    tail = search(rem)
-                    if tail is not None:
-                        return [cluster] + tail
-        return None
-
-    tail = search(rest)
-    if tail is None:
-        raise NoValidPartition("no rational orbit partition found")
-    orbits = sorted([(j,) for j in singles] + tail)
-    certs = {
-        orb: (0.0 if len(orb) == 1 else _coeff_residual(values, orb, tol))
-        for orb in orbits
-    }
-    return OrbitPartition(
-        orbits=tuple(orbits),
-        rational_mask=tuple(rational_mask),
-        certificates=certs,
-    )
+    orbits, certs, tried = [], {}, 0
+    remaining = list(range(m))
+    while remaining:
+        pivot, others = remaining[0], remaining[1:]
+        for extra in chain.from_iterable(
+            combinations(others, size) for size in range(len(remaining))
+        ):
+            tried += 1
+            if tried > SEARCH_CAP:
+                raise NoValidPartition("cluster search cap exceeded")
+            orbit = (pivot,) + extra
+            cert = certificate(orbit)
+            if cert is not None:
+                break
+        else:
+            raise NoValidPartition("no rational orbit partition found")
+        orbits.append(orbit)
+        certs[orbit] = cert
+        remaining = [j for j in others if j not in extra]
+    return OrbitPartition(orbits=tuple(orbits), certificates=certs)
 
 
 def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> dict:
@@ -154,23 +141,19 @@ def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> di
 
 
 def weak_integrality(a: RingAnalysis) -> str:
-    """Verdict in {integral, weakly_integral, weakly_rational, irrational}.
+    """Verdict in {integral, weakly_integral, weakly_rational, irrational},
+    read from `a.fpdim`, which is exact on exact tensors.
 
-    For exact tensors an integer order is confirmed by the exact determinant
-    path.  Theorem guard: a rational RN dual-Burnside ring must be at least
-    weakly rational, else the build is broken.
+    Theorem guard: a rational RN dual-Burnside ring must be at least weakly
+    rational, else the build is broken.
     """
-    data, n_h, tol = a.data, a.n_h, a.tol
-    snapped = snap_value(n_h, tol)
-    if isinstance(snapped, int) and data.is_exact:
-        if not verify_integer_fpdim(data, snapped, tol):
-            snapped = float(n_h)
-    if isinstance(snapped, int):
+    fpdim, tol = a.fpdim, a.tol
+    if isinstance(fpdim, int):
         dims_integral = all(
             isinstance(snap_value(float(x), tol), int) for x in a.d
         )
         verdict = "integral" if dims_integral else "weakly_integral"
-    elif isinstance(snapped, Fraction):
+    elif isinstance(fpdim, Fraction):
         verdict = "weakly_rational"
     else:
         verdict = "irrational"
@@ -181,6 +164,6 @@ def weak_integrality(a: RingAnalysis) -> str:
         and a.dual_burnside[0]
     ):
         raise TheoremViolation(
-            f"{data.name}: rational RN dual-Burnside ring with irrational order {n_h}"
+            f"{a.data.name}: rational RN dual-Burnside ring with irrational order {fpdim}"
         )
     return verdict

@@ -9,6 +9,7 @@ before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -291,9 +292,9 @@ def integral_element_of_subset(
 
 
 def verify_integer_fpdim(
-    data: FusionData, candidate: int, tol: Tolerance = DEFAULT_TOL
+    data: FusionData, candidate: int | Fraction, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Exact confirmation that FPdim(H) equals the integer `candidate`.
+    """Exact confirmation that FPdim(H) equals the rational `candidate`.
 
     Builds I(1) = sum h_i x_i x_{i*} exactly, requires
     det(L_{I(1)} - candidate Id) = 0 in exact arithmetic, and requires the

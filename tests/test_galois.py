@@ -1,12 +1,26 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hypergroups as hg
 from hypergroups import galois as ga
-from hypergroups.builders import catalog, catalog_names, class_hypergroup, group_ring, rep_ring
+from hypergroups.builders import (
+    abelian_group,
+    catalog,
+    catalog_names,
+    class_hypergroup,
+    corpus,
+    fibonacci,
+    group_ring,
+    near_group,
+    rep_ring,
+)
+from hypergroups.core import exact_character
 from hypergroups.errors import HypergroupError
+from hypergroups.report import analyze
+from hypergroups.tolerance import DEFAULT_TOL
 from conftest import PHI
 
 
@@ -49,15 +63,19 @@ def test_singleton_orbits_are_exactly_rational_characters(corpus_with_tables):
         if not ring.flags.rational:
             continue
         part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
-        for orb in part.orbits:
-            if len(orb) == 1:
-                assert part.rational_mask[orb[0]], ring.name
-            else:
-                assert not any(part.rational_mask[j] for j in orb), ring.name
+        for j in range(ring.rank):
+            col = table.values[:, j]
+            # rational: real, and snaps to a solution of the character equation
+            rational = (
+                np.abs(col.imag).max() < 1e-9
+                and exact_character(ring, col.real) is not None
+            )
+            assert part.rational_mask[j] == rational, (ring.name, j)
+            assert (len(part.orbit_of(j)) == 1) == rational, (ring.name, j)
 
 
 def test_rep_ring_orbit_polynomials_integer(corpus_with_tables):
-    # character values of Rep-rings are algebraic integers: certificates snap to ints
+    # each orbit's idempotent sum is exactly rational: its certificate is float noise
     for ring, table in corpus_with_tables:
         if not ring.name.startswith("K(Rep("):
             continue
@@ -120,3 +138,99 @@ def test_fp_singleton_orbit_iff_rational_fpdim(corpus_with_tables):
             assert fp_rational, ring.name
         if fp_rational and part.rational_mask[table.fp_index]:
             assert len(fp_orbit) == 1, ring.name
+
+
+def _factor_orbits(ring, table) -> tuple:
+    """Galois orbits from exact algebra: the characters grouped by the
+    irreducible factor over Q of the characteristic polynomial of L_x that
+    vanishes at mu_j(x), for a generic integer x = sum c_i x_i (redrawn until
+    the polynomial is square-free, so that x separates the characters)."""
+    sympy = pytest.importorskip("sympy")
+    m = ring.rank
+    N = [[[sympy.Rational(str(ring.tensor[i, j, k])) for k in range(m)]
+          for j in range(m)] for i in range(m)]
+    rng = np.random.default_rng(0)
+    while True:
+        c = [int(v) for v in rng.integers(-9, 10, size=m)]
+        L = sympy.Matrix(m, m, lambda k, j: sum(c[i] * N[i][j][k] for i in range(m)))
+        poly = L.charpoly()
+        if poly.gcd(poly.diff()).degree() == 0:
+            break
+    factors = [f for f, _ in poly.factor_list()[1]]
+    roots = [np.roots([float(q) for q in f.all_coeffs()]) for f in factors]
+    lam = np.asarray(c, dtype=float) @ table.values
+    owner = []
+    for j in range(m):
+        dist = [np.abs(r - lam[j]).min() for r in roots]
+        assert min(dist) < 1e-6 * (1 + abs(lam[j])), (ring.name, j)
+        owner.append(int(np.argmin(dist)))
+    orbits = [tuple(j for j in range(m) if owner[j] == f) for f in range(len(factors))]
+    assert [len(o) for o in orbits] == [f.degree() for f in factors], ring.name
+    return tuple(sorted(orbits))
+
+
+def _oracle_rings():
+    """(ring, tolerance) pairs: the 96 near-groups, the rational corpus at
+    the default tolerance and at 1e-8, and Z[C_n] for n <= 14."""
+    from test_golden import NEAR_GROUPS
+
+    loose = hg.Tolerance(abs=1e-8, rel=1e-8)
+    cases = [(near_group(g, k), DEFAULT_TOL) for g in NEAR_GROUPS for k in range(6)]
+    cases += [(r, t) for r in corpus() if r.flags.rational for t in (DEFAULT_TOL, loose)]
+    cases += [(group_ring(abelian_group([n])), DEFAULT_TOL) for n in range(2, 15)]
+    return cases
+
+
+def test_orbits_match_factors_of_exact_characteristic_polynomial():
+    pytest.importorskip("sympy")
+    wrong = []
+    for ring, tol in _oracle_rings():
+        a = hg.RingAnalysis(ring, tol=tol)
+        try:
+            got = ga.galois_orbits(a).orbits
+        except HypergroupError as exc:
+            got = type(exc).__name__
+        if got != _factor_orbits(ring, a.table):
+            wrong.append((ring.name, tol.abs, got))
+    assert not wrong
+
+
+@pytest.mark.parametrize(
+    "ring, tol, orbits",
+    [
+        (class_hypergroup(catalog("C5")), 1e-8, ((0,), (1, 2, 3, 4))),
+        (fibonacci(), 1e-8, ((0, 1),)),
+        (near_group([2], 3), 1e-9, ((0, 2), (1,))),
+    ],
+)
+def test_orbits_of_irrational_characters(ring, tol, orbits):
+    # at these tolerances a bounded-denominator snap takes sqrt(5) and
+    # (3 + sqrt(17)) / 2 for rationals; the exact idempotent test does not
+    a = hg.RingAnalysis(ring, tol=hg.Tolerance(abs=tol, rel=tol))
+    assert ga.galois_orbits(a).orbits == orbits
+
+
+def test_near_group_k_c6_4_analyses():
+    report = analyze(near_group([6], 4))
+    assert report.galois["orbits"] == [[0, 6], [1], [2, 3], [4, 5]]
+
+
+def test_weak_integrality_near_groups_closed_form():
+    # K(G, m) with |G| = n: FPdim = 2n + m d, d = (m + sqrt(m^2 + 4n)) / 2
+    from test_golden import NEAR_GROUPS
+
+    for g in NEAR_GROUPS:
+        n = math.prod(g)
+        for k in range(6):
+            verdict = ga.weak_integrality(hg.RingAnalysis(near_group(g, k)))
+            irrational = k > 0 and math.isqrt(k * k + 4 * n) ** 2 != k * k + 4 * n
+            assert (verdict == "irrational") == irrational, (g, k, verdict)
+
+
+def test_verify_fpdim_rejects_spurious_fraction():
+    # FPdim K(C2, 2) = 6 + 2 sqrt(3); snap_value returns 51409/5432 for it
+    ring = near_group([2], 2)
+    spurious = hg.snap(hg.order(hg.character_table(ring)))
+    assert spurious == Fraction(51409, 5432)
+    assert not hg.verify_integer_fpdim(ring, spurious)
+    assert hg.RingAnalysis(ring).fpdim == pytest.approx(6 + 2 * math.sqrt(3))

@@ -12,8 +12,8 @@ abelian group of order <= 12 other than C11 and 0 <= m <= 5, or the digest of
 "Class: message" where the analysis raises.  A refactor that claims "the same
 behaviour" must leave every digest unchanged.  To record the digests
 again after a deliberate behaviour change, run
-`PYTHONPATH=src python tests/test_golden.py` and say in CHANGES.md why they
-moved.
+`PYTHONPATH=src python tests/test_golden.py`, which prints the keys whose
+digest changed, and say in CHANGES.md why they moved.
 """
 
 import hashlib
@@ -115,6 +115,12 @@ if __name__ == "__main__":
         (VARIANT_DIGESTS, variant_digests),
         (NEAR_GROUP_DIGESTS, near_group_digests),
     ):
+        with open(path, encoding="utf-8") as fh:
+            old = json.load(fh)
+        new = digests()
+        for key in sorted(new):
+            if old.get(key) != new[key]:
+                print(f"{os.path.basename(path)}: {key}")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(digests(), fh, indent=1, sort_keys=True)
+            json.dump(new, fh, indent=1, sort_keys=True)
             fh.write("\n")
