@@ -73,6 +73,7 @@ def galois_orbits(a: RingAnalysis) -> OrbitPartition:
     m = a.data.rank
     F = a.table.idempotents
     scale, (C,) = integer_form(a.data.tensor, terms=1)
+    # Python ints: the idempotent test sums products of three cleared entries
     C = C.astype(object).reshape(m, m * m)
 
     def certificate(cluster: tuple) -> float | None:
