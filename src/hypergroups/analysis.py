@@ -16,10 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from .burnside import vanishing_elements
-from .core import FlagSet, FusionData
+from .core import FlagSet, FusionData, exact_character, regular_element
 from .dual import DualData, dual_hypergroup, match_dual_characters
 from .errors import CrossCheckFailed
-from .spectra import CharacterTable, character_table, fp_character, order, verify_integer_fpdim
+from .spectra import CharacterTable, character_table, fp_character, order, verify_fp_value
 from .structure import (
     CentralSeries,
     SubHypergroup,
@@ -27,7 +27,7 @@ from .structure import (
     central_series,
     grouplike_indices,
 )
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .tolerance import DEFAULT_TOL, Tolerance, snap_array, snap_value
 
 __all__ = ["RingAnalysis"]
 
@@ -41,7 +41,12 @@ def _matches_grouplikes(found: set, grouplike) -> tuple:
 
 class RingAnalysis:
     """The invariants of `data` at tolerance `tol` (default: the table's, else
-    DEFAULT_TOL), each computed once.  A given `table` is used as is."""
+    DEFAULT_TOL), each computed once.  A given `table` is used as is.
+
+    Every integrality verdict reads one exact certificate: `exact_d`, or the
+    FP value `exact_fp` (behind `fpdim` and `dim_squares`), an int or
+    Fraction on an exact tensor only when certified, else a float; on a
+    floating tensor the values are bounded-denominator snaps."""
 
     def __init__(
         self,
@@ -77,13 +82,48 @@ class RingAnalysis:
         return order(self.table, self.fp)
 
     @cached_property
+    def exact_d(self) -> list | None:
+        """The FP column as ints and Fractions, else None: on an exact tensor
+        when it is exactly a character, on a floating one when it snaps."""
+        if self.data.is_exact:
+            return exact_character(self.data, self.d, self.tol)
+        snapped = snap_array(self.d, self.tol)
+        return None if snapped is None else snapped.tolist()
+
+    def exact_fp(self, x) -> int | Fraction | float:
+        """The FP value sum_k x_k d_k of the element with coordinates `x`: an
+        int or Fraction when certified, else the float.
+
+        On an exact tensor it is read off `exact_d` when that exists, else is
+        x_0 when x is a multiple of the unit, else is the snap of the float
+        confirmed by `verify_fp_value`.  On a floating tensor it is the snap.
+        """
+        value = float(np.dot(np.array(x, dtype=float), self.d))
+        if not self.data.is_exact:
+            return snap_value(value, self.tol)
+        if self.exact_d is not None:
+            exact = sum(xk * dk for xk, dk in zip(x, self.exact_d))
+        elif not any(x[1:]):
+            exact = x[0]
+        else:
+            exact = snap_value(value, self.tol)
+            if isinstance(exact, float) or not verify_fp_value(self.data, x, exact, self.tol):
+                return value
+        return int(exact) if exact.denominator == 1 else exact
+
+    @cached_property
     def fpdim(self) -> int | Fraction | float:
-        """FPdim(H) = n(H): its rational snap (an int or a Fraction), confirmed
-        by the exact determinant on an exact tensor, else the float."""
-        snapped = snap_value(self.n_h, self.tol)
-        if isinstance(snapped, float) or not self.data.is_exact:
-            return snapped
-        return snapped if verify_integer_fpdim(self.data, snapped, self.tol) else self.n_h
+        """FPdim(H) = n(H), the FP value of I(1): exact when certified, else
+        the float n(H)."""
+        value = self.exact_fp(regular_element(self.data).coords)
+        return self.n_h if isinstance(value, float) else value
+
+    @cached_property
+    def dim_squares(self) -> list:
+        """d_i^2, the FP value of x_i x_{i*} (the row tensor[i, i*]): exact
+        when certified, else the float."""
+        rows = self.data.tensor[np.arange(self.data.rank), self.data.involution]
+        return [self.exact_fp(row.tolist()) for row in rows]
 
     @cached_property
     def grouplikes(self) -> tuple:

@@ -52,59 +52,29 @@ def type_of(dims) -> list[list[int]]:
     return out
 
 
-def _involutions_of_block(block: list[int]):
-    """All involutive permutations of a block, as lists of (a, b) swaps."""
-    if not block:
-        yield []
-        return
-    a = block[0]
-    rest = block[1:]
-    # a is a fixed point
-    for tail in _involutions_of_block(rest):
-        yield tail
-    # a is swapped with some b
-    for t, b in enumerate(rest):
-        rem = rest[:t] + rest[t + 1:]
-        for tail in _involutions_of_block(rem):
-            yield [(a, b)] + tail
-
-
 def _blocks(dims: list[int]) -> list[list[int]]:
     """Non-unit indices grouped by dimension, in ascending dimension order."""
     m = len(dims)
     return [[i for i in range(1, m) if dims[i] == d] for d in sorted(set(dims))]
 
 
-def _involution_candidates(dims: list[int]):
-    m = len(dims)
-    blocks = _blocks(dims)
-
-    def rec(idx, acc):
-        if idx == len(blocks):
-            sigma = list(range(m))
-            for (a, b) in acc:
-                sigma[a], sigma[b] = b, a
-            yield tuple(sigma)
-            return
-        for swaps in _involutions_of_block(blocks[idx]):
-            yield from rec(idx + 1, acc + swaps)
-
-    yield from rec(0, [])
-
-
 def _involution_representatives(dims: list[int]):
-    """The first candidate of each conjugacy class under the relabelings.
+    """One involution per conjugacy class under the relabelings.
 
     The relabelings permute each block freely, so two involutions are
     conjugate exactly when they swap the same number of pairs in every block.
+    The class swapping k_b pairs in block b is represented by swapping the
+    last 2 k_b members of each block in consecutive pairs; the classes run
+    over the blocks in order, the first block's count varying slowest.
     """
     blocks = _blocks(dims)
-    seen = set()
-    for sigma in _involution_candidates(dims):
-        swaps = tuple(sum(sigma[i] != i for i in block) for block in blocks)
-        if swaps not in seen:
-            seen.add(swaps)
-            yield sigma
+    for counts in product(*(range(len(block) // 2 + 1) for block in blocks)):
+        sigma = list(range(len(dims)))
+        for block, k in zip(blocks, counts):
+            tail = block[len(block) - 2 * k:]
+            for a, b in zip(tail[::2], tail[1::2]):
+                sigma[a], sigma[b] = b, a
+        yield tuple(sigma)
 
 
 def _orbit_labels(m: int, sigma) -> np.ndarray:

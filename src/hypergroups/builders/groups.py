@@ -108,7 +108,10 @@ def group_from_generators(perms, name: str = "G") -> FiniteGroup:
     """Breadth-first closure of permutations into a Cayley table.
 
     Permutations are tuples over a common finite set {0..deg-1}; the search is
-    bounded at 10^4 elements.
+    bounded at 10^4 elements.  The search records, for every element g_e and
+    generator s, the index of g_e s, and the parent (e, s) of each new element
+    g_j = g_e s.  Column j of the table is then column e composed with right
+    multiplication by s: g_i g_j = (g_i g_e) s, one index gather per column.
     """
     perms = [tuple(int(x) for x in p) for p in perms]
     if not perms:
@@ -119,24 +122,25 @@ def group_from_generators(perms, name: str = "G") -> FiniteGroup:
     ident = tuple(range(deg))
     elements = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in perms:
-                prod = _compose(e, g)
-                if prod not in index:
-                    if len(elements) >= ORDER_BOUND:
-                        raise OrderBoundExceeded(f"closure exceeds {ORDER_BOUND}")
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    parent = [None]
+    right = [[] for _ in perms]  # right[s][e]: index of g_e s
+    for e, p in enumerate(elements):  # visits elements as the search appends them
+        for s, q in enumerate(perms):
+            prod = _compose(p, q)
+            if prod not in index:
+                if len(elements) >= ORDER_BOUND:
+                    raise OrderBoundExceeded(f"closure exceeds {ORDER_BOUND}")
+                index[prod] = len(elements)
+                elements.append(prod)
+                parent.append((e, s))
+            right[s].append(index[prod])
     n = len(elements)
+    right = np.array(right, dtype=np.intp)
     cayley = np.empty((n, n), dtype=int)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            cayley[i, j] = index[_compose(p, q)]
+    cayley[:, 0] = np.arange(n)
+    for j in range(1, n):
+        e, s = parent[j]
+        cayley[:, j] = right[s][cayley[:, e]]
     return FiniteGroup(name, cayley)
 
 

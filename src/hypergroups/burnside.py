@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, basis_element, exact_character, multiply
+from .core import Element, FusionData, basis_element, multiply
 from .errors import (
     CrossCheckFailed,
     ExactNumericDisagreement,
@@ -120,9 +120,8 @@ def product_P(a: RingAnalysis) -> Element:
     Verified against the idempotent expansion P = sum_j mu_j(P) F_j.
     """
     data, table = a.data, a.table
-    exact_d = exact_character(data, a.d, a.tol) if data.is_exact else None
-    if exact_d is not None:
-        inverses = [1 / Fraction(x) for x in exact_d]
+    if a.exact_d is not None:
+        inverses = [1 / Fraction(x) for x in a.exact_d]
     else:
         inverses = [1.0 / x for x in a.d]
     out = basis_element(data, 0)

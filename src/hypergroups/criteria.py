@@ -1,11 +1,15 @@
 """Categorification exclusion tests for candidate fusion rings.
 
 Each test returns an ExclusionVerdict: whether its hypotheses apply to the
-ring, whether the ring is excluded, and a human-readable certificate.
+ring, whether the ring is excluded, and a human-readable certificate.  Every
+integrality the tests decide (FPdim, d_i, d_i^2, FPdim(H_ad)) is read from the
+analysis's exact certificates `fpdim`, `exact_d`, `dim_squares` and
+`exact_fp`; this module snaps no float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,10 +17,10 @@ import numpy as np
 
 from ._exact import exact_det
 from .analysis import RingAnalysis
-from .core import FusionData
+from .core import FusionData, orders
 from .errors import HypergroupError, NotApplicable, NotNearGroup, NotWeaklyIntegral
 from .structure import grouplike_indices
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .tolerance import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "ExclusionVerdict",
@@ -93,14 +97,8 @@ def _integer_order(a: RingAnalysis) -> int:
     return a.fpdim
 
 
-def _integer_dim_squares(a: RingAnalysis) -> list[int] | None:
-    out = []
-    for x in a.d:
-        s = snap_value(float(x) ** 2, a.tol)
-        if not isinstance(s, int):
-            return None
-        out.append(s)
-    return out
+def _integers(values) -> bool:
+    return all(isinstance(x, int) for x in values)
 
 
 def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
@@ -131,8 +129,8 @@ def modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
     """Modular candidates obey V(FPdim) = V(|G(H)|) u V(d_i^2)."""
     _require_fusion_ring(a.data, a.tol)
     n = _integer_order(a)
-    d_sq = _integer_dim_squares(a)
-    if d_sq is None:
+    d_sq = a.dim_squares
+    if not _integers(d_sq):
         return ExclusionVerdict(
             "modular_prime_support", False, False, "some d_i^2 is not an integer"
         )
@@ -156,8 +154,8 @@ def squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
     no powerless prime at all."""
     _require_fusion_ring(a.data, a.tol)
     n = _integer_order(a)
-    d_sq = _integer_dim_squares(a)
-    if d_sq is None:
+    d_sq = a.dim_squares
+    if not _integers(d_sq):
         return ExclusionVerdict(
             "squarefree_factor", False, False, "some d_i^2 is not an integer"
         )
@@ -197,36 +195,37 @@ def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
         return ExclusionVerdict(
             "divisibility", False, False, "not applicable (ring is not dual-Burnside)"
         )
-    d = a.d
-    fp_ad = float(sum(a.table.h[i] * d[i] ** 2 for i in a.adjoint.indices))
-    ratio = float(np.prod(d)) ** 2 / fp_ad
-    snapped = snap_value(ratio, a.tol)
-    if not isinstance(snapped, int):
+    h, inv = orders(a.data), a.data.involution
+    fp_ad = a.exact_fp(sum(h[i] * a.data.tensor[i, inv[i]] for i in a.adjoint.indices))
+    d_sq = a.dim_squares
+    if not any(isinstance(x, float) for x in d_sq + [fp_ad]):
+        ratio = Fraction(math.prod(d_sq)) / fp_ad
+        integral = ratio.denominator == 1
+    else:
+        ratio, integral = float(np.prod(a.d)) ** 2 / float(fp_ad), False
+    if not integral:
         return ExclusionVerdict(
             "divisibility",
             True,
             True,
-            f"(prod d_i)^2 / FPdim(H_ad) = {ratio:.9g} is not an integer",
+            f"(prod d_i)^2 / FPdim(H_ad) = {float(ratio):.9g} is not an integer",
         )
     cls = a.series.nilpotency_class
-    if cls is not None and a.flags.fusion_ring:
-        d_sq = _integer_dim_squares(a)
-        fp_ad_int = snap_value(fp_ad, a.tol)
-        if d_sq is not None and isinstance(fp_ad_int, int):
-            lhs = set(prime_factorization(fp_ad_int)) if fp_ad_int > 1 else set()
-            rhs = set()
-            for sq in d_sq:
-                if sq > 1:
-                    rhs |= set(prime_factorization(sq))
-            if lhs != rhs:
-                return ExclusionVerdict(
-                    "divisibility",
-                    True,
-                    True,
-                    f"nilpotent ring with V(FPdim(H_ad)) = {sorted(lhs)} != u V(d_i^2) = {sorted(rhs)}",
-                )
+    if cls is not None and a.flags.fusion_ring and _integers(d_sq + [fp_ad]):
+        lhs = set(prime_factorization(fp_ad)) if fp_ad > 1 else set()
+        rhs = set()
+        for sq in d_sq:
+            if sq > 1:
+                rhs |= set(prime_factorization(sq))
+        if lhs != rhs:
+            return ExclusionVerdict(
+                "divisibility",
+                True,
+                True,
+                f"nilpotent ring with V(FPdim(H_ad)) = {sorted(lhs)} != u V(d_i^2) = {sorted(rhs)}",
+            )
     return ExclusionVerdict(
-        "divisibility", True, False, f"(prod d_i)^2 / FPdim(H_ad) = {snapped}"
+        "divisibility", True, False, f"(prod d_i)^2 / FPdim(H_ad) = {ratio}"
     )
 
 
@@ -274,15 +273,14 @@ def is_frobenius(a: RingAnalysis, alpha) -> bool:
     n = _integer_order(a)
     alpha = Fraction(alpha)
     if alpha == 1:
-        dims = [snap_value(float(x), a.tol) for x in a.d]
-        if any(not isinstance(x, int) for x in dims):
+        dims = a.exact_d
+        if dims is None or not _integers(dims):
             raise NotApplicable("alpha = 1 needs integral dimensions")
         return all(n % x == 0 for x in dims)
     if alpha == Fraction(1, 2):
-        d_sq = _integer_dim_squares(a)
-        if d_sq is None:
+        if not _integers(a.dim_squares):
             raise NotApplicable("alpha = 1/2 needs integral d_i^2")
-        return all(n % sq == 0 for sq in d_sq)
+        return all(n % sq == 0 for sq in a.dim_squares)
     raise NotApplicable(f"unsupported alpha {alpha}")
 
 

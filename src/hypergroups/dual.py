@@ -25,7 +25,7 @@ from .errors import (
     NoIsomorphismFound,
     NotNormalizable,
 )
-from .spectra import CharacterTable, character_table, fp_character, order
+from .spectra import CharacterTable, character_table, fp_character
 from .tolerance import Tolerance, snap_array
 
 if TYPE_CHECKING:
@@ -95,7 +95,9 @@ def dual_hypergroup(
         mu1 = fp_character(table)
     A = table.values
     d = A[:, mu1]
-    n_primal = order(table, mu1)
+    if (np.abs(d) <= tol.zero(1.0 + np.abs(d).max())).any():
+        raise NotNormalizable(f"character {mu1} vanishes on a basis element")
+    n_primal = table.codegrees[mu1]
 
     perm = [mu1] + [j for j in range(m) if j != mu1]
     Ap = A[:, perm]

@@ -143,17 +143,16 @@ def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> di
 
 def weak_integrality(a: RingAnalysis) -> str:
     """Verdict in {integral, weakly_integral, weakly_rational, irrational},
-    read from `a.fpdim`, which is exact on exact tensors.
+    read from the exact certificates of the analysis: `a.fpdim` and, for an
+    integer FPdim, whether `a.exact_d` is a column of ints.
 
     Theorem guard: a rational RN dual-Burnside ring must be at least weakly
     rational, else the build is broken.
     """
-    fpdim, tol = a.fpdim, a.tol
+    fpdim = a.fpdim
     if isinstance(fpdim, int):
-        dims_integral = all(
-            isinstance(snap_value(float(x), tol), int) for x in a.d
-        )
-        verdict = "integral" if dims_integral else "weakly_integral"
+        integral = a.exact_d is not None and all(isinstance(x, int) for x in a.exact_d)
+        verdict = "integral" if integral else "weakly_integral"
     elif isinstance(fpdim, Fraction):
         verdict = "weakly_rational"
     else:

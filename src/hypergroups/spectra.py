@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, integer_form, orders, regular_element
+from .core import Element, FusionData, integer_form, orders
 from .errors import (
     DegenerateSpectrum,
     HomomorphismCheckFailed,
@@ -33,11 +33,10 @@ __all__ = [
     "Tolerance",
     "character_table",
     "fp_character",
-    "formal_codegrees",
     "order",
     "integral_element",
     "snap",
-    "verify_integer_fpdim",
+    "verify_fp_value",
     "integral_element_of_subset",
 ]
 
@@ -222,20 +221,6 @@ def fp_character(table: CharacterTable) -> int:
     return candidates[0]
 
 
-def formal_codegrees(data: FusionData, table: CharacterTable) -> np.ndarray:
-    """n_j = sum_i h_i |mu_j(x_i)|^2, cross-checked against the tau expansion."""
-    tol = table.tol
-    n = np.einsum("i,ij->j", table.h, np.abs(table.values) ** 2).real
-    # tau expansion: sum_j mu_j(x_i) / n_j = delta_{i,0}
-    tau = np.einsum("ij,j->i", table.values, 1.0 / n)
-    target = np.zeros(data.rank, dtype=complex)
-    target[0] = 1.0
-    resid = np.abs(tau - target).max()
-    if resid > 1e4 * tol.zero(1.0):
-        raise OrthogonalityResidualExceeded(f"tau expansion residual {resid:.3e}")
-    return n
-
-
 def order(table: CharacterTable, mu1: int | None = None) -> float:
     """n(H, B, mu1) = sum_i h_i |mu1(x_i)|^2 for a non-vanishing character mu1."""
     tol = table.tol
@@ -291,20 +276,23 @@ def integral_element_of_subset(
     return Element(tuple(coords))
 
 
-def verify_integer_fpdim(
-    data: FusionData, candidate: int | Fraction, tol: Tolerance = DEFAULT_TOL
+def verify_fp_value(
+    data: FusionData, x, candidate: int | Fraction, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Exact confirmation that FPdim(H) equals the rational `candidate`.
+    """Exact confirmation that the FP value sum_k x_k d_k of the element with
+    exact coordinates `x` equals the rational `candidate`.
 
-    Builds I(1) = sum h_i x_i x_{i*} exactly, requires
-    det(L_{I(1)} - candidate Id) = 0 in exact arithmetic, and requires the
-    numeric Perron value of L_{I(1)} to match the candidate within tol.
+    Requires det(L_x - candidate Id) = 0 in exact arithmetic, and the numeric
+    Perron value of L_x to match the candidate within tol.  FPdim(H) is the
+    FP value of x = I(1).  The determinant says only that the candidate is
+    some eigenvalue of L_x: that it is the FP one rests on the numeric match,
+    as no exact multiplicity test isolates it.
     """
     if not data.is_exact:
         raise InexactTensor("exact tensor required")
-    # D^2 L_{I(1)}[k, j] = sum_l w_l C_{lj}^k, with D the common denominator
-    # of the coordinates of I(1) and the tensor
-    D, (C, w) = integer_form(data.tensor, regular_element(data).coords, terms=data.rank)
+    # D^2 L_x[k, j] = sum_l w_l C_{lj}^k, with D the common denominator
+    # of x and the tensor
+    D, (C, w) = integer_form(data.tensor, list(x), terms=data.rank)
     mat = np.tensordot(w, C, axes=(0, 0)).T
     shifted = mat.astype(object) - np.eye(data.rank, dtype=object) * (candidate * D * D)
     if exact_det(shifted) != 0:

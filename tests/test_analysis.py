@@ -6,7 +6,7 @@ from unittest import mock
 
 import hypergroups as hg
 from hypergroups import analysis, core, dual, spectra, tolerance
-from hypergroups.builders import catalog, near_group, rep_ring
+from hypergroups.builders import catalog, corpus, ising, near_group, rep_ring
 from hypergroups.report import analyze
 
 
@@ -88,12 +88,9 @@ def test_analyze_reads_the_fp_column_order_and_dual_alignment_once():
     finally:
         mock.patch.stopall()
     counts = {name: spy.call_count for name, spy in spies.items()}
-    # n(H) once for the analysis, then once inside each dual it builds:
-    # the dual of the ring and the dual of that dual (the double-dual check)
-    assert counts == {"fp_character": 1, "order": 3, "match": 1, "dual": 2}
-    assert [c.args[0] for c in spies["order"].call_args_list[1:]] == [
-        c.args[1] for c in spies["dual"].call_args_list
-    ]
+    # n(H) once for the analysis; each dual it builds (the dual of the ring
+    # and the dual of that dual) reads n(H) off its table's codegrees
+    assert counts == {"fp_character": 1, "order": 1, "match": 1, "dual": 2}
 
 
 def test_dual_tensor_snaps_only_its_non_integer_entries():
@@ -119,3 +116,33 @@ def test_near_groups_that_failed_rescale_now_report():
     assert k81.burnside["is_burnside"] and not k81.burnside["is_dual_burnside"]
     assert k81.nilpotency_class is None
     assert k30.dual["double_dual_isomorphic"] and k81.dual["double_dual_isomorphic"]
+
+
+def test_dim_squares_are_exact_where_the_fp_column_is_not():
+    # Ising: d = (1, 1, sqrt 2), so exact_d is None; x_s x_s = 1 + psi is
+    # confirmed by its determinant, the unit multiples are read off x_0
+    a = hg.RingAnalysis(ising())
+    assert a.exact_d is None
+    assert a.dim_squares == [1, 1, 2]
+    assert all(type(x) is int for x in a.dim_squares)
+    k30 = hg.RingAnalysis(near_group([3], 0))
+    assert k30.dim_squares == [1, 1, 1, 3]
+    assert all(type(x) is int for x in k30.dim_squares)
+
+
+def test_exact_d_of_a_rational_fp_column():
+    a = hg.RingAnalysis(rep_ring(catalog("S3")))
+    assert sorted(a.exact_d) == [1, 1, 2]
+    assert all(type(x) is int for x in a.exact_d)
+    assert a.fpdim == 6 and a.dim_squares == [x * x for x in a.exact_d]
+
+
+def test_corpus_needs_at_most_two_determinant_confirmations():
+    # every corpus ring but Ising has a rational FP column, and its FP values
+    # are read off exact_d; Ising confirms FPdim and d_s^2
+    with mock.patch.object(
+        analysis, "verify_fp_value", wraps=analysis.verify_fp_value
+    ) as spy:
+        for ring in corpus():
+            analyze(ring, modular_candidate=True)
+    assert spy.call_count <= 2

@@ -1,4 +1,5 @@
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,6 +33,35 @@ def test_catalog_orders_and_nilpotency():
         g = bd.catalog(name)
         assert g.order == order, name
         assert g.is_nilpotent() == (name in NILPOTENT_CATALOG), name
+
+
+def _reference_cayley(perms):
+    # the closure in breadth-first order, then one _compose per pair
+    from hypergroups.builders.groups import _compose
+
+    ident = tuple(range(len(perms[0])))
+    elements, index, frontier = [ident], {ident: 0}, [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in perms:
+                prod = _compose(e, g)
+                if prod not in index:
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return np.array([[index[_compose(p, q)] for q in elements] for p in elements])
+
+
+def test_cayley_table_matches_composition_loop():
+    cases = dict(bd.CATALOG_GENERATORS)
+    cases["S5"] = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    cases["S6"] = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+    for name, perms in cases.items():
+        g = bd.group_from_generators(perms, name)
+        assert (g.cayley == _reference_cayley(perms)).all(), name
+    assert g.order == 720
 
 
 def _reference_conjugacy_classes(g):
@@ -416,6 +446,31 @@ def test_canonical_key_matches_reference_and_is_invariant():
             assert len(key) == m**3
 
 
+def _block_involutions(block):
+    # every involution of a block as (a, b) swaps: block[0] fixed, then
+    # block[0] swapped with each later member in turn
+    if not block:
+        yield []
+        return
+    a, rest = block[0], block[1:]
+    yield from _block_involutions(rest)
+    for t, b in enumerate(rest):
+        for tail in _block_involutions(rest[:t] + rest[t + 1:]):
+            yield [(a, b)] + tail
+
+
+def _reference_involutions(dims):
+    # every dimension-preserving involution fixing the unit, the first
+    # block's swaps varying slowest
+    from hypergroups.builders.enumeration import _blocks
+
+    for swaps in product(*(list(_block_involutions(b)) for b in _blocks(dims))):
+        sigma = list(range(len(dims)))
+        for a, b in (pair for block in swaps for pair in block):
+            sigma[a], sigma[b] = b, a
+        yield tuple(sigma)
+
+
 def _conjugate(p, sigma):
     # p sigma p^-1 as an index tuple
     return tuple(p[np.asarray(sigma)[np.argsort(p)]].tolist())
@@ -428,14 +483,10 @@ def _conjugate(p, sigma):
     ids=lambda dims: "-".join(map(str, dims)),
 )
 def test_involution_representatives_one_per_class(dims):
-    from hypergroups.builders.enumeration import (
-        _involution_candidates,
-        _involution_representatives,
-        _relabelings,
-    )
+    from hypergroups.builders.enumeration import _involution_representatives, _relabelings
 
     rel = _relabelings(dims)
-    candidates = list(_involution_candidates(dims))
+    candidates = list(_reference_involutions(dims))
     reps = list(_involution_representatives(dims))
     # a block holds the non-unit basis elements of one dimension
     block_sizes = [dims.count(d) - (d == 1) for d in set(dims)]

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -132,3 +135,18 @@ def test_verdicts_deterministic(s3_rep):
     v1 = cr.modular_prime_support(hg.RingAnalysis(s3_rep, table=t1))
     v2 = cr.modular_prime_support(hg.RingAnalysis(s3_rep, table=t2))
     assert v1 == v2
+
+
+def test_criteria_reads_no_float_snap():
+    # every integrality verdict rests on the analysis's exact certificates
+    # (exact_d, dim_squares, exact_fp), never on a snap of its own
+    tree = ast.parse(inspect.getsource(cr))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"snap_value", "snap_array", "snap"}

@@ -6,6 +6,7 @@ import pytest
 import hypergroups as hg
 from hypergroups.builders import catalog, class_hypergroup, group_ring, rep_ring
 from hypergroups.dual import augmentation_index, match_dual_characters
+from hypergroups.errors import NotNormalizable
 from conftest import PHI
 
 
@@ -16,6 +17,14 @@ def test_z2_self_dual(z2_ring):
     # self-dual up to normalization: the dual of Z[Z2] is the Z[Z2] hypergroup
     assert np.allclose(dd.base.float_tensor(), z2_ring.float_tensor())
     assert list(dd.orders_hat) == [1.0, 1.0]
+
+
+def test_dual_needs_a_nonvanishing_character(s3_rep, s3_table):
+    vanishing = next(
+        j for j in range(3) if (np.abs(s3_table.values[:, j]) < 1e-9).any()
+    )
+    with pytest.raises(NotNormalizable):
+        hg.dual_hypergroup(s3_rep, s3_table, vanishing)
 
 
 def test_s3_dual_is_class_hypergroup(s3_rep, s3_table):

@@ -129,15 +129,13 @@ def test_fp_singleton_orbit_iff_rational_fpdim(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.flags.rational or table.fp_index is None:
             continue
-        part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
-        n_h = hg.order(table)
-        fp_rational = not isinstance(hg.snap(n_h), float)
-        fp_orbit = part.orbit_of(table.fp_index)
-        # rational FPdim iff the FP character is fixed by the Galois action
-        if len(fp_orbit) == 1:
-            assert fp_rational, ring.name
-        if fp_rational and part.rational_mask[table.fp_index]:
-            assert len(fp_orbit) == 1, ring.name
+        a = hg.RingAnalysis(ring, table=table)
+        fp_orbit = ga.galois_orbits(a).orbit_of(table.fp_index)
+        # the FP character is fixed by the Galois action iff its values are
+        # rational, and then FPdim = sum h_i d_i^2 is read off exactly
+        assert (len(fp_orbit) == 1) == (a.exact_d is not None), ring.name
+        if a.exact_d is not None:
+            assert not isinstance(a.fpdim, float), ring.name
 
 
 def _factor_orbits(ring, table) -> tuple:
@@ -232,5 +230,16 @@ def test_verify_fpdim_rejects_spurious_fraction():
     ring = near_group([2], 2)
     spurious = hg.snap(hg.order(hg.character_table(ring)))
     assert spurious == Fraction(51409, 5432)
-    assert not hg.verify_integer_fpdim(ring, spurious)
+    assert not hg.verify_fp_value(ring, hg.regular_element(ring).coords, spurious)
     assert hg.RingAnalysis(ring).fpdim == pytest.approx(6 + 2 * math.sqrt(3))
+
+
+def test_dim_squares_reject_spurious_fraction():
+    # d_rho^2 = 4 + 2 sqrt(3) in K(C2, 2); snap_value returns 40545/5432 for it
+    ring = near_group([2], 2)
+    a = hg.RingAnalysis(ring)
+    rho = 2
+    assert hg.snap(a.d[rho] ** 2) == Fraction(40545, 5432)
+    assert isinstance(a.dim_squares[rho], float)
+    assert a.dim_squares[rho] == pytest.approx(4 + 2 * math.sqrt(3))
+    assert a.dim_squares[:rho] == [1, 1]

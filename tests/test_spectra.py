@@ -97,8 +97,7 @@ def test_codegrees_examples(s3_table, ising_table, fib_table):
 
 
 def test_formal_codegrees_cross_check(s3_rep, s3_table):
-    n = hg.formal_codegrees(s3_rep, s3_table)
-    assert np.allclose(sorted(n), [2, 3, 6])
+    assert np.allclose(sorted(s3_table.codegrees), [2, 3, 6])
 
 
 def test_order_examples(z2_ring, ising_ring, ising_table, fib_ring, fib_table):
@@ -138,19 +137,31 @@ def test_snap():
 
 
 def test_verify_integer_fpdim(ising_ring, s3_rep):
-    assert hg.verify_integer_fpdim(ising_ring, 4)
-    assert hg.verify_integer_fpdim(s3_rep, 6)
-    assert not hg.verify_integer_fpdim(s3_rep, 5)
+    def verify(ring, candidate):
+        return hg.verify_fp_value(ring, hg.regular_element(ring).coords, candidate)
+
+    assert verify(ising_ring, 4)
+    assert verify(s3_rep, 6)
+    assert not verify(s3_rep, 5)
     # rational tensors: FPdim of a class hypergroup is |G|
     for name, order in (("S3", 6), ("A4", 12)):
         cl = class_hypergroup(catalog(name))
-        assert hg.verify_integer_fpdim(cl, order)
-        assert not hg.verify_integer_fpdim(cl, order - 1)
+        assert verify(cl, order)
+        assert not verify(cl, order - 1)
     floaty = hg.FusionData(
         "f", [0, 1], np.array([1.0, 0, 0, 1, 0, 1, 1, 0]).reshape(2, 2, 2)
     )
     with pytest.raises(InexactTensor):
-        hg.verify_integer_fpdim(floaty, 2)
+        verify(floaty, 2)
+
+
+def test_verify_fp_value_of_dim_squares(ising_ring):
+    # x_s x_s = 1 + psi in Ising: FP value d_s^2 = 2, and 3 is no eigenvalue
+    row = list(ising_ring.tensor[2, 2])
+    assert hg.verify_fp_value(ising_ring, row, 2)
+    assert not hg.verify_fp_value(ising_ring, row, 3)
+    # 0 is an eigenvalue of L_{1 + psi} but not its Perron value
+    assert not hg.verify_fp_value(ising_ring, row, 0)
 
 
 def test_second_orthogonality(corpus_with_tables):
