@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hypergroups as hg
 from hypergroups import burnside as bn
 from hypergroups.builders import catalog, class_hypergroup, group_ring, near_group, rep_ring
-from hypergroups.errors import ExactNumericDisagreement
+from hypergroups.errors import ExactNumericDisagreement, SignMismatch
 from conftest import NILPOTENT_CATALOG, s3_indices
 
 
@@ -126,6 +128,17 @@ def test_sgn_examples(z2_ring, s3_rep, s3_table, ising_ring, ising_table):
     assert el[0] == 1 and el[s] == -1
     el, ch = bn.sgn_values(hg.RingAnalysis(ising_ring, table=ising_table))
     assert set(el.values()) <= {1, -1} and set(ch.values()) <= {1, -1}
+
+
+def test_sgn_values_rejects_a_product_that_is_no_character(ising_ring, ising_table):
+    # Ising: the grouplike character (1, 1, -sqrt2) times mu_k = (1, -1, 0)
+    # must be a column again; corrupt mu_k at the non-grouplike sigma
+    k = int(np.argmin(ising_table.codegrees))
+    values = ising_table.values.copy()
+    values[2, k] = 0.5
+    a = hg.RingAnalysis(ising_ring, table=replace(ising_table, values=values))
+    with pytest.raises(SignMismatch, match="is not a character"):
+        bn.sgn_values(a)
 
 
 def test_phat_bound_equality_iff_grouplike(corpus_with_tables):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import hypergroups as hg
 from hypergroups.builders import catalog, class_hypergroup, group_ring, rep_ring
 from hypergroups.dual import augmentation_index, match_dual_characters
-from hypergroups.errors import NotNormalizable
+from hypergroups.errors import CrossCheckFailed, NotNormalizable
 from conftest import PHI
 
 
@@ -112,3 +113,21 @@ def test_augmentation_index(ising_ring, ising_table):
     dt = hg.character_table(dd.base)
     j = augmentation_index(dt)
     assert np.abs(dt.values[:, j] - 1.0).max() < 1e-9
+
+
+def test_augmentation_index_rejects_a_table_without_an_all_ones_column(
+    ising_ring, ising_table
+):
+    dt = hg.dual_hypergroup(ising_ring, ising_table).table
+    values = dt.values.copy()
+    values[1, augmentation_index(dt)] += 1e-3
+    with pytest.raises(NotNormalizable):
+        augmentation_index(replace(dt, values=values))
+
+
+def test_match_dual_characters_rejects_a_corrupted_primal_value(ising_ring, ising_table):
+    dd = hg.dual_hypergroup(ising_ring, ising_table)
+    values = ising_table.values.copy()
+    values[1, next(j for j in range(3) if j != dd.mu1)] += 0.1
+    with pytest.raises(CrossCheckFailed, match="cannot align dual character"):
+        match_dual_characters(dd, replace(ising_table, values=values))

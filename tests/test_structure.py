@@ -5,8 +5,8 @@ from fractions import Fraction
 import hypergroups as hg
 from hypergroups import structure as st
 from hypergroups import burnside as bn
-from hypergroups.builders import catalog, class_hypergroup, group_ring, rep_ring
-from hypergroups.errors import ClosureViolation, NotAbelian, NotPositive
+from hypergroups.builders import abelian_group, catalog, class_hypergroup, group_ring, rep_ring
+from hypergroups.errors import ClassInconsistency, ClosureViolation, NotAbelian, NotPositive
 from conftest import s3_indices
 
 
@@ -68,6 +68,15 @@ def test_support_examples(ising_ring, ising_table):
     assert st.support(ising, trivial) == frozenset({0, 1, 2})
     sub = st.SubHypergroup((0, 1), ising_ring)
     assert st.support(ising, sub) == frozenset(ising.grouplike_chars)
+
+
+@pytest.mark.parametrize(
+    "orders, factors",
+    [([2], (2,)), ([2, 4], (2, 4)), ([4, 6], (2, 12)), ([6, 10], (2, 30)),
+     ([8, 4, 2], (2, 4, 8)), ([5, 25, 5], (5, 5, 25))],
+)
+def test_abelian_invariants_of_products_of_cyclic_groups(orders, factors):
+    assert st._abelian_invariants(abelian_group(orders).cayley) == factors
 
 
 def test_universal_grading(ising_ring, ising_table, s3_rep, s3_table, q8_rep, q8_table):
@@ -144,6 +153,16 @@ def test_quotient_s3_example(s3_rep, s3_table):
     # raw Eq (7.5) sums on the un-normalized ring: 2 on [1], 1 on [t]
     tt = s3_rep.tensor[t, t]
     assert tt[0] + tt[s] == 2 and tt[t] == 1
+
+
+def test_harrison_check_rejects_a_quotient_with_other_characters(s3_rep, s3_table):
+    # S3 // {1, s} has characters (1, 1) and (1, -1/2); Z[C2] has (1, -1)
+    s, _ = s3_indices(s3_rep)
+    a = hg.RingAnalysis(s3_rep, table=s3_table)
+    sub = st.SubHypergroup((0, s), s3_rep)
+    _, classes = st.quotient(a, sub)
+    with pytest.raises(ClassInconsistency, match="Harrison duality failed"):
+        st._harrison_check(a, sub, group_ring(catalog("C2")), classes)
 
 
 def test_quotient_rejects_nonabelian():
