@@ -27,7 +27,6 @@ from .spectra import (
     fp_character,
     integral_element,
     order,
-    snap,
     verify_fp_value,
 )
 from .dual import (
@@ -93,7 +92,6 @@ __all__ = [
     "fp_character",
     "integral_element",
     "order",
-    "snap",
     "verify_fp_value",
     "DualData",
     "double_dual_check",

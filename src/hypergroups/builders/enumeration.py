@@ -19,7 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ..core import FusionData, bracketings
+from ..core import FusionData, bracketings, components
 from ..errors import BudgetExceeded, InvalidType
 
 __all__ = ["enumerate_by_type", "normalize_type", "type_of"]
@@ -80,24 +80,17 @@ def _involution_representatives(dims: list[int]):
 def _orbit_labels(m: int, sigma) -> np.ndarray:
     """(m, m, m) orbit ids of the entries under N_{ij}^k = N_{i*k}^j = N_{kj*}^i.
 
-    The two reciprocity maps (i,j,k) -> (i*,k,j) and (i,j,k) -> (k,j*,i) are
-    involutions, so each entry takes the least flat index over its orbit by
-    min-label propagation.  Ids count the orbits in the row-major order of
-    that first entry.
+    The orbits are the connected components of the graph that joins each
+    entry to its images under the reciprocity maps (i,j,k) -> (i*,k,j) and
+    (i,j,k) -> (k,j*,i).  Ids count the orbits in the row-major order of
+    their first entries.
     """
     s = np.asarray(sigma, dtype=np.intp)
     i, j, k = np.indices((m, m, m))
     flat = np.arange(m ** 3)
     cube = flat.reshape(m, m, m)
-    maps = (cube[s[i], k, j].ravel(), cube[k, s[j], i].ravel())
-    label = flat
-    while True:
-        new = np.minimum(label, np.minimum(label[maps[0]], label[maps[1]]))
-        if (new == label).all():
-            break
-        label = new
-    ids = np.cumsum(label == flat) - 1
-    return ids[label].reshape(m, m, m)
+    images = np.concatenate([cube[s[i], k, j].ravel(), cube[k, s[j], i].ravel()])
+    return components(m ** 3, np.tile(flat, 2), images).reshape(m, m, m)
 
 
 def _search_setup(oid_of: np.ndarray, d: np.ndarray, sigma):

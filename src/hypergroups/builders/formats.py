@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core import FusionData
 from ..errors import ParseError
+from ..tolerance import DEFAULT_TOL, Tolerance
 from .groups import FiniteGroup, group_from_generators
 
 __all__ = [
@@ -80,9 +81,9 @@ def serialize(data: FusionData) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def parse(text: str) -> FusionData:
-    """Parse the structured format; the result is validated (associativity
-    failures are rejected at load)."""
+def parse(text: str, tol: Tolerance = DEFAULT_TOL) -> FusionData:
+    """Parse the structured format; the result is validated at `tol`
+    (associativity failures are rejected at load)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -106,7 +107,7 @@ def parse(text: str) -> FusionData:
                     tensor[i][j][k], f"tensor[{i}][{j}][{k}]"
                 )
     data = FusionData(str(doc["name"]), doc["involution"], entries)
-    data.flags  # validates, and keeps the flag set for later stages
+    data.flags_at(tol)  # validates, and keeps the flag set for later stages
     return data
 
 
@@ -217,12 +218,14 @@ def dump(data: FusionData, path) -> None:
         fh.write(serialize(data))
 
 
-def load(path) -> FusionData:
+def load(path, tol: Tolerance = DEFAULT_TOL) -> FusionData:
+    """Read a ring file in the structured or the text format, validated at
+    `tol` (text files hold integer tensors, which validate at any tolerance)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return parse(text)
+        return parse(text, tol)
     import os
 
     return parse_text(text, name=os.path.splitext(os.path.basename(str(path)))[0])

@@ -23,7 +23,7 @@ from .errors import (
     SignMismatch,
     VerdictResidualMismatch,
 )
-from .spectra import CharacterTable, integral_element_of_subset
+from .spectra import CharacterTable, _match_columns, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
@@ -70,15 +70,6 @@ def grouplike_closure_ok(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL) -
     products = data.support_at(tol)[np.ix_(gl, gl)]
     inside = products[..., gl].sum(axis=2)
     return bool((inside == 1).all() and (products.sum(axis=2) == 1).all())
-
-
-def grouplike_group_table(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL):
-    """Cayley table of the normalized grouplikes, or None if not closed."""
-    if not grouplike_closure_ok(data, gset, tol):
-        return None
-    gl = sorted(gset)
-    # each product is a single grouplike: its position among gl
-    return data.support_at(tol)[np.ix_(gl, gl, gl)].argmax(axis=2)
 
 
 def vanishing_elements(a: RingAnalysis) -> tuple:
@@ -197,7 +188,6 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     """
     data, table, tol = a.data, a.table, a.tol
     S = data.support_at(tol)
-    m = data.rank
     sgn_el = {}
     pv = phat_values(table)
     for i in a.grouplikes:
@@ -219,17 +209,19 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
         numeric = qv[j]
         if abs(numeric.imag) > 1e4 * tol.zero(1.0) or abs(abs(numeric.real) - 1.0) > 1e4 * tol.zero(1.0):
             raise SignMismatch(f"mu_{j}(P) = {numeric}, not +-1")
-        perm = []
-        for k in range(m):
-            prod = norm[:, j] * table.values[:, k]
-            diffs = np.abs(table.values.T - prod[None, :]).max(axis=1)
-            l = int(diffs.argmin())
-            if diffs[l] > 1e6 * tol.zero(1.0 + np.abs(prod).max()):
-                raise SignMismatch(f"mu_{j} * mu_{k} is not a character")
-            perm.append(l)
-        if sorted(perm) != list(range(m)):
-            raise SignMismatch(f"mu_{j} does not permute the characters")
-        exact = _permutation_sign(perm)
+        # row k: mu_j mu_k, which must be a character, and k -> it a permutation
+        prods = norm[:, j] * table.values.T
+        thr = 1e6 * tol.zero(1.0 + np.abs(prods).max(axis=1))
+        perm = _match_columns(
+            table.values,
+            prods,
+            thr,
+            SignMismatch,
+            lambda k, resid: f"mu_{j} * mu_{k} is not a character"
+            if resid > thr[k]
+            else f"mu_{j} does not permute the characters",
+        )
+        exact = _permutation_sign(perm.tolist())
         if exact != int(np.sign(numeric.real)):
             raise SignMismatch(
                 f"sgn(mu_{j}): permutation {exact} vs product {numeric.real:+.3f}"

@@ -72,9 +72,10 @@ def _write_ring(ring: FusionData, out: str | None):
 
 
 def _cmd_analyze(args) -> int:
+    tol = _tol(args)
     report = analyze(
-        load(args.path),
-        tol=_tol(args),
+        load(args.path, tol),
+        tol=tol,
         seed=args.seed,
         exact_only=args.exact_only,
         modular_candidate=args.modular_candidate,
@@ -138,8 +139,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    data = load(args.path)
     tol = _tol(args)
+    data = load(args.path, tol)
     table = character_table(data, tol=tol, seed=args.seed)
     dd = dual_hypergroup(data, table, tol=tol)
     _write_ring(dd.base, args.out)
@@ -147,7 +148,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    data = load(args.path)
+    tol = _tol(args)
+    data = load(args.path, tol)
     try:
         indices = tuple(int(t) for t in args.sub.split(","))
     except ValueError:
@@ -155,7 +157,7 @@ def _cmd_quotient(args) -> int:
             f"--sub {args.sub!r} is not a comma-separated list of integers"
         ) from None
     sub = SubHypergroup(indices, data)
-    q, classes = quotient(RingAnalysis(data, _tol(args), args.seed), sub)
+    q, classes = quotient(RingAnalysis(data, tol, args.seed), sub)
     print(f"classes: {[list(c) for c in classes]}", file=sys.stderr)
     _write_ring(q, args.out)
     return 0
@@ -203,7 +205,7 @@ def _cmd_batch(args) -> int:
     for path in paths:
         try:
             rep = analyze(
-                load(path),
+                load(path, tol),
                 tol=tol,
                 seed=args.seed,
                 exact_only=args.exact_only,

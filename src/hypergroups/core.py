@@ -41,6 +41,7 @@ __all__ = [
     "exact_character",
     "regular_element",
     "scalar_kind",
+    "prime_factorization",
 ]
 
 
@@ -223,10 +224,12 @@ def basis_element(data: FusionData, i: int) -> Element:
     return Element(tuple(coords))
 
 
-def regular_element(data: FusionData) -> Element:
-    """I(1) = sum_i h_i x_i x_{i*}; exact (Fractions) on exact tensors."""
-    hs = np.array(orders(data), dtype=data.tensor.dtype)
-    rows = data.tensor[np.arange(data.rank), data.involution]
+def regular_element(data: FusionData, indices=None) -> Element:
+    """I_S(1) = sum_{i in S} h_i x_i x_{i*} over the basis indices S (default:
+    all, giving I(1)); exact (Fractions) on exact tensors."""
+    idx = np.arange(data.rank) if indices is None else np.asarray(indices, dtype=int)
+    hs = np.array(orders(data), dtype=data.tensor.dtype)[idx]
+    rows = data.tensor[idx, np.array(data.involution)[idx]]
     return Element(tuple(np.einsum("i,ik->k", hs, rows).tolist()))
 
 
@@ -239,6 +242,44 @@ def orders(data: FusionData) -> list:
             raise AxiomViolation("involution", (i, data.involution[i], 0), "N_{ii*}^0 = 0")
         hs.append(Fraction(1, 1) / Fraction(n) if not isinstance(n, float) else 1.0 / n)
     return hs
+
+
+def prime_factorization(n: int) -> dict:
+    """{p: e} with n = prod p^e, by trial division."""
+    n = int(n)
+    if n <= 0:
+        raise ValueError("need a positive integer")
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """comp[v]: the connected component of v in the graph on range(n) with the
+    edges a[e] - b[e], numbered in the order of the components' least members.
+
+    Each vertex's label starts as itself; every pass lowers both ends of each
+    edge to the lower label and then replaces each label by its own label
+    (pointer jumping), until nothing changes, when each label is the least
+    member of its component.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if (new == label).all():
+            return (np.cumsum(label == np.arange(n)) - 1)[label]
+        label = new
 
 
 def integer_form(*arrays, terms: int) -> tuple[int, list[np.ndarray]]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._exact import exact_det
 from .analysis import RingAnalysis
-from .core import FusionData, orders
+from .core import FusionData, prime_factorization, regular_element
 from .errors import HypergroupError, NotApplicable, NotNearGroup, NotWeaklyIntegral
 from .structure import grouplike_indices
 from .tolerance import DEFAULT_TOL, Tolerance
@@ -32,7 +32,6 @@ __all__ = [
     "near_group_modular_test",
     "frobenius_test",
     "is_frobenius",
-    "prime_factorization",
     "detect_near_group",
 ]
 
@@ -47,22 +46,6 @@ class ExclusionVerdict:
     def __post_init__(self):
         if self.excluded and not self.applicable:
             raise ValueError("excluded implies applicable")
-
-
-def prime_factorization(n: int) -> dict:
-    n = int(n)
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def exclusions(a: RingAnalysis, modular_candidate: bool) -> list:
@@ -195,8 +178,7 @@ def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
         return ExclusionVerdict(
             "divisibility", False, False, "not applicable (ring is not dual-Burnside)"
         )
-    h, inv = orders(a.data), a.data.involution
-    fp_ad = a.exact_fp(sum(h[i] * a.data.tensor[i, inv[i]] for i in a.adjoint.indices))
+    fp_ad = a.exact_fp(regular_element(a.data, a.adjoint.indices).coords)
     d_sq = a.dim_squares
     if not any(isinstance(x, float) for x in d_sq + [fp_ad]):
         ratio = Fraction(math.prod(d_sq)) / fp_ad

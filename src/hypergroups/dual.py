@@ -25,7 +25,7 @@ from .errors import (
     NoIsomorphismFound,
     NotNormalizable,
 )
-from .spectra import CharacterTable, character_table, fp_character
+from .spectra import CharacterTable, _match_columns, character_table, fp_character, order
 from .tolerance import Tolerance, snap_array
 
 if TYPE_CHECKING:
@@ -71,11 +71,14 @@ class DualData:
 
 def augmentation_index(table: CharacterTable) -> int:
     """Column of the all-ones character (exists iff the data is normalized)."""
-    dev = np.abs(table.values - 1.0).max(axis=0)
-    j = int(dev.argmin())
-    if dev[j] > 1e4 * table.tol.zero(1.0):
-        raise NotNormalizable("no all-ones character column")
-    return j
+    (j,) = _match_columns(
+        table.values,
+        np.ones((1, table.rank)),
+        1e4 * table.tol.zero(1.0),
+        NotNormalizable,
+        lambda r, resid: "no all-ones character column",
+    )
+    return int(j)
 
 
 def dual_hypergroup(
@@ -93,11 +96,9 @@ def dual_hypergroup(
     m = data.rank
     if mu1 is None:
         mu1 = fp_character(table)
+    n_primal = order(table, mu1)
     A = table.values
     d = A[:, mu1]
-    if (np.abs(d) <= tol.zero(1.0 + np.abs(d).max())).any():
-        raise NotNormalizable(f"character {mu1} vanishes on a basis element")
-    n_primal = table.codegrees[mu1]
 
     perm = [mu1] + [j for j in range(m) if j != mu1]
     Ap = A[:, perm]
@@ -197,21 +198,15 @@ def match_dual_characters(dd: DualData, table: CharacterTable) -> np.ndarray:
     canonical character order with the primal basis.
     """
     tol = table.tol
-    m = table.rank
     d = table.values[:, dd.mu1]
     rows = table.values[:, list(dd.char_order)] / d[:, None]  # rows[i] over dual basis
-    match = np.full(m, -1, dtype=int)
-    used = set()
-    for i in range(m):
-        diffs = np.abs(dd.table.values.T - rows[i][None, :]).max(axis=1)
-        j = int(diffs.argmin())
-        if diffs[j] > 1e6 * tol.zero(1.0 + np.abs(rows).max()) or j in used:
-            raise CrossCheckFailed(
-                f"cannot align dual character for basis element {i} (residual {diffs[j]:.3e})"
-            )
-        used.add(j)
-        match[i] = j
-    return match
+    return _match_columns(
+        dd.table.values,
+        rows,
+        1e6 * tol.zero(1.0 + np.abs(rows).max()),
+        CrossCheckFailed,
+        lambda i, resid: f"cannot align dual character for basis element {i} (residual {resid:.3e})",
+    )
 
 
 def double_dual_check(a: RingAnalysis) -> tuple:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, integer_form, orders
+from .core import Element, FusionData, basis_element, integer_form, multiply, orders
 from .errors import (
     DegenerateSpectrum,
     HomomorphismCheckFailed,
@@ -26,7 +26,7 @@ from .errors import (
     NotNormalizable,
     OrthogonalityResidualExceeded,
 )
-from .tolerance import DEFAULT_TOL, Tolerance, snap_value
+from .tolerance import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "CharacterTable",
@@ -35,22 +35,22 @@ __all__ = [
     "fp_character",
     "order",
     "integral_element",
-    "snap",
     "verify_fp_value",
     "integral_element_of_subset",
 ]
 
 RETRY_BUDGET = 8
 
-snap = snap_value
-
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """values[i, j] = mu_j(x_i); row 0 is all ones, column order is canonical."""
+    """values[i, j] = mu_j(x_i); row 0 is all ones, column order is canonical.
+
+    `positive_columns` are the real, strictly positive columns; the FP column
+    is the only one when there is exactly one."""
 
     values: np.ndarray  # (m, m) complex
-    fp_index: int | None
+    positive_columns: tuple
     codegrees: np.ndarray  # (m,) float, n_j
     idempotents: np.ndarray  # (m, m) complex, row j = coordinates of F_j
     h: np.ndarray  # (m,) float, basis orders
@@ -59,6 +59,11 @@ class CharacterTable:
     @property
     def rank(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def fp_index(self) -> int | None:
+        """The FP column, 0 in canonical order, or None without a unique one."""
+        return self.positive_columns[0] if len(self.positive_columns) == 1 else None
 
     def fp_dims(self) -> np.ndarray:
         """d_i = FPdim(x_i), the entries of the unique positive column."""
@@ -131,7 +136,8 @@ def character_table(
 
     positive = _positive_columns(values, tol)
     fp = positive[0] if len(positive) == 1 else None
-    values = values[:, _canonical_column_order(values, fp)]
+    column_order = _canonical_column_order(values, fp)
+    values = values[:, column_order]
 
     h = np.array([float(x) for x in orders(data)])
     inv = list(data.involution)
@@ -146,7 +152,7 @@ def character_table(
 
     table = CharacterTable(
         values=values,
-        fp_index=None if fp is None else 0,
+        positive_columns=tuple(sorted(column_order.index(j) for j in positive)),
         codegrees=codegrees,
         idempotents=idempotents,
         h=h,
@@ -177,6 +183,23 @@ def _positive_columns(values: np.ndarray, tol: Tolerance) -> list[int]:
         ).all():
             out.append(j)
     return out
+
+
+def _match_columns(values: np.ndarray, vecs: np.ndarray, thr, error, message) -> np.ndarray:
+    """cols[r]: the column of `values` nearest row r of `vecs` in the max norm.
+
+    Raises error(message(r, residual)) at the first row r farther than `thr`
+    (a scalar, or one per row) from its nearest column, else at the first row
+    whose nearest column an earlier row has taken.
+    """
+    diffs = np.abs(vecs[:, None, :] - values.T[None, :, :]).max(axis=2)
+    cols = diffs.argmin(axis=1)
+    resid = diffs[np.arange(len(cols)), cols]
+    repeated = [r for r in range(len(cols)) if cols[r] in cols[:r]]
+    bad = [*np.flatnonzero(resid > thr).tolist(), *repeated]
+    if bad:
+        raise error(message(bad[0], resid[bad[0]]))
+    return cols
 
 
 def _verify_table(data: FusionData, table: CharacterTable):
@@ -213,39 +236,35 @@ def _verify_table(data: FusionData, table: CharacterTable):
 
 def fp_character(table: CharacterTable) -> int:
     """Index of the unique strictly positive column (the FP character)."""
-    candidates = _positive_columns(table.values, table.tol)
+    candidates = table.positive_columns
     if not candidates:
         raise NoPositiveColumn("no strictly positive character column")
     if len(candidates) > 1:
-        raise MultiplePositiveColumns(f"positive columns {candidates}")
+        raise MultiplePositiveColumns(f"positive columns {list(candidates)}")
     return candidates[0]
 
 
 def order(table: CharacterTable, mu1: int | None = None) -> float:
-    """n(H, B, mu1) = sum_i h_i |mu1(x_i)|^2 for a non-vanishing character mu1."""
+    """n(H, B, mu1) = sum_i h_i |mu1(x_i)|^2, the codegree of mu1, for a
+    non-vanishing character mu1 (default: the FP character)."""
     tol = table.tol
     if mu1 is None:
         mu1 = fp_character(table)
     col = table.values[:, mu1]
     if (np.abs(col) <= tol.zero(1.0 + np.abs(col).max())).any():
         raise NotNormalizable(f"character {mu1} vanishes on a basis element")
-    return float(np.einsum("i,i->", table.h, np.abs(col) ** 2).real)
+    return float(table.codegrees[mu1])
 
 
 def integral_element(data: FusionData, table: CharacterTable) -> Element:
-    """The primitive idempotent at the FP character, lambda_H.
+    """The integral lambda_H of the whole basis, the primitive idempotent at
+    the FP character.
 
     Verified to be idempotent and to absorb every basis element:
     x_i lambda = d_i lambda.
     """
-    from .core import multiply, basis_element
-
     tol = table.tol
-    fp = fp_character(table)
-    coords = table.idempotents[fp]
-    if np.abs(coords.imag).max() > 1e3 * tol.zero(1.0):
-        raise IdempotentResidual("integral has a complex coordinate")
-    lam = Element(tuple(float(c) for c in coords.real))
+    lam = integral_element_of_subset(data, table, range(data.rank))
     sq = multiply(data, lam, lam)
     if np.abs(sq.float_coords() - lam.float_coords()).max() > 1e4 * tol.zero(1.0):
         raise IdempotentResidual("lambda^2 != lambda")

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Element, FusionData, normalize
+from .core import Element, FusionData, components, normalize, prime_factorization
 from .errors import (
     BiperpMismatch,
     ClassInconsistency,
@@ -30,7 +30,7 @@ from .errors import (
     SeriesDisagreement,
     SupportMismatch,
 )
-from .spectra import character_table, integral_element_of_subset
+from .spectra import _match_columns, character_table, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
@@ -251,27 +251,6 @@ def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
 
 # ---------------------------------------------------------------- grading
 
-def _components(m: int, edges) -> list[list[int]]:
-    """Connected components of the graph on range(m) with the given edges,
-    by union-find; members ascending, components ordered by smallest member."""
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for a in range(m):
-        groups.setdefault(find(a), []).append(a)
-    return list(groups.values())
-
-
 def grouplike_indices(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Basis elements with x x* supported on the unit alone (Def of grouplike)."""
     xx = _self_products(data, tol)
@@ -291,17 +270,8 @@ def _abelian_invariants(table: np.ndarray) -> tuple:
             x = int(table[x, a])
             k += 1
         orders_.append(k)
-    primes = []
-    total = n
-    p = 2
-    while total > 1:
-        if total % p == 0:
-            primes.append(p)
-            while total % p == 0:
-                total //= p
-        p += 1
     prime_powers: dict[int, list[int]] = {}
-    for p in primes:
+    for p in sorted(prime_factorization(n)):
         # counts[t-1] = #{cyclic factors of p-part with exponent >= t},
         # read off #{a : a^(p^k) = e} = p^(sum_i min(k, lambda_i))
         ms = [0]
@@ -346,18 +316,16 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
     # linked[a, b]: x_b is a constituent of s x_a or x_a s for some s in H_ad
     linked = S[list(ad)].any(axis=0) | S[:, list(ad)].any(axis=1)
     # stable labels: component of the unit first, then by smallest member
-    components = _components(m, zip(*np.nonzero(linked)))
-    label = np.empty(m, dtype=int)
-    for lbl, comp in enumerate(components):
-        label[comp] = lbl
-    if tuple(components[0]) != ad:
+    label = components(m, *np.nonzero(linked))
+    comps = [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
+    if tuple(comps[0]) != ad:
         raise GradingCrossCheckFailed(
-            f"identity component {sorted(components[0])} != adjoint {ad}"
+            f"identity component {comps[0]} != adjoint {ad}"
         )
-    g = len(components)
+    g = len(comps)
     gtable = np.full((g, g), -1, dtype=int)
-    for la, comp_a in enumerate(components):
-        for lb, comp_b in enumerate(components):
+    for la, comp_a in enumerate(comps):
+        for lb, comp_b in enumerate(comps):
             targets = set(label[S[np.ix_(comp_a, comp_b)].any(axis=(0, 1))].tolist())
             if len(targets) != 1:
                 raise GradingCrossCheckFailed(
@@ -367,11 +335,11 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
     _check_group_table(gtable)
 
     if a.flags.abelian:
-        _grading_spectral_checks(a, components)
+        _grading_spectral_checks(a, comps)
 
     iso = _abelian_invariants(gtable) if (gtable == gtable.T).all() else ()
     return GradingResult(
-        components=tuple(map(tuple, components)),
+        components=tuple(map(tuple, comps)),
         group_table=gtable,
         identity_component=0,
         iso_class=iso,
@@ -465,10 +433,8 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
     # reach[p, w]: x_w is a constituent of x_p s for some s in S
     reach = normalized.support_at(tol)[:, list(sub.indices)].any(axis=1)
     meets = np.triu(reach @ reach.T, 1)
-    classes = list(map(tuple, _components(m, zip(*np.nonzero(meets)))))
-    label = np.empty(m, dtype=int)
-    for lbl, cls in enumerate(classes):
-        label[list(cls)] = lbl
+    label = components(m, *np.nonzero(meets))
+    classes = [tuple(np.flatnonzero(label == c).tolist()) for c in range(label.max() + 1)]
 
     # sums[p, r, c]: coefficient of class c in x_p x_r; each block of
     # representative pairs must agree with its first pair
@@ -499,20 +465,16 @@ def _harrison_check(a: RingAnalysis, sub, quot, classes):
     """Characters of H//S are the restrictions of the S-perp characters."""
     qtable = character_table(quot, tol=a.tol, seed=a.seed)
     sperp = perp(a, sub)
-    values, d = a.table.values, a.d
     reps = [cls[0] for cls in classes]
-    cols_needed = []
-    for j in sorted(sperp):
-        cols_needed.append(np.array([values[p, j] / d[p] for p in reps]))
-    matched = set()
-    for vec in cols_needed:
-        diffs = np.abs(qtable.values.T - vec[None, :]).max(axis=1)
-        jq = int(diffs.argmin())
-        if diffs[jq] > 1e6 * a.tol.zero(1.0) or jq in matched:
-            raise ClassInconsistency(
-                "Harrison duality failed: S-perp restriction is not a quotient character"
-            )
-        matched.add(jq)
+    # row r: the S-perp character sorted(sperp)[r] on the normalized representatives
+    restrictions = (a.table.values[reps] / a.d[reps, None])[:, sorted(sperp)].T
+    matched = _match_columns(
+        qtable.values,
+        restrictions,
+        1e6 * a.tol.zero(1.0),
+        ClassInconsistency,
+        lambda r, resid: "Harrison duality failed: S-perp restriction is not a quotient character",
+    )
     if len(matched) != quot.rank:
         raise ClassInconsistency("Harrison duality failed: character counts differ")
 

@@ -25,7 +25,7 @@ from hypergroups.builders import (
     near_group,
     rep_ring,
 )
-from hypergroups.tolerance import Tolerance
+from hypergroups.tolerance import Tolerance, snap_value
 from conftest import NILPOTENT_CATALOG
 
 
@@ -120,7 +120,7 @@ def test_criterion_4_spectral_invariants(corpus_with_tables):
         g = catalog(name)
         table = hg.character_table(rep_ring(g))
         oracle = sorted(g.centralizer_order(c[0]) for c in g.conjugacy_classes())
-        assert sorted(hg.snap(float(x)) for x in table.codegrees) == oracle, name
+        assert sorted(snap_value(float(x)) for x in table.codegrees) == oracle, name
     _report(4, f"orthogonality/order/double-dual invariants on {len(corpus_with_tables)} rings")
 
 

@@ -78,6 +78,7 @@ def test_analyze_reads_the_fp_column_order_and_dual_alignment_once():
         spies = {
             name: _spy_everywhere(fn)
             for name, fn in [
+                ("positive scan", spectra._positive_columns),
                 ("fp_character", spectra.fp_character),
                 ("order", spectra.order),
                 ("match", dual.match_dual_characters),
@@ -88,9 +89,17 @@ def test_analyze_reads_the_fp_column_order_and_dual_alignment_once():
     finally:
         mock.patch.stopall()
     counts = {name: spy.call_count for name, spy in spies.items()}
-    # n(H) once for the analysis; each dual it builds (the dual of the ring
-    # and the dual of that dual) reads n(H) off its table's codegrees
-    assert counts == {"fp_character": 1, "order": 1, "match": 1, "dual": 2}
+    # the positive columns are scanned once per table (the ring's and its
+    # dual's) and fp_character reads that scan; n(H) is the FP codegree of
+    # the table, which order reads once for the analysis and once in each
+    # dual it builds (the dual of the ring and the dual of that dual)
+    assert counts == {
+        "positive scan": 2,
+        "fp_character": 1,
+        "order": 3,
+        "match": 1,
+        "dual": 2,
+    }
 
 
 def test_dual_tensor_snaps_only_its_non_integer_entries():

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hypergroups import builders as bd
+from hypergroups.core import FusionData
 from hypergroups.cli import main
 
 
@@ -42,6 +44,19 @@ def test_analyze_axiom_violation_exit_2(tmp_path, capsys):
         json.dump(doc, fh)
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
+
+
+def test_analyze_loads_a_float_ring_at_the_command_tolerance(tmp_path, capsys):
+    # Ising with noise of at most 3e-8 validates at 1e-7 but not at the default
+    ring = bd.ising()
+    noise = np.random.default_rng(0).uniform(-3e-8, 3e-8, (3, 3, 3))
+    path = str(tmp_path / "noisy.json")
+    bd.dump(FusionData("noisy", ring.involution, ring.float_tensor() + noise), path)
+    code, _, _ = run(capsys, "analyze", path)
+    assert code == 2
+    code, out, _ = run(capsys, "analyze", path, "--tol-abs", "1e-7", "--tol-rel", "1e-7")
+    assert code == 0
+    assert "Burnside: True" in out
 
 
 def test_analyze_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):

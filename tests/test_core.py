@@ -502,3 +502,33 @@ def test_multiply_associative_random_triples(full_corpus):
                 assert lhs.coords == rhs.coords
             else:
                 assert np.abs(lhs.float_coords() - rhs.float_coords()).max() < 1e-6
+
+
+def _reference_components(n, edges):
+    # depth-first search from each vertex in turn, so components come ordered
+    # by their least members
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    comp = [-1] * n
+    count = 0
+    for v in range(n):
+        if comp[v] < 0:
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                if comp[u] < 0:
+                    comp[u] = count
+                    stack.extend(adj[u])
+            count += 1
+    return comp
+
+
+def test_components_match_a_depth_first_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        a, b = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+        got = core.components(n, a, b).tolist()
+        assert got == _reference_components(n, zip(a.tolist(), b.tolist()))

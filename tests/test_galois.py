@@ -20,7 +20,7 @@ from hypergroups.builders import (
 from hypergroups.core import exact_character
 from hypergroups.errors import HypergroupError
 from hypergroups.report import analyze
-from hypergroups.tolerance import DEFAULT_TOL
+from hypergroups.tolerance import DEFAULT_TOL, snap_value
 from conftest import PHI
 
 
@@ -120,7 +120,7 @@ def test_h_integral_dual_order_sum(corpus_with_tables):
         dd = hg.dual_hypergroup(ring, table)
         if not dd.base.flags.h_integral:
             continue
-        total = hg.snap(float(dd.orders_hat.sum()))
+        total = snap_value(float(dd.orders_hat.sum()))
         assert isinstance(total, int), ring.name
         assert abs(total - hg.order(table)) < 1e-8, ring.name
 
@@ -228,7 +228,7 @@ def test_weak_integrality_near_groups_closed_form():
 def test_verify_fpdim_rejects_spurious_fraction():
     # FPdim K(C2, 2) = 6 + 2 sqrt(3); snap_value returns 51409/5432 for it
     ring = near_group([2], 2)
-    spurious = hg.snap(hg.order(hg.character_table(ring)))
+    spurious = snap_value(hg.order(hg.character_table(ring)))
     assert spurious == Fraction(51409, 5432)
     assert not hg.verify_fp_value(ring, hg.regular_element(ring).coords, spurious)
     assert hg.RingAnalysis(ring).fpdim == pytest.approx(6 + 2 * math.sqrt(3))
@@ -239,7 +239,7 @@ def test_dim_squares_reject_spurious_fraction():
     ring = near_group([2], 2)
     a = hg.RingAnalysis(ring)
     rho = 2
-    assert hg.snap(a.d[rho] ** 2) == Fraction(40545, 5432)
+    assert snap_value(a.d[rho] ** 2) == Fraction(40545, 5432)
     assert isinstance(a.dim_squares[rho], float)
     assert a.dim_squares[rho] == pytest.approx(4 + 2 * math.sqrt(3))
     assert a.dim_squares[:rho] == [1, 1]

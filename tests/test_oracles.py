@@ -3,7 +3,6 @@
 import numpy as np
 
 import hypergroups as hg
-from hypergroups import burnside as bn
 from hypergroups import structure as st
 from hypergroups.builders import catalog, family_ring, group_ring, near_group, rep_ring
 from hypergroups.builders.enumeration import _canonical_key, _relabelings
@@ -94,24 +93,3 @@ def test_regular_element_kernel_is_center_intersection(corpus_with_tables):
             z = st.center_of_element(a, i)
             inter = z if inter is None else inter & z
         assert ker == inter, ring.name
-
-
-def test_grouplike_group_structure():
-    fam = family_ring(2, [2, 2], [3])
-    table = hg.character_table(fam)
-    gl = hg.RingAnalysis(fam, table=table).grouplikes
-    cayley = bn.grouplike_group_table(fam, gl)
-    assert cayley is not None and cayley.shape == (4, 4)
-    # Z2 x Z2: every element is an involution
-    for a in range(4):
-        assert cayley[a, a] == 0
-    z4ring = group_ring(catalog("C4"))
-    cayley = bn.grouplike_group_table(z4ring, (0, 1, 2, 3))
-    orders = []
-    for a in range(4):
-        k, x = 1, a
-        while x != 0:
-            x = cayley[x, a]
-            k += 1
-        orders.append(k)
-    assert sorted(orders) == [1, 2, 4, 4]

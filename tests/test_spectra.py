@@ -13,6 +13,7 @@ from hypergroups.errors import (
     NotAbelian,
     NotNormalizable,
 )
+from hypergroups.tolerance import snap_value
 from conftest import PHI, SQRT2, match_columns, s3_indices
 
 
@@ -84,7 +85,7 @@ def test_fp_character_no_positive_column():
 def test_fp_character_multiple_positive_guard(ising_table):
     from dataclasses import replace
 
-    fake = replace(ising_table, values=np.ones((3, 3), dtype=complex))
+    fake = replace(ising_table, positive_columns=(0, 1))
     with pytest.raises(MultiplePositiveColumns):
         hg.fp_character(fake)
 
@@ -130,9 +131,9 @@ def test_integral_element(z2_ring, ising_ring, ising_table, s3_rep, s3_table):
 
 
 def test_snap():
-    assert hg.snap(3.9999999997) == 4
-    assert hg.snap(0.49999999991) == Fraction(1, 2)
-    out = hg.snap(PHI**2)
+    assert snap_value(3.9999999997) == 4
+    assert snap_value(0.49999999991) == Fraction(1, 2)
+    out = snap_value(PHI**2)
     assert isinstance(out, float)
 
 
@@ -219,7 +220,7 @@ def test_rep_ring_codegrees_equal_centralizer_orders():
         table = hg.character_table(ring)
         reps = [cls[0] for cls in g.conjugacy_classes()]
         oracle = sorted(g.centralizer_order(r) for r in reps)
-        got = sorted(hg.snap(float(x)) for x in table.codegrees)
+        got = sorted(snap_value(float(x)) for x in table.codegrees)
         assert got == oracle, name
 
 
