@@ -6,6 +6,11 @@ the ring, builds its character table, finds its FP column and order n(H),
 builds its dual and aligns the dual's characters, and tests vanishing once.
 Every spectral stage (structure, dual, Burnside, Galois, criteria) takes the
 analysis and reads the same flag set, table, dual, grouplikes and verdicts.
+
+The character-side readers (kernels, centers, perps, grouplike characters, the
+values of P and P-hat) read one normalized table nu[i, j] = mu_j(x_i)/d_i and
+one agreement test "mu_j(x_i) = d_i", at the one scale 1e4 tol.zero(1 + d_i),
+held here as `normalized`, `fp_agreement` and `modulus_agreement`.
 """
 
 from __future__ import annotations
@@ -78,6 +83,25 @@ class RingAnalysis:
         return self.table.fp_dims()
 
     @cached_property
+    def normalized(self) -> np.ndarray:
+        """nu[i, j] = mu_j(x_i) / d_i: the table on the normalized basis."""
+        return self.table.values / self.d[:, None]
+
+    def _agrees_with_d(self, values: np.ndarray) -> np.ndarray:
+        d = self.d[:, None]
+        return np.abs(values - d) <= 1e4 * self.tol.zero(1.0 + d)
+
+    @cached_property
+    def fp_agreement(self) -> np.ndarray:
+        """[i, j]: mu_j(x_i) = d_i within tolerance (i in ker mu_j)."""
+        return self._agrees_with_d(self.table.values)
+
+    @cached_property
+    def modulus_agreement(self) -> np.ndarray:
+        """[i, j]: |mu_j(x_i)| = d_i within tolerance (j in Z(x_i))."""
+        return self._agrees_with_d(np.abs(self.table.values))
+
+    @cached_property
     def n_h(self) -> float:
         return order(self.table, self.fp)
 
@@ -131,12 +155,8 @@ class RingAnalysis:
         normalizable criterion h_i d_i d_{i*} = 1 must pick the same set."""
         g = grouplike_indices(self.data, self.tol)
         if self.table.fp_index is not None:
-            h, d, inv = self.table.h, self.d, self.data.involution
-            alt = tuple(
-                i
-                for i in range(self.data.rank)
-                if abs(h[i] * d[i] * d[inv[i]] - 1.0) <= 1e4 * self.tol.zero(1.0)
-            )
+            hdd = self.table.h * self.d * self.d[list(self.data.involution)]
+            alt = tuple(np.flatnonzero(np.abs(hdd - 1.0) <= 1e4 * self.tol.zero(1.0)).tolist())
             if alt != g:
                 raise CrossCheckFailed(
                     f"grouplike sets disagree: tensor {g} vs h*d*d {alt}"
@@ -146,16 +166,12 @@ class RingAnalysis:
     @cached_property
     def grouplike_chars(self) -> tuple:
         """Characters with maximal formal codegree n_j = n(H); the value test
-        |mu_j(x_i)| = d_i for all i must pick the same set."""
+        |mu_j(x_i)| = d_i for all i (the intersection of the centers Z(x_i))
+        must pick the same set."""
         thr = 1e4 * self.tol.zero(1.0 + self.n_h)
         close = np.abs(self.table.codegrees - self.n_h) <= thr
         by_codegree = tuple(np.flatnonzero(close).tolist())
-        ratios = np.abs(self.table.values) / self.d[:, None]
-        by_values = tuple(
-            j
-            for j in range(self.data.rank)
-            if (np.abs(ratios[:, j] - 1.0) <= 1e4 * self.tol.zero(1.0)).all()
-        )
+        by_values = tuple(np.flatnonzero(self.modulus_agreement.all(axis=0)).tolist())
         if by_codegree != by_values:
             raise CrossCheckFailed(
                 f"grouplike characters: codegree test {by_codegree} vs value test {by_values}"
@@ -177,9 +193,7 @@ class RingAnalysis:
         """(verdict, witness): the zero-free characters are the grouplike ones."""
         values = self.table.values
         thr = self.tol.zero(np.abs(values).max(axis=0))
-        zero_free = {
-            j for j in range(self.data.rank) if (np.abs(values[:, j]) > thr[j]).all()
-        }
+        zero_free = set(np.flatnonzero((np.abs(values) > thr).all(axis=0)).tolist())
         return _matches_grouplikes(zero_free, self.grouplike_chars)
 
     @cached_property

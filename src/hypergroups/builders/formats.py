@@ -22,6 +22,7 @@ omit the spaces: "(012),(01)".
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -57,10 +58,12 @@ def _entry_from_json(x, where):
     if isinstance(x, int):
         return x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ParseError(0, 0, f"non-finite entry {x!r} at {where}")
         return x
     if isinstance(x, str):
         m = re.fullmatch(r"(-?\d+)/(\d+)", x.strip())
-        if not m:
+        if not m or int(m.group(2)) == 0:
             raise ParseError(0, 0, f"bad rational {x!r} at {where}")
         return Fraction(int(m.group(1)), int(m.group(2)))
     raise ParseError(0, 0, f"bad entry {x!r} at {where}")
@@ -93,12 +96,17 @@ def parse(text: str, tol: Tolerance = DEFAULT_TOL) -> FusionData:
     for key in ("name", "rank", "involution", "tensor"):
         if key not in doc:
             raise ParseError(1, 1, f"missing key {key!r}")
-    m = doc["rank"]
-    tensor = doc["tensor"]
-    if len(tensor) != m or any(
-        len(mat) != m or any(len(row) != m for row in mat) for mat in tensor
-    ):
+    m, tensor = doc["rank"], doc["tensor"]
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ParseError(1, 1, f"rank {m!r} is not a positive integer")
+
+    def shaped(x) -> bool:
+        return isinstance(x, list) and len(x) == m
+
+    if not (shaped(tensor) and all(shaped(mat) and all(map(shaped, mat)) for mat in tensor)):
         raise ParseError(1, 1, "tensor is not rank x rank x rank")
+    if not isinstance(doc["involution"], list):
+        raise ParseError(1, 1, "involution is not a list")
     entries = np.empty((m, m, m), dtype=object)
     for i in range(m):
         for j in range(m):
@@ -186,7 +194,7 @@ def parse_group(text: str, name: str = "G") -> FiniteGroup:
     for lineno, gs in enumerate(gen_strings, start=1):
         if not re.fullmatch(r"\s*(\([\d\s]*\)\s*)+", gs):
             raise ParseError(lineno, 1, f"not cycle notation: {gs!r}")
-        cycles = []
+        cycles, used = [], set()
         for cyc in _CYCLE_RE.findall(gs):
             toks = cyc.split()
             if len(toks) <= 1 and cyc.strip():
@@ -199,6 +207,9 @@ def parse_group(text: str, name: str = "G") -> FiniteGroup:
                 pts.append(int(t))
             if len(set(pts)) != len(pts):
                 raise ParseError(lineno, 1, f"repeated point in cycle {cyc!r}")
+            if used.intersection(pts):
+                raise ParseError(lineno, 1, f"cycles of {gs!r} are not disjoint")
+            used.update(pts)
             if pts:
                 cycles.append(pts)
                 points = max(points, max(pts) + 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import OrderBoundExceeded
+from ..errors import InvalidOrders, OrderBoundExceeded
 
 __all__ = [
     "FiniteGroup",
@@ -79,9 +79,6 @@ class FiniteGroup:
         ba = self.cayley[b, a]
         return int(self.cayley[ab, self.inverse(int(ba))])
 
-    def is_abelian(self) -> bool:
-        return bool((self.cayley == self.cayley.T).all())
-
     def is_nilpotent(self) -> bool:
         """Ascending central series on the table."""
         n = self.order
@@ -148,7 +145,7 @@ def abelian_group(cyclic_orders, name: str | None = None) -> FiniteGroup:
     """Direct product of cyclic groups given by their orders."""
     orders = [int(k) for k in cyclic_orders]
     if any(k < 1 for k in orders):
-        raise ValueError("cyclic orders must be positive")
+        raise InvalidOrders(f"cyclic orders {orders} must be positive")
     if not orders:
         return FiniteGroup(name or "C1", np.zeros((1, 1), dtype=int))
     gens = []

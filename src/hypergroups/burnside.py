@@ -23,7 +23,7 @@ from .errors import (
     SignMismatch,
     VerdictResidualMismatch,
 )
-from .spectra import CharacterTable, _match_columns, integral_element_of_subset
+from .spectra import _match_columns, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
@@ -80,9 +80,7 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
     """
     data, values = a.data, a.table.values
     thr = a.tol.zero(np.abs(values).max(axis=0))
-    numeric = tuple(
-        i for i in range(data.rank) if (np.abs(values[i, :]) <= thr).any()
-    )
+    numeric = tuple(np.flatnonzero((np.abs(values) <= thr).any(axis=1)).tolist())
     if data.is_exact:
         for i in range(data.rank):
             det = exact_det(data.left_matrix(i))
@@ -93,16 +91,14 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
     return numeric
 
 
-def p_values(table: CharacterTable) -> np.ndarray:
+def p_values(a: RingAnalysis) -> np.ndarray:
     """mu_j(P) = prod_i mu_j(x_i)/d_i for each character j."""
-    d = table.fp_dims()
-    return np.prod(table.values / d[:, None], axis=0)
+    return np.prod(a.normalized, axis=0)
 
 
-def phat_values(table: CharacterTable) -> np.ndarray:
+def phat_values(a: RingAnalysis) -> np.ndarray:
     """P-hat(x_i/d_i) = prod_j mu_j(x_i)/d_i for each basis element i."""
-    d = table.fp_dims()
-    return np.prod(table.values / d[:, None], axis=1)
+    return np.prod(a.normalized, axis=1)
 
 
 def product_P(a: RingAnalysis) -> Element:
@@ -120,7 +116,7 @@ def product_P(a: RingAnalysis) -> Element:
         xi = [0] * data.rank
         xi[i] = inverses[i]
         out = multiply(data, out, Element(tuple(xi)))
-    expansion = (p_values(table)[None, :] * table.idempotents.T).sum(axis=1)
+    expansion = (p_values(a)[None, :] * table.idempotents.T).sum(axis=1)
     if np.abs(out.float_coords() - expansion).max() > 1e6 * a.tol.zero(1.0):
         raise CrossCheckFailed("P product disagrees with its idempotent expansion")
     return out
@@ -138,8 +134,8 @@ def product_Phat(a: RingAnalysis) -> Element:
         out = multiply(dual.base, out, basis_element(dual.base, j))
     coords = out.float_coords()
     cols = list(dual.char_order)
-    evals = np.einsum("p,ip->i", coords, a.table.values[:, cols].astype(complex)) / a.d
-    expect = phat_values(a.table)
+    evals = np.einsum("p,ip->i", coords, a.normalized[:, cols].astype(complex))
+    expect = phat_values(a)
     if np.abs(evals - expect).max() > 1e6 * a.tol.zero(1.0):
         raise CrossCheckFailed("P-hat product disagrees with pointwise evaluations")
     return out
@@ -151,7 +147,7 @@ def product_Phat_values(a: RingAnalysis) -> np.ndarray:
     Cross-checked against Prop 4.1: on non-vanishing x_i the value equals
     det(L_{x_i/d_i}), and it vanishes on vanishing elements.
     """
-    vals = phat_values(a.table)
+    vals = phat_values(a)
     L = a.data.left_matrices_float()
     for i in range(a.data.rank):
         det = np.linalg.det(L[i] / a.d[i])
@@ -179,6 +175,18 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
+def _checked_sign(numeric: complex, not_unit: str, name: str, permutation, tol: Tolerance) -> int:
+    """The sign of the permutation `permutation()`, which must equal
+    `numeric`, a product of normalized values that must be +-1."""
+    cut = 1e4 * tol.zero(1.0)
+    if abs(numeric.imag) > cut or abs(abs(numeric.real) - 1.0) > cut:
+        raise SignMismatch(not_unit)
+    exact = _permutation_sign(permutation())
+    if exact != int(np.sign(numeric.real)):
+        raise SignMismatch(f"sgn({name}): permutation {exact} vs product {numeric.real:+.3f}")
+    return exact
+
+
 def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     """Signs of grouplike elements and grouplike characters.
 
@@ -186,33 +194,19 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     signature of the permutation the grouplike induces on the normalized basis
     (resp. on the characters).  The two must agree.
     """
-    data, table, tol = a.data, a.table, a.tol
-    S = data.support_at(tol)
-    sgn_el = {}
-    pv = phat_values(table)
-    for i in a.grouplikes:
-        numeric = pv[i]
-        if abs(numeric.imag) > 1e4 * tol.zero(1.0) or abs(abs(numeric.real) - 1.0) > 1e4 * tol.zero(1.0):
-            raise SignMismatch(f"P-hat value at grouplike {i} is {numeric}, not +-1")
+    table, tol = a.table, a.tol
+    S = a.data.support_at(tol)
+
+    def basis_permutation(i: int) -> list:
         if (S[i].sum(axis=1) != 1).any():
             raise SignMismatch(f"grouplike {i} does not permute the basis")
-        exact = _permutation_sign(S[i].argmax(axis=1).tolist())
-        if exact != int(np.sign(numeric.real)):
-            raise SignMismatch(
-                f"sgn(x_{i}): permutation {exact} vs product {numeric.real:+.3f}"
-            )
-        sgn_el[i] = exact
-    sgn_ch = {}
-    qv = p_values(table)
-    norm = table.values / a.d[:, None]
-    for j in a.grouplike_chars:
-        numeric = qv[j]
-        if abs(numeric.imag) > 1e4 * tol.zero(1.0) or abs(abs(numeric.real) - 1.0) > 1e4 * tol.zero(1.0):
-            raise SignMismatch(f"mu_{j}(P) = {numeric}, not +-1")
+        return S[i].argmax(axis=1).tolist()
+
+    def character_permutation(j: int) -> list:
         # row k: mu_j mu_k, which must be a character, and k -> it a permutation
-        prods = norm[:, j] * table.values.T
+        prods = a.normalized[:, j] * table.values.T
         thr = 1e6 * tol.zero(1.0 + np.abs(prods).max(axis=1))
-        perm = _match_columns(
+        return _match_columns(
             table.values,
             prods,
             thr,
@@ -220,13 +214,16 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
             lambda k, resid: f"mu_{j} * mu_{k} is not a character"
             if resid > thr[k]
             else f"mu_{j} does not permute the characters",
-        )
-        exact = _permutation_sign(perm.tolist())
-        if exact != int(np.sign(numeric.real)):
-            raise SignMismatch(
-                f"sgn(mu_{j}): permutation {exact} vs product {numeric.real:+.3f}"
-            )
-        sgn_ch[j] = exact
+        ).tolist()
+
+    pv, qv = phat_values(a), p_values(a)
+    sgn_el, sgn_ch = {}, {}
+    for i in a.grouplikes:
+        not_unit = f"P-hat value at grouplike {i} is {pv[i]}, not +-1"
+        sgn_el[i] = _checked_sign(pv[i], not_unit, f"x_{i}", lambda: basis_permutation(i), tol)
+    for j in a.grouplike_chars:
+        not_unit = f"mu_{j}(P) = {qv[j]}, not +-1"
+        sgn_ch[j] = _checked_sign(qv[j], not_unit, f"mu_{j}", lambda: character_permutation(j), tol)
     return sgn_el, sgn_ch
 
 
@@ -244,7 +241,7 @@ def identity_checks(a: RingAnalysis) -> dict:
 
     # (i) Cor 4.5: P-hat^2 = sum of dual idempotents over grouplikes,
     # evaluated at the normalized basis.
-    pv = phat_values(table)
+    pv = phat_values(a)
     indicator = np.array([1.0 if i in gset else 0.0 for i in range(m)])
     resid_phat = float(np.abs(pv**2 - indicator).max())
 
@@ -255,7 +252,7 @@ def identity_checks(a: RingAnalysis) -> dict:
     resid_p = float(np.abs(p2.float_coords() - lam_ad.float_coords()).max())
 
     # (iii) idempotency gaps via character values
-    qv = p_values(table)
+    qv = p_values(a)
     gap_p = float(
         np.abs(((qv**4 - qv**2)[None, :] * table.idempotents.T).sum(axis=1)).max()
     )

@@ -28,7 +28,7 @@ from .analysis import RingAnalysis
 from .core import FusionData
 from .criteria import modular_prime_support, squarefree_factor_test
 from .dual import dual_hypergroup
-from .errors import HypergroupError, InvalidType, NumericFailure
+from .errors import HypergroupError, InvalidOrders, InvalidType, NumericFailure
 from .report import analyze, render_structured, render_text
 from .spectra import character_table
 from .structure import SubHypergroup, quotient
@@ -100,11 +100,18 @@ def _cmd_group(args) -> int:
     return 0
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidOrders(f"{what} {text!r} is not an integer") from None
+
+
 def _parse_orders(text: str) -> list[int]:
     text = text.strip()
     if not text or text in ("1", "C1", "c1"):
         return []
-    return [int(t) for t in text.replace("x", ",").split(",") if t]
+    return [_parse_int(t, "cyclic order") for t in text.replace("x", ",").split(",") if t]
 
 
 def _cmd_generate(args) -> int:
@@ -112,13 +119,13 @@ def _cmd_generate(args) -> int:
     if kind == "near-group":
         if len(args.params) != 2:
             raise HypergroupError("near-group needs: ORDERS M")
-        ring = near_group(_parse_orders(args.params[0]), int(args.params[1]))
+        ring = near_group(_parse_orders(args.params[0]), _parse_int(args.params[1], "M"))
     elif kind == "family":
         if len(args.params) != 3:
             raise HypergroupError("family needs: N G_ORDERS K_ORDERS")
         from .builders import abelian_group
 
-        n = int(args.params[0])
+        n = _parse_int(args.params[0], "N")
         ring = family_ring(
             n, _parse_orders(args.params[1]), abelian_group(_parse_orders(args.params[2]))
         )

@@ -90,16 +90,19 @@ class FusionData:
         entries = [_coerce_scalar(x) for x in np.asarray(tensor, dtype=object).ravel()]
         m3 = len(entries)
         m = round(m3 ** (1 / 3))
-        if m**3 != m3:
-            raise DimensionMismatch(f"tensor with {m3} entries is not a cube")
+        if m == 0 or m**3 != m3:
+            raise DimensionMismatch(f"tensor with {m3} entries is not a nonempty cube")
         self.name = name
         self.rank = m
+        involution = tuple(involution)
+        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in involution):
+            raise DimensionMismatch(f"involution {list(involution)} has a non-integer entry")
         self.involution = tuple(int(i) for i in involution)
         if len(self.involution) != m:
             raise DimensionMismatch(
                 f"involution length {len(self.involution)} != rank {m}"
             )
-        if any(x != int(x) or not (0 <= x < m) for x in self.involution):
+        if any(not (0 <= x < m) for x in self.involution):
             raise DimensionMismatch("involution entries out of range")
         self.is_exact = not any(isinstance(x, float) for x in entries)
         if self.is_exact:

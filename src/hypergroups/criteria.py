@@ -17,6 +17,7 @@ import numpy as np
 
 from ._exact import exact_det
 from .analysis import RingAnalysis
+from .burnside import burnside_hypothesis_report
 from .core import FusionData, prime_factorization, regular_element
 from .errors import HypergroupError, NotApplicable, NotNearGroup, NotWeaklyIntegral
 from .structure import grouplike_indices
@@ -85,21 +86,21 @@ def _integers(values) -> bool:
 
 
 def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
-    """Weakly-integral fusion rings with h-integral dual must be Burnside."""
+    """Weakly-integral fusion rings with h-integral dual must be Burnside: the
+    obstruction that `burnside_hypothesis_report` decides excludes the ring."""
     _require_fusion_ring(a.data, a.tol)
-    dual_h_integral = a.dual_flags.h_integral
-    weakly_integral = isinstance(a.fpdim, int)
-    applicable = bool(weakly_integral and dual_h_integral)
-    if not applicable:
+    hypo = burnside_hypothesis_report(a)
+    weakly_integral, dual_h_integral = hypo["weakly_integral"], hypo["dual_h_integral"]
+    if not (weakly_integral and dual_h_integral):
         return ExclusionVerdict(
             "burnside",
             False,
             False,
             f"not applicable (weakly integral: {weakly_integral}, h-integral dual: {dual_h_integral})",
         )
-    burn, witness = a.burnside
-    if burn:
+    if hypo["obstruction"] is None:
         return ExclusionVerdict("burnside", True, False, "ring is Burnside")
+    witness = hypo["witness"]
     det = exact_det(a.data.left_matrix(witness)) if a.data.is_exact else None
     cert = (
         f"basis element {witness} of FPdim {a.d[witness]:.6g} is non-vanishing "

@@ -53,8 +53,6 @@ class DualData:
 
     base: FusionData
     orders_hat: np.ndarray
-    involution_hat: tuple
-    primal_name: str
     mu1: int
     char_order: tuple
     tol: Tolerance
@@ -137,8 +135,6 @@ def dual_hypergroup(
     return DualData(
         base=base,
         orders_hat=hhat,
-        involution_hat=involution_hat,
-        primal_name=data.name,
         mu1=mu1,
         char_order=tuple(perm),
         tol=tol,

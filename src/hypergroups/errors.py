@@ -49,6 +49,7 @@ __all__ = [
     "BudgetExceeded",
     "InvalidOrders",
     "InvalidType",
+    "InvalidTolerance",
 ]
 
 
@@ -222,3 +223,7 @@ class InvalidOrders(HypergroupError):
 
 class InvalidType(HypergroupError, ValueError):
     """A dimension type that names no fusion ring type (no unit, d < 1)."""
+
+
+class InvalidTolerance(HypergroupError, ValueError):
+    """A tolerance that is not a finite positive number (NaN, inf, <= 0)."""

@@ -123,7 +123,7 @@ def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> di
         coeffs = np.poly(ns)
         worst = 0.0
         for c in coeffs:
-            s = snap_value(float(c.real if np.iscomplexobj(coeffs) else c), tol)
+            s = snap_value(float(c), tol)
             if isinstance(s, float):
                 raise ConjugationViolation(
                     f"symmetric function of codegrees on orbit {orb} is not rational: {c}"

@@ -116,7 +116,7 @@ def analyze(
     double_dual_check(a)
     report.dual = {
         "orders_hat": [_round(x) for x in dd.orders_hat],
-        "involution_hat": list(dd.involution_hat),
+        "involution_hat": list(dd.base.involution),
         "rn": dfl.real_non_negative,
         "rational": dfl.rational,
         "h_integral": dfl.h_integral,

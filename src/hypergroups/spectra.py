@@ -75,7 +75,7 @@ class CharacterTable:
         return self.values[:, j].copy()
 
 
-def _simultaneous_diagonalization(L: np.ndarray, tol: Tolerance, seed: int):
+def _simultaneous_diagonalization(L: np.ndarray, seed: int):
     m = L.shape[0]
     rng = np.random.default_rng(seed)
     last_sep = np.inf
@@ -110,7 +110,7 @@ def character_table(
     m = data.rank
     L = data.left_matrices_float()
     scale = 1.0 + float(np.abs(L).max())
-    V = _simultaneous_diagonalization(L, tol, seed)
+    V = _simultaneous_diagonalization(L, seed)
     Vinv = np.linalg.inv(V)
     values = np.empty((m, m), dtype=complex)
     for i in range(m):

@@ -7,6 +7,11 @@ consistent notion of "constituent".  The tensor-only functions take the ring
 and a tolerance; the character-side ones (kernels, centers, adjoint, supports,
 perp, the universal grading and quotients) take the RingAnalysis and read its
 table, FP dimensions, order and grouplike characters.
+
+Kernels, centers and perps are rows and columns of the analysis's agreement
+matrices `fp_agreement` (mu_j(x_i) = d_i) and `modulus_agreement`
+(|mu_j(x_i)| = d_i); the grading and Harrison checks read its `normalized`
+table mu_j(x_i)/d_i.  A SubHypergroup always holds the unit, index 0.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Element, FusionData, components, normalize, prime_factorization
+from .core import Element, FusionData, components, normalize
 from .errors import (
     BiperpMismatch,
     ClassInconsistency,
@@ -66,7 +71,7 @@ class SubHypergroup:
     parent: FusionData
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
+        object.__setattr__(self, "indices", tuple(sorted(set(self.indices) | {0})))
 
     def __contains__(self, i: int) -> bool:
         return i in self.indices
@@ -163,19 +168,9 @@ def _check_sub(data: FusionData, indices, tol: Tolerance):
 
 # ---------------------------------------------------------------- kernels
 
-def _acts_like_fp(a: RingAnalysis) -> np.ndarray:
-    """[i, j]: mu_j(x_i) = FPdim(x_i) within tolerance."""
-    d = a.d[:, None]
-    return np.abs(a.table.values - d) <= 1e4 * a.tol.zero(1.0 + d)
-
-
 def kernel_of_character(a: RingAnalysis, j: int) -> SubHypergroup:
     """ker(mu_j) = {i : mu_j(x_i) = FPdim(x_i)}; verified closed."""
-    d = a.d
-    thr = 1e4 * a.tol.zero(1.0 + d.max())
-    idx = tuple(
-        i for i in range(a.data.rank) if abs(a.table.values[i, j] - d[i]) <= thr
-    )
+    idx = np.flatnonzero(a.fp_agreement[:, j]).tolist()
     _check_sub(a.data, idx, a.tol)
     return SubHypergroup(idx, a.data)
 
@@ -193,7 +188,7 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     thr = 1e4 * tol.zero(1.0 + fp)
     ker = frozenset(j for j in range(data.rank) if abs(vals[j] - fp) <= thr)
     supp = sorted(element_support(x, tol))
-    inter = frozenset(np.flatnonzero(_acts_like_fp(a)[supp].all(axis=0)).tolist())
+    inter = frozenset(np.flatnonzero(a.fp_agreement[supp].all(axis=0)).tolist())
     if supp and inter != ker:
         raise ClosureViolation(
             f"kernel of sum {sorted(ker)} != intersection {sorted(inter)}"
@@ -203,11 +198,7 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
 
 def center_of_element(a: RingAnalysis, i: int) -> frozenset:
     """Z(x_i) = {j : |mu_j(x_i)| = FPdim(x_i)}."""
-    d = a.d
-    thr = 1e4 * a.tol.zero(1.0 + d[i])
-    return frozenset(
-        j for j in range(a.data.rank) if abs(abs(a.table.values[i, j]) - d[i]) <= thr
-    )
+    return frozenset(np.flatnonzero(a.modulus_agreement[i]).tolist())
 
 
 # ---------------------------------------------------------------- adjoint
@@ -239,8 +230,7 @@ def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     table, tol = a.table, a.tol
     lam = integral_element_of_subset(a.data, table, sub.indices)
     vals = lam.float_coords() @ table.values
-    thr = 1e4 * tol.zero(1.0)
-    js = frozenset(j for j in range(a.data.rank) if abs(vals[j] - 1.0) <= thr)
+    js = frozenset(np.flatnonzero(np.abs(vals - 1.0) <= 1e4 * tol.zero(1.0)).tolist())
     rebuilt = table.idempotents[sorted(js)].sum(axis=0)
     if np.abs(rebuilt - lam.float_coords()).max() > 1e5 * tol.zero(1.0):
         raise IdempotentResidual(
@@ -259,44 +249,22 @@ def grouplike_indices(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
 
 def _abelian_invariants(table: np.ndarray) -> tuple:
-    """Invariant factors of an abelian group given by its Cayley table."""
+    """Invariant factors of an abelian group given by its Cayley table.
+
+    The count c(k) = #{a : a^k = 1} is the product of gcd(k, n_i) over the
+    invariant factors n_i, so the largest factor n is the least k >= 1 with
+    c(k) = c(0) = |G|; dividing gcd(k, n) out of c(k) leaves the counts of
+    the rest."""
     n = table.shape[0]
-    if n == 1:
-        return ()
-    orders_ = []
-    for a in range(n):
-        k, x = 1, a
-        while x != 0:
-            x = int(table[x, a])
-            k += 1
-        orders_.append(k)
-    prime_powers: dict[int, list[int]] = {}
-    for p in sorted(prime_factorization(n)):
-        # counts[t-1] = #{cyclic factors of p-part with exponent >= t},
-        # read off #{a : a^(p^k) = e} = p^(sum_i min(k, lambda_i))
-        ms = [0]
-        k = 1
-        while True:
-            pk = p**k
-            c = sum(1 for o in orders_ if pk % o == 0)
-            mk = round(np.log(c) / np.log(p))
-            if mk == ms[-1]:
-                break
-            ms.append(mk)
-            k += 1
-        counts = [ms[t] - ms[t - 1] for t in range(1, len(ms))]
-        lam = []
-        for i in range(counts[0] if counts else 0):
-            lam.append(sum(1 for c_ in counts if c_ > i))
-        prime_powers[p] = sorted((p**e for e in lam), reverse=True)
+    powers = [np.zeros(n, dtype=int)]  # powers[k][a]: a^k
+    for _ in range(n):
+        powers.append(table[powers[-1], np.arange(n)])
+    counts = (np.array(powers) == 0).sum(axis=1)
     factors = []
-    while any(prime_powers.values()):
-        f = 1
-        for lst in prime_powers.values():
-            if lst:
-                f *= lst.pop(0)
-        factors.append(f)
-    return tuple(sorted(factors))
+    while counts[0] > 1:
+        factors.append(int(np.flatnonzero(counts[1:] == counts[0])[0]) + 1)
+        counts //= np.gcd(np.arange(n + 1), factors[-1])
+    return tuple(reversed(factors))
 
 
 def universal_grading(a: RingAnalysis) -> GradingResult:
@@ -353,26 +321,21 @@ def _check_group_table(t: np.ndarray):
     for a in range(g):
         if 0 not in t[a, :]:
             raise GradingCrossCheckFailed(f"component {a} has no inverse")
-    for a in range(g):
-        for b in range(g):
-            for c in range(g):
-                if t[t[a, b], c] != t[a, t[b, c]]:
-                    raise GradingCrossCheckFailed("grading table not associative")
+    if (t[t] != t[:, t]).any():
+        raise GradingCrossCheckFailed("grading table not associative")
 
 
 def _grading_spectral_checks(a: RingAnalysis, components):
-    m, n_h, d, gl_chars = a.data.rank, a.n_h, a.d, a.grouplike_chars
+    n_h, d, gl_chars = a.n_h, a.d, a.grouplike_chars
     if len(gl_chars) != len(components):
         raise GradingCrossCheckFailed(
             f"|components| = {len(components)} != |G(H-hat)| = {len(gl_chars)}"
         )
     # character-side partition: omega_i = (mu_j(x_i)/d_i)_{j grouplike}
-    omega = a.table.values[:, list(gl_chars)] / d[:, None]
-    keys = [tuple(np.round(omega[i], 6)) for i in range(m)]
     part_of = {}
-    for i in range(m):
-        part_of.setdefault(keys[i], set()).add(i)
-    char_partition = {tuple(sorted(s)) for s in part_of.values()}
+    for i, omega in enumerate(np.round(a.normalized[:, list(gl_chars)], 6)):
+        part_of.setdefault(tuple(omega), []).append(i)
+    char_partition = set(map(tuple, part_of.values()))
     comb_partition = {tuple(sorted(c)) for c in components}
     if char_partition != comb_partition:
         raise GradingCrossCheckFailed(
@@ -392,7 +355,7 @@ def _grading_spectral_checks(a: RingAnalysis, components):
 
 def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     """S-perp: characters restricting to FPdim on S; biperp must return S."""
-    out = np.flatnonzero(_acts_like_fp(a)[list(sub.indices)].all(axis=0)).tolist()
+    out = np.flatnonzero(a.fp_agreement[list(sub.indices)].all(axis=0)).tolist()
     back = perp_characters(a, out)
     if back != frozenset(sub.indices):
         raise BiperpMismatch(
@@ -403,7 +366,7 @@ def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
 
 def perp_characters(a: RingAnalysis, char_indices) -> frozenset:
     """Perp of a set of characters: basis elements where each acts like FPdim."""
-    acts = _acts_like_fp(a)[:, list(char_indices)].all(axis=1)
+    acts = a.fp_agreement[:, list(char_indices)].all(axis=1)
     return frozenset(np.flatnonzero(acts).tolist())
 
 
@@ -467,7 +430,7 @@ def _harrison_check(a: RingAnalysis, sub, quot, classes):
     sperp = perp(a, sub)
     reps = [cls[0] for cls in classes]
     # row r: the S-perp character sorted(sperp)[r] on the normalized representatives
-    restrictions = (a.table.values[reps] / a.d[reps, None])[:, sorted(sperp)].T
+    restrictions = a.normalized[np.ix_(reps, sorted(sperp))].T
     matched = _match_columns(
         qtable.values,
         restrictions,

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InvalidTolerance
+
 __all__ = ["Tolerance", "DEFAULT_TOL", "snap_value", "snap_array"]
 
 
@@ -21,8 +23,9 @@ class Tolerance:
     snap_denominator_bound: int = 10**4
 
     def __post_init__(self):
-        if self.abs <= 0 or self.rel <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, so test for the good case
+        if not all(np.isfinite(t) and t > 0 for t in (self.abs, self.rel)):
+            raise InvalidTolerance(f"tolerances {self.abs}, {self.rel} are not finite and positive")
 
     def zero(self, scale: float = 0.0) -> float:
         """Threshold below which a value of the given ambient scale counts as zero."""

@@ -100,10 +100,11 @@ def test_phat_values_against_determinants(s3_rep, s3_table):
 def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
     # Q8 is Burnside: P-hat^2 must be the sum of the grouplike dual idempotents,
     # i.e. P-hat evaluates to +-1 exactly on the grouplikes
-    phat = bn.product_Phat(hg.RingAnalysis(q8_rep, table=q8_table))
+    q8 = hg.RingAnalysis(q8_rep, table=q8_table)
+    phat = bn.product_Phat(q8)
     assert len(phat) == q8_rep.rank
-    vals = bn.phat_values(q8_table)
-    gl = set(hg.RingAnalysis(q8_rep, table=q8_table).grouplikes)
+    vals = bn.phat_values(q8)
+    gl = set(q8.grouplikes)
     for i in range(q8_rep.rank):
         if i in gl:
             assert abs(abs(vals[i]) - 1) < 1e-9
@@ -112,7 +113,7 @@ def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
     # and Prop 4.2 via dual determinants: mu_j(P) = det of dual left multiplication
     ddf = hg.dual_hypergroup(fib_ring, fib_table)
     L = ddf.base.left_matrices_float()
-    pv = bn.p_values(fib_table)
+    pv = bn.p_values(hg.RingAnalysis(fib_ring, table=fib_table))
     for pos in range(ddf.rank):
         det = np.linalg.det(L[pos])
         j = ddf.char_order[pos]
@@ -143,12 +144,12 @@ def test_sgn_values_rejects_a_product_that_is_no_character(ising_ring, ising_tab
 
 def test_phat_bound_equality_iff_grouplike(corpus_with_tables):
     for ring, table in corpus_with_tables:
-        vals = np.abs(bn.phat_values(table))
-        assert (vals <= 1 + 1e-8).all(), ring.name
         a = hg.RingAnalysis(ring, table=table)
+        vals = np.abs(bn.phat_values(a))
+        assert (vals <= 1 + 1e-8).all(), ring.name
         for i in range(ring.rank):
             assert (abs(vals[i] - 1) < 1e-8) == (i in a.grouplikes), ring.name
-        mu_vals = np.abs(bn.p_values(table))
+        mu_vals = np.abs(bn.p_values(a))
         glc = set(a.grouplike_chars)
         for j in range(ring.rank):
             assert (abs(mu_vals[j] - 1) < 1e-8) == (j in glc), ring.name

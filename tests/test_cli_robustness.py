@@ -1,0 +1,105 @@
+"""The CLI on outside input that names no ring: every case exits 2 with a
+one-line error, and no exception escapes `main`."""
+
+import json
+
+import numpy as np
+import pytest
+
+from hypergroups import builders as bd
+from hypergroups.cli import main
+from hypergroups.core import FusionData
+
+
+def ising_doc(**changes) -> str:
+    doc = json.loads(bd.serialize(bd.ising()))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def ising_with_entry(entry) -> str:
+    doc = json.loads(bd.serialize(bd.ising()))
+    doc["tensor"][1][1][0] = entry
+    return json.dumps(doc)
+
+
+def noisy_ising() -> str:
+    ring = bd.ising()
+    noise = np.random.default_rng(0).normal(0.0, 0.3, (3, 3, 3))
+    return bd.serialize(FusionData("noisy", ring.involution, ring.float_tensor() + noise))
+
+
+MALFORMED_FILES = {
+    "rank 0": ising_doc(rank=0, involution=[], tensor=[]),
+    "tensor 5": ising_doc(tensor=5),
+    "NaN entry": ising_with_entry(float("nan")),
+    "1/0 entry": ising_with_entry("1/0"),
+    "involution ['a']": ising_doc(involution=["a", 1, 2]),
+    "involution [0.5]": ising_doc(involution=[0.5, 1, 2]),
+}
+
+NOISY_TOLERANCES = [
+    ["--tol-abs", "nan", "--tol-rel", "nan"],
+    ["--tol-abs", "0"],
+    ["--tol-abs", "-1"],
+]
+
+MALFORMED_ARGS = [
+    ["group", "(0 1)(1 2)"],
+    ["generate", "near-group", "0", "1"],
+    ["generate", "group-ring", "a"],
+    ["generate", "family", "x", "4", "3"],
+]
+
+
+def run_main(capsys, argv):
+    try:
+        code = main(argv)
+    except BaseException as exc:  # noqa: BLE001 - the point is that none escapes
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def assert_domain_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_ring_file_is_a_domain_error(tmp_path, capsys, case):
+    path = tmp_path / "ring.json"
+    path.write_text(MALFORMED_FILES[case])
+    assert_domain_error(*run_main(capsys, ["analyze", str(path)]))
+
+
+def test_noisy_ring_fails_validation_at_the_default_tolerance(tmp_path, capsys):
+    path = tmp_path / "noisy.json"
+    path.write_text(noisy_ising())
+    code, out, err = run_main(capsys, ["analyze", str(path)])
+    assert_domain_error(code, out, err)
+    assert "unit violated" in err
+
+
+@pytest.mark.parametrize("flags", NOISY_TOLERANCES, ids=" ".join)
+def test_tolerance_that_is_not_finite_and_positive_is_a_domain_error(tmp_path, capsys, flags):
+    path = tmp_path / "noisy.json"
+    path.write_text(noisy_ising())
+    code, out, err = run_main(capsys, ["analyze", str(path), *flags])
+    assert_domain_error(code, out, err)
+    assert "not finite and positive" in err
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGS, ids=" ".join)
+def test_malformed_arguments_are_domain_errors(capsys, argv):
+    assert_domain_error(*run_main(capsys, argv))
+
+
+@pytest.mark.parametrize("ring", [bd.group_ring(bd.catalog("C2")), bd.ising()], ids=lambda ring: ring.name)
+def test_quotient_sub_implies_the_unit(tmp_path, capsys, ring):
+    path = str(tmp_path / "ring.json")
+    bd.dump(ring, path)
+    implied = run_main(capsys, ["quotient", path, "--sub", "1"])
+    explicit = run_main(capsys, ["quotient", path, "--sub", "0,1"])
+    assert implied[0] == 0
+    assert implied == explicit

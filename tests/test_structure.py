@@ -6,6 +6,7 @@ import hypergroups as hg
 from hypergroups import structure as st
 from hypergroups import burnside as bn
 from hypergroups.builders import abelian_group, catalog, class_hypergroup, group_ring, rep_ring
+from hypergroups.core import prime_factorization
 from hypergroups.errors import ClassInconsistency, ClosureViolation, NotAbelian, NotPositive
 from conftest import s3_indices
 
@@ -77,6 +78,59 @@ def test_support_examples(ising_ring, ising_table):
 )
 def test_abelian_invariants_of_products_of_cyclic_groups(orders, factors):
     assert st._abelian_invariants(abelian_group(orders).cayley) == factors
+
+
+def reference_abelian_invariants(table: np.ndarray) -> tuple:
+    """The p-primary decomposition that `_abelian_invariants` replaced."""
+    n = table.shape[0]
+    if n == 1:
+        return ()
+    orders_ = []
+    for a in range(n):
+        k, x = 1, a
+        while x != 0:
+            x = int(table[x, a])
+            k += 1
+        orders_.append(k)
+    prime_powers = {}
+    for p in sorted(prime_factorization(n)):
+        # #{a : a^(p^k) = e} = p^(sum_i min(k, lambda_i))
+        ms = [0]
+        k = 1
+        while True:
+            c = sum(1 for o in orders_ if p**k % o == 0)
+            mk = round(np.log(c) / np.log(p))
+            if mk == ms[-1]:
+                break
+            ms.append(mk)
+            k += 1
+        counts = [ms[t] - ms[t - 1] for t in range(1, len(ms))]
+        lam = [sum(1 for c_ in counts if c_ > i) for i in range(counts[0] if counts else 0)]
+        prime_powers[p] = sorted((p**e for e in lam), reverse=True)
+    factors = []
+    while any(prime_powers.values()):
+        f = 1
+        for lst in prime_powers.values():
+            if lst:
+                f *= lst.pop(0)
+        factors.append(f)
+    return tuple(sorted(factors))
+
+
+def order_lists(bound: int, least: int = 2):
+    """Every non-decreasing list of integers >= 2 with product <= bound."""
+    yield []
+    for k in range(least, bound + 1):
+        for rest in order_lists(bound // k, k):
+            yield [k, *rest]
+
+
+def test_abelian_invariants_match_the_primary_decomposition():
+    lists = list(order_lists(64))
+    assert len(lists) > 100
+    for orders in lists:
+        table = abelian_group(orders).cayley
+        assert st._abelian_invariants(table) == reference_abelian_invariants(table), orders
 
 
 def test_universal_grading(ising_ring, ising_table, s3_rep, s3_table, q8_rep, q8_table):
