@@ -166,7 +166,7 @@ def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
                 ring = FusionData(
                     f"enum{type_of(dims)}#{len(found)}",
                     _involution_of_tensor(canon),
-                    canon.astype(object),
+                    canon,
                 )
                 ring.flags  # validates
                 found[key] = ring

@@ -25,6 +25,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -107,14 +108,13 @@ def parse(text: str, tol: Tolerance = DEFAULT_TOL) -> FusionData:
         raise ParseError(1, 1, "tensor is not rank x rank x rank")
     if not isinstance(doc["involution"], list):
         raise ParseError(1, 1, "involution is not a list")
-    entries = np.empty((m, m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                entries[i, j, k] = _entry_from_json(
-                    tensor[i][j][k], f"tensor[{i}][{j}][{k}]"
-                )
-    data = FusionData(str(doc["name"]), doc["involution"], entries)
+    flat = list(chain.from_iterable(chain.from_iterable(tensor)))
+    if set(map(type, flat)) != {int}:
+        flat = [
+            _entry_from_json(x, f"tensor[{i}][{j}][{k}]")
+            for (i, j, k), x in zip(np.ndindex(m, m, m), flat)
+        ]
+    data = FusionData(str(doc["name"]), doc["involution"], flat)
     data.flags_at(tol)  # validates, and keeps the flag set for later stages
     return data
 

@@ -128,12 +128,12 @@ def family_ring(n: int, G, K) -> FusionData:
     x_g rho_k = rho_k x_g = rho_k, rho_k rho_l = n rho_{kl} with
     rho_e := (1/n) sum_g x_g.
     """
+    if n < 1:
+        raise InvalidOrders(f"n = {n} is not a positive integer")
     g = _as_group(G)
     k = _as_group(K)
     if g.order != n * n:
         raise InvalidOrders(f"|G| = {g.order} != n^2 = {n * n}")
-    if k.order < 1:
-        raise InvalidOrders("K must be non-trivial... at least the unit")
     m = k.order - 1
     rank = g.order + m
     tensor = np.zeros((rank, rank, rank), dtype=object)

@@ -8,6 +8,11 @@ Scalars are plain Python numbers.  Exact tensors hold int / Fraction entries in
 an object-dtype array (promotion is integer -> rational); floating tensors hold
 float64.  Promotion to float is one-way: floats only ever enter through the
 spectral code, never by mutating an exact ring.
+
+Construction coerces scalars by dtype: integer and bool arrays become Python
+ints and float arrays float64, one whole-array call each, as does object input
+whose entries are all int, Fraction or float.  Only object input that mixes in
+other types (numpy scalars, other rationals) goes entry by entry.
 """
 
 from __future__ import annotations
@@ -74,6 +79,45 @@ def scalar_kind(value) -> str:
     raise TypeError(f"not a library scalar: {type(value).__name__}")
 
 
+def _entries(tensor) -> tuple[np.ndarray, str]:
+    """A fresh flat array of the tensor's entries under the `_coerce_scalar`
+    rules, and their scalar kind.
+
+    Integer and bool arrays become Python ints and float arrays float64, one
+    call each.  Object input is sorted by its set of entry types: int,
+    Fraction and float entries convert as a whole, with only the Fractions
+    visited to turn denominator 1 into int; any other type sends every entry
+    through `_coerce_scalar`.
+    """
+    arr = tensor if isinstance(tensor, np.ndarray) else np.array(tensor, dtype=object)
+    if arr.dtype.kind in "biu":
+        # a bool array would keep bools in the object array
+        ints = arr.astype(np.int8) if arr.dtype == bool else arr
+        return ints.astype(object).ravel(), "integer"
+    if arr.dtype.kind == "f":
+        return _finite(arr.astype(np.float64).ravel()), "float"
+    flat = np.array(arr, dtype=object).ravel()
+    types = set(map(type, flat))
+    if not types <= {int, Fraction, float}:
+        flat = np.array([_coerce_scalar(x) for x in flat], dtype=object)
+        types = set(map(type, flat))
+    if float in types:
+        return _finite(flat.astype(np.float64)), "float"
+    if Fraction not in types:
+        return flat, "integer"
+    fracs = np.flatnonzero(np.frompyfunc(type, 1, 1)(flat) == Fraction)
+    whole = fracs[np.array([x.denominator == 1 for x in flat[fracs]], dtype=bool)]
+    flat[whole] = [x.numerator for x in flat[whole]]
+    return flat, "integer" if len(whole) == len(fracs) else "rational"
+
+
+def _finite(flat: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        raise ValueError(f"non-finite scalar {float(flat[bad[0]])!r}")
+    return flat
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -87,11 +131,10 @@ class FusionData:
     """
 
     def __init__(self, name: str, involution, tensor):
-        entries = [_coerce_scalar(x) for x in np.asarray(tensor, dtype=object).ravel()]
-        m3 = len(entries)
-        m = round(m3 ** (1 / 3))
-        if m == 0 or m**3 != m3:
-            raise DimensionMismatch(f"tensor with {m3} entries is not a nonempty cube")
+        flat, self._kind = _entries(tensor)
+        m = round(len(flat) ** (1 / 3))
+        if m == 0 or m**3 != len(flat):
+            raise DimensionMismatch(f"tensor with {len(flat)} entries is not a nonempty cube")
         self.name = name
         self.rank = m
         involution = tuple(involution)
@@ -104,15 +147,8 @@ class FusionData:
             )
         if any(not (0 <= x < m) for x in self.involution):
             raise DimensionMismatch("involution entries out of range")
-        self.is_exact = not any(isinstance(x, float) for x in entries)
-        if self.is_exact:
-            arr = np.empty((m, m, m), dtype=object)
-            arr.ravel()[:] = entries
-        else:
-            arr = np.array([float(x) for x in entries], dtype=np.float64).reshape(
-                m, m, m
-            )
-        self.tensor = _freeze(arr)
+        self.is_exact = self._kind != "float"
+        self.tensor = _freeze(flat.reshape(m, m, m))
         self._float_tensor = None
         self._flags = {}
         self._support = {}
@@ -120,23 +156,14 @@ class FusionData:
     def float_tensor(self) -> np.ndarray:
         """float64 view of the tensor (cached)."""
         if self._float_tensor is None:
-            if self.is_exact:
-                self._float_tensor = _freeze(
-                    np.array(
-                        [float(x) for x in self.tensor.ravel()], dtype=np.float64
-                    ).reshape(self.tensor.shape)
-                )
-            else:
-                self._float_tensor = self.tensor
+            self._float_tensor = (
+                _freeze(self.tensor.astype(np.float64)) if self.is_exact else self.tensor
+            )
         return self._float_tensor
 
     @property
     def scalar_kind(self) -> str:
-        if not self.is_exact:
-            return "float"
-        if any(isinstance(x, Fraction) for x in self.tensor.ravel()):
-            return "rational"
-        return "integer"
+        return self._kind
 
     def left_matrix(self, i: int) -> np.ndarray:
         """Matrix of left multiplication by basis element i: L[k, j] = N_{ij}^k."""
@@ -296,8 +323,11 @@ def integer_form(*arrays, terms: int) -> tuple[int, list[np.ndarray]]:
     the cleared magnitudes), else object arrays of Python ints.
     """
     flats = [list(np.asarray(a, dtype=object).ravel()) for a in arrays]
-    scale = math.lcm(*{x.denominator for flat in flats for x in flat})
-    cleared = [[x.numerator * (scale // x.denominator) for x in flat] for flat in flats]
+    if set().union(*(map(type, flat) for flat in flats)) <= {int}:
+        scale, cleared = 1, flats
+    else:
+        scale = math.lcm(*{x.denominator for flat in flats for x in flat})
+        cleared = [[x.numerator * (scale // x.denominator) for x in flat] for flat in flats]
     bound = max(scale, *(max(map(abs, c), default=0) for c in cleared))
     dtype = np.int64 if terms * bound * bound < 2**62 else object
     return scale, [

@@ -79,10 +79,12 @@ def galois_orbits(a: RingAnalysis) -> OrbitPartition:
     def certificate(cluster: tuple) -> float | None:
         """|E_O - e| when E_O snaps to a rational idempotent e, else None."""
         E = F[list(cluster)].sum(axis=0)
-        snapped = snap_array(np.stack([E.imag, E.real]), tol)
-        if snapped is None or snapped[0].any():
+        # snap_value takes x to 0 exactly when round(x) = 0 and |x| <= tol.zero(x)
+        if not ((np.round(E.imag) == 0) & (np.abs(E.imag) <= tol.zero(E.imag))).all():
             return None
-        e = snapped[1]
+        e = snap_array(E.real, tol)
+        if e is None:
+            return None
         # e = w / D and N = C / scale: e e = e iff sum_ij w_i w_j C_ij^k = D scale w_k
         D, (w,) = integer_form(e, terms=1)
         w = w.astype(object)

@@ -4,9 +4,11 @@ import math
 import sys
 from unittest import mock
 
+import pytest
+
 import hypergroups as hg
 from hypergroups import analysis, core, dual, spectra, tolerance
-from hypergroups.builders import catalog, corpus, ising, near_group, rep_ring
+from hypergroups.builders import catalog, corpus, dump, ising, load, near_group, rep_ring
 from hypergroups.report import analyze
 
 
@@ -155,3 +157,30 @@ def test_corpus_needs_at_most_two_determinant_confirmations():
         for ring in corpus():
             analyze(ring, modular_candidate=True)
     assert spy.call_count <= 2
+
+
+@pytest.mark.parametrize("group, m", [([2, 2], 3), ([2], 2)], ids=["exact dual", "float dual"])
+def test_integer_ring_file_tensors_skip_the_per_entry_scalar_rule(tmp_path, group, m):
+    path = str(tmp_path / "ring.json")
+    dump(near_group(group, m), path)
+    entries, coerce = core._entries, core._coerce_scalar
+    inside, from_tensors = [], []
+
+    def tensor_entries(tensor):
+        inside.append(tensor)
+        try:
+            return entries(tensor)
+        finally:
+            inside.pop()
+
+    def per_entry(x):
+        if inside:
+            from_tensors.append(x)
+        return coerce(x)
+
+    with mock.patch.object(core, "_entries", side_effect=tensor_entries) as built, \
+            mock.patch.object(core, "_coerce_scalar", side_effect=per_entry):
+        analyze(load(path))
+    # the file, its dual, the double dual and one rescaling of the file
+    assert built.call_count == 4
+    assert from_tensors == []

@@ -2,6 +2,7 @@
 one-line error, and no exception escapes `main`."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hypergroups import builders as bd
 from hypergroups.cli import main
 from hypergroups.core import FusionData
+from hypergroups.errors import ParseError
 
 
 def ising_doc(**changes) -> str:
@@ -36,6 +38,16 @@ MALFORMED_FILES = {
     "1/0 entry": ising_with_entry("1/0"),
     "involution ['a']": ising_doc(involution=["a", 1, 2]),
     "involution [0.5]": ising_doc(involution=[0.5, 1, 2]),
+    "true entry": ising_with_entry(True),
+    "list entry": ising_with_entry([1]),
+}
+
+# the reason `parse` gives for the bad entry that ising_with_entry places
+ENTRY_REASONS = {
+    "NaN entry": "non-finite entry nan at tensor[1][1][0]",
+    "1/0 entry": "bad rational '1/0' at tensor[1][1][0]",
+    "true entry": "boolean entry at tensor[1][1][0]",
+    "list entry": "bad entry [1] at tensor[1][1][0]",
 }
 
 NOISY_TOLERANCES = [
@@ -49,6 +61,7 @@ MALFORMED_ARGS = [
     ["generate", "near-group", "0", "1"],
     ["generate", "group-ring", "a"],
     ["generate", "family", "x", "4", "3"],
+    ["generate", "family", "-2", "4", "3"],
 ]
 
 
@@ -71,6 +84,23 @@ def test_malformed_ring_file_is_a_domain_error(tmp_path, capsys, case):
     path = tmp_path / "ring.json"
     path.write_text(MALFORMED_FILES[case])
     assert_domain_error(*run_main(capsys, ["analyze", str(path)]))
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_REASONS))
+def test_parse_names_the_bad_entry(case):
+    with pytest.raises(ParseError) as info:
+        bd.parse(MALFORMED_FILES[case])
+    assert info.value.reason == ENTRY_REASONS[case]
+
+
+def test_float_ring_file_loads_its_tensor_unchanged():
+    text = noisy_ising()
+    # the noise fails validation at any tolerance, so only the load is run
+    with mock.patch.object(FusionData, "flags_at"):
+        data = bd.parse(text)
+    expected = np.array(json.loads(text)["tensor"], dtype=np.float64)
+    assert data.scalar_kind == "float" and data.tensor.dtype == np.float64
+    assert np.array_equal(data.tensor, expected)
 
 
 def test_noisy_ring_fails_validation_at_the_default_tolerance(tmp_path, capsys):

@@ -532,3 +532,81 @@ def test_components_match_a_depth_first_reference():
         a, b = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
         got = core.components(n, a, b).tolist()
         assert got == _reference_components(n, zip(a.tolist(), b.tolist()))
+
+
+def _reference_entries(tensor) -> tuple[list, bool, str]:
+    """FusionData's scalars by the per-entry rule: the entries, is_exact and
+    scalar_kind as they were before construction dispatched on dtype."""
+    entries = [core._coerce_scalar(x) for x in np.asarray(tensor, dtype=object).ravel()]
+    if any(isinstance(x, float) for x in entries):
+        return [float(x) for x in entries], False, "float"
+    kind = "rational" if any(isinstance(x, Fraction) for x in entries) else "integer"
+    return entries, True, kind
+
+
+def _mixed(last):
+    """A 2 x 2 x 2 nest of lists mixing int, Fraction(4, 2), np.int64 and `last`."""
+    return [[[1, Fraction(4, 2)], [np.int64(3), 0]], [[Fraction(6, 3), np.int64(-2)], [7, last]]]
+
+
+CONSTRUCTION_INPUTS = {
+    "int64": np.arange(-13, 14, dtype=np.int64).reshape(3, 3, 3),
+    "uint8": np.arange(250, 258, dtype=np.int64).astype(np.uint8).reshape(2, 2, 2),
+    "bool": (np.arange(27) % 4 == 0).reshape(3, 3, 3),
+    "float32": (np.arange(8, dtype=np.float32) / 3).reshape(2, 2, 2),
+    "float64": (np.arange(27, dtype=np.float64) / 7 - 1).reshape(3, 3, 3),
+    "int object": np.array([2**70, -(2**70), 0, 1, 2, 3, 4, 5], dtype=object),
+    "mixed with int": _mixed(5),
+    "mixed with Fraction": _mixed(Fraction(1, 3)),
+    "mixed with float": _mixed(0.25),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCTION_INPUTS))
+def test_construction_matches_the_per_entry_rule(case):
+    tensor = CONSTRUCTION_INPUTS[case]
+    entries, exact, kind = _reference_entries(tensor)
+    m = round(len(entries) ** (1 / 3))
+    data = hg.FusionData(case, range(m), tensor)
+    assert (data.is_exact, data.scalar_kind) == (exact, kind)
+    assert data.tensor.shape == (m, m, m) and not data.tensor.flags.writeable
+    got = data.tensor.ravel().tolist()
+    assert got == entries
+    assert [type(x) for x in got] == [type(x) for x in entries]
+    assert data.tensor.dtype == (object if exact else np.float64)
+    assert np.array_equal(data.float_tensor().ravel(), [float(x) for x in entries])
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        np.array([1.0, 2.0, np.inf, 0.0, np.nan, 1.0, 1.0, 1.0]),
+        [1, Fraction(1, 2), np.float64(np.inf), 0, float("nan"), 1, 1, 1],
+        [1, 2, float("inf"), 0, float("nan"), 1, 1, 1],
+    ],
+    ids=["float64", "mixed object", "int and float"],
+)
+def test_construction_names_the_first_non_finite_entry(tensor):
+    with pytest.raises(ValueError, match=r"^non-finite scalar inf$"):
+        hg.FusionData("bad", [0, 1], tensor)
+
+
+def test_construction_rejects_a_string_entry():
+    with pytest.raises(TypeError, match="unsupported scalar type str"):
+        hg.FusionData("bad", [0, 1], [1, 0, 0, 1, 0, "1", 1, 0])
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        np.arange(8, dtype=np.int64).reshape(2, 2, 2),
+        np.arange(8, dtype=np.float64).reshape(2, 2, 2),
+        np.array([1, Fraction(1, 2), 0, 1, 0, 1, 1, 0], dtype=object).reshape(2, 2, 2),
+    ],
+    ids=["int64", "float64", "object"],
+)
+def test_construction_copies_the_callers_array(tensor):
+    data = hg.FusionData("copy", [0, 1], tensor)
+    before = data.tensor.tolist()
+    tensor[0, 0, 0] = 99
+    assert data.tensor.tolist() == before

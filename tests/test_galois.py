@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from hypergroups.builders import (
     near_group,
     rep_ring,
 )
-from hypergroups.core import exact_character
-from hypergroups.errors import HypergroupError
+from hypergroups.core import exact_character, integer_form
+from hypergroups.errors import HypergroupError, NoValidPartition
 from hypergroups.report import analyze
-from hypergroups.tolerance import DEFAULT_TOL, snap_value
+from hypergroups.tolerance import DEFAULT_TOL, snap_array, snap_value
 from conftest import PHI
+from test_golden import NEAR_GROUPS
 
 
 def test_orbits_s3_all_singletons(s3_rep, s3_table):
@@ -243,3 +245,67 @@ def test_dim_squares_reject_spurious_fraction():
     assert isinstance(a.dim_squares[rho], float)
     assert a.dim_squares[rho] == pytest.approx(4 + 2 * math.sqrt(3))
     assert a.dim_squares[:rho] == [1, 1]
+
+
+def reference_galois_orbits(a) -> ga.OrbitPartition:
+    """`galois_orbits` with the certificate that snaps the stacked imaginary
+    and real parts of E_O together and then asks the imaginary row to be 0."""
+    m = a.data.rank
+    F = a.table.idempotents
+    scale, (C,) = integer_form(a.data.tensor, terms=1)
+    C = C.astype(object).reshape(m, m * m)
+
+    def certificate(cluster):
+        E = F[list(cluster)].sum(axis=0)
+        snapped = snap_array(np.stack([E.imag, E.real]), a.tol)
+        if snapped is None or snapped[0].any():
+            return None
+        e = snapped[1]
+        D, (w,) = integer_form(e, terms=1)
+        w = w.astype(object)
+        if (w @ (w @ C).reshape(m, m) != D * scale * w).any():
+            return None
+        return float(np.abs(E - e.astype(float)).max())
+
+    orbits, certs, tried = [], {}, 0
+    remaining = list(range(m))
+    while remaining:
+        pivot, others = remaining[0], remaining[1:]
+        for extra in chain.from_iterable(
+            combinations(others, size) for size in range(len(remaining))
+        ):
+            tried += 1
+            if tried > ga.SEARCH_CAP:
+                raise NoValidPartition("cluster search cap exceeded")
+            cert = certificate((pivot,) + extra)
+            if cert is not None:
+                break
+        else:
+            raise NoValidPartition("no rational orbit partition found")
+        orbits.append((pivot,) + extra)
+        certs[(pivot,) + extra] = cert
+        remaining = [j for j in others if j not in extra]
+    return ga.OrbitPartition(orbits=tuple(orbits), certificates=certs)
+
+
+def _orbit_outcome(find, a):
+    try:
+        part = find(a)
+    except NoValidPartition as exc:
+        return str(exc)
+    return part.orbits, part.certificates
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, hg.Tolerance(1e-8, 1e-8)], ids=["default", "1e-8"])
+def test_orbits_and_certificates_match_the_stacked_snap(tol):
+    rings = (
+        corpus(tol)
+        + [near_group(g, m) for g in NEAR_GROUPS for m in range(6)]
+        + [group_ring(abelian_group([n])) for n in range(2, 15)]
+    )
+    for ring in rings:
+        a = hg.RingAnalysis(ring, tol)
+        if not a.flags.rational:
+            continue
+        expected = _orbit_outcome(reference_galois_orbits, a)
+        assert _orbit_outcome(ga.galois_orbits, a) == expected, ring.name
