@@ -9,7 +9,7 @@ analysis and reads the same flag set, table, dual, grouplikes and verdicts.
 
 The character-side readers (kernels, centers, perps, grouplike characters, the
 values of P and P-hat) read one normalized table nu[i, j] = mu_j(x_i)/d_i and
-one agreement test "mu_j(x_i) = d_i", at the one scale 1e4 tol.zero(1 + d_i),
+one agreement test "mu_j(x_i) = d_i", `Tolerance.agrees` at the scale 1 + d_i,
 held here as `normalized`, `fp_agreement` and `modulus_agreement`.
 """
 
@@ -32,7 +32,7 @@ from .structure import (
     central_series,
     grouplike_indices,
 )
-from .tolerance import DEFAULT_TOL, Tolerance, snap_array, snap_value
+from .tolerance import DEFAULT_TOL, VALUE_SLACK, Tolerance, snap_array, snap_value
 
 __all__ = ["RingAnalysis"]
 
@@ -87,19 +87,15 @@ class RingAnalysis:
         """nu[i, j] = mu_j(x_i) / d_i: the table on the normalized basis."""
         return self.table.values / self.d[:, None]
 
-    def _agrees_with_d(self, values: np.ndarray) -> np.ndarray:
-        d = self.d[:, None]
-        return np.abs(values - d) <= 1e4 * self.tol.zero(1.0 + d)
-
     @cached_property
     def fp_agreement(self) -> np.ndarray:
         """[i, j]: mu_j(x_i) = d_i within tolerance (i in ker mu_j)."""
-        return self._agrees_with_d(self.table.values)
+        return self.tol.agrees(self.table.values, self.d[:, None])
 
     @cached_property
     def modulus_agreement(self) -> np.ndarray:
         """[i, j]: |mu_j(x_i)| = d_i within tolerance (j in Z(x_i))."""
-        return self._agrees_with_d(np.abs(self.table.values))
+        return self.tol.agrees(np.abs(self.table.values), self.d[:, None])
 
     @cached_property
     def n_h(self) -> float:
@@ -156,7 +152,7 @@ class RingAnalysis:
         g = grouplike_indices(self.data, self.tol)
         if self.table.fp_index is not None:
             hdd = self.table.h * self.d * self.d[list(self.data.involution)]
-            alt = tuple(np.flatnonzero(np.abs(hdd - 1.0) <= 1e4 * self.tol.zero(1.0)).tolist())
+            alt = tuple(np.flatnonzero(np.abs(hdd - 1.0) <= VALUE_SLACK * self.tol.zero(1.0)).tolist())
             if alt != g:
                 raise CrossCheckFailed(
                     f"grouplike sets disagree: tensor {g} vs h*d*d {alt}"
@@ -168,9 +164,7 @@ class RingAnalysis:
         """Characters with maximal formal codegree n_j = n(H); the value test
         |mu_j(x_i)| = d_i for all i (the intersection of the centers Z(x_i))
         must pick the same set."""
-        thr = 1e4 * self.tol.zero(1.0 + self.n_h)
-        close = np.abs(self.table.codegrees - self.n_h) <= thr
-        by_codegree = tuple(np.flatnonzero(close).tolist())
+        by_codegree = tuple(np.flatnonzero(self.tol.agrees(self.table.codegrees, self.n_h)).tolist())
         by_values = tuple(np.flatnonzero(self.modulus_agreement.all(axis=0)).tolist())
         if by_codegree != by_values:
             raise CrossCheckFailed(

@@ -9,6 +9,7 @@ determinant, and the run aborts on disagreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -24,7 +25,7 @@ from .errors import (
     VerdictResidualMismatch,
 )
 from .spectra import _match_columns, integral_element_of_subset
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import DEFAULT_TOL, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -107,17 +108,19 @@ def product_P(a: RingAnalysis) -> Element:
     Verified against the idempotent expansion P = sum_j mu_j(P) F_j.
     """
     data, table = a.data, a.table
-    if a.exact_d is not None:
-        inverses = [1 / Fraction(x) for x in a.exact_d]
+    if data.is_exact and a.exact_d is not None:
+        v = np.eye(data.rank, dtype=object)[0]
+        for i in range(data.rank):  # x_0 x_1 ... x_{m-1}, then one exact division
+            v = v @ data.tensor[:, i, :]
+        v = v / Fraction(math.prod(a.exact_d))
     else:
-        inverses = [1.0 / x for x in a.d]
-    out = basis_element(data, 0)
-    for i in range(data.rank):
-        xi = [0] * data.rank
-        xi[i] = inverses[i]
-        out = multiply(data, out, Element(tuple(xi)))
+        d = a.d if a.exact_d is None else a.exact_d
+        v, N = np.eye(data.rank)[0], data.float_tensor()
+        for i in range(data.rank):  # v <- (v / d_i) x_i
+            v = np.einsum("a,ak->k", v * float(1 / Fraction(d[i])), N[:, i, :])
+    out = Element(tuple(v.tolist()))
     expansion = (p_values(a)[None, :] * table.idempotents.T).sum(axis=1)
-    if np.abs(out.float_coords() - expansion).max() > 1e6 * a.tol.zero(1.0):
+    if np.abs(out.float_coords() - expansion).max() > ROUTE_SLACK * a.tol.zero(1.0):
         raise CrossCheckFailed("P product disagrees with its idempotent expansion")
     return out
 
@@ -136,7 +139,7 @@ def product_Phat(a: RingAnalysis) -> Element:
     cols = list(dual.char_order)
     evals = np.einsum("p,ip->i", coords, a.normalized[:, cols].astype(complex))
     expect = phat_values(a)
-    if np.abs(evals - expect).max() > 1e6 * a.tol.zero(1.0):
+    if np.abs(evals - expect).max() > ROUTE_SLACK * a.tol.zero(1.0):
         raise CrossCheckFailed("P-hat product disagrees with pointwise evaluations")
     return out
 
@@ -151,7 +154,7 @@ def product_Phat_values(a: RingAnalysis) -> np.ndarray:
     L = a.data.left_matrices_float()
     for i in range(a.data.rank):
         det = np.linalg.det(L[i] / a.d[i])
-        if abs(det - vals[i]) > 1e6 * a.tol.zero(1.0 + abs(det)):
+        if abs(det - vals[i]) > ROUTE_SLACK * a.tol.zero(1.0 + abs(det)):
             raise CrossCheckFailed(
                 f"P-hat({i}) = {vals[i]} != det L_(x_i/d_i) = {det}"
             )
@@ -178,7 +181,7 @@ def _permutation_sign(perm: list[int]) -> int:
 def _checked_sign(numeric: complex, not_unit: str, name: str, permutation, tol: Tolerance) -> int:
     """The sign of the permutation `permutation()`, which must equal
     `numeric`, a product of normalized values that must be +-1."""
-    cut = 1e4 * tol.zero(1.0)
+    cut = VALUE_SLACK * tol.zero(1.0)
     if abs(numeric.imag) > cut or abs(abs(numeric.real) - 1.0) > cut:
         raise SignMismatch(not_unit)
     exact = _permutation_sign(permutation())
@@ -205,7 +208,7 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     def character_permutation(j: int) -> list:
         # row k: mu_j mu_k, which must be a character, and k -> it a permutation
         prods = a.normalized[:, j] * table.values.T
-        thr = 1e6 * tol.zero(1.0 + np.abs(prods).max(axis=1))
+        thr = ROUTE_SLACK * tol.zero(1.0 + np.abs(prods).max(axis=1))
         return _match_columns(
             table.values,
             prods,
@@ -264,7 +267,7 @@ def identity_checks(a: RingAnalysis) -> dict:
         "p4_minus_p2": gap_p,
         "phat4_minus_phat2": gap_phat,
     }
-    cut = 1e5 * tol.zero(1.0)
+    cut = IDENTITY_SLACK * tol.zero(1.0)
     expectations = {
         "phat_sq_vs_grouplikes": burn,
         "phat4_minus_phat2": burn,

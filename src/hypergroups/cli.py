@@ -32,14 +32,14 @@ from .errors import HypergroupError, InvalidOrders, InvalidType, NumericFailure
 from .report import analyze, render_structured, render_text
 from .spectra import character_table
 from .structure import SubHypergroup, quotient
-from .tolerance import Tolerance
+from .tolerance import DEFAULT_TOL, Tolerance
 
 __all__ = ["main"]
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tol-abs", type=float, default=1e-9, help="absolute tolerance")
-    p.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance")
+    p.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.abs, help="absolute tolerance")
+    p.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel, help="relative tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for the spectral solver")
     p.add_argument(
         "--exact-only",

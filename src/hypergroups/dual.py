@@ -26,7 +26,7 @@ from .errors import (
     NotNormalizable,
 )
 from .spectra import CharacterTable, _match_columns, character_table, fp_character, order
-from .tolerance import Tolerance, snap_array
+from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -72,7 +72,7 @@ def augmentation_index(table: CharacterTable) -> int:
     (j,) = _match_columns(
         table.values,
         np.ones((1, table.rank)),
-        1e4 * table.tol.zero(1.0),
+        VALUE_SLACK * table.tol.zero(1.0),
         NotNormalizable,
         lambda r, resid: "no all-ones character column",
     )
@@ -107,7 +107,7 @@ def dual_hypergroup(
     phat = phat / n[None, None, :]
 
     imax = np.abs(phat.imag).max()
-    if imax > 1e4 * tol.zero(1.0):
+    if imax > VALUE_SLACK * tol.zero(1.0):
         raise DualAxiomViolation(f"dual tensor has imaginary part {imax:.3e}")
     real = phat.real
 
@@ -127,9 +127,9 @@ def dual_hypergroup(
         [1.0 / float(real[j, involution_hat[j], 0]) for j in range(m)]
     )
     # Lemma 2.6 / Eq (2.11): h-hat_j = n(H)/n_j and sum h-hat_j = n(H)
-    if np.abs(hhat - n_primal / n).max() > 1e5 * tol.zero(1.0 + n_primal):
+    if np.abs(hhat - n_primal / n).max() > IDENTITY_SLACK * tol.zero(1.0 + n_primal):
         raise DualAxiomViolation("h-hat_j != n(H)/n_j")
-    if abs(hhat.sum() - n_primal) > 1e5 * tol.zero(1.0 + n_primal):
+    if abs(hhat.sum() - n_primal) > IDENTITY_SLACK * tol.zero(1.0 + n_primal):
         raise DualAxiomViolation("sum of dual orders != n(H)")
     _check_involution_conjugation(Ap, d, involution_hat, tol)
     return DualData(
@@ -144,7 +144,7 @@ def dual_hypergroup(
 def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
     """Def 1.1 on the dual: j# is the unique k with p-hat_1(j, k) != 0."""
     m = real.shape[0]
-    thr = 1e4 * tol.zero(1.0 + np.abs(real[:, :, 0]).max())
+    thr = VALUE_SLACK * tol.zero(1.0 + np.abs(real[:, :, 0]).max())
     inv = []
     for j in range(m):
         hits = [k for k in range(m) if abs(real[j, k, 0]) > thr]
@@ -163,7 +163,7 @@ def _check_involution_conjugation(Ap, d, involution_hat, tol: Tolerance):
     norm = Ap / d[:, None]
     for j, js in enumerate(involution_hat):
         resid = np.abs(norm[:, js] - norm[:, j].conj()).max()
-        if resid > 1e5 * tol.zero(1.0 + np.abs(norm).max()):
+        if resid > IDENTITY_SLACK * tol.zero(1.0 + np.abs(norm).max()):
             raise DualAxiomViolation(
                 f"dual involution {j} -> {js} does not match value conjugation"
             )
@@ -179,7 +179,7 @@ def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     nhat = a.n_h / (a.table.h * d * d[list(a.data.involution)])
     # direct computation on the dual tensor
     direct = a.dual.table.codegrees[a.dual_match]
-    if np.abs(direct - nhat).max() > 1e5 * a.tol.zero(1.0 + np.abs(nhat).max()):
+    if np.abs(direct - nhat).max() > IDENTITY_SLACK * a.tol.zero(1.0 + np.abs(nhat).max()):
         raise CrossCheckFailed(
             f"dual codegrees: formula vs direct mismatch {np.abs(direct - nhat).max():.3e}"
         )
@@ -199,7 +199,7 @@ def match_dual_characters(dd: DualData, table: CharacterTable) -> np.ndarray:
     return _match_columns(
         dd.table.values,
         rows,
-        1e6 * tol.zero(1.0 + np.abs(rows).max()),
+        ROUTE_SLACK * tol.zero(1.0 + np.abs(rows).max()),
         CrossCheckFailed,
         lambda i, resid: f"cannot align dual character for basis element {i} (residual {resid:.3e})",
     )
@@ -224,6 +224,6 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     T1 = normalized.float_tensor()
     T2 = dd2.base.float_tensor()
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
-    if resid > 1e6 * tol.zero(1.0 + np.abs(T1).max()):
+    if resid > ROUTE_SLACK * tol.zero(1.0 + np.abs(T1).max()):
         raise NoIsomorphismFound(f"double dual mismatch, residual {resid:.3e}")
     return tuple(int(x) for x in pi)

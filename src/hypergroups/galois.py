@@ -24,7 +24,7 @@ from .errors import (
     NoValidPartition,
     TheoremViolation,
 )
-from .tolerance import snap_array, snap_value
+from .tolerance import VALUE_SLACK, snap_array, snap_value
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -135,7 +135,7 @@ def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> di
         if a.dual_flags.h_integral:
             hs = a.dual.orders_hat[list(orb)]
             spread = float(np.abs(hs - hs[0]).max())
-            if spread > 1e4 * tol.zero(1.0 + float(np.abs(hs).max())):
+            if spread > VALUE_SLACK * tol.zero(1.0 + float(np.abs(hs).max())):
                 raise ConjugationViolation(
                     f"dual orders not constant on orbit {orb}: {hs}"
                 )

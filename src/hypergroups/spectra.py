@@ -26,7 +26,10 @@ from .errors import (
     NotNormalizable,
     OrthogonalityResidualExceeded,
 )
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import (
+    COLUMN_ORDER_DIGITS, DEFAULT_TOL, EIGEN_CONDITION, EIGEN_GAP, ENTRY_SLACK, IDENTITY_SLACK,
+    VALUE_SLACK, Tolerance,
+)
 
 __all__ = [
     "CharacterTable",
@@ -89,7 +92,7 @@ def _simultaneous_diagonalization(L: np.ndarray, seed: int):
         np.fill_diagonal(diffs, np.inf)
         sep = diffs.min()
         last_sep = min(last_sep, sep)
-        if sep > 1e-8 * (1.0 + np.abs(w).max()) and np.linalg.cond(V) < 1e10:
+        if sep > EIGEN_GAP * (1.0 + np.abs(w).max()) and np.linalg.cond(V) < EIGEN_CONDITION:
             return V
     raise DegenerateSpectrum(
         f"no separating combination in {RETRY_BUDGET} attempts (min gap {last_sep:.3e})"
@@ -117,12 +120,12 @@ def character_table(
         D = Vinv @ L[i] @ V
         values[i] = np.diag(D)
         off = D - np.diag(np.diag(D))
-        if np.abs(off).max() > 1e5 * tol.zero(scale):
+        if np.abs(off).max() > IDENTITY_SLACK * tol.zero(scale):
             raise DegenerateSpectrum(
                 f"L_{i} not diagonalized (off-diagonal {np.abs(off).max():.3e})"
             )
     # row of the unit is identically 1
-    if np.abs(values[0] - 1.0).max() > 1e3 * tol.zero(1.0):
+    if np.abs(values[0] - 1.0).max() > ENTRY_SLACK * tol.zero(1.0):
         raise HomomorphismCheckFailed("unit row deviates from 1")
 
     # multiplicative check on all basis pairs, all characters
@@ -131,7 +134,7 @@ def character_table(
     rhs = values[:, None, :] * values[None, :, :]
     resid = np.abs(lhs - rhs).max()
     vmax = 1.0 + np.abs(values).max()
-    if resid > 1e4 * tol.zero(scale * vmax * vmax):
+    if resid > VALUE_SLACK * tol.zero(scale * vmax * vmax):
         raise HomomorphismCheckFailed(f"residual {resid:.3e}")
 
     positive = _positive_columns(values, tol)
@@ -144,7 +147,7 @@ def character_table(
     # n_j from the pairing theorem, cross-checked against the |.|^2 form
     n_pairing = np.einsum("i,ij,ij->j", h, values, values[inv, :])
     codegrees = np.einsum("i,ij->j", h, np.abs(values) ** 2).real
-    if np.abs(n_pairing - codegrees).max() > 1e4 * tol.zero(1.0 + codegrees.max()):
+    if np.abs(n_pairing - codegrees).max() > VALUE_SLACK * tol.zero(1.0 + codegrees.max()):
         raise OrthogonalityResidualExceeded(
             "codegree pairing disagrees with |mu|^2 form (non-normalizable data?)"
         )
@@ -166,7 +169,7 @@ def _canonical_column_order(values: np.ndarray, fp: int | None) -> list[int]:
     """The FP column first, then the others by their rounded value vectors."""
 
     def key(j):
-        col = np.round(values[:, j], 9)
+        col = np.round(values[:, j], COLUMN_ORDER_DIGITS)
         return tuple((float(c.real), float(c.imag)) for c in col)
 
     rest = sorted((j for j in range(values.shape[1]) if j != fp), key=key)
@@ -207,12 +210,12 @@ def _verify_table(data: FusionData, table: CharacterTable):
     m = table.rank
     values, h, n = table.values, table.h, table.codegrees
     # sum_j 1/n_j = tau(1) = 1
-    if abs((1.0 / n).sum() - 1.0) > 1e3 * tol.zero(1.0):
+    if abs((1.0 / n).sum() - 1.0) > ENTRY_SLACK * tol.zero(1.0):
         raise OrthogonalityResidualExceeded("sum 1/n_j != 1")
     # first orthogonality
     gram = np.einsum("i,ij,ik->jk", h, values, values.conj())
     resid = np.abs(gram - np.diag(n)).max()
-    if resid > 1e4 * tol.zero(1.0 + np.abs(n).max()):
+    if resid > VALUE_SLACK * tol.zero(1.0 + np.abs(n).max()):
         raise OrthogonalityResidualExceeded(f"first orthogonality residual {resid:.3e}")
     # F_j F_k = delta_jk F_j and sum_j F_j = 1
     F = table.idempotents
@@ -221,16 +224,16 @@ def _verify_table(data: FusionData, table: CharacterTable):
         ev = np.einsum("il,i->l", values, F[j])
         target = np.zeros(m)
         target[j] = 1.0
-        if np.abs(ev - target).max() > 1e4 * tol.zero(1.0):
+        if np.abs(ev - target).max() > VALUE_SLACK * tol.zero(1.0):
             raise IdempotentResidual(f"F_{j} is not the {j}-th primitive idempotent")
     N = data.float_tensor()
     prods = np.einsum("ja,kb,abc->jkc", F, F, N, optimize=True)
     delta = np.zeros((m, m, m), dtype=complex)
     for j in range(m):
         delta[j, j] = F[j]
-    if np.abs(prods - delta).max() > 1e4 * tol.zero(1.0):
+    if np.abs(prods - delta).max() > VALUE_SLACK * tol.zero(1.0):
         raise IdempotentResidual("F_j F_k != delta_jk F_j")
-    if np.abs(F.sum(axis=0) - np.eye(m)[0]).max() > 1e4 * tol.zero(1.0):
+    if np.abs(F.sum(axis=0) - np.eye(m)[0]).max() > VALUE_SLACK * tol.zero(1.0):
         raise IdempotentResidual("sum of idempotents != 1")
 
 
@@ -266,13 +269,13 @@ def integral_element(data: FusionData, table: CharacterTable) -> Element:
     tol = table.tol
     lam = integral_element_of_subset(data, table, range(data.rank))
     sq = multiply(data, lam, lam)
-    if np.abs(sq.float_coords() - lam.float_coords()).max() > 1e4 * tol.zero(1.0):
+    if np.abs(sq.float_coords() - lam.float_coords()).max() > VALUE_SLACK * tol.zero(1.0):
         raise IdempotentResidual("lambda^2 != lambda")
     d = table.fp_dims()
     for i in range(data.rank):
         prod = multiply(data, basis_element(data, i), lam)
         resid = np.abs(prod.float_coords() - d[i] * lam.float_coords()).max()
-        if resid > 1e4 * tol.zero(1.0 + d[i]):
+        if resid > VALUE_SLACK * tol.zero(1.0 + d[i]):
             raise IdempotentResidual(f"x_{i} lambda != d_i lambda (residual {resid:.3e})")
     return lam
 

@@ -36,7 +36,7 @@ from .errors import (
     SupportMismatch,
 )
 from .spectra import _match_columns, character_table, integral_element_of_subset
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import DEFAULT_TOL, GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -181,13 +181,11 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     Asserts Lemma-style consistency: the kernel of a positive sum equals the
     intersection of the kernels of its constituents.
     """
-    data, tol = a.data, a.tol
     xv = x.float_coords()
     fp = float(xv @ a.d)
     vals = xv @ a.table.values
-    thr = 1e4 * tol.zero(1.0 + fp)
-    ker = frozenset(j for j in range(data.rank) if abs(vals[j] - fp) <= thr)
-    supp = sorted(element_support(x, tol))
+    ker = frozenset(np.flatnonzero(a.tol.agrees(vals, fp)).tolist())
+    supp = sorted(element_support(x, a.tol))
     inter = frozenset(np.flatnonzero(a.fp_agreement[supp].all(axis=0)).tolist())
     if supp and inter != ker:
         raise ClosureViolation(
@@ -230,9 +228,9 @@ def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     table, tol = a.table, a.tol
     lam = integral_element_of_subset(a.data, table, sub.indices)
     vals = lam.float_coords() @ table.values
-    js = frozenset(np.flatnonzero(np.abs(vals - 1.0) <= 1e4 * tol.zero(1.0)).tolist())
+    js = frozenset(np.flatnonzero(np.abs(vals - 1.0) <= VALUE_SLACK * tol.zero(1.0)).tolist())
     rebuilt = table.idempotents[sorted(js)].sum(axis=0)
-    if np.abs(rebuilt - lam.float_coords()).max() > 1e5 * tol.zero(1.0):
+    if np.abs(rebuilt - lam.float_coords()).max() > IDENTITY_SLACK * tol.zero(1.0):
         raise IdempotentResidual(
             f"lambda_S != sum of F_j over its support for S = {sub.indices}"
         )
@@ -333,7 +331,7 @@ def _grading_spectral_checks(a: RingAnalysis, components):
         )
     # character-side partition: omega_i = (mu_j(x_i)/d_i)_{j grouplike}
     part_of = {}
-    for i, omega in enumerate(np.round(a.normalized[:, list(gl_chars)], 6)):
+    for i, omega in enumerate(np.round(a.normalized[:, list(gl_chars)], GRADING_DIGITS)):
         part_of.setdefault(tuple(omega), []).append(i)
     char_partition = set(map(tuple, part_of.values()))
     comb_partition = {tuple(sorted(c)) for c in components}
@@ -345,7 +343,7 @@ def _grading_spectral_checks(a: RingAnalysis, components):
     h = a.table.h
     for comp in components:
         r = sum(h[i] * d[i] ** 2 for i in comp)
-        if abs(r - n_h / len(components)) > 1e5 * a.tol.zero(1.0 + n_h):
+        if abs(r - n_h / len(components)) > IDENTITY_SLACK * a.tol.zero(1.0 + n_h):
             raise GradingCrossCheckFailed(
                 f"FPdim(R_g) = {r} != FPdim(H)/|U| = {n_h / len(components)}"
             )
@@ -408,7 +406,7 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
     reps = [cls[0] for cls in classes]
     qt = sums[np.ix_(reps, reps)]
     spread = np.abs(sums - qt[np.ix_(label, label)]).max(axis=2)
-    bad = np.argwhere(spread > (0 if exact else 1e4 * tol.zero(1.0)))
+    bad = np.argwhere(spread > (0 if exact else VALUE_SLACK * tol.zero(1.0)))
     if len(bad):
         la, lb = min((int(label[p]), int(label[r])) for p, r in bad)
         raise ClassInconsistency(
@@ -434,7 +432,7 @@ def _harrison_check(a: RingAnalysis, sub, quot, classes):
     matched = _match_columns(
         qtable.values,
         restrictions,
-        1e6 * a.tol.zero(1.0),
+        ROUTE_SLACK * a.tol.zero(1.0),
         ClassInconsistency,
         lambda r, resid: "Harrison duality failed: S-perp restriction is not a quotient character",
     )

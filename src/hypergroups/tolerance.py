@@ -1,7 +1,9 @@
-"""Numeric tolerance record shared by all floating-point checks.
+"""The tolerance policy: every numeric threshold of the library is named here.
 
-A single Tolerance instance travels through a whole analysis run so that every
-zero test, snap and residual check uses the same thresholds.
+A value counts as zero at scale s when it is at most tol.zero(s) = abs + rel|s|.
+A check on a computed quantity allows SLACK * tol.zero(s), its SLACK level naming
+the error the quantity may carry; `Tolerance.agrees` is the one test that a
+value equals its target.  One Tolerance travels through a whole analysis run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ import numpy as np
 from .errors import InvalidTolerance
 
 __all__ = ["Tolerance", "DEFAULT_TOL", "snap_value", "snap_array"]
+
+ENTRY_SLACK = 1e3  # one table entry, or sum_j 1/n_j, against an exact constant
+VALUE_SLACK = 1e4  # one table-derived value against its exact or defining value
+IDENTITY_SLACK = 1e5  # an identity summed over the basis or the characters
+ROUTE_SLACK = 1e6  # one quantity built by two independent numeric routes
+
+EIGEN_GAP = 1e-8  # least eigenvalue gap of the solver's combination, times 1 + max|w|
+EIGEN_CONDITION = 1e10  # largest condition number of its eigenvector matrix
+COLUMN_ORDER_DIGITS = 9  # decimals of the value vectors that order the table's columns
+GRADING_DIGITS = 6  # decimals of the normalized values that partition the grading
 
 
 @dataclass(frozen=True)
@@ -30,6 +42,10 @@ class Tolerance:
     def zero(self, scale: float = 0.0) -> float:
         """Threshold below which a value of the given ambient scale counts as zero."""
         return self.abs + self.rel * abs(scale)
+
+    def agrees(self, values, target):
+        """|values - target| <= VALUE_SLACK * zero(1 + target), elementwise."""
+        return np.abs(values - target) <= VALUE_SLACK * self.zero(1.0 + target)
 
 
 DEFAULT_TOL = Tolerance()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -6,13 +7,20 @@ import pytest
 
 from hypergroups import builders as bd
 from hypergroups.core import FusionData
-from hypergroups.cli import main
+from hypergroups.cli import _common_flags, _tol, main
+from hypergroups.tolerance import DEFAULT_TOL
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_tolerance_flags_default_to_the_default_tolerance():
+    parser = argparse.ArgumentParser()
+    _common_flags(parser)
+    assert _tol(parser.parse_args([])) == DEFAULT_TOL
 
 
 def test_generate_and_analyze(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import hypergroups as hg
 from hypergroups import structure as st
 from hypergroups.builders import catalog, class_hypergroup, ising, rep_ring
+from hypergroups.errors import DualAxiomViolation
 from hypergroups.report import analyze
 
 
@@ -92,6 +93,21 @@ def test_dual_of_a_noisy_ring_is_validated_at_the_analysis_tolerance():
     exact = analyze(class_hypergroup(catalog("A4")))
     assert report.dual["double_dual_isomorphic"]
     assert report.burnside["is_burnside"] == exact.burnside["is_burnside"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DualAxiomViolation,
+    reason="the dual amplifies 2e-9 primal noise into a 4.7e-8 unit-row error",
+)
+def test_dual_of_a_noisy_cl_a5_passes_its_axioms():
+    # the only float copy of a corpus ring whose dual fails at 1e-8
+    # ("unit violated at indices (0, 0, 1)"); no slack is raised to pass it
+    tol = hg.Tolerance(abs=1e-8, rel=1e-8)
+    ring = noisy_copy(class_hypergroup(catalog("A5")), 2e-9)
+    assert ring.flags_at(tol).abelian
+    report = analyze(ring, tol=tol)
+    assert report.dual["double_dual_isomorphic"]
 
 
 def test_quotient_of_a_noisy_ring_is_validated_at_the_analysis_tolerance():

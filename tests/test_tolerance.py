@@ -1,0 +1,169 @@
+"""The tolerance policy of `hypergroups.tolerance`.
+
+One boundary test per slack level drives one check to half its threshold
+(it passes) and to twice its threshold (it raises), so a changed slack value
+fails here.  The thresholds below are written as literal multiples of
+tol.zero on purpose: they pin the values that tolerance.py names.  A scan of
+src/ keeps every other module from multiplying tol.zero by a literal, and
+every named threshold in use.
+"""
+
+import ast
+import pathlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import hypergroups as hg
+from hypergroups import burnside as bn
+from hypergroups import spectra
+from hypergroups import structure as st
+from hypergroups import tolerance
+from hypergroups.errors import (
+    CrossCheckFailed,
+    IdempotentResidual,
+    OrthogonalityResidualExceeded,
+)
+
+TOL = tolerance.DEFAULT_TOL
+ENTRY, VALUE, IDENTITY, ROUTE = (s * TOL.zero(1.0) for s in (1e3, 1e4, 1e5, 1e6))
+BOUNDARY = pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+
+
+def _check_boundary(check, raises, error, match):
+    if raises:
+        with pytest.raises(error, match=match):
+            check()
+    else:
+        check()
+
+
+def _with_idempotent_shift(table, shift):
+    """The table with coordinate 0 of the FP idempotent F_0 moved by `shift`."""
+    F = table.idempotents.copy()
+    F[0, 0] += shift
+    return replace(table, idempotents=F)
+
+
+@BOUNDARY
+def test_entry_slack_bounds_the_sum_of_inverse_codegrees(z2_ring, factor, raises):
+    table = hg.character_table(z2_ring)
+    n = table.codegrees.copy()
+    n[1] = 1.0 / (1.0 / n[1] + factor * ENTRY)  # sum_j 1/n_j = 1 + factor * ENTRY
+    bad = replace(table, codegrees=n)
+    _check_boundary(
+        lambda: spectra._verify_table(z2_ring, bad),
+        raises, OrthogonalityResidualExceeded, "sum 1/n_j",
+    )
+
+
+@BOUNDARY
+def test_value_slack_bounds_the_primitive_idempotent_values(z2_ring, factor, raises):
+    # mu_l(F_0) moves by the shift times mu_l(x_0) = 1
+    bad = _with_idempotent_shift(hg.character_table(z2_ring), factor * VALUE)
+    _check_boundary(
+        lambda: spectra._verify_table(z2_ring, bad),
+        raises, IdempotentResidual, "F_0 is not the 0-th primitive idempotent",
+    )
+
+
+@BOUNDARY
+def test_identity_slack_bounds_the_integral_against_its_idempotents(z2_ring, factor, raises):
+    # lambda_H = F_0, the FP idempotent, rebuilt from the shifted F_0
+    bad = _with_idempotent_shift(hg.character_table(z2_ring), factor * IDENTITY)
+    a = hg.RingAnalysis(z2_ring, table=bad)
+    _check_boundary(
+        lambda: st.support(a, st.SubHypergroup((0, 1), z2_ring)),
+        raises, IdempotentResidual, "lambda_S != sum of F_j",
+    )
+
+
+@BOUNDARY
+def test_route_slack_bounds_p_against_its_idempotent_expansion(z2_ring, factor, raises):
+    # mu_0(P) = 1, so the expansion sum_j mu_j(P) F_j moves with F_0
+    bad = _with_idempotent_shift(hg.character_table(z2_ring), factor * ROUTE)
+    a = hg.RingAnalysis(z2_ring, table=bad)
+    _check_boundary(
+        lambda: bn.product_P(a), raises, CrossCheckFailed, "idempotent expansion"
+    )
+
+
+def test_agrees_is_the_value_slack_at_the_target_scale():
+    tol = hg.Tolerance(abs=1e-8, rel=1e-7)
+    target = np.array([0.0, 1.0, 40.0])
+    thr = 1e4 * tol.zero(1.0 + target)
+    assert tol.agrees(target + 0.5 * thr, target).all()
+    assert not tol.agrees(target - 2.0 * thr, target).any()
+    thr = 1e4 * tol.zero(4.0)  # complex values: the modulus of the difference
+    assert tol.agrees(3.0 + 0.5j * thr, 3.0) and not tol.agrees(3.0 + 2j * thr, 3.0)
+
+
+# ---------------------------------------------------------------- guard
+
+SRC = pathlib.Path(tolerance.__file__).parent
+
+
+def _is_literal(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.UnaryOp):
+        return _is_literal(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_literal(node.left) and _is_literal(node.right)
+    return False
+
+
+def _is_zero_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "zero"
+    )
+
+
+def literal_multipliers(source: str) -> list:
+    """Lines where a numeric literal multiplies or divides a `.zero(...)` call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            sides = (node.left, node.right)
+            if any(map(_is_zero_call, sides)) and any(map(_is_literal, sides)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_guard_sees_literal_multipliers():
+    assert literal_multipliers("t = 1e4 * tol.zero(1.0)") == [1]
+    assert literal_multipliers("t = a.tol.zero(s) * -2e3") == [1]
+    assert literal_multipliers("t = 2 * 1e4 * self.tol.zero(1.0 + d)") == [1]
+    assert literal_multipliers("t = VALUE_SLACK * tol.zero(1.0)\nu = tol.zero(x)") == []
+
+
+def test_no_literal_multiplies_tol_zero_outside_tolerance_py():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "tolerance.py"
+        for line in literal_multipliers(path.read_text())
+    ]
+    assert not found, f"name these thresholds in tolerance.py: {found}"
+
+
+def test_every_named_threshold_is_used():
+    tree = ast.parse(pathlib.Path(tolerance.__file__).read_text())
+    named = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    assert {"ENTRY_SLACK", "VALUE_SLACK", "IDENTITY_SLACK", "ROUTE_SLACK"} <= named
+    used = {
+        node.id
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert not named - used, f"unused thresholds: {sorted(named - used)}"
