@@ -1,4 +1,7 @@
-"""Exact determinants over int / Fraction entries (desk-scale matrices)."""
+"""Exact determinants: a modular screen over a whole stack of integer
+matrices, then Bareiss on Python ints wherever the screen cannot decide (a
+zero residue) or the determinant itself is needed (an error message).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,9 @@ import numpy as np
 
 from .core import integer_form
 
-__all__ = ["exact_det"]
+__all__ = ["exact_det", "det_nonzero_mod_p"]
+
+P = 2**31 - 1
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
@@ -44,3 +49,28 @@ def exact_det(matrix) -> Fraction:
         raise ValueError(f"not square: {arr.shape}")
     scale, (cleared,) = integer_form(arr, terms=1)
     return Fraction(_bareiss_int(cleared.tolist()), scale**n)
+
+
+def det_nonzero_mod_p(stack: np.ndarray) -> np.ndarray:
+    """[b]: det(stack[b]) mod P != 0, for a (b, n, n) stack of integers (int64
+    or Python ints); True proves det != 0.  Fraction-free elimination in Z/P:
+    step k moves the first row at or below k that is non-zero in column k up
+    to row k, then sets row_r = a_kk row_r - a_rk row_k below it, multiplying
+    det by a unit.  The residue is non-zero iff every step finds such a row.
+    Entries stay below P < 2^31, so every product fits in int64.
+    """
+    a = np.asarray(stack % P, dtype=np.int64)
+    b, n, _ = a.shape
+    alive = np.ones(b, dtype=bool)
+    rows = np.arange(b)
+    for k in range(n):
+        nonzero = a[:, k:, k] != 0
+        alive &= nonzero.any(axis=1)
+        pivot = k + nonzero.argmax(axis=1)
+        top = a[rows, pivot, k:]
+        a[rows, pivot, k:] = a[:, k, k:]
+        below = a[:, k + 1 :, k + 1 :]
+        below *= top[:, None, :1]
+        below -= a[:, k + 1 :, k : k + 1] * top[:, None, 1:]
+        below %= P
+    return alive

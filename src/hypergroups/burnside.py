@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._exact import exact_det
+from ._exact import det_nonzero_mod_p, exact_det
 from .core import Element, FusionData, basis_element, multiply
 from .errors import (
     CrossCheckFailed,
@@ -77,17 +77,22 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
     """Indices killed by some character.
 
     On exact tensors the numeric verdict is confirmed per element against the
-    exact determinant of the left multiplication matrix; disagreement aborts.
+    exact determinant of its left multiplication matrix; disagreement aborts.
+    A non-zero determinant modulo P (`det_nonzero_mod_p` on the cleared
+    tensor, det L_i = det N_i) confirms a non-vanishing element; Bareiss runs
+    on the zero residues, and for the message when the verdicts disagree.
     """
     data, values = a.data, a.table.values
     thr = a.tol.zero(np.abs(values).max(axis=0))
-    numeric = tuple(np.flatnonzero((np.abs(values) <= thr).any(axis=1)).tolist())
+    vanishes = (np.abs(values) <= thr).any(axis=1)
+    numeric = tuple(np.flatnonzero(vanishes).tolist())
     if data.is_exact:
-        for i in range(data.rank):
+        screened = det_nonzero_mod_p(data.integer_tensor()[1])
+        for i in np.flatnonzero(vanishes | ~screened).tolist():
             det = exact_det(data.left_matrix(i))
-            if (det == 0) != (i in numeric):
+            if (det == 0) != vanishes[i]:
                 raise ExactNumericDisagreement(
-                    f"x_{i}: exact det {det} vs numeric vanishing {'yes' if i in numeric else 'no'}"
+                    f"x_{i}: exact det {det} vs numeric vanishing {'yes' if vanishes[i] else 'no'}"
                 )
     return numeric
 

@@ -150,6 +150,7 @@ class FusionData:
         self.is_exact = self._kind != "float"
         self.tensor = _freeze(flat.reshape(m, m, m))
         self._float_tensor = None
+        self._integer_tensor = None
         self._flags = {}
         self._support = {}
 
@@ -160,6 +161,19 @@ class FusionData:
                 _freeze(self.tensor.astype(np.float64)) if self.is_exact else self.tensor
             )
         return self._float_tensor
+
+    def integer_tensor(self) -> tuple[int, np.ndarray]:
+        """(L, L * N), the integer form `integer_form(tensor, terms=rank)` of
+        an exact tensor (cached); an all-int tensor that fits int64 takes one
+        cast."""
+        if self._integer_tensor is None:
+            m, N = self.rank, self.tensor
+            if self._kind == "integer" and m * int(np.abs(N).max()) ** 2 < 2**62:
+                self._integer_tensor = 1, _freeze(N.astype(np.int64))
+            else:
+                scale, (cleared,) = integer_form(N, terms=m)
+                self._integer_tensor = scale, _freeze(cleared)
+        return self._integer_tensor
 
     @property
     def scalar_kind(self) -> str:
@@ -337,7 +351,21 @@ def integer_form(*arrays, terms: int) -> tuple[int, list[np.ndarray]]:
 
 def bracketings(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of associativity for every basis triple, indexed [i, j, k, q]:
-    sum_p N_{ij}^p N_{pk}^q and sum_p N_{jk}^p N_{ip}^q."""
+    sum_p N_{ij}^p N_{pk}^q and sum_p N_{jk}^p N_{ip}^q.
+
+    An int64 tensor with m B^2 < 2^53 (B its largest magnitude) is multiplied
+    in float64, on BLAS, and both sides come back as float64 holding the exact
+    integers.  Each product of two entries is an integer of magnitude at most
+    B^2, and any partial sum of the m products, in whatever order BLAS adds
+    them, at most m B^2 < 2^53.  Every integer of magnitude at most 2^53 is a
+    float64, and an IEEE operation whose exact result is representable returns
+    it, so no product or sum rounds.  From 2^53 up the product stays int64
+    (or object, for an object tensor).
+    """
+    if tensor.dtype == np.int64:
+        bound = max(1, int(tensor.max()), -int(tensor.min()))
+        if tensor.shape[0] * bound * bound < 2**53:
+            tensor = tensor.astype(np.float64)
     lhs = np.tensordot(tensor, tensor, axes=(2, 0))
     rhs = np.tensordot(tensor, tensor, axes=(2, 1)).transpose(2, 0, 1, 3)
     return lhs, rhs
@@ -369,7 +397,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
             raise AxiomViolation("involution", (i,), "not an involution")
     exact = data.is_exact
     if exact:
-        one, (A,) = integer_form(N, terms=m)
+        one, A = data.integer_tensor()
         s, eps = 0, lambda scale: 0
     else:
         one, A = 1.0, N
@@ -400,7 +428,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
 
     # associativity; on the integer form both sides scale by L^2
     lhs, rhs = bracketings(A)
-    hit = _first(np.abs(lhs - rhs) > eps(max(s * s * m, s)))
+    hit = _first(lhs != rhs if exact else np.abs(lhs - rhs) > eps(max(s * s * m, s)))
     if hit is not None:
         raise AxiomViolation("associativity", hit)
 

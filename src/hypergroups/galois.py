@@ -72,7 +72,7 @@ def galois_orbits(a: RingAnalysis) -> OrbitPartition:
         raise HypergroupError("Galois orbits need a rational hypergroup")
     m = a.data.rank
     F = a.table.idempotents
-    scale, (C,) = integer_form(a.data.tensor, terms=1)
+    scale, C = a.data.integer_tensor()
     # Python ints: the idempotent test sums products of three cleared entries
     C = C.astype(object).reshape(m, m * m)
 

@@ -114,16 +114,16 @@ def character_table(
     L = data.left_matrices_float()
     scale = 1.0 + float(np.abs(L).max())
     V = _simultaneous_diagonalization(L, seed)
-    Vinv = np.linalg.inv(V)
-    values = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        D = Vinv @ L[i] @ V
-        values[i] = np.diag(D)
-        off = D - np.diag(np.diag(D))
-        if np.abs(off).max() > IDENTITY_SLACK * tol.zero(scale):
-            raise DegenerateSpectrum(
-                f"L_{i} not diagonalized (off-diagonal {np.abs(off).max():.3e})"
-            )
+    D = np.linalg.inv(V) @ L @ V
+    diag = np.arange(m)
+    values = D[:, diag, diag].astype(complex)
+    off = np.abs(D)
+    off[:, diag, diag] = 0.0
+    off = off.max(axis=(1, 2))
+    hit = np.flatnonzero(off > IDENTITY_SLACK * tol.zero(scale))
+    if len(hit):
+        i = hit[0]
+        raise DegenerateSpectrum(f"L_{i} not diagonalized (off-diagonal {off[i]:.3e})")
     # row of the unit is identically 1
     if np.abs(values[0] - 1.0).max() > ENTRY_SLACK * tol.zero(1.0):
         raise HomomorphismCheckFailed("unit row deviates from 1")
@@ -168,24 +168,16 @@ def character_table(
 def _canonical_column_order(values: np.ndarray, fp: int | None) -> list[int]:
     """The FP column first, then the others by their rounded value vectors."""
 
-    def key(j):
-        col = np.round(values[:, j], COLUMN_ORDER_DIGITS)
-        return tuple((float(c.real), float(c.imag)) for c in col)
-
-    rest = sorted((j for j in range(values.shape[1]) if j != fp), key=key)
+    rounded = np.round(values, COLUMN_ORDER_DIGITS).T
+    keys = np.stack([rounded.real, rounded.imag], axis=2).tolist()
+    rest = sorted((j for j in range(values.shape[1]) if j != fp), key=keys.__getitem__)
     return ([fp] if fp is not None else []) + rest
 
 
 def _positive_columns(values: np.ndarray, tol: Tolerance) -> list[int]:
     """Columns that are real and strictly positive within tol."""
-    out = []
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        if np.abs(col.imag).max() <= tol.zero(1.0 + np.abs(col).max()) and (
-            col.real > tol.zero(1.0)
-        ).all():
-            out.append(j)
-    return out
+    real = np.abs(values.imag).max(axis=0) <= tol.zero(1.0 + np.abs(values).max(axis=0))
+    return np.flatnonzero(real & (values.real > tol.zero(1.0)).all(axis=0)).tolist()
 
 
 def _match_columns(values: np.ndarray, vecs: np.ndarray, thr, error, message) -> np.ndarray:
@@ -219,18 +211,17 @@ def _verify_table(data: FusionData, table: CharacterTable):
         raise OrthogonalityResidualExceeded(f"first orthogonality residual {resid:.3e}")
     # F_j F_k = delta_jk F_j and sum_j F_j = 1
     F = table.idempotents
-    for j in range(m):
-        # mu_l(F_j) must be delta_{jl}
-        ev = np.einsum("il,i->l", values, F[j])
-        target = np.zeros(m)
-        target[j] = 1.0
-        if np.abs(ev - target).max() > VALUE_SLACK * tol.zero(1.0):
-            raise IdempotentResidual(f"F_{j} is not the {j}-th primitive idempotent")
+    # mu_l(F_j) must be delta_{jl}
+    ev = np.einsum("il,ji->jl", values, F)
+    hit = np.flatnonzero(np.abs(ev - np.eye(m)).max(axis=1) > VALUE_SLACK * tol.zero(1.0))
+    if len(hit):
+        j = hit[0]
+        raise IdempotentResidual(f"F_{j} is not the {j}-th primitive idempotent")
     N = data.float_tensor()
     prods = np.einsum("ja,kb,abc->jkc", F, F, N, optimize=True)
+    diag = np.arange(m)
     delta = np.zeros((m, m, m), dtype=complex)
-    for j in range(m):
-        delta[j, j] = F[j]
+    delta[diag, diag] = F
     if np.abs(prods - delta).max() > VALUE_SLACK * tol.zero(1.0):
         raise IdempotentResidual("F_j F_k != delta_jk F_j")
     if np.abs(F.sum(axis=0) - np.eye(m)[0]).max() > VALUE_SLACK * tol.zero(1.0):

@@ -38,6 +38,9 @@ class Tolerance:
         # NaN fails every comparison, so test for the good case
         if not all(np.isfinite(t) and t > 0 for t in (self.abs, self.rel)):
             raise InvalidTolerance(f"tolerances {self.abs}, {self.rel} are not finite and positive")
+        b = self.snap_denominator_bound
+        if isinstance(b, bool) or not isinstance(b, int) or b < 1:
+            raise InvalidTolerance(f"snap denominator bound {b!r} is not an int >= 1")
 
     def zero(self, scale: float = 0.0) -> float:
         """Threshold below which a value of the given ambient scale counts as zero."""
@@ -55,33 +58,49 @@ def snap_value(value: float, tol: Tolerance = DEFAULT_TOL) -> int | Fraction | f
     """Nearest integer, else nearest bounded-denominator rational, else the float back.
 
     An exact return type (int or Fraction) means the snap succeeded; a float
-    return means the value is tagged non-rational at this tolerance.
+    return means the value is tagged non-rational at this tolerance.  The
+    rational is Fraction(x).limit_denominator(B), B the snap bound, by its own
+    continued-fraction walk on the ints n / d = x.as_integer_ratio(); of the
+    last two candidates it keeps the nearer, comparing |p d - n q| / q by
+    cross-multiplication (the convergent p1 / q1 on a tie).
     """
     x = float(value)
-    n = round(x)
-    if abs(x - n) <= tol.zero(x):
-        return int(n)
-    q = Fraction(x).limit_denominator(tol.snap_denominator_bound)
-    if abs(x - float(q)) <= tol.zero(x):
-        return q
-    return x
+    r = round(x)
+    if abs(x - r) <= tol.zero(x):
+        return int(r)
+    bound = tol.snap_denominator_bound
+    p, q = n, d = x.as_integer_ratio()
+    if d > bound:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while q0 + p // q * q1 <= bound:
+            a = p // q
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            p, q = q, p - a * q
+        k = (bound - q0) // q1
+        p, q = p0 + k * p1, q0 + k * q1
+        if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+            p, q = p1, q1
+    # p / q is float(Fraction(p, q))
+    return Fraction(p, q) if abs(x - p / q) <= tol.zero(x) else x
 
 
 def snap_array(values, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """`snap_value` on every entry: an object array of ints and Fractions, or
     None when some entry stays a float.
 
-    The integer test runs on the whole array at once; only the entries that
-    fail it go through `snap_value` one by one.
+    The integer test runs on the whole array at once.  The other entries are
+    snapped first, in row-major order, so a rejected array stops at its first
+    non-rational entry; then the integers are converted together.
     """
     x = np.asarray(values, dtype=float)
     n = np.round(x)
     ints = np.abs(x - n) <= tol.zero(x)
     out = np.empty(x.shape, dtype=object)
-    out[ints] = [int(v) for v in n[ints]]
-    for idx in zip(*np.nonzero(~ints)):
-        s = snap_value(x[idx], tol)
-        if isinstance(s, float):
+    rest = []
+    for v in x[~ints].tolist():
+        rest.append(snap_value(v, tol))
+        if isinstance(rest[-1], float):
             return None
-        out[idx] = s
+    out[~ints] = rest
+    out[ints] = [int(v) for v in n[ints].tolist()]
     return out

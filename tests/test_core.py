@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 import hypergroups as hg
+from hypergroups import burnside as bn
 from hypergroups import core
-from hypergroups._exact import exact_det
+from hypergroups._exact import det_nonzero_mod_p, exact_det
 from hypergroups.builders import (
+    abelian_group,
     catalog,
     class_hypergroup,
+    corpus,
     group_ring,
     ising,
+    near_group,
     parse,
     rep_ring,
     serialize,
@@ -236,20 +240,33 @@ def _outcome(data):
         return (exc.law, exc.indices)
 
 
-_integer_form = core.integer_form
-
-
-def _object_int_integer_form(*arrays, terms):
-    scale, cleared = _integer_form(*arrays, terms=terms)
-    return scale, [c.astype(object) for c in cleared]
+_integer_tensor = core.FusionData.integer_tensor
 
 
 def _both_paths(data):
     """validate's outcome on the integer form as chosen, then on the same
     integer form held as Python ints."""
     native = _outcome(data)
-    with patch.object(core, "integer_form", _object_int_integer_form):
-        return native, _outcome(data)
+    seen = []
+    bracketings = core.bracketings
+
+    def as_python_ints(self):
+        scale, cleared = _integer_tensor(self)
+        seen.append("integer_tensor")
+        return scale, cleared.astype(object)
+
+    def recording(tensor):
+        seen.append(tensor.dtype)
+        return bracketings(tensor)
+
+    with patch.object(core.FusionData, "integer_tensor", as_python_ints), patch.object(
+        core, "bracketings", recording
+    ):
+        forced = _outcome(data)
+    # validate read the seam once, and the associativity kernel (when the
+    # unit and involution laws let it run) saw the Python ints
+    assert seen[0] == "integer_tensor" and seen[1:] in ([], [np.dtype(object)])
+    return native, forced
 
 
 def _reference_rescale(data, alphas):
@@ -610,3 +627,90 @@ def test_construction_copies_the_callers_array(tensor):
     before = data.tensor.tolist()
     tensor[0, 0, 0] = 99
     assert data.tensor.tolist() == before
+
+
+# ------------------------------------------------ exact kernels on whole arrays
+
+
+def test_cached_integer_form_is_the_integer_form(full_corpus):
+    huge = hg.FusionData("huge", [0, 1], [1, 0, 0, 1, 0, 1, 2**62, 0])
+    rings = [r for r in full_corpus if r.is_exact] + [_overflowing_ring(), huge]
+    for ring in rings:
+        scale, (cleared,) = core.integer_form(ring.tensor, terms=ring.rank)
+        got_scale, got = ring.integer_tensor()
+        assert got_scale == scale and got.dtype == cleared.dtype, ring.name
+        assert got.tolist() == cleared.tolist() and ring.integer_tensor()[1] is got
+    assert huge.integer_tensor()[1].dtype == object
+
+
+def _reference_bracketings(tensor):
+    t = np.asarray(tensor).astype(object)
+    return np.tensordot(t, t, axes=(2, 0)), np.tensordot(t, t, axes=(2, 1)).transpose(2, 0, 1, 3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_float_bracketings_are_exact_below_2_to_the_53(m):
+    rng = np.random.default_rng(m)
+    under = math.isqrt((2**53 - 1) // m)  # m * under^2 < 2^53 <= m * (under + 1)^2
+    for bound, dtype in ((under, np.float64), (under + 1, np.int64)):
+        # entries near +-bound, so the sums of products reach m * bound^2
+        tensor = rng.integers(bound - 50, bound, size=(m, m, m), endpoint=True)
+        tensor *= rng.choice([-1, 1], size=(m, m, m))
+        tensor.flat[0] = bound
+        lhs, rhs = core.bracketings(tensor)
+        assert lhs.dtype == rhs.dtype == dtype
+        ref_lhs, ref_rhs = _reference_bracketings(tensor)
+        assert lhs.astype(np.int64).tolist() == ref_lhs.tolist()
+        assert rhs.astype(np.int64).tolist() == ref_rhs.tolist()
+        assert np.abs(ref_lhs).max() > 2**52
+
+
+def test_bracketings_stay_exact_at_2_to_the_53():
+    # m B^2 = 2 * (2^26)^2 = 2^53 exactly: the int64 product
+    tensor = np.full((2, 2, 2), 2**26, dtype=np.int64)
+    lhs, rhs = core.bracketings(tensor)
+    assert lhs.dtype == np.int64 and lhs.tolist() == _reference_bracketings(tensor)[0].tolist()
+    lhs, _ = core.bracketings(tensor - 1)
+    assert lhs.dtype == np.float64
+    # object tensors keep the Python-int product at any size
+    assert core.bracketings(tensor.astype(object) - 1)[0].dtype == object
+
+
+def _screen_cases():
+    from test_golden import NEAR_GROUPS
+
+    return (
+        [r for r in corpus() if r.is_exact]
+        + [near_group(g, k) for g in NEAR_GROUPS for k in range(6)]
+        + [group_ring(abelian_group([n])) for n in range(1, 33)]
+    )
+
+
+def test_modular_screen_agrees_with_bareiss_on_zero_versus_non_zero():
+    rings = _screen_cases()
+    assert len(rings) == 39 + 96 + 32
+    verdicts = set()
+    for ring in rings:
+        screen = det_nonzero_mod_p(ring.integer_tensor()[1])
+        dets = [exact_det(ring.left_matrix(i)) for i in range(ring.rank)]
+        assert screen.tolist() == [d != 0 for d in dets], ring.name
+        verdicts.update(screen.tolist())
+    assert verdicts == {True, False}
+
+
+def test_zero_residue_with_a_non_zero_determinant_falls_back_to_bareiss(s3_rep):
+    p = 2**31 - 1
+    matrix = np.array([[2, 1], [1, 2**30]])  # det = 2^31 - 1
+    assert exact_det(matrix) == p
+    assert det_nonzero_mod_p(matrix[None]).tolist() == [False]
+    assert det_nonzero_mod_p(np.array([[[p, 0], [0, 1]]], dtype=object)).tolist() == [False]
+
+    # every residue zero, as when P divides every determinant: Bareiss decides
+    a = hg.RingAnalysis(s3_rep)
+    expected = bn.vanishing_elements(a)
+    with patch.object(bn, "det_nonzero_mod_p", lambda c: np.zeros(len(c), dtype=bool)), patch.object(
+        bn, "exact_det", wraps=exact_det
+    ) as spy:
+        assert bn.vanishing_elements(a) == expected
+    assert spy.call_count == s3_rep.rank
+    assert len(expected) < s3_rep.rank  # some element is reported as non-zero

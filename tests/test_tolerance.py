@@ -4,13 +4,16 @@ One boundary test per slack level drives one check to half its threshold
 (it passes) and to twice its threshold (it raises), so a changed slack value
 fails here.  The thresholds below are written as literal multiples of
 tol.zero on purpose: they pin the values that tolerance.py names.  A scan of
-src/ keeps every other module from multiplying tol.zero by a literal, and
-every named threshold in use.
+src/ keeps every other module from multiplying tol.zero by a literal, every
+named threshold in use, one rational reconstruction and one determinant
+route.  Snapping is checked against the `limit_denominator` rule it replaced.
 """
 
 import ast
 import pathlib
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from hypergroups import tolerance
 from hypergroups.errors import (
     CrossCheckFailed,
     IdempotentResidual,
+    InvalidTolerance,
     OrthogonalityResidualExceeded,
 )
 
@@ -167,3 +171,102 @@ def test_every_named_threshold_is_used():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert not named - used, f"unused thresholds: {sorted(named - used)}"
+
+
+def second_routes(source: str) -> list:
+    """(name, line) of each `limit_denominator` call and `_bareiss_int` reference."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("limit_denominator", "_bareiss_int"):
+            found.append((name, node.lineno))
+    return found
+
+
+def test_guard_sees_second_routes():
+    assert second_routes("q = Fraction(x).limit_denominator(10)") == [("limit_denominator", 1)]
+    assert second_routes("from ._exact import _bareiss_int") == [("_bareiss_int", 1)]
+    assert second_routes("d = _exact._bareiss_int(rows)") == [("_bareiss_int", 1)]
+    assert second_routes("d = exact_det(m)\nq = snap_value(x)") == []
+
+
+def test_one_rational_reconstruction_and_one_determinant_route():
+    """No `limit_denominator` outside tolerance.py, and Bareiss only through
+    _exact.exact_det."""
+    found = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in second_routes(path.read_text())
+        if path.name != {"limit_denominator": "tolerance.py", "_bareiss_int": "_exact.py"}[name]
+    ]
+    assert not found, f"second routes: {found}"
+
+
+# ---------------------------------------------------------------- snapping
+
+
+@pytest.mark.parametrize("bound", [0, -5, 2.5, True, "10", None])
+def test_snap_denominator_bound_must_be_a_positive_int(bound):
+    with pytest.raises(InvalidTolerance, match="snap denominator bound"):
+        hg.Tolerance(1e-9, 1e-9, bound)
+
+
+def test_a_bound_of_one_snaps_integers_only():
+    tol = hg.Tolerance(1e-9, 1e-9, 1)
+    assert tolerance.snap_value(2.0000000001, tol) == 2
+    assert isinstance(tolerance.snap_value(0.5, tol), float)
+
+
+def _old_snap(x, tol):
+    """The rule snap_value replaced: round, then Fraction.limit_denominator."""
+    n = round(x)
+    if abs(x - n) <= tol.zero(x):
+        return int(n)
+    q = Fraction(x).limit_denominator(tol.snap_denominator_bound)
+    if abs(x - float(q)) <= tol.zero(x):
+        return q
+    return x
+
+
+def _snap_inputs(tol, count):
+    """Rationals p/q (q <= 3e4), the same rationals moved by 0.1, 1, 3 and 100
+    times tol.zero(x), and irrationals of magnitude 1e-6 to 1e4, in equal parts."""
+    rng = np.random.default_rng(2024)
+    part = count // 6
+    q = rng.integers(1, 30_000, size=part, endpoint=True)
+    rationals = rng.integers(-50 * q, 50 * q, endpoint=True) / q
+    signs = rng.choice([-1.0, 1.0], size=part)
+    noisy = [rationals + c * signs * tol.zero(rationals) for c in (0.1, 1.0, 3.0, 100.0)]
+    rest = count - 5 * part
+    irrationals = rng.choice([-1.0, 1.0], size=rest) * 10.0 ** rng.uniform(-6, 4, size=rest)
+    return np.concatenate([rationals, *noisy, irrationals]).tolist()
+
+
+def test_snap_value_matches_limit_denominator_on_seeded_values():
+    """5 * 10^4 values at each of two tolerances; value v is checked at bound
+    v mod 4 of (1, 10, 10^4, 10^6), so each bound sees 12,500 values per
+    tolerance, spread over every kind."""
+    bounds = (1, 10, 10**4, 10**6)
+    kinds = set()
+    for a in (1e-9, 1e-6):
+        settings = [hg.Tolerance(a, a, b) for b in bounds]
+        for v, x in enumerate(_snap_inputs(settings[0], 50_000)):
+            tol = settings[v % len(bounds)]
+            got, want = tolerance.snap_value(x, tol), _old_snap(x, tol)
+            assert type(got) is type(want) and got == want, (x, tol)
+            kinds.add(type(got))
+    assert kinds == {int, Fraction, float}
+
+
+def test_snap_array_stops_at_its_first_non_rational_entry():
+    values = np.array([[0.5, 3.0, 1 / 3], [2**0.5, 0.25, 7.0]])
+    with mock.patch.object(tolerance, "snap_value", wraps=tolerance.snap_value) as spy:
+        assert tolerance.snap_array(values) is None
+    assert [c.args[0] for c in spy.call_args_list] == [0.5, 1 / 3, 2**0.5]
+    values[1, 0] = 0.75
+    assert tolerance.snap_array(values).tolist() == [
+        [Fraction(1, 2), 3, Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 4), 7]
+    ]
