@@ -164,15 +164,10 @@ class FusionData:
 
     def integer_tensor(self) -> tuple[int, np.ndarray]:
         """(L, L * N), the integer form `integer_form(tensor, terms=rank)` of
-        an exact tensor (cached); an all-int tensor that fits int64 takes one
-        cast."""
+        an exact tensor (cached)."""
         if self._integer_tensor is None:
-            m, N = self.rank, self.tensor
-            if self._kind == "integer" and m * int(np.abs(N).max()) ** 2 < 2**62:
-                self._integer_tensor = 1, _freeze(N.astype(np.int64))
-            else:
-                scale, (cleared,) = integer_form(N, terms=m)
-                self._integer_tensor = scale, _freeze(cleared)
+            scale, (cleared,) = integer_form(self.tensor, terms=self.rank)
+            self._integer_tensor = scale, _freeze(cleared)
         return self._integer_tensor
 
     @property

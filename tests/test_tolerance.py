@@ -231,10 +231,10 @@ def _old_snap(x, tol):
     return x
 
 
-def _snap_inputs(tol, count):
+def _snap_inputs(tol, count, seed):
     """Rationals p/q (q <= 3e4), the same rationals moved by 0.1, 1, 3 and 100
     times tol.zero(x), and irrationals of magnitude 1e-6 to 1e4, in equal parts."""
-    rng = np.random.default_rng(2024)
+    rng = np.random.default_rng((2024, seed))
     part = count // 6
     q = rng.integers(1, 30_000, size=part, endpoint=True)
     rationals = rng.integers(-50 * q, 50 * q, endpoint=True) / q
@@ -248,17 +248,21 @@ def _snap_inputs(tol, count):
 def test_snap_value_matches_limit_denominator_on_seeded_values():
     """5 * 10^4 values at each of two tolerances; value v is checked at bound
     v mod 4 of (1, 10, 10^4, 10^6), so each bound sees 12,500 values per
-    tolerance, spread over every kind."""
+    tolerance, spread over every kind.  Each tolerance draws its own values,
+    so the 10^5 checks are on distinct inputs."""
     bounds = (1, 10, 10**4, 10**6)
-    kinds = set()
-    for a in (1e-9, 1e-6):
+    kinds, seen = set(), set()
+    for seed, a in enumerate((1e-9, 1e-6)):
         settings = [hg.Tolerance(a, a, b) for b in bounds]
-        for v, x in enumerate(_snap_inputs(settings[0], 50_000)):
+        inputs = _snap_inputs(settings[0], 50_000, seed)
+        seen.update(inputs)
+        for v, x in enumerate(inputs):
             tol = settings[v % len(bounds)]
             got, want = tolerance.snap_value(x, tol), _old_snap(x, tol)
             assert type(got) is type(want) and got == want, (x, tol)
             kinds.add(type(got))
     assert kinds == {int, Fraction, float}
+    assert len(seen) > 99_000
 
 
 def test_snap_array_stops_at_its_first_non_rational_entry():
