@@ -9,7 +9,7 @@ import numpy as np
 
 from ..core import FusionData, rescale
 from ..dual import dual_hypergroup
-from ..errors import InvalidOrders, SnapFailure
+from ..errors import InvalidOrders, NumericFailure
 from ..spectra import character_table
 from ..tolerance import DEFAULT_TOL, Tolerance, snap_array, snap_value
 from .groups import FiniteGroup, abelian_group, catalog, catalog_names
@@ -70,7 +70,7 @@ def rep_ring(g: FiniteGroup, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Fus
     """K(Rep(G)): dual of the class hypergroup, rescaled to integer fusion rules.
 
     The irreducible degrees are recovered as sqrt of the dual orders and every
-    structure constant must snap to a non-negative integer, else SnapFailure.
+    structure constant must snap to a non-negative integer, else NumericFailure.
     """
     cl = class_hypergroup(g)
     table = character_table(cl, tol=tol, seed=seed)
@@ -79,15 +79,15 @@ def rep_ring(g: FiniteGroup, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Fus
     for h in dd.orders_hat:
         d = snap_value(float(np.sqrt(h)), tol)
         if not isinstance(d, int) or d <= 0:
-            raise SnapFailure(f"irreducible degree sqrt({h}) does not snap to int")
+            raise NumericFailure(f"rep ring: irreducible degree sqrt({h}) does not snap to int")
         dims.append(d)
     ring = rescale(dd.base, [Fraction(1, d) for d in dims])
     tensor = ring.tensor if ring.is_exact else snap_array(ring.tensor, tol)
     if tensor is None or any(not isinstance(x, int) or x < 0 for x in tensor.ravel()):
-        raise SnapFailure("rescaled dual is not a non-negative integer tensor")
+        raise NumericFailure("rep ring: rescaled dual is not a non-negative integer tensor")
     out = FusionData(f"K(Rep({g.name}))", ring.involution, tensor)
     if not out.flags.fusion_ring:
-        raise SnapFailure(f"K(Rep({g.name})) does not validate as a fusion ring")
+        raise NumericFailure(f"K(Rep({g.name})) does not validate as a fusion ring")
     return out
 
 

@@ -18,12 +18,7 @@ import numpy as np
 
 from ._exact import det_nonzero_mod_p, exact_det
 from .core import Element, FusionData, basis_element, multiply
-from .errors import (
-    CrossCheckFailed,
-    ExactNumericDisagreement,
-    SignMismatch,
-    VerdictResidualMismatch,
-)
+from .errors import CrossCheckFailed, ExactNumericDisagreement, SignMismatch
 from .spectra import _match_columns, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
@@ -125,8 +120,8 @@ def product_P(a: RingAnalysis) -> Element:
             v = np.einsum("a,ak->k", v * float(1 / Fraction(d[i])), N[:, i, :])
     out = Element(tuple(v.tolist()))
     expansion = (p_values(a)[None, :] * table.idempotents.T).sum(axis=1)
-    if np.abs(out.float_coords() - expansion).max() > ROUTE_SLACK * a.tol.zero(1.0):
-        raise CrossCheckFailed("P product disagrees with its idempotent expansion")
+    a.tol.check(np.abs(out.float_coords() - expansion).max(), ROUTE_SLACK, 1.0,
+                CrossCheckFailed, "P product disagrees with its idempotent expansion")
     return out
 
 
@@ -144,8 +139,8 @@ def product_Phat(a: RingAnalysis) -> Element:
     cols = list(dual.char_order)
     evals = np.einsum("p,ip->i", coords, a.normalized[:, cols].astype(complex))
     expect = phat_values(a)
-    if np.abs(evals - expect).max() > ROUTE_SLACK * a.tol.zero(1.0):
-        raise CrossCheckFailed("P-hat product disagrees with pointwise evaluations")
+    a.tol.check(np.abs(evals - expect).max(), ROUTE_SLACK, 1.0,
+                CrossCheckFailed, "P-hat product disagrees with pointwise evaluations")
     return out
 
 
@@ -159,10 +154,8 @@ def product_Phat_values(a: RingAnalysis) -> np.ndarray:
     L = a.data.left_matrices_float()
     for i in range(a.data.rank):
         det = np.linalg.det(L[i] / a.d[i])
-        if abs(det - vals[i]) > ROUTE_SLACK * a.tol.zero(1.0 + abs(det)):
-            raise CrossCheckFailed(
-                f"P-hat({i}) = {vals[i]} != det L_(x_i/d_i) = {det}"
-            )
+        a.tol.check(abs(det - vals[i]), ROUTE_SLACK, 1.0 + abs(det),
+                    CrossCheckFailed, "P-hat({}) = {} != det L_(x_i/d_i) = {}", i, vals[i], det)
     return vals
 
 
@@ -183,12 +176,14 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def _checked_sign(numeric: complex, not_unit: str, name: str, permutation, tol: Tolerance) -> int:
+def _checked_sign(
+    numeric: complex, name: str, permutation, tol: Tolerance, not_unit: str, *args
+) -> int:
     """The sign of the permutation `permutation()`, which must equal
-    `numeric`, a product of normalized values that must be +-1."""
-    cut = VALUE_SLACK * tol.zero(1.0)
-    if abs(numeric.imag) > cut or abs(abs(numeric.real) - 1.0) > cut:
-        raise SignMismatch(not_unit)
+    `numeric`, a product of normalized values that must be +-1 (else
+    SignMismatch(not_unit.format(*args)))."""
+    for resid in (abs(numeric.imag), abs(abs(numeric.real) - 1.0)):
+        tol.check(resid, VALUE_SLACK, 1.0, SignMismatch, not_unit, *args)
     exact = _permutation_sign(permutation())
     if exact != int(np.sign(numeric.real)):
         raise SignMismatch(f"sgn({name}): permutation {exact} vs product {numeric.real:+.3f}")
@@ -227,11 +222,11 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     pv, qv = phat_values(a), p_values(a)
     sgn_el, sgn_ch = {}, {}
     for i in a.grouplikes:
-        not_unit = f"P-hat value at grouplike {i} is {pv[i]}, not +-1"
-        sgn_el[i] = _checked_sign(pv[i], not_unit, f"x_{i}", lambda: basis_permutation(i), tol)
+        sgn_el[i] = _checked_sign(pv[i], f"x_{i}", lambda: basis_permutation(i), tol,
+                                  "P-hat value at grouplike {} is {}, not +-1", i, pv[i])
     for j in a.grouplike_chars:
-        not_unit = f"mu_{j}(P) = {qv[j]}, not +-1"
-        sgn_ch[j] = _checked_sign(qv[j], not_unit, f"mu_{j}", lambda: character_permutation(j), tol)
+        sgn_ch[j] = _checked_sign(qv[j], f"mu_{j}", lambda: character_permutation(j), tol,
+                                  "mu_{}(P) = {}, not +-1", j, qv[j])
     return sgn_el, sgn_ch
 
 
@@ -239,7 +234,7 @@ def identity_checks(a: RingAnalysis) -> dict:
     """Residuals of the verdict-certifying identities.
 
     Each residual must sit on the same side of the tolerance as its verdict:
-    small iff the verdict is true, else VerdictResidualMismatch.
+    small iff the verdict is true, else CrossCheckFailed.
     """
     data, table, tol = a.data, a.table, a.tol
     m = data.rank
@@ -272,7 +267,6 @@ def identity_checks(a: RingAnalysis) -> dict:
         "p4_minus_p2": gap_p,
         "phat4_minus_phat2": gap_phat,
     }
-    cut = IDENTITY_SLACK * tol.zero(1.0)
     expectations = {
         "phat_sq_vs_grouplikes": burn,
         "phat4_minus_phat2": burn,
@@ -280,14 +274,11 @@ def identity_checks(a: RingAnalysis) -> dict:
         "p4_minus_p2": dual_burn,
     }
     for name, verdict in expectations.items():
-        if verdict and out[name] > cut:
-            raise VerdictResidualMismatch(
-                f"{name} = {out[name]:.3e} though verdict is true"
-            )
-        if not verdict and out[name] <= cut:
-            raise VerdictResidualMismatch(
-                f"{name} = {out[name]:.3e} though verdict is false"
-            )
+        if verdict:
+            tol.check(out[name], IDENTITY_SLACK, 1.0,
+                      CrossCheckFailed, "{} = {:.3e} though verdict is true", name, out[name])
+        elif out[name] <= IDENTITY_SLACK * tol.zero(1.0):
+            raise CrossCheckFailed(f"{name} = {out[name]:.3e} though verdict is false")
     return out
 
 

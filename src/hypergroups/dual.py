@@ -18,13 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import FusionData, normalize
-from .errors import (
-    CrossCheckFailed,
-    DualAxiomViolation,
-    HypergroupError,
-    NoIsomorphismFound,
-    NotNormalizable,
-)
+from .errors import CrossCheckFailed, DualAxiomViolation, HypergroupError, NotNormalizable
 from .spectra import CharacterTable, _match_columns, character_table, fp_character, order
 from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
 
@@ -107,8 +101,8 @@ def dual_hypergroup(
     phat = phat / n[None, None, :]
 
     imax = np.abs(phat.imag).max()
-    if imax > VALUE_SLACK * tol.zero(1.0):
-        raise DualAxiomViolation(f"dual tensor has imaginary part {imax:.3e}")
+    tol.check(imax, VALUE_SLACK, 1.0,
+              DualAxiomViolation, "dual tensor has imaginary part {:.3e}", imax)
     real = phat.real
 
     snapped = snap_array(real, tol)
@@ -127,10 +121,10 @@ def dual_hypergroup(
         [1.0 / float(real[j, involution_hat[j], 0]) for j in range(m)]
     )
     # Lemma 2.6 / Eq (2.11): h-hat_j = n(H)/n_j and sum h-hat_j = n(H)
-    if np.abs(hhat - n_primal / n).max() > IDENTITY_SLACK * tol.zero(1.0 + n_primal):
-        raise DualAxiomViolation("h-hat_j != n(H)/n_j")
-    if abs(hhat.sum() - n_primal) > IDENTITY_SLACK * tol.zero(1.0 + n_primal):
-        raise DualAxiomViolation("sum of dual orders != n(H)")
+    tol.check(np.abs(hhat - n_primal / n).max(), IDENTITY_SLACK, 1.0 + n_primal,
+              DualAxiomViolation, "h-hat_j != n(H)/n_j")
+    tol.check(abs(hhat.sum() - n_primal), IDENTITY_SLACK, 1.0 + n_primal,
+              DualAxiomViolation, "sum of dual orders != n(H)")
     _check_involution_conjugation(Ap, d, involution_hat, tol)
     return DualData(
         base=base,
@@ -161,12 +155,11 @@ def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
 def _check_involution_conjugation(Ap, d, involution_hat, tol: Tolerance):
     """mu_{j#} of the normalized basis is the complex conjugate of mu_j."""
     norm = Ap / d[:, None]
+    scale = 1.0 + np.abs(norm).max()
     for j, js in enumerate(involution_hat):
-        resid = np.abs(norm[:, js] - norm[:, j].conj()).max()
-        if resid > IDENTITY_SLACK * tol.zero(1.0 + np.abs(norm).max()):
-            raise DualAxiomViolation(
-                f"dual involution {j} -> {js} does not match value conjugation"
-            )
+        tol.check(np.abs(norm[:, js] - norm[:, j].conj()).max(), IDENTITY_SLACK, scale,
+                  DualAxiomViolation, "dual involution {} -> {} does not match value conjugation",
+                  j, js)
 
 
 def dual_codegrees(a: RingAnalysis) -> np.ndarray:
@@ -179,10 +172,9 @@ def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     nhat = a.n_h / (a.table.h * d * d[list(a.data.involution)])
     # direct computation on the dual tensor
     direct = a.dual.table.codegrees[a.dual_match]
-    if np.abs(direct - nhat).max() > IDENTITY_SLACK * a.tol.zero(1.0 + np.abs(nhat).max()):
-        raise CrossCheckFailed(
-            f"dual codegrees: formula vs direct mismatch {np.abs(direct - nhat).max():.3e}"
-        )
+    resid = np.abs(direct - nhat).max()
+    a.tol.check(resid, IDENTITY_SLACK, 1.0 + np.abs(nhat).max(),
+                CrossCheckFailed, "dual codegrees: formula vs direct mismatch {:.3e}", resid)
     return nhat
 
 
@@ -224,6 +216,6 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     T1 = normalized.float_tensor()
     T2 = dd2.base.float_tensor()
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
-    if resid > ROUTE_SLACK * tol.zero(1.0 + np.abs(T1).max()):
-        raise NoIsomorphismFound(f"double dual mismatch, residual {resid:.3e}")
+    tol.check(resid, ROUTE_SLACK, 1.0 + np.abs(T1).max(),
+              CrossCheckFailed, "double dual mismatch, residual {:.3e}", resid)
     return tuple(int(x) for x in pi)

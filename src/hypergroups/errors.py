@@ -1,9 +1,12 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this library derives from HypergroupError.
-Numeric-failure errors (cross-checks between exact and floating paths that must
-agree) derive from NumericFailure so callers can map them to a distinct exit
-code.
+A domain error (invalid input, or a ring outside a method's scope) is a plain
+HypergroupError subclass, and the CLI exits 2 on it.  A numeric failure (a
+floating computation that fails its own checks on valid input) derives from
+NumericFailure, and the CLI exits 3 on it.  Every cross-check between two
+computations of one quantity raises CrossCheckFailed, whose message begins
+with the check's name where the text does not already say it.
 """
 
 from __future__ import annotations
@@ -16,35 +19,24 @@ __all__ = [
     "NotNormalizable",
     "NotAbelian",
     "NumericFailure",
-    "DegenerateSpectrum",
-    "HomomorphismCheckFailed",
     "NoPositiveColumn",
     "MultiplePositiveColumns",
     "OrthogonalityResidualExceeded",
     "InexactTensor",
     "DualAxiomViolation",
     "CrossCheckFailed",
-    "NoIsomorphismFound",
     "ClosureViolation",
     "ExactNumericDisagreement",
     "SignMismatch",
-    "VerdictResidualMismatch",
     "NotPositive",
-    "SupportMismatch",
     "IdempotentResidual",
-    "GradingCrossCheckFailed",
-    "BiperpMismatch",
     "ClassInconsistency",
-    "SandwichViolation",
-    "SeriesDisagreement",
     "NoValidPartition",
-    "ConjugationViolation",
     "TheoremViolation",
     "NotWeaklyIntegral",
     "NotNearGroup",
     "NotApplicable",
     "OrderBoundExceeded",
-    "SnapFailure",
     "ParseError",
     "BudgetExceeded",
     "InvalidOrders",
@@ -89,12 +81,6 @@ class NumericFailure(HypergroupError):
     """A floating computation failed its own consistency requirements."""
 
 
-class DegenerateSpectrum(NumericFailure):
-    pass
-
-
-class HomomorphismCheckFailed(NumericFailure):
-    pass
 
 
 class NoPositiveColumn(NumericFailure):
@@ -113,16 +99,13 @@ class InexactTensor(HypergroupError):
     pass
 
 
-class DualAxiomViolation(HypergroupError):
-    pass
+class DualAxiomViolation(NumericFailure):
+    """The dual at a character of a valid hypergroup fails the axioms."""
 
 
 class CrossCheckFailed(NumericFailure):
-    pass
+    """Two computations of one quantity disagree; the message names the check."""
 
-
-class NoIsomorphismFound(NumericFailure):
-    pass
 
 
 class ClosureViolation(HypergroupError):
@@ -137,48 +120,27 @@ class SignMismatch(NumericFailure):
     pass
 
 
-class VerdictResidualMismatch(NumericFailure):
-    pass
-
 
 class NotPositive(HypergroupError):
     pass
 
-
-class SupportMismatch(NumericFailure):
-    pass
 
 
 class IdempotentResidual(NumericFailure):
     pass
 
 
-class GradingCrossCheckFailed(NumericFailure):
-    pass
-
-
-class BiperpMismatch(NumericFailure):
-    pass
 
 
 class ClassInconsistency(NumericFailure):
     pass
 
 
-class SandwichViolation(NumericFailure):
-    pass
-
-
-class SeriesDisagreement(NumericFailure):
-    pass
 
 
 class NoValidPartition(NumericFailure):
     pass
 
-
-class ConjugationViolation(NumericFailure):
-    pass
 
 
 class TheoremViolation(NumericFailure):
@@ -200,9 +162,6 @@ class NotApplicable(HypergroupError):
 class OrderBoundExceeded(HypergroupError):
     pass
 
-
-class SnapFailure(NumericFailure):
-    pass
 
 
 class ParseError(HypergroupError):

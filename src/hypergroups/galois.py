@@ -18,12 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import integer_form
-from .errors import (
-    ConjugationViolation,
-    HypergroupError,
-    NoValidPartition,
-    TheoremViolation,
-)
+from .errors import CrossCheckFailed, HypergroupError, NoValidPartition, TheoremViolation
 from .tolerance import VALUE_SLACK, snap_array, snap_value
 
 if TYPE_CHECKING:
@@ -127,18 +122,16 @@ def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> di
         for c in coeffs:
             s = snap_value(float(c), tol)
             if isinstance(s, float):
-                raise ConjugationViolation(
-                    f"symmetric function of codegrees on orbit {orb} is not rational: {c}"
+                raise CrossCheckFailed(
+                    f"conjugation: codegree symmetric function on orbit {orb} is not rational: {c}"
                 )
             worst = max(worst, abs(float(c) - float(s)))
         report[orb] = {"codegree_residual": worst}
         if a.dual_flags.h_integral:
             hs = a.dual.orders_hat[list(orb)]
             spread = float(np.abs(hs - hs[0]).max())
-            if spread > VALUE_SLACK * tol.zero(1.0 + float(np.abs(hs).max())):
-                raise ConjugationViolation(
-                    f"dual orders not constant on orbit {orb}: {hs}"
-                )
+            tol.check(spread, VALUE_SLACK, 1.0 + float(np.abs(hs).max()), CrossCheckFailed,
+                      "conjugation: dual orders not constant on orbit {}: {}", orb, hs)
             report[orb]["dual_order_spread"] = spread
     return report
 

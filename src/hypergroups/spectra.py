@@ -16,14 +16,14 @@ import numpy as np
 from ._exact import exact_det
 from .core import Element, FusionData, basis_element, integer_form, multiply, orders
 from .errors import (
-    DegenerateSpectrum,
-    HomomorphismCheckFailed,
+    CrossCheckFailed,
     IdempotentResidual,
     InexactTensor,
     MultiplePositiveColumns,
     NoPositiveColumn,
     NotAbelian,
     NotNormalizable,
+    NumericFailure,
     OrthogonalityResidualExceeded,
 )
 from .tolerance import (
@@ -94,8 +94,8 @@ def _simultaneous_diagonalization(L: np.ndarray, seed: int):
         last_sep = min(last_sep, sep)
         if sep > EIGEN_GAP * (1.0 + np.abs(w).max()) and np.linalg.cond(V) < EIGEN_CONDITION:
             return V
-    raise DegenerateSpectrum(
-        f"no separating combination in {RETRY_BUDGET} attempts (min gap {last_sep:.3e})"
+    raise NumericFailure(
+        f"solver: no separating combination in {RETRY_BUDGET} attempts (min gap {last_sep:.3e})"
     )
 
 
@@ -120,13 +120,12 @@ def character_table(
     off = np.abs(D)
     off[:, diag, diag] = 0.0
     off = off.max(axis=(1, 2))
-    hit = np.flatnonzero(off > IDENTITY_SLACK * tol.zero(scale))
-    if len(hit):
-        i = hit[0]
-        raise DegenerateSpectrum(f"L_{i} not diagonalized (off-diagonal {off[i]:.3e})")
+    i = off.argmax()
+    tol.check(off[i], IDENTITY_SLACK, scale,
+              NumericFailure, "solver: L_{} not diagonalized (off-diagonal {:.3e})", i, off[i])
     # row of the unit is identically 1
-    if np.abs(values[0] - 1.0).max() > ENTRY_SLACK * tol.zero(1.0):
-        raise HomomorphismCheckFailed("unit row deviates from 1")
+    tol.check(np.abs(values[0] - 1.0).max(), ENTRY_SLACK, 1.0,
+              CrossCheckFailed, "homomorphism: unit row deviates from 1")
 
     # multiplicative check on all basis pairs, all characters
     N = data.float_tensor()
@@ -134,8 +133,8 @@ def character_table(
     rhs = values[:, None, :] * values[None, :, :]
     resid = np.abs(lhs - rhs).max()
     vmax = 1.0 + np.abs(values).max()
-    if resid > VALUE_SLACK * tol.zero(scale * vmax * vmax):
-        raise HomomorphismCheckFailed(f"residual {resid:.3e}")
+    tol.check(resid, VALUE_SLACK, scale * vmax * vmax,
+              CrossCheckFailed, "homomorphism: residual {:.3e}", resid)
 
     positive = _positive_columns(values, tol)
     fp = positive[0] if len(positive) == 1 else None
@@ -147,10 +146,9 @@ def character_table(
     # n_j from the pairing theorem, cross-checked against the |.|^2 form
     n_pairing = np.einsum("i,ij,ij->j", h, values, values[inv, :])
     codegrees = np.einsum("i,ij->j", h, np.abs(values) ** 2).real
-    if np.abs(n_pairing - codegrees).max() > VALUE_SLACK * tol.zero(1.0 + codegrees.max()):
-        raise OrthogonalityResidualExceeded(
-            "codegree pairing disagrees with |mu|^2 form (non-normalizable data?)"
-        )
+    tol.check(np.abs(n_pairing - codegrees).max(), VALUE_SLACK, 1.0 + codegrees.max(),
+              OrthogonalityResidualExceeded,
+              "codegree pairing disagrees with |mu|^2 form (non-normalizable data?)")
     idempotents = (h[None, :] * values[inv, :].T) / codegrees[:, None]
 
     table = CharacterTable(
@@ -202,30 +200,29 @@ def _verify_table(data: FusionData, table: CharacterTable):
     m = table.rank
     values, h, n = table.values, table.h, table.codegrees
     # sum_j 1/n_j = tau(1) = 1
-    if abs((1.0 / n).sum() - 1.0) > ENTRY_SLACK * tol.zero(1.0):
-        raise OrthogonalityResidualExceeded("sum 1/n_j != 1")
+    tol.check(abs((1.0 / n).sum() - 1.0), ENTRY_SLACK, 1.0,
+              OrthogonalityResidualExceeded, "sum 1/n_j != 1")
     # first orthogonality
     gram = np.einsum("i,ij,ik->jk", h, values, values.conj())
     resid = np.abs(gram - np.diag(n)).max()
-    if resid > VALUE_SLACK * tol.zero(1.0 + np.abs(n).max()):
-        raise OrthogonalityResidualExceeded(f"first orthogonality residual {resid:.3e}")
+    tol.check(resid, VALUE_SLACK, 1.0 + np.abs(n).max(),
+              OrthogonalityResidualExceeded, "first orthogonality residual {:.3e}", resid)
     # F_j F_k = delta_jk F_j and sum_j F_j = 1
     F = table.idempotents
     # mu_l(F_j) must be delta_{jl}
-    ev = np.einsum("il,ji->jl", values, F)
-    hit = np.flatnonzero(np.abs(ev - np.eye(m)).max(axis=1) > VALUE_SLACK * tol.zero(1.0))
-    if len(hit):
-        j = hit[0]
-        raise IdempotentResidual(f"F_{j} is not the {j}-th primitive idempotent")
+    ev = np.abs(np.einsum("il,ji->jl", values, F) - np.eye(m)).max(axis=1)
+    j = ev.argmax()
+    tol.check(ev[j], VALUE_SLACK, 1.0,
+              IdempotentResidual, "F_{0} is not the {0}-th primitive idempotent", j)
     N = data.float_tensor()
     prods = np.einsum("ja,kb,abc->jkc", F, F, N, optimize=True)
     diag = np.arange(m)
     delta = np.zeros((m, m, m), dtype=complex)
     delta[diag, diag] = F
-    if np.abs(prods - delta).max() > VALUE_SLACK * tol.zero(1.0):
-        raise IdempotentResidual("F_j F_k != delta_jk F_j")
-    if np.abs(F.sum(axis=0) - np.eye(m)[0]).max() > VALUE_SLACK * tol.zero(1.0):
-        raise IdempotentResidual("sum of idempotents != 1")
+    tol.check(np.abs(prods - delta).max(), VALUE_SLACK, 1.0,
+              IdempotentResidual, "F_j F_k != delta_jk F_j")
+    tol.check(np.abs(F.sum(axis=0) - np.eye(m)[0]).max(), VALUE_SLACK, 1.0,
+              IdempotentResidual, "sum of idempotents != 1")
 
 
 def fp_character(table: CharacterTable) -> int:
@@ -260,14 +257,14 @@ def integral_element(data: FusionData, table: CharacterTable) -> Element:
     tol = table.tol
     lam = integral_element_of_subset(data, table, range(data.rank))
     sq = multiply(data, lam, lam)
-    if np.abs(sq.float_coords() - lam.float_coords()).max() > VALUE_SLACK * tol.zero(1.0):
-        raise IdempotentResidual("lambda^2 != lambda")
+    tol.check(np.abs(sq.float_coords() - lam.float_coords()).max(), VALUE_SLACK, 1.0,
+              IdempotentResidual, "lambda^2 != lambda")
     d = table.fp_dims()
     for i in range(data.rank):
         prod = multiply(data, basis_element(data, i), lam)
         resid = np.abs(prod.float_coords() - d[i] * lam.float_coords()).max()
-        if resid > VALUE_SLACK * tol.zero(1.0 + d[i]):
-            raise IdempotentResidual(f"x_{i} lambda != d_i lambda (residual {resid:.3e})")
+        tol.check(resid, VALUE_SLACK, 1.0 + d[i],
+                  IdempotentResidual, "x_{} lambda != d_i lambda (residual {:.3e})", i, resid)
     return lam
 
 

@@ -23,17 +23,13 @@ import numpy as np
 
 from .core import Element, FusionData, components, normalize
 from .errors import (
-    BiperpMismatch,
     ClassInconsistency,
     ClosureViolation,
-    GradingCrossCheckFailed,
+    CrossCheckFailed,
     HypergroupError,
     IdempotentResidual,
     NotAbelian,
     NotPositive,
-    SandwichViolation,
-    SeriesDisagreement,
-    SupportMismatch,
 )
 from .spectra import _match_columns, character_table, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
@@ -188,8 +184,8 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     supp = sorted(element_support(x, a.tol))
     inter = frozenset(np.flatnonzero(a.fp_agreement[supp].all(axis=0)).tolist())
     if supp and inter != ker:
-        raise ClosureViolation(
-            f"kernel of sum {sorted(ker)} != intersection {sorted(inter)}"
+        raise CrossCheckFailed(
+            f"kernel: kernel of sum {sorted(ker)} != intersection {sorted(inter)}"
         )
     return ker
 
@@ -219,7 +215,7 @@ def adjoint(a: RingAnalysis) -> SubHypergroup:
     by_codegree = frozenset(a.grouplike_chars)
     js = support(a, ad)
     if js != by_codegree:
-        raise SupportMismatch(f"J_ad {sorted(js)} != codegree test {sorted(by_codegree)}")
+        raise CrossCheckFailed(f"adjoint: J_ad {sorted(js)} != codegree test {sorted(by_codegree)}")
     return ad
 
 
@@ -230,10 +226,8 @@ def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     vals = lam.float_coords() @ table.values
     js = frozenset(np.flatnonzero(np.abs(vals - 1.0) <= VALUE_SLACK * tol.zero(1.0)).tolist())
     rebuilt = table.idempotents[sorted(js)].sum(axis=0)
-    if np.abs(rebuilt - lam.float_coords()).max() > IDENTITY_SLACK * tol.zero(1.0):
-        raise IdempotentResidual(
-            f"lambda_S != sum of F_j over its support for S = {sub.indices}"
-        )
+    tol.check(np.abs(rebuilt - lam.float_coords()).max(), IDENTITY_SLACK, 1.0,
+              IdempotentResidual, "lambda_S != sum of F_j over its support for S = {}", sub.indices)
     return js
 
 
@@ -285,17 +279,15 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
     label = components(m, *np.nonzero(linked))
     comps = [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
     if tuple(comps[0]) != ad:
-        raise GradingCrossCheckFailed(
-            f"identity component {comps[0]} != adjoint {ad}"
-        )
+        raise CrossCheckFailed(f"grading: identity component {comps[0]} != adjoint {ad}")
     g = len(comps)
     gtable = np.full((g, g), -1, dtype=int)
     for la, comp_a in enumerate(comps):
         for lb, comp_b in enumerate(comps):
             targets = set(label[S[np.ix_(comp_a, comp_b)].any(axis=(0, 1))].tolist())
             if len(targets) != 1:
-                raise GradingCrossCheckFailed(
-                    f"component product {la} * {lb} spreads over {sorted(targets)}"
+                raise CrossCheckFailed(
+                    f"grading: component product {la} * {lb} spreads over {sorted(targets)}"
                 )
             gtable[la, lb] = targets.pop()
     _check_group_table(gtable)
@@ -315,19 +307,19 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
 def _check_group_table(t: np.ndarray):
     g = t.shape[0]
     if any(t[0, a] != a or t[a, 0] != a for a in range(g)):
-        raise GradingCrossCheckFailed("grading table has no unit")
+        raise CrossCheckFailed("grading: table has no unit")
     for a in range(g):
         if 0 not in t[a, :]:
-            raise GradingCrossCheckFailed(f"component {a} has no inverse")
+            raise CrossCheckFailed(f"grading: component {a} has no inverse")
     if (t[t] != t[:, t]).any():
-        raise GradingCrossCheckFailed("grading table not associative")
+        raise CrossCheckFailed("grading: table not associative")
 
 
 def _grading_spectral_checks(a: RingAnalysis, components):
     n_h, d, gl_chars = a.n_h, a.d, a.grouplike_chars
     if len(gl_chars) != len(components):
-        raise GradingCrossCheckFailed(
-            f"|components| = {len(components)} != |G(H-hat)| = {len(gl_chars)}"
+        raise CrossCheckFailed(
+            f"grading: |components| = {len(components)} != |G(H-hat)| = {len(gl_chars)}"
         )
     # character-side partition: omega_i = (mu_j(x_i)/d_i)_{j grouplike}
     part_of = {}
@@ -336,17 +328,16 @@ def _grading_spectral_checks(a: RingAnalysis, components):
     char_partition = set(map(tuple, part_of.values()))
     comb_partition = {tuple(sorted(c)) for c in components}
     if char_partition != comb_partition:
-        raise GradingCrossCheckFailed(
-            "character-side grading partition differs from bimodule components"
+        raise CrossCheckFailed(
+            "grading: character-side partition differs from bimodule components"
         )
     # regular component dimensions: FPdim(R_g) = FPdim(H)/|U|
     h = a.table.h
+    share = n_h / len(components)
     for comp in components:
         r = sum(h[i] * d[i] ** 2 for i in comp)
-        if abs(r - n_h / len(components)) > IDENTITY_SLACK * a.tol.zero(1.0 + n_h):
-            raise GradingCrossCheckFailed(
-                f"FPdim(R_g) = {r} != FPdim(H)/|U| = {n_h / len(components)}"
-            )
+        a.tol.check(abs(r - share), IDENTITY_SLACK, 1.0 + n_h,
+                    CrossCheckFailed, "grading: FPdim(R_g) = {} != FPdim(H)/|U| = {}", r, share)
 
 
 # ---------------------------------------------------------------- perp
@@ -356,7 +347,7 @@ def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     out = np.flatnonzero(a.fp_agreement[list(sub.indices)].all(axis=0)).tolist()
     back = perp_characters(a, out)
     if back != frozenset(sub.indices):
-        raise BiperpMismatch(
+        raise CrossCheckFailed(
             f"(S-perp)-perp = {sorted(back)} != S = {list(sub.indices)}"
         )
     return frozenset(out)
@@ -462,8 +453,8 @@ def commutator_sub(
     s_ad = adjoint_indices(data, sub.indices, tol)
     s_ad_co = commutator_indices(data, s_ad, tol)
     if not (set(co_ad) <= set(sub.indices) <= set(s_ad_co)):
-        raise SandwichViolation(
-            f"(S^co)_ad = {co_ad}, S = {sub.indices}, (S_ad)^co = {s_ad_co}"
+        raise CrossCheckFailed(
+            f"sandwich: (S^co)_ad = {co_ad}, S = {sub.indices}, (S_ad)^co = {s_ad_co}"
         )
     return SubHypergroup(co, data)
 
@@ -498,8 +489,8 @@ def central_series(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> CentralSer
     if len(lower[-1]) == m:
         lower_cls = len(lower) - 1
     if (cls is None) != (lower_cls is None) or (cls is not None and cls != lower_cls):
-        raise SeriesDisagreement(
-            f"upper series class {cls} vs lower series class {lower_cls}"
+        raise CrossCheckFailed(
+            f"series: upper series class {cls} vs lower series class {lower_cls}"
         )
     return CentralSeries(
         upper=tuple(SubHypergroup(u, data) for u in upper),

@@ -2,8 +2,9 @@
 
 A value counts as zero at scale s when it is at most tol.zero(s) = abs + rel|s|.
 A check on a computed quantity allows SLACK * tol.zero(s), its SLACK level naming
-the error the quantity may carry; `Tolerance.agrees` is the one test that a
-value equals its target.  One Tolerance travels through a whole analysis run.
+the error the quantity may carry, and `Tolerance.check` is the one place that
+compares a residual with that allowance; `Tolerance.agrees` is the one test
+that a value equals its target.  One Tolerance travels through a whole analysis run.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ class Tolerance:
     def zero(self, scale: float = 0.0) -> float:
         """Threshold below which a value of the given ambient scale counts as zero."""
         return self.abs + self.rel * abs(scale)
+
+    def check(self, residual, slack, scale, error, message: str, *args):
+        """Raise error(message.format(*args)) when residual > slack * zero(scale).
+
+        The message is formatted only on failure, so a passing check costs
+        one comparison."""
+        if residual > slack * self.zero(scale):
+            raise error(message.format(*args))
 
     def agrees(self, values, target):
         """|values - target| <= VALUE_SLACK * zero(1 + target), elementwise."""

@@ -84,6 +84,19 @@ def test_analyze_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err
 
 
+def test_analyze_failed_dual_exits_3(tmp_path, capsys):
+    # the dual of a valid hypergroup satisfies the axioms, so a dual that
+    # fails them is a numeric failure: here Cl(A5) with 2e-9 noise at 1e-8
+    ring = bd.class_hypergroup(bd.catalog("A5"))
+    m = ring.rank
+    noise = np.random.default_rng(0).uniform(-2e-9, 2e-9, (m, m, m))
+    path = str(tmp_path / "noisy.json")
+    bd.dump(FusionData("noisy", ring.involution, ring.float_tensor() + noise), path)
+    code, _, err = run(capsys, "analyze", path, "--tol-abs", "1e-8", "--tol-rel", "1e-8")
+    assert code == 3
+    assert err.startswith("numeric failure: dual tensor fails hypergroup axioms")
+
+
 def test_analyze_exact_only_rejects_floats(tmp_path, capsys):
     import numpy as np
     from hypergroups.core import FusionData

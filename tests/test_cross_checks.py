@@ -1,0 +1,262 @@
+"""Cross-checks fire on corrupted inputs, and every error class is in use.
+
+Each test corrupts one input of one cross-check (a verdict, a dual table, a
+cached invariant of the analysis, or a tensor that fails the axioms) and
+asserts that the check raises CrossCheckFailed with its own message.  On
+valid data these checks hold by theorem, so only a corrupted input reaches
+them.  A scan of src/ keeps every class of errors.py raised or caught.
+"""
+
+import ast
+import pathlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import hypergroups as hg
+from hypergroups import burnside as bn
+from hypergroups import errors
+from hypergroups import galois as gl
+from hypergroups import structure as st
+from hypergroups.errors import CrossCheckFailed
+
+
+# ---------------------------------------------------------------- burnside
+
+
+def test_identity_checks_reject_a_false_verdict_with_a_small_residual(ising_ring, ising_table):
+    a = hg.RingAnalysis(ising_ring, table=ising_table)
+    assert a.burnside[0]
+    a.burnside = (False, 2)
+    message = "phat_sq_vs_grouplikes = .* though verdict is false"
+    with pytest.raises(CrossCheckFailed, match=message):
+        bn.identity_checks(a)
+
+
+def test_identity_checks_reject_a_true_verdict_with_a_large_residual(s3_rep, s3_table):
+    a = hg.RingAnalysis(s3_rep, table=s3_table)
+    assert not a.dual_burnside[0]
+    a.dual_burnside = (True, None)
+    message = "p_sq_vs_adjoint_integral = .* though verdict is true"
+    with pytest.raises(CrossCheckFailed, match=message):
+        bn.identity_checks(a)
+
+
+# ---------------------------------------------------------------- dual
+
+
+def _with_dual_table(a, **changes):
+    """Point `a` at a copy of its dual whose character table has `changes`;
+    the alignment `a.dual_match` stays the one read off the true table."""
+    a.dual_match
+    dd = replace(a.dual)
+    dd.__dict__["table"] = replace(a.dual.table, **changes)
+    a.dual = dd
+
+
+def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3_rep, s3_table):
+    a = hg.RingAnalysis(s3_rep, table=s3_table)
+    t = a.dual.table
+    # exchange the dual characters at x_1 and x_2, whose orders differ
+    perm = list(range(t.rank))
+    i, j = a.dual_match[1], a.dual_match[2]
+    perm[i], perm[j] = j, i
+    _with_dual_table(
+        a,
+        values=t.values[:, perm],
+        codegrees=t.codegrees[perm],
+        idempotents=t.idempotents[perm],
+        positive_columns=tuple(sorted(perm.index(c) for c in t.positive_columns)),
+    )
+    with pytest.raises(CrossCheckFailed, match="double dual mismatch, residual"):
+        hg.double_dual_check(a)
+
+
+def test_dual_codegrees_reject_a_perturbed_dual_codegree(s3_rep, s3_table):
+    a = hg.RingAnalysis(s3_rep, table=s3_table)
+    n = a.dual.table.codegrees.copy()
+    n[a.dual_match[1]] += 1e-2
+    _with_dual_table(a, codegrees=n)
+    with pytest.raises(CrossCheckFailed, match="dual codegrees: formula vs direct mismatch"):
+        hg.dual_codegrees(a)
+
+
+# ---------------------------------------------------------------- structure
+
+
+def test_kernel_of_element_rejects_kernels_that_disagree(ising_ring, ising_table):
+    a = hg.RingAnalysis(ising_ring, table=ising_table)
+    agreement = a.fp_agreement.copy()
+    agreement[2] = True  # every character acts on sigma like FPdim
+    a.fp_agreement = agreement
+    with pytest.raises(CrossCheckFailed, match=r"kernel: kernel of sum \[0\] != intersection"):
+        st.kernel_of_element(a, hg.basis_element(ising_ring, 2))
+
+
+def test_adjoint_rejects_a_support_other_than_the_grouplike_characters(ising_ring, ising_table):
+    a = hg.RingAnalysis(ising_ring, table=ising_table)
+    a.grouplike_chars = (a.fp,)
+    with pytest.raises(CrossCheckFailed, match=r"adjoint: J_ad \[.*\] != codegree test \[0\]"):
+        st.adjoint(a)
+
+
+def _grading_analysis(ring, table, **cached):
+    """An analysis with its adjoint and grouplike characters computed, then
+    the attributes in `cached` overwritten."""
+    a = hg.RingAnalysis(ring, table=table)
+    a.adjoint, a.grouplike_chars, a.normalized
+    for name, value in cached.items():
+        setattr(a, name, value)
+    return a
+
+
+def test_grading_rejects_an_identity_component_other_than_the_adjoint(ising_ring, ising_table):
+    a = _grading_analysis(ising_ring, ising_table, adjoint=st.SubHypergroup((0, 2), ising_ring))
+    message = r"grading: identity component \[0, 1, 2\] != adjoint"
+    with pytest.raises(CrossCheckFailed, match=message):
+        st.universal_grading(a)
+
+
+def test_grading_rejects_a_component_product_that_spreads(ising_ring, ising_table):
+    a = _grading_analysis(ising_ring, ising_table, adjoint=st.SubHypergroup((0,), ising_ring))
+    with pytest.raises(CrossCheckFailed, match=r"grading: component product 2 \* 2 spreads"):
+        st.universal_grading(a)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[1, 0], [0, 1]], "grading: table has no unit"),
+        ([[0, 1], [1, 1]], "grading: component 1 has no inverse"),
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "grading: table not associative"),
+    ],
+)
+def test_grading_table_must_be_a_group(table, message):
+    with pytest.raises(CrossCheckFailed, match=message):
+        st._check_group_table(np.array(table))
+
+
+def test_grading_rejects_a_component_count_other_than_the_grouplike_characters(
+    ising_ring, ising_table
+):
+    a = _grading_analysis(ising_ring, ising_table)
+    a.grouplike_chars = (a.fp,)
+    message = r"grading: \|components\| = 2 != \|G\(H-hat\)\| = 1"
+    with pytest.raises(CrossCheckFailed, match=message):
+        st.universal_grading(a)
+
+
+def test_grading_rejects_a_character_partition_other_than_the_components(ising_ring, ising_table):
+    a = _grading_analysis(ising_ring, ising_table)
+    other = next(j for j in range(3) if j not in a.grouplike_chars)
+    a.grouplike_chars = (a.fp, other)
+    with pytest.raises(CrossCheckFailed, match="grading: character-side partition differs"):
+        st.universal_grading(a)
+
+
+def test_grading_rejects_a_component_dimension_off_the_share_of_fpdim(ising_ring, ising_table):
+    a = _grading_analysis(ising_ring, ising_table)
+    a.n_h += 1e-2
+    message = r"grading: FPdim\(R_g\) = 2\.0.* != FPdim\(H\)/\|U\|"
+    with pytest.raises(CrossCheckFailed, match=message):
+        st.universal_grading(a)
+
+
+def test_perp_rejects_a_set_that_is_not_its_biperp(ising_ring, ising_table):
+    a = hg.RingAnalysis(ising_ring, table=ising_table)
+    with pytest.raises(CrossCheckFailed, match=r"\(S-perp\)-perp = \[0, 1, 2\] != S = \[0, 2\]"):
+        st.perp(a, st.SubHypergroup((0, 2), ising_ring))
+
+
+def _tensor(rank, entries):
+    """A rank^3 integer tensor with N_ij^k = 1 at (i, j, k) in `entries`."""
+    N = np.zeros((rank, rank, rank), dtype=int)
+    for ijk in entries:
+        N[ijk] = 1
+    return N.tolist()
+
+
+def test_commutator_rejects_a_tensor_that_breaks_the_sandwich_law():
+    # x_i x_0 = x_0 x_i = x_i, x_1 x_3 = x_2, x_2 x_2 = x_3: no x x* holds the unit
+    unit = [(0, i, i) for i in range(4)] + [(i, 0, i) for i in range(4)]
+    ring = hg.FusionData("bad", [0, 1, 2, 3], _tensor(4, unit + [(1, 3, 2), (2, 2, 3)]))
+    with pytest.raises(CrossCheckFailed, match=r"sandwich: \(S\^co\)_ad = \(0, 3\), S = \(0, 1\)"):
+        st.commutator_sub(ring, st.SubHypergroup((0, 1), ring))
+
+
+def test_central_series_rejects_a_tensor_whose_series_disagree():
+    # x_0 x_0 = x_1 and every other product zero: no unit at all
+    ring = hg.FusionData("bad", [0, 1], _tensor(2, [(0, 0, 1)]))
+    message = "series: upper series class None vs lower series class 1"
+    with pytest.raises(CrossCheckFailed, match=message):
+        st.central_series(ring)
+
+
+# ---------------------------------------------------------------- galois
+
+
+def test_codegree_conjugation_rejects_an_orbit_with_irrational_codegrees(fib_ring, fib_table):
+    a = hg.RingAnalysis(fib_ring, table=fib_table)
+    split = gl.OrbitPartition(orbits=((0,), (1,)), certificates={})
+    with pytest.raises(CrossCheckFailed, match=r"conjugation: .* on orbit \(0,\) is not rational"):
+        gl.check_codegree_conjugation(a, split)
+
+
+def test_codegree_conjugation_rejects_an_orbit_with_distinct_dual_orders(s3_rep, s3_table):
+    a = hg.RingAnalysis(s3_rep, table=s3_table)
+    assert a.dual_flags.h_integral
+    merged = gl.OrbitPartition(orbits=((0, 1, 2),), certificates={})
+    message = r"conjugation: dual orders not constant on orbit \(0, 1, 2\)"
+    with pytest.raises(CrossCheckFailed, match=message):
+        gl.check_codegree_conjugation(a, merged)
+
+
+# ---------------------------------------------------------------- guard
+
+SRC = pathlib.Path(errors.__file__).parent
+CHECKS = {"check": 3, "_match_columns": 3}  # routine -> position of its error argument
+
+
+def _names(node) -> list:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return [n for elt in node.elts for n in _names(elt)]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def raised_or_caught(source: str) -> set:
+    """Names raised, caught, or passed as the error of a check routine."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            found.update(_names(node.exc))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found.update(_names(node.type))
+        elif isinstance(node, ast.Call):
+            pos = CHECKS.get(_names(node.func)[-1] if _names(node.func) else None)
+            if pos is not None and len(node.args) > pos:
+                found.update(_names(node.args[pos]))
+    return found
+
+
+def test_guard_sees_raises_catches_and_check_errors():
+    assert raised_or_caught("raise A('x')\nraise B from exc") == {"A", "B"}
+    assert raised_or_caught("try:\n    f()\nexcept (C, errors.D):\n    pass") == {"C", "D"}
+    checks = "tol.check(r, S, 1.0, E, 'm')\n_match_columns(v, w, t, F, g)"
+    assert raised_or_caught(checks) == {"E", "F"}
+    assert raised_or_caught("x = G('m')\nh(r, S, 1.0, H, 'm')") == set()
+
+
+def test_every_error_class_is_raised_or_caught_in_src():
+    tree = ast.parse(pathlib.Path(errors.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert set(errors.__all__) == defined
+    sources = [path.read_text() for path in SRC.rglob("*.py") if path.name != "errors.py"]
+    used = set().union(*map(raised_or_caught, sources))
+    assert not defined - used, f"error classes never raised or caught: {sorted(defined - used)}"
