@@ -1,15 +1,13 @@
-"""Exact determinants: a modular screen over a whole stack of integer
-matrices, then Bareiss on Python ints wherever the screen cannot decide (a
-zero residue) or the determinant itself is needed (an error message).
-"""
+"""Exact determinants of integer matrices, such as the slices C[i] = L N_i of
+the integer form (det C[i] = L^m det L_{x_i}): a modular screen over a whole
+stack, then Bareiss on Python ints where the screen cannot decide (a zero
+residue) or the determinant itself is needed (a message, a certificate)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 import numpy as np
-
-from .core import integer_form
 
 __all__ = ["exact_det", "det_nonzero_mod_p"]
 
@@ -41,14 +39,14 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def exact_det(matrix) -> Fraction:
-    """Determinant of a square matrix of ints / Fractions, computed exactly."""
-    arr = np.asarray(matrix, dtype=object)
+def exact_det(matrix) -> int:
+    """Determinant of a square integer matrix (int64 or Python ints; any other
+    entry raises TypeError)."""
+    arr = np.asarray(matrix)
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise ValueError(f"not square: {arr.shape}")
-    scale, (cleared,) = integer_form(arr, terms=1)
-    return Fraction(_bareiss_int(cleared.tolist()), scale**n)
+    return _bareiss_int([[operator.index(x) for x in row] for row in arr.tolist()])
 
 
 def det_nonzero_mod_p(stack: np.ndarray) -> np.ndarray:

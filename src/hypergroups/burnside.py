@@ -73,18 +73,19 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
 
     On exact tensors the numeric verdict is confirmed per element against the
     exact determinant of its left multiplication matrix; disagreement aborts.
-    A non-zero determinant modulo P (`det_nonzero_mod_p` on the cleared
-    tensor, det L_i = det N_i) confirms a non-vanishing element; Bareiss runs
-    on the zero residues, and for the message when the verdicts disagree.
+    A non-zero determinant modulo P (`det_nonzero_mod_p` on the integer form C,
+    det L_i = det C_i / L^m) confirms a non-vanishing element; Bareiss runs on
+    the zero residues, and for the message when the verdicts disagree.
     """
     data, values = a.data, a.table.values
     thr = a.tol.zero(np.abs(values).max(axis=0))
     vanishes = (np.abs(values) <= thr).any(axis=1)
     numeric = tuple(np.flatnonzero(vanishes).tolist())
     if data.is_exact:
-        screened = det_nonzero_mod_p(data.integer_tensor()[1])
+        L, C = data.integer_tensor()
+        screened = det_nonzero_mod_p(C)
         for i in np.flatnonzero(vanishes | ~screened).tolist():
-            det = exact_det(data.left_matrix(i))
+            det = Fraction(exact_det(C[i]), L**data.rank)
             if (det == 0) != vanishes[i]:
                 raise ExactNumericDisagreement(
                     f"x_{i}: exact det {det} vs numeric vanishing {'yes' if vanishes[i] else 'no'}"
@@ -109,10 +110,11 @@ def product_P(a: RingAnalysis) -> Element:
     """
     data, table = a.data, a.table
     if data.is_exact and a.exact_d is not None:
+        L, C = data.integer_tensor()
         v = np.eye(data.rank, dtype=object)[0]
-        for i in range(data.rank):  # x_0 x_1 ... x_{m-1}, then one exact division
-            v = v @ data.tensor[:, i, :]
-        v = v / Fraction(math.prod(a.exact_d))
+        for i in range(data.rank):  # x_0 ... x_{m-1} on C = L N, then one exact division
+            v = v @ C[:, i, :]
+        v = v / (L**data.rank * Fraction(math.prod(a.exact_d)))
     else:
         d = a.d if a.exact_d is None else a.exact_d
         v, N = np.eye(data.rank)[0], data.float_tensor()

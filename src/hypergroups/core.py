@@ -7,7 +7,9 @@ product of elements i and j.  Index 0 is always the unit.
 Scalars are plain Python numbers.  Exact tensors hold int / Fraction entries in
 an object-dtype array (promotion is integer -> rational); floating tensors hold
 float64.  Promotion to float is one-way: floats only ever enter through the
-spectral code, never by mutating an exact ring.
+spectral code, never by mutating an exact ring.  Exact arithmetic reads one
+form of the ring, `FusionData.integer_tensor()` = (L, C = L N): a vector is
+cleared on its own by `integer_form` and contracted with C on Python ints.
 
 Construction coerces scalars by dtype: integer and bool arrays become Python
 ints and float arrays float64, one whole-array call each, as does object input
@@ -163,20 +165,16 @@ class FusionData:
         return self._float_tensor
 
     def integer_tensor(self) -> tuple[int, np.ndarray]:
-        """(L, L * N), the integer form `integer_form(tensor, terms=rank)` of
-        an exact tensor (cached)."""
+        """(L, C = L * N), the integer form `integer_form(tensor, terms=rank)`
+        of an exact tensor (cached): the one exact form of the ring."""
         if self._integer_tensor is None:
-            scale, (cleared,) = integer_form(self.tensor, terms=self.rank)
+            scale, cleared = integer_form(self.tensor, terms=self.rank)
             self._integer_tensor = scale, _freeze(cleared)
         return self._integer_tensor
 
     @property
     def scalar_kind(self) -> str:
         return self._kind
-
-    def left_matrix(self, i: int) -> np.ndarray:
-        """Matrix of left multiplication by basis element i: L[k, j] = N_{ij}^k."""
-        return self.tensor[i].T
 
     def left_matrices_float(self) -> np.ndarray:
         """(m, m, m) stack, entry [i] the float left-multiplication matrix of x_i."""
@@ -264,12 +262,20 @@ def basis_element(data: FusionData, i: int) -> Element:
 
 
 def regular_element(data: FusionData, indices=None) -> Element:
-    """I_S(1) = sum_{i in S} h_i x_i x_{i*} over the basis indices S (default:
-    all, giving I(1)); exact (Fractions) on exact tensors."""
+    """I_S(1) = sum_{i in S} h_i x_i x_{i*} = sum_{i in S} N_{ii*} / N_{ii*}^0
+    over the basis indices S (default: all, giving I(1)); exact on an exact
+    tensor, where it is sum_{i in S} C_{ii*} / C_{ii*}^0 (L cancels)."""
     idx = np.arange(data.rank) if indices is None else np.asarray(indices, dtype=int)
-    hs = np.array(orders(data), dtype=data.tensor.dtype)[idx]
-    rows = data.tensor[idx, np.array(data.involution)[idx]]
-    return Element(tuple(np.einsum("i,ik->k", hs, rows).tolist()))
+    pairs = idx, np.array(data.involution)[idx]
+    rows = (data.integer_tensor()[1] if data.is_exact else data.tensor)[pairs]
+    if not rows[:, 0].all():
+        i = idx[rows[:, 0] == 0][0]
+        raise AxiomViolation("involution", (int(i), data.involution[i], 0), "N_{ii*}^0 = 0")
+    if not data.is_exact:
+        return Element(tuple(np.einsum("i,ik->k", 1.0 / rows[:, 0], rows).tolist()))
+    rows = rows.astype(object)
+    den = math.lcm(*rows[:, 0].tolist())
+    return Element(tuple(Fraction(n, den) for n in (den // rows[:, 0]) @ rows))
 
 
 def orders(data: FusionData) -> list:
@@ -321,27 +327,18 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = new
 
 
-def integer_form(*arrays, terms: int) -> tuple[int, list[np.ndarray]]:
-    """Clear the denominators of exact (int / Fraction) arrays together.
-
-    Returns (L, [L * a for a in arrays]) with L the lcm of every denominator.
-    An equation whose terms are all products of the same number of entries
-    holds for the cleared arrays exactly when it holds for the originals.
-    The cleared arrays are int64 when no sum of `terms` products of two
-    cleared entries can overflow (terms * B**2 < 2**62, B the largest of L and
-    the cleared magnitudes), else object arrays of Python ints.
+def integer_form(array, terms: int | None = None) -> tuple[int, np.ndarray]:
+    """(L, L * a) for an exact (int / Fraction) array a, L the lcm of its
+    denominators, as Python ints.  Given `terms`, the cleared array is int64
+    when no sum of `terms` products of two cleared entries can overflow
+    (terms * B**2 < 2**62, B the largest of L and the cleared magnitudes).
     """
-    flats = [list(np.asarray(a, dtype=object).ravel()) for a in arrays]
-    if set().union(*(map(type, flat) for flat in flats)) <= {int}:
-        scale, cleared = 1, flats
-    else:
-        scale = math.lcm(*{x.denominator for flat in flats for x in flat})
-        cleared = [[x.numerator * (scale // x.denominator) for x in flat] for flat in flats]
-    bound = max(scale, *(max(map(abs, c), default=0) for c in cleared))
-    dtype = np.int64 if terms * bound * bound < 2**62 else object
-    return scale, [
-        np.array(c, dtype=dtype).reshape(np.shape(a)) for c, a in zip(cleared, arrays)
-    ]
+    flat = np.asarray(array, dtype=object).ravel().tolist()
+    scale = math.lcm(*{x.denominator for x in flat})
+    cleared = [x.numerator * (scale // x.denominator) for x in flat]
+    bound = max([scale, *map(abs, cleared)])
+    small = terms is not None and terms * bound * bound < 2**62
+    return scale, np.array(cleared, dtype=np.int64 if small else object).reshape(np.shape(array))
 
 
 def bracketings(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,18 +458,12 @@ def multiply(data: FusionData, x: Element, y: Element) -> Element:
     if len(x) != m or len(y) != m:
         raise DimensionMismatch("element length != rank")
     if data.is_exact and x.is_exact and y.is_exact:
-        coords = [0] * m
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.coords):
-                if yj == 0:
-                    continue
-                row = data.tensor[i, j]
-                for k in range(m):
-                    if row[k] != 0:
-                        coords[k] = coords[k] + xi * yj * row[k]
-        return Element(tuple(coords))
+        # x = u / Dx, y = v / Dy, N = C / L: x y = sum_ij u_i v_j C_ij / (L Dx Dy)
+        L, C = data.integer_tensor()
+        (dx, u), (dy, v) = integer_form(x.coords), integer_form(y.coords)
+        i, j = np.flatnonzero(u), np.flatnonzero(v)
+        num = v[j] @ np.tensordot(u[i], C[np.ix_(i, j)], axes=(0, 0))
+        return Element(tuple(Fraction(n, L * dx * dy) for n in num))
     N = data.float_tensor()
     out = np.einsum("i,j,ijk->k", x.float_coords(), y.float_coords(), N)
     return Element(tuple(float(v) for v in out))
@@ -507,11 +498,11 @@ def rescale(data: FusionData, alphas) -> FusionData:
             raise InvalidRescale("alpha_{i*} must equal conj(alpha_i)")
     exact = data.is_exact and not any(isinstance(a, float) for a in alphas)
     if exact:
-        # with one denominator for N and alpha, N_ij^k a_k / (a_i a_j) is
-        # C_ij^k w_k / (w_i w_j) on the cleared C and w
-        _, (C, w) = integer_form(data.tensor, alphas, terms=1)
-        num = (C * w[None, None, :]).ravel().tolist()
-        den = np.broadcast_to(w[:, None, None] * w[None, :, None], C.shape).ravel().tolist()
+        # N = C / L and alpha = w / D: N_ij^k a_k / (a_i a_j) = D C_ij^k w_k / (L w_i w_j)
+        L, C = data.integer_tensor()
+        D, w = integer_form(alphas)
+        num = (C * (D * w)[None, None, :]).ravel().tolist()
+        den = np.broadcast_to(L * w[:, None, None] * w[None, :, None], C.shape).ravel().tolist()
         new = np.array(
             [Fraction(n, d) if n else 0 for n, d in zip(num, den)], dtype=object
         ).reshape(m, m, m)
@@ -529,9 +520,10 @@ def exact_character(data: FusionData, values, tol: Tolerance = DEFAULT_TOL) -> l
     if snapped is None:
         return None
     snapped = snapped.tolist()
-    # with one denominator for N and v, both sides scale by its square
-    _, (C, w) = integer_form(data.tensor, snapped, terms=data.rank)
-    return snapped if (C @ w == np.outer(w, w)).all() else None
+    # N = C / L and v = w / D: sum_k C_ij^k w_k / (L D) = w_i w_j / D^2
+    L, C = data.integer_tensor()
+    D, w = integer_form(snapped)
+    return snapped if (D * (C @ w) == L * np.outer(w, w)).all() else None
 
 
 def normalize(data: FusionData, mu1_values, tol: Tolerance = DEFAULT_TOL) -> FusionData:

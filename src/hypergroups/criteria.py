@@ -101,7 +101,8 @@ def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
     if hypo["obstruction"] is None:
         return ExclusionVerdict("burnside", True, False, "ring is Burnside")
     witness = hypo["witness"]
-    det = exact_det(a.data.left_matrix(witness)) if a.data.is_exact else None
+    # a fusion ring has L = 1, so det C_i = det L_{x_i}
+    det = exact_det(a.data.integer_tensor()[1][witness])
     cert = (
         f"basis element {witness} of FPdim {a.d[witness]:.6g} is non-vanishing "
         f"(det L = {det}) but not grouplike"

@@ -81,8 +81,7 @@ def galois_orbits(a: RingAnalysis) -> OrbitPartition:
         if e is None:
             return None
         # e = w / D and N = C / scale: e e = e iff sum_ij w_i w_j C_ij^k = D scale w_k
-        D, (w,) = integer_form(e, terms=1)
-        w = w.astype(object)
+        D, w = integer_form(e)
         if (w @ (w @ C).reshape(m, m) != D * scale * w).any():
             return None
         return float(np.abs(E - e.astype(float)).max())

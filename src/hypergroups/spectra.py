@@ -296,17 +296,18 @@ def verify_fp_value(
     Perron value of L_x to match the candidate within tol.  FPdim(H) is the
     FP value of x = I(1).  The determinant says only that the candidate is
     some eigenvalue of L_x: that it is the FP one rests on the numeric match,
-    as no exact multiplicity test isolates it.
+    as no exact multiplicity test isolates it.  With x = w / D, C = L N and
+    candidate = p / q, D L L_x[k, j] = sum_l w_l C_{lj}^k and the test is
+    det(q D L L_x - p D L Id) = 0; the Perron matrix rounds each entry of L_x.
     """
     if not data.is_exact:
         raise InexactTensor("exact tensor required")
-    # D^2 L_x[k, j] = sum_l w_l C_{lj}^k, with D the common denominator
-    # of x and the tensor
-    D, (C, w) = integer_form(data.tensor, list(x), terms=data.rank)
+    L, C = data.integer_tensor()
+    D, w = integer_form(list(x))
     mat = np.tensordot(w, C, axes=(0, 0)).T
-    shifted = mat.astype(object) - np.eye(data.rank, dtype=object) * (candidate * D * D)
-    if exact_det(shifted) != 0:
+    p, q = Fraction(candidate).as_integer_ratio()
+    if exact_det(q * mat - np.eye(data.rank, dtype=object) * (p * D * L)) != 0:
         return False
-    fl = (mat / (D * D)).astype(float)
+    fl = (mat / (D * L)).astype(float)
     perron = float(np.max(np.linalg.eigvals(fl).real))
     return abs(perron - candidate) <= tol.zero(1.0 + abs(candidate))

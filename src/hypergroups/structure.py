@@ -343,7 +343,9 @@ def _grading_spectral_checks(a: RingAnalysis, components):
 # ---------------------------------------------------------------- perp
 
 def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
-    """S-perp: characters restricting to FPdim on S; biperp must return S."""
+    """S-perp: characters restricting to FPdim on the sub-hypergroup S (else
+    ClosureViolation); biperp must return S."""
+    _check_sub(a.data, sub.indices, a.tol)
     out = np.flatnonzero(a.fp_agreement[list(sub.indices)].all(axis=0)).tolist()
     back = perp_characters(a, out)
     if back != frozenset(sub.indices):
@@ -445,7 +447,9 @@ def commutator_sub(
     data: FusionData, sub: SubHypergroup, tol: Tolerance = DEFAULT_TOL
 ) -> SubHypergroup:
     """S^co: generated by all x with supp(x x*) inside S; sandwich law asserted.
-    `sub` must be a sub-hypergroup (else ClosureViolation)."""
+    The tensor must pass the axioms (else AxiomViolation) and `sub` must be a
+    sub-hypergroup (else ClosureViolation)."""
+    data.flags_at(tol)
     _check_sub(data, sub.indices, tol)
     co = commutator_indices(data, sub.indices, tol)
     # (S^co)_ad <= S <= (S_ad)^co
@@ -462,9 +466,10 @@ def commutator_sub(
 def central_series(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> CentralSeries:
     """Upper series by iterated adjoints, lower by iterated commutators.
 
-    The two characterizations of nilpotency must agree (H^(n) trivial iff
-    H_(n) is everything).
-    """
+    The tensor must pass the axioms (else AxiomViolation), and the two
+    characterizations of nilpotency must agree (H^(n) trivial iff H_(n) is
+    everything)."""
+    data.flags_at(tol)
     m = data.rank
     upper = [tuple(range(m))]
     while True:

@@ -177,13 +177,21 @@ def _reference_det(matrix):
 
 
 def test_exact_det_matches_fraction_elimination(full_corpus):
-    matrices = [
-        ring.left_matrix(i)
+    """exact_det takes integer matrices: the slices C_i of the cached integer
+    form C = L N, with det C_i = L^m det N_i, and random Fraction matrices
+    cleared by integer_form, whose determinant over L^n is theirs."""
+    slices = [
+        (ring, i)
         for ring in full_corpus
         if ring.scalar_kind == "rational"
         for i in range(ring.rank)
     ]
+    for ring, i in slices:
+        scale, C = ring.integer_tensor()
+        assert exact_det(C[i]) == _reference_det(ring.tensor[i]) * scale**ring.rank
+    matrices = [ring.integer_tensor()[1][i] for ring, i in slices]
     rng = random.Random(8)
+    fractional = []
     for _ in range(60):
         n = rng.randint(1, 6)
         rows = [
@@ -192,10 +200,25 @@ def test_exact_det_matches_fraction_elimination(full_corpus):
         ]
         if n > 1 and rng.random() < 0.25:  # a singular one: repeat a row
             rows[rng.randrange(1, n)] = rows[0][:]
-        matrices.append(np.array(rows, dtype=object))
+        scale, cleared = core.integer_form(rows, terms=1)
+        fractional.append((rows, scale, cleared))
+        matrices.append(cleared)
     dets = [exact_det(mat) for mat in matrices]
     assert dets == [_reference_det(mat) for mat in matrices]
-    assert 0 in dets and any(d.denominator > 1 for d in dets)
+    assert all(type(d) is int for d in dets) and 0 in dets
+    quotients = [Fraction(exact_det(c), scale ** len(rows)) for rows, scale, c in fractional]
+    assert quotients == [_reference_det(rows) for rows, _, _ in fractional]
+    assert any(q.denominator > 1 for q in quotients)
+
+
+def test_exact_det_takes_integers_only():
+    big = np.array([[2**70, 1], [3, 2**65]], dtype=object)
+    assert exact_det(big) == 2**135 - 3
+    assert exact_det(np.array([[2, 1], [1, 2]], dtype=np.int64)) == 3
+    with pytest.raises(TypeError):
+        exact_det(np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object))
+    with pytest.raises(TypeError):
+        exact_det(np.eye(2))
 
 
 def _reference_outcome(data):
@@ -287,7 +310,7 @@ def _overflowing_ring():
 
 def test_overflowing_ring_takes_the_object_path():
     ring = _overflowing_ring()
-    scale, (cleared,) = core.integer_form(ring.tensor, terms=ring.rank)
+    scale, cleared = core.integer_form(ring.tensor, terms=ring.rank)
     assert cleared.dtype == object and scale >= 2**62
     assert all(type(x) is int for x in cleared.ravel())
     assert hg.validate(ring) == _reference_outcome(ring)
@@ -298,11 +321,14 @@ def test_overflowing_ring_takes_the_object_path():
 
 
 def test_integer_form_switches_on_magnitude():
-    _, (small,) = core.integer_form([Fraction(1, 2), 3], terms=4)
+    _, small = core.integer_form([Fraction(1, 2), 3], terms=4)
     assert small.dtype == np.int64 and small.tolist() == [1, 6]
     # 4 * (2^30)^2 = 2^62 no longer fits
-    _, (big,) = core.integer_form([2**30, 1], terms=4)
+    _, big = core.integer_form([2**30, 1], terms=4)
     assert big.dtype == object
+    # without `terms`, always Python ints
+    scale, plain = core.integer_form([Fraction(1, 2), 3])
+    assert scale == 2 and plain.dtype == object and all(type(x) is int for x in plain)
 
 
 def test_relabeled_rescaled_corpus_rings_agree_on_both_paths(full_corpus):
@@ -331,7 +357,7 @@ def test_relabeled_rescaled_corpus_rings_agree_on_both_paths(full_corpus):
                 )
         data = hg.rescale(relabeled, alphas)
         assert (data.tensor == _reference_rescale(relabeled, alphas)).all()
-        dtypes.add(core.integer_form(data.tensor, terms=m)[1][0].dtype)
+        dtypes.add(core.integer_form(data.tensor, terms=m)[1].dtype)
         expected = _reference_outcome(data)
         assert isinstance(expected, hg.FlagSet)
         assert _both_paths(data) == (expected, expected)
@@ -636,7 +662,7 @@ def test_cached_integer_form_is_the_integer_form(full_corpus):
     huge = hg.FusionData("huge", [0, 1], [1, 0, 0, 1, 0, 1, 2**62, 0])
     rings = [r for r in full_corpus if r.is_exact] + [_overflowing_ring(), huge]
     for ring in rings:
-        scale, (cleared,) = core.integer_form(ring.tensor, terms=ring.rank)
+        scale, cleared = core.integer_form(ring.tensor, terms=ring.rank)
         got_scale, got = ring.integer_tensor()
         assert got_scale == scale and got.dtype == cleared.dtype, ring.name
         assert got.tolist() == cleared.tolist() and ring.integer_tensor()[1] is got
@@ -691,8 +717,9 @@ def test_modular_screen_agrees_with_bareiss_on_zero_versus_non_zero():
     assert len(rings) == 39 + 96 + 32
     verdicts = set()
     for ring in rings:
-        screen = det_nonzero_mod_p(ring.integer_tensor()[1])
-        dets = [exact_det(ring.left_matrix(i)) for i in range(ring.rank)]
+        C = ring.integer_tensor()[1]
+        screen = det_nonzero_mod_p(C)
+        dets = [exact_det(C[i]) for i in range(ring.rank)]
         assert screen.tolist() == [d != 0 for d in dets], ring.name
         verdicts.update(screen.tolist())
     assert verdicts == {True, False}

@@ -4,7 +4,9 @@ Each test corrupts one input of one cross-check (a verdict, a dual table, a
 cached invariant of the analysis, or a tensor that fails the axioms) and
 asserts that the check raises CrossCheckFailed with its own message.  On
 valid data these checks hold by theorem, so only a corrupted input reaches
-them.  A scan of src/ keeps every class of errors.py raised or caught.
+them; where the function first validates its input (the axioms, a
+sub-hypergroup), the test switches that validation off.  A scan of src/
+keeps every class of errors.py raised or caught.
 """
 
 import ast
@@ -19,7 +21,7 @@ from hypergroups import burnside as bn
 from hypergroups import errors
 from hypergroups import galois as gl
 from hypergroups import structure as st
-from hypergroups.errors import CrossCheckFailed
+from hypergroups.errors import AxiomViolation, ClosureViolation, CrossCheckFailed
 
 
 # ---------------------------------------------------------------- burnside
@@ -163,8 +165,9 @@ def test_grading_rejects_a_component_dimension_off_the_share_of_fpdim(ising_ring
         st.universal_grading(a)
 
 
-def test_perp_rejects_a_set_that_is_not_its_biperp(ising_ring, ising_table):
+def test_perp_rejects_a_set_that_is_not_its_biperp(ising_ring, ising_table, monkeypatch):
     a = hg.RingAnalysis(ising_ring, table=ising_table)
+    monkeypatch.setattr(st, "_check_sub", lambda data, indices, tol: None)
     with pytest.raises(CrossCheckFailed, match=r"\(S-perp\)-perp = \[0, 1, 2\] != S = \[0, 2\]"):
         st.perp(a, st.SubHypergroup((0, 2), ising_ring))
 
@@ -177,20 +180,47 @@ def _tensor(rank, entries):
     return N.tolist()
 
 
-def test_commutator_rejects_a_tensor_that_breaks_the_sandwich_law():
+def _sandwich_breaker():
     # x_i x_0 = x_0 x_i = x_i, x_1 x_3 = x_2, x_2 x_2 = x_3: no x x* holds the unit
     unit = [(0, i, i) for i in range(4)] + [(i, 0, i) for i in range(4)]
-    ring = hg.FusionData("bad", [0, 1, 2, 3], _tensor(4, unit + [(1, 3, 2), (2, 2, 3)]))
+    return hg.FusionData("bad", [0, 1, 2, 3], _tensor(4, unit + [(1, 3, 2), (2, 2, 3)]))
+
+
+def _series_breaker():
+    # x_0 x_0 = x_1 and every other product zero: no unit at all
+    return hg.FusionData("bad", [0, 1], _tensor(2, [(0, 0, 1)]))
+
+
+def test_commutator_rejects_a_tensor_that_breaks_the_sandwich_law(monkeypatch):
+    ring = _sandwich_breaker()
+    monkeypatch.setattr(ring, "flags_at", lambda tol: None)
     with pytest.raises(CrossCheckFailed, match=r"sandwich: \(S\^co\)_ad = \(0, 3\), S = \(0, 1\)"):
         st.commutator_sub(ring, st.SubHypergroup((0, 1), ring))
 
 
-def test_central_series_rejects_a_tensor_whose_series_disagree():
-    # x_0 x_0 = x_1 and every other product zero: no unit at all
-    ring = hg.FusionData("bad", [0, 1], _tensor(2, [(0, 0, 1)]))
+def test_central_series_rejects_a_tensor_whose_series_disagree(monkeypatch):
+    ring = _series_breaker()
+    monkeypatch.setattr(ring, "flags_at", lambda tol: None)
     message = "series: upper series class None vs lower series class 1"
     with pytest.raises(CrossCheckFailed, match=message):
         st.central_series(ring)
+
+
+def test_perp_commutator_and_series_validate_their_input(ising_ring, ising_table):
+    a = hg.RingAnalysis(ising_ring, table=ising_table)
+    with pytest.raises(ClosureViolation, match=r"indices \(0, 2\) are not closed"):
+        st.perp(a, st.SubHypergroup((0, 2), ising_ring))
+    ring = _sandwich_breaker()
+    with pytest.raises(AxiomViolation):
+        st.commutator_sub(ring, st.SubHypergroup((0, 1), ring))
+    with pytest.raises(AxiomViolation):
+        st.central_series(_series_breaker())
+    with pytest.raises(AxiomViolation):
+        st.central_series(_sandwich_breaker())
+    # x_1 x_1 = x_1: a unit but no N_11^0, which once gave a CentralSeries back
+    idempotent = hg.FusionData("bad", [0, 1], _tensor(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]))
+    with pytest.raises(AxiomViolation, match="involution"):
+        st.central_series(idempotent)
 
 
 # ---------------------------------------------------------------- galois

@@ -252,7 +252,7 @@ def reference_galois_orbits(a) -> ga.OrbitPartition:
     and real parts of E_O together and then asks the imaginary row to be 0."""
     m = a.data.rank
     F = a.table.idempotents
-    scale, (C,) = integer_form(a.data.tensor, terms=1)
+    scale, C = integer_form(a.data.tensor, terms=1)
     C = C.astype(object).reshape(m, m * m)
 
     def certificate(cluster):
@@ -261,7 +261,7 @@ def reference_galois_orbits(a) -> ga.OrbitPartition:
         if snapped is None or snapped[0].any():
             return None
         e = snapped[1]
-        D, (w,) = integer_form(e, terms=1)
+        D, w = integer_form(e, terms=1)
         w = w.astype(object)
         if (w @ (w @ C).reshape(m, m) != D * scale * w).any():
             return None

@@ -5,8 +5,8 @@ One boundary test per slack level drives one check to half its threshold
 fails here.  The thresholds below are written as literal multiples of
 tol.zero on purpose: they pin the values that tolerance.py names.  A scan of
 src/ keeps every other module from multiplying tol.zero by a literal, every
-named threshold in use, one rational reconstruction and one determinant
-route.  Snapping is checked against the `limit_denominator` rule it replaced.
+named threshold in use, one rational reconstruction, one determinant route
+and one exact form of the tensor.  Snapping is checked against the `limit_denominator` rule it replaced.
 """
 
 import ast
@@ -203,6 +203,51 @@ def test_one_rational_reconstruction_and_one_determinant_route():
         if path.name != {"limit_denominator": "tolerance.py", "_bareiss_int": "_exact.py"}[name]
     ]
     assert not found, f"second routes: {found}"
+
+
+def exact_form_routes(source: str) -> list:
+    """(name, line) of each `integer_form` call that takes a `.tensor` argument
+    outside a function named `integer_tensor`, and of each `left_matrix` name."""
+    found = []
+
+    def visit(node, inside):
+        inside = inside or getattr(node, "name", None) == "integer_tensor"
+        func = getattr(node, "func", None)
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "integer_form" and not inside and any(
+            getattr(sub, "attr", None) == "tensor" for arg in node.args for sub in ast.walk(arg)
+        ):
+            found.append(("integer_form", node.lineno))
+        if "left_matrix" in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "name", None)):
+            found.append(("left_matrix", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_guard_sees_exact_form_routes():
+    assert exact_form_routes("_, C = integer_form(data.tensor, terms=1)") == [("integer_form", 1)]
+    assert exact_form_routes("x = core.integer_form(a.data.tensor, terms=m)") == [("integer_form", 1)]
+    assert exact_form_routes("x = integer_form(list(data.tensor[0]), terms=1)") == [("integer_form", 1)]
+    assert exact_form_routes("d = exact_det(data.left_matrix(i))") == [("left_matrix", 1)]
+    assert exact_form_routes("def left_matrix(self, i):\n    return self.tensor[i].T") == [("left_matrix", 1)]
+    inside = "def integer_tensor(self):\n    return integer_form(self.tensor, terms=self.rank)"
+    assert exact_form_routes(inside) == []
+    assert exact_form_routes("D, w = integer_form(x)\nL, C = data.integer_tensor()") == []
+
+
+def test_one_exact_form_of_the_ring():
+    """The tensor is cleared only in FusionData.integer_tensor, and no
+    `left_matrix` hands out a Fraction slice to clear again."""
+    found = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in exact_form_routes(path.read_text())
+    ]
+    assert not found, f"second exact forms: {found}"
 
 
 # ---------------------------------------------------------------- snapping
