@@ -20,9 +20,9 @@ from .core import (
     validate,
 )
 from .errors import HypergroupError
+from .tolerance import Tolerance
 from .spectra import (
     CharacterTable,
-    Tolerance,
     character_table,
     fp_character,
     integral_element,

@@ -45,26 +45,18 @@ def _matches_grouplikes(found: set, grouplike) -> tuple:
 
 
 class RingAnalysis:
-    """The invariants of `data` at tolerance `tol` (default: the table's, else
-    DEFAULT_TOL), each computed once.  A given `table` is used as is.
+    """The invariants of `data` at tolerance `tol` and solver seed `seed`,
+    each computed once.
 
     Every integrality verdict reads one exact certificate: `exact_d`, or the
     FP value `exact_fp` (behind `fpdim` and `dim_squares`), an int or
     Fraction on an exact tensor only when certified, else a float; on a
     floating tensor the values are bounded-denominator snaps."""
 
-    def __init__(
-        self,
-        data: FusionData,
-        tol: Tolerance | None = None,
-        seed: int = 0,
-        table: CharacterTable | None = None,
-    ):
+    def __init__(self, data: FusionData, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
         self.data = data
-        self.tol = tol or (table.tol if table is not None else DEFAULT_TOL)
+        self.tol = tol
         self.seed = seed
-        if table is not None:
-            self.table = table
 
     @cached_property
     def flags(self) -> FlagSet:
@@ -200,7 +192,7 @@ class RingAnalysis:
 
     @cached_property
     def dual(self) -> DualData:
-        return dual_hypergroup(self.data, self.table, self.fp, self.tol)
+        return dual_hypergroup(self.data, self.table, self.fp)
 
     @cached_property
     def dual_flags(self) -> FlagSet:

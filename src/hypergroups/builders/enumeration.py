@@ -19,7 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ..core import FusionData, bracketings, components
+from ..core import FusionData, bracketings, components, involution_of
 from ..errors import BudgetExceeded, InvalidType
 
 __all__ = ["enumerate_by_type", "normalize_type", "type_of"]
@@ -165,17 +165,12 @@ def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
                 canon = np.array(key, dtype=np.int64).reshape(m, m, m)
                 ring = FusionData(
                     f"enum{type_of(dims)}#{len(found)}",
-                    _involution_of_tensor(canon),
+                    involution_of(canon[:, :, 0]),
                     canon,
                 )
                 ring.flags  # validates
                 found[key] = ring
     return [found[k] for k in sorted(found)]
-
-
-def _involution_of_tensor(tensor: np.ndarray) -> list[int]:
-    """i* for each i: the first j with N_{ij}^0 != 0."""
-    return (tensor[:, :, 0] != 0).argmax(axis=1).tolist()
 
 
 def _relabelings(dims: list[int]) -> np.ndarray:

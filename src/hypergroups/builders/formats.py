@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..core import FusionData
+from ..core import FusionData, involution_of
 from ..errors import ParseError
 from ..tolerance import DEFAULT_TOL, Tolerance
 from .groups import FiniteGroup, group_from_generators
@@ -166,12 +166,10 @@ def parse_text(text: str, name: str = "ring") -> FusionData:
                 raise ParseError(lineno, 1, f"row has {len(row)} entries, expected {m}")
             for k in range(m):
                 tensor[i, j, k] = row[k]
-    involution = []
-    for i in range(m):
-        hits = [j for j in range(m) if tensor[i, j, 0] != 0]
-        if len(hits) != 1:
-            raise ParseError(1, 1, f"cannot infer involution for element {i}: hits {hits}")
-        involution.append(hits[0])
+    involution = involution_of(
+        tensor[:, :, 0],
+        error=lambda i, hits: ParseError(1, 1, f"cannot infer involution for element {i}: hits {hits}"),
+    )
     data = FusionData(name, involution, tensor)
     data.flags  # validates, and keeps the flag set for later stages
     return data

@@ -74,7 +74,7 @@ def rep_ring(g: FiniteGroup, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Fus
     """
     cl = class_hypergroup(g)
     table = character_table(cl, tol=tol, seed=seed)
-    dd = dual_hypergroup(cl, table, tol=tol)
+    dd = dual_hypergroup(cl, table)
     dims = []
     for h in dd.orders_hat:
         d = snap_value(float(np.sqrt(h)), tol)
@@ -161,12 +161,12 @@ def family_ring(n: int, G, K) -> FusionData:
     return FusionData(f"Fam(n={n},{g.name},{k.name})", inv, tensor)
 
 
-def corpus(tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> list[FusionData]:
+def corpus() -> list[FusionData]:
     """The standard self-verifying test corpus (all rings abelian)."""
     rings: list[FusionData] = []
     for name in catalog_names():
         g = catalog(name)
-        rings.append(rep_ring(g, tol=tol, seed=seed))
+        rings.append(rep_ring(g))
         rings.append(class_hypergroup(g))
     rings.append(ising())
     rings.append(fibonacci())

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._exact import det_nonzero_mod_p, exact_det
 from .core import Element, FusionData, basis_element, multiply
-from .errors import CrossCheckFailed, ExactNumericDisagreement, SignMismatch
+from .errors import CrossCheckFailed, SignMismatch
 from .spectra import _match_columns, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
@@ -87,8 +87,8 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
         for i in np.flatnonzero(vanishes | ~screened).tolist():
             det = Fraction(exact_det(C[i]), L**data.rank)
             if (det == 0) != vanishes[i]:
-                raise ExactNumericDisagreement(
-                    f"x_{i}: exact det {det} vs numeric vanishing {'yes' if vanishes[i] else 'no'}"
+                raise CrossCheckFailed(
+                    f"vanishing: x_{i}: exact det {det} vs numeric vanishing {'yes' if vanishes[i] else 'no'}"
                 )
     return numeric
 

@@ -37,10 +37,14 @@ from .tolerance import DEFAULT_TOL, Tolerance
 __all__ = ["main"]
 
 
-def _common_flags(p: argparse.ArgumentParser):
+def _solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.abs, help="absolute tolerance")
     p.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel, help="relative tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for the spectral solver")
+
+
+def _analysis_flags(p: argparse.ArgumentParser):
+    _solver_flags(p)
     p.add_argument(
         "--exact-only",
         action="store_true",
@@ -50,12 +54,6 @@ def _common_flags(p: argparse.ArgumentParser):
         "--modular-candidate",
         action="store_true",
         help="assert modular candidacy: run the modular-only exclusion tests",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="report rendering",
     )
 
 
@@ -149,7 +147,7 @@ def _cmd_dual(args) -> int:
     tol = _tol(args)
     data = load(args.path, tol)
     table = character_table(data, tol=tol, seed=args.seed)
-    dd = dual_hypergroup(data, table, tol=tol)
+    dd = dual_hypergroup(data, table)
     _write_ring(dd.base, args.out)
     return 0
 
@@ -231,7 +229,9 @@ def _cmd_batch(args) -> int:
     return 1 if errors else 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each subcommand registers only the flags its
+    handler reads."""
     parser = argparse.ArgumentParser(
         prog="hypergroups",
         description="Invariants and categorification screening of fusion rings "
@@ -241,7 +241,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="full invariant report for one ring file")
     p.add_argument("path")
-    _common_flags(p)
+    _analysis_flags(p)
+    p.add_argument(
+        "--format",
+        choices=("text", "structured"),
+        default="text",
+        help="report rendering",
+    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("group", help="build a ring from permutation generators")
@@ -249,7 +255,7 @@ def main(argv=None) -> int:
     p.add_argument("--name", default="G")
     p.add_argument("--kind", choices=("rep", "class", "group-ring"), default="rep")
     p.add_argument("--out")
-    _common_flags(p)
+    _solver_flags(p)
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("generate", help="build a named family member")
@@ -258,35 +264,37 @@ def main(argv=None) -> int:
     )
     p.add_argument("params", nargs="*")
     p.add_argument("--out")
-    _common_flags(p)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("dual", help="write the dual hypergroup of a ring file")
     p.add_argument("path")
     p.add_argument("--out")
-    _common_flags(p)
+    _solver_flags(p)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("quotient", help="quotient a ring by a sub-hypergroup")
     p.add_argument("path")
     p.add_argument("--sub", required=True, help="comma-separated basis indices")
     p.add_argument("--out")
-    _common_flags(p)
+    _solver_flags(p)
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("enumerate", help="enumerate fusion rings of a given type")
     p.add_argument("type", help="comma-separated dimension list, e.g. 1,1,1,1,2,2")
     p.add_argument("--out-dir")
     p.add_argument("--budget", type=int, default=2_000_000)
-    _common_flags(p)
+    _solver_flags(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("batch", help="analyze every ring file in a directory")
     p.add_argument("dir")
-    _common_flags(p)
+    _analysis_flags(p)
     p.set_defaults(func=_cmd_batch)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericFailure as exc:

@@ -45,6 +45,7 @@ __all__ = [
     "rescale",
     "normalize",
     "basis_element",
+    "involution_of",
     "exact_character",
     "regular_element",
     "scalar_kind",
@@ -276,6 +277,22 @@ def regular_element(data: FusionData, indices=None) -> Element:
     rows = rows.astype(object)
     den = math.lcm(*rows[:, 0].tolist())
     return Element(tuple(Fraction(n, den) for n in (den // rows[:, 0]) @ rows))
+
+
+def involution_of(unit_column: np.ndarray, threshold=0, error=None) -> tuple:
+    """Def 1.1: i* is the one j with |N_{ij}^0| > threshold, read from
+    unit_column[i, j] = N_{ij}^0 (threshold 0, exact, on an integer tensor).
+    A row with any other number of such j raises error(i, hits), by default
+    an AxiomViolation."""
+    inv = []
+    for i, row in enumerate(np.abs(unit_column) > threshold):
+        hits = np.flatnonzero(row).tolist()
+        if len(hits) != 1:
+            if error is None:
+                raise AxiomViolation("involution", (i,), f"N_{{ij}}^0 != 0 for j in {hits}")
+            raise error(i, hits)
+        inv.append(hits[0])
+    return tuple(inv)
 
 
 def orders(data: FusionData) -> list:

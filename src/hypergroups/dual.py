@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FusionData, normalize
+from .core import FusionData, involution_of, normalize
 from .errors import CrossCheckFailed, DualAxiomViolation, HypergroupError, NotNormalizable
 from .spectra import CharacterTable, _match_columns, character_table, fp_character, order
 from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
@@ -73,18 +73,14 @@ def augmentation_index(table: CharacterTable) -> int:
     return int(j)
 
 
-def dual_hypergroup(
-    data: FusionData,
-    table: CharacterTable,
-    mu1: int | None = None,
-    tol: Tolerance | None = None,
-) -> DualData:
-    """Build the dual of an abelian hypergroup normalizable via character mu1.
+def dual_hypergroup(data: FusionData, table: CharacterTable, mu1: int | None = None) -> DualData:
+    """Build the dual of an abelian hypergroup normalizable via character mu1,
+    at the table's tolerance.
 
     Dual basis order: mu1 first (it is the dual's unit), then the remaining
     characters in canonical table order.
     """
-    tol = tol or table.tol
+    tol = table.tol
     m = data.rank
     if mu1 is None:
         mu1 = fp_character(table)
@@ -137,19 +133,15 @@ def dual_hypergroup(
 
 def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
     """Def 1.1 on the dual: j# is the unique k with p-hat_1(j, k) != 0."""
-    m = real.shape[0]
-    thr = VALUE_SLACK * tol.zero(1.0 + np.abs(real[:, :, 0]).max())
-    inv = []
-    for j in range(m):
-        hits = [k for k in range(m) if abs(real[j, k, 0]) > thr]
-        if len(hits) != 1:
-            raise DualAxiomViolation(
-                f"dual involution ambiguous at character {j}: hits {hits}"
-            )
-        inv.append(hits[0])
-    if sorted(inv) != list(range(m)):
+    unit = real[:, :, 0]
+    inv = involution_of(
+        unit,
+        VALUE_SLACK * tol.zero(1.0 + np.abs(unit).max()),
+        lambda j, hits: DualAxiomViolation(f"dual involution ambiguous at character {j}: hits {hits}"),
+    )
+    if sorted(inv) != list(range(len(inv))):
         raise DualAxiomViolation("dual involution is not a permutation")
-    return tuple(inv)
+    return inv
 
 
 def _check_involution_conjugation(Ap, d, involution_hat, tol: Tolerance):
@@ -205,7 +197,7 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     normalized primal tensor entrywise within tol.
     """
     dd, tol = a.dual, a.tol
-    dd2 = dual_hypergroup(dd.base, dd.table, augmentation_index(dd.table), tol)
+    dd2 = dual_hypergroup(dd.base, dd.table, augmentation_index(dd.table))
 
     # dd2 basis position p holds dual-table column dd2.char_order[p];
     # primal index i sits at dual-table column dual_match[i].

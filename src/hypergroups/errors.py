@@ -26,7 +26,6 @@ __all__ = [
     "DualAxiomViolation",
     "CrossCheckFailed",
     "ClosureViolation",
-    "ExactNumericDisagreement",
     "SignMismatch",
     "NotPositive",
     "IdempotentResidual",
@@ -110,10 +109,6 @@ class CrossCheckFailed(NumericFailure):
 
 class ClosureViolation(HypergroupError):
     pass
-
-
-class ExactNumericDisagreement(NumericFailure):
-    """The exact determinant path and the numeric zero test disagree; fatal."""
 
 
 class SignMismatch(NumericFailure):

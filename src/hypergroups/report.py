@@ -20,7 +20,7 @@ from .dual import dual_codegrees, double_dual_check
 from .errors import InexactTensor, MultiplePositiveColumns, NoPositiveColumn
 from .galois import check_codegree_conjugation, galois_orbits, weak_integrality
 from .structure import kernel_of_character, universal_grading
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import DEFAULT_TOL, SNAP_DENOMINATOR_BOUND, Tolerance
 
 __all__ = ["AnalysisReport", "analyze", "render_text", "render_structured"]
 
@@ -86,7 +86,7 @@ def analyze(
         tolerances={
             "abs": tol.abs,
             "rel": tol.rel,
-            "snap_denominator_bound": tol.snap_denominator_bound,
+            "snap_denominator_bound": SNAP_DENOMINATOR_BOUND,
         },
     )
     if not flags.abelian:

@@ -33,7 +33,6 @@ from .tolerance import (
 
 __all__ = [
     "CharacterTable",
-    "Tolerance",
     "character_table",
     "fp_character",
     "order",

@@ -27,21 +27,18 @@ EIGEN_GAP = 1e-8  # least eigenvalue gap of the solver's combination, times 1 + 
 EIGEN_CONDITION = 1e10  # largest condition number of its eigenvector matrix
 COLUMN_ORDER_DIGITS = 9  # decimals of the value vectors that order the table's columns
 GRADING_DIGITS = 6  # decimals of the normalized values that partition the grading
+SNAP_DENOMINATOR_BOUND = 10**4  # largest denominator a snapped rational may have
 
 
 @dataclass(frozen=True)
 class Tolerance:
     abs: float = 1e-9
     rel: float = 1e-9
-    snap_denominator_bound: int = 10**4
 
     def __post_init__(self):
         # NaN fails every comparison, so test for the good case
         if not all(np.isfinite(t) and t > 0 for t in (self.abs, self.rel)):
             raise InvalidTolerance(f"tolerances {self.abs}, {self.rel} are not finite and positive")
-        b = self.snap_denominator_bound
-        if isinstance(b, bool) or not isinstance(b, int) or b < 1:
-            raise InvalidTolerance(f"snap denominator bound {b!r} is not an int >= 1")
 
     def zero(self, scale: float = 0.0) -> float:
         """Threshold below which a value of the given ambient scale counts as zero."""
@@ -68,7 +65,7 @@ def snap_value(value: float, tol: Tolerance = DEFAULT_TOL) -> int | Fraction | f
 
     An exact return type (int or Fraction) means the snap succeeded; a float
     return means the value is tagged non-rational at this tolerance.  The
-    rational is Fraction(x).limit_denominator(B), B the snap bound, by its own
+    rational is Fraction(x).limit_denominator(B), B = SNAP_DENOMINATOR_BOUND, by its own
     continued-fraction walk on the ints n / d = x.as_integer_ratio(); of the
     last two candidates it keeps the nearer, comparing |p d - n q| / q by
     cross-multiplication (the convergent p1 / q1 on a tie).
@@ -77,7 +74,7 @@ def snap_value(value: float, tol: Tolerance = DEFAULT_TOL) -> int | Fraction | f
     r = round(x)
     if abs(x - r) <= tol.zero(x):
         return int(r)
-    bound = tol.snap_denominator_bound
+    bound = SNAP_DENOMINATOR_BOUND
     p, q = n, d = x.as_integer_ratio()
     if d > bound:
         p0, q0, p1, q1 = 0, 1, 1, 0

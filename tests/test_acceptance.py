@@ -59,8 +59,7 @@ def test_criterion_2_dual_burnside_facts():
     expected_false = {"S3", "D5", "A4", "S4"}
     for name in catalog_names():
         ring = rep_ring(catalog(name), tol=tol)
-        table = hg.character_table(ring, tol=tol)
-        verdict, _ = hg.RingAnalysis(ring, tol, table=table).dual_burnside
+        verdict, _ = hg.RingAnalysis(ring, tol).dual_burnside
         if name in expected_false:
             assert not verdict, name
         if name == "SL(2,3)":
@@ -113,7 +112,7 @@ def test_criterion_4_spectral_invariants(corpus_with_tables):
         second = np.einsum("ij,lj,j->il", table.values, table.values.conj(), 1.0 / n)
         assert np.abs(second - np.diag(1.0 / table.h)).max() < 1e-9, ring.name
         assert abs((1.0 / n).sum() - 1.0) < 1e-10, ring.name
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         assert abs(a.dual.orders_hat.sum() - hg.order(table)) < 1e-8, ring.name
         hg.double_dual_check(a)
     for name in catalog_names():
@@ -153,7 +152,7 @@ def test_criterion_6_adjoint_laws(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         ad = st.adjoint(a)  # contains the Prop-6.4 support cross-check
         P = bn.product_P(a)
         P2 = hg.multiply(ring, P, P)
@@ -260,7 +259,7 @@ def test_criterion_8_near_group_rules():
     coeff_minus = row[pos]
     assert abs(coeff_plus - (x2**2 + 3) / (x1**2 + 3)) < 1e-9
     assert abs(coeff_minus - (x1**2 - x2**2) / (x1**2 + 3)) < 1e-9
-    assert cr.near_group_modular_test(hg.RingAnalysis(k33, table=table)).excluded
+    assert cr.near_group_modular_test(hg.RingAnalysis(k33)).excluded
     for ring in (near_group([2], 0), near_group([], 1)):
         assert not cr.near_group_modular_test(hg.RingAnalysis(ring)).excluded, ring.name
     _report(8, "K(Z3,3) psi-minus^2 coefficients reproduced at 1e-9 and excluded; Ising/Fib kept")
@@ -271,7 +270,7 @@ def test_criterion_9_rational_rn_dual_burnside_is_weakly_rational(corpus_with_ta
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         dual_burn, _ = a.dual_burnside
         # weak_integrality raises TheoremViolation on any counterexample
         verdict = ga.weak_integrality(a)

@@ -6,52 +6,51 @@ import pytest
 import hypergroups as hg
 from hypergroups import burnside as bn
 from hypergroups.builders import catalog, class_hypergroup, group_ring, near_group, rep_ring
-from hypergroups.errors import ExactNumericDisagreement, SignMismatch
+from hypergroups.errors import CrossCheckFailed, SignMismatch
 from conftest import NILPOTENT_CATALOG, s3_indices
 
 
-def test_grouplike_elements_examples(ising_ring, ising_table, s3_rep, s3_table):
+def test_grouplike_elements_examples(ising_ring, s3_rep):
     z4 = group_ring(catalog("C4"))
-    t4 = hg.character_table(z4)
-    assert hg.RingAnalysis(z4, table=t4).grouplikes == (0, 1, 2, 3)
-    assert hg.RingAnalysis(ising_ring, table=ising_table).grouplikes == (0, 1)
+    assert hg.RingAnalysis(z4).grouplikes == (0, 1, 2, 3)
+    assert hg.RingAnalysis(ising_ring).grouplikes == (0, 1)
     s, _ = s3_indices(s3_rep)
-    assert hg.RingAnalysis(s3_rep, table=s3_table).grouplikes == (0, s)
+    assert hg.RingAnalysis(s3_rep).grouplikes == (0, s)
 
 
-def test_vanishing_elements(s3_rep, s3_table, fib_ring, fib_table):
+def test_vanishing_elements(s3_rep, fib_ring):
     _, t = s3_indices(s3_rep)
-    assert bn.vanishing_elements(hg.RingAnalysis(s3_rep, table=s3_table)) == (t,)
-    assert bn.vanishing_elements(hg.RingAnalysis(fib_ring, table=fib_table)) == ()
+    assert bn.vanishing_elements(hg.RingAnalysis(s3_rep)) == (t,)
+    assert bn.vanishing_elements(hg.RingAnalysis(fib_ring)) == ()
     z6 = group_ring(catalog("C6"))
     assert bn.vanishing_elements(hg.RingAnalysis(z6)) == ()
 
 
-def test_exact_numeric_agreement_enforced(s3_rep, s3_table):
+def test_exact_numeric_agreement_enforced(s3_rep):
     # with an absurdly loose tolerance the numeric path flags everything as
     # vanishing while the exact determinants do not; the run must abort
     from hypergroups.tolerance import Tolerance
 
     loose = Tolerance(abs=10.0, rel=10.0)
-    with pytest.raises(ExactNumericDisagreement):
-        bn.vanishing_elements(hg.RingAnalysis(s3_rep, loose, table=s3_table))
+    with pytest.raises(CrossCheckFailed, match="vanishing: x_.*: exact det .* vs numeric vanishing yes"):
+        bn.vanishing_elements(hg.RingAnalysis(s3_rep, loose))
 
 
-def test_is_burnside(s3_rep, s3_table, fib_ring, fib_table):
-    assert hg.RingAnalysis(s3_rep, table=s3_table).burnside == (True, None)
-    verdict, witness = hg.RingAnalysis(fib_ring, table=fib_table).burnside
+def test_is_burnside(s3_rep, fib_ring):
+    assert hg.RingAnalysis(s3_rep).burnside == (True, None)
+    verdict, witness = hg.RingAnalysis(fib_ring).burnside
     assert not verdict and witness == 1
 
 
-def test_grouplike_characters(ising_ring, ising_table, s3_table, s3_rep, q8_rep, q8_table):
-    assert len(hg.RingAnalysis(ising_ring, table=ising_table).grouplike_chars) == 2
-    assert hg.RingAnalysis(s3_rep, table=s3_table).grouplike_chars == (0,)
-    assert len(hg.RingAnalysis(q8_rep, table=q8_table).grouplike_chars) == 2
+def test_grouplike_characters(ising_ring, s3_rep, q8_rep):
+    assert len(hg.RingAnalysis(ising_ring).grouplike_chars) == 2
+    assert hg.RingAnalysis(s3_rep).grouplike_chars == (0,)
+    assert len(hg.RingAnalysis(q8_rep).grouplike_chars) == 2
 
 
-def test_is_dual_burnside(ising_ring, ising_table, s3_rep, s3_table):
-    assert hg.RingAnalysis(ising_ring, table=ising_table).dual_burnside == (True, None)
-    verdict, witness = hg.RingAnalysis(s3_rep, table=s3_table).dual_burnside
+def test_is_dual_burnside(ising_ring, s3_rep, s3_table):
+    assert hg.RingAnalysis(ising_ring).dual_burnside == (True, None)
+    verdict, witness = hg.RingAnalysis(s3_rep).dual_burnside
     assert not verdict
     # the witness is the (1,1,-1) column: zero-free but codegree 3 < 6
     col = s3_table.values[:, witness]
@@ -62,19 +61,19 @@ def test_is_dual_burnside(ising_ring, ising_table, s3_rep, s3_table):
 def test_sl23_dual_burnside():
     ring = rep_ring(catalog("SL(2,3)"))
     table = hg.character_table(ring)
-    assert hg.RingAnalysis(ring, table=table).dual_burnside[0]
+    assert hg.RingAnalysis(ring).dual_burnside[0]
 
 
-def test_product_P(q8_rep, q8_table, z2_ring, s3_rep, s3_table):
+def test_product_P(q8_rep, q8_table, z2_ring, s3_rep):
     # Q8: invertibles multiply to 1, so P = t/2 and P^2 = (1+a+b+ab)/4
-    P = bn.product_P(hg.RingAnalysis(q8_rep, table=q8_table))
+    P = bn.product_P(hg.RingAnalysis(q8_rep))
     d = q8_table.fp_dims()
     tq = int(np.argmax(d))
     expected = np.zeros(5)
     expected[tq] = 0.5
     assert np.allclose(P.float_coords(), expected)
     P2 = hg.multiply(q8_rep, P, P)
-    gl = hg.RingAnalysis(q8_rep, table=q8_table).grouplikes
+    gl = hg.RingAnalysis(q8_rep).grouplikes
     expected2 = np.array([0.25 if i in gl else 0.0 for i in range(5)])
     assert np.allclose(P2.float_coords(), expected2)
 
@@ -82,25 +81,25 @@ def test_product_P(q8_rep, q8_table, z2_ring, s3_rep, s3_table):
 
     # S3: s t = t, so P = t/2
     s, tt = s3_indices(s3_rep)
-    P = bn.product_P(hg.RingAnalysis(s3_rep, table=s3_table))
+    P = bn.product_P(hg.RingAnalysis(s3_rep))
     expected = np.zeros(3)
     expected[tt] = 0.5
     assert np.allclose(P.float_coords(), expected)
 
 
-def test_product_P_exact_for_integral_rings(q8_rep, q8_table):
-    P = bn.product_P(hg.RingAnalysis(q8_rep, table=q8_table))
+def test_product_P_exact_for_integral_rings(q8_rep):
+    P = bn.product_P(hg.RingAnalysis(q8_rep))
     assert P.is_exact
 
 
-def test_phat_values_against_determinants(s3_rep, s3_table):
-    bn.product_Phat_values(hg.RingAnalysis(s3_rep, table=s3_table))  # raises CrossCheckFailed on mismatch
+def test_phat_values_against_determinants(s3_rep):
+    bn.product_Phat_values(hg.RingAnalysis(s3_rep))  # raises CrossCheckFailed on mismatch
 
 
-def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
+def test_product_phat_in_dual(q8_rep, fib_ring, fib_table):
     # Q8 is Burnside: P-hat^2 must be the sum of the grouplike dual idempotents,
     # i.e. P-hat evaluates to +-1 exactly on the grouplikes
-    q8 = hg.RingAnalysis(q8_rep, table=q8_table)
+    q8 = hg.RingAnalysis(q8_rep)
     phat = bn.product_Phat(q8)
     assert len(phat) == q8_rep.rank
     vals = bn.phat_values(q8)
@@ -113,21 +112,20 @@ def test_product_phat_in_dual(q8_rep, q8_table, fib_ring, fib_table):
     # and Prop 4.2 via dual determinants: mu_j(P) = det of dual left multiplication
     ddf = hg.dual_hypergroup(fib_ring, fib_table)
     L = ddf.base.left_matrices_float()
-    pv = bn.p_values(hg.RingAnalysis(fib_ring, table=fib_table))
+    pv = bn.p_values(hg.RingAnalysis(fib_ring))
     for pos in range(ddf.rank):
         det = np.linalg.det(L[pos])
         j = ddf.char_order[pos]
         assert abs(det - pv[j]) < 1e-8
 
 
-def test_sgn_examples(z2_ring, s3_rep, s3_table, ising_ring, ising_table):
-    t = hg.character_table(z2_ring)
-    el, ch = bn.sgn_values(hg.RingAnalysis(z2_ring, table=t))
+def test_sgn_examples(z2_ring, s3_rep, ising_ring):
+    el, ch = bn.sgn_values(hg.RingAnalysis(z2_ring))
     assert el[0] == 1 and el[1] == -1
     s, _ = s3_indices(s3_rep)
-    el, ch = bn.sgn_values(hg.RingAnalysis(s3_rep, table=s3_table))
+    el, ch = bn.sgn_values(hg.RingAnalysis(s3_rep))
     assert el[0] == 1 and el[s] == -1
-    el, ch = bn.sgn_values(hg.RingAnalysis(ising_ring, table=ising_table))
+    el, ch = bn.sgn_values(hg.RingAnalysis(ising_ring))
     assert set(el.values()) <= {1, -1} and set(ch.values()) <= {1, -1}
 
 
@@ -137,14 +135,15 @@ def test_sgn_values_rejects_a_product_that_is_no_character(ising_ring, ising_tab
     k = int(np.argmin(ising_table.codegrees))
     values = ising_table.values.copy()
     values[2, k] = 0.5
-    a = hg.RingAnalysis(ising_ring, table=replace(ising_table, values=values))
+    a = hg.RingAnalysis(ising_ring)
+    a.table = replace(ising_table, values=values)
     with pytest.raises(SignMismatch, match="is not a character"):
         bn.sgn_values(a)
 
 
-def test_phat_bound_equality_iff_grouplike(corpus_with_tables):
-    for ring, table in corpus_with_tables:
-        a = hg.RingAnalysis(ring, table=table)
+def test_phat_bound_equality_iff_grouplike(full_corpus):
+    for ring in full_corpus:
+        a = hg.RingAnalysis(ring)
         vals = np.abs(bn.phat_values(a))
         assert (vals <= 1 + 1e-8).all(), ring.name
         for i in range(ring.rank):
@@ -159,7 +158,7 @@ def test_grouplike_character_products_permute(q8_rep, q8_table):
     # mu grouplike, mu * mu_k matches a unique character column
     d = q8_table.fp_dims()
     norm = q8_table.values / d[:, None]
-    for j in hg.RingAnalysis(q8_rep, table=q8_table).grouplike_chars:
+    for j in hg.RingAnalysis(q8_rep).grouplike_chars:
         seen = set()
         for k in range(q8_rep.rank):
             prod = norm[:, j] * q8_table.values[:, k]
@@ -170,38 +169,38 @@ def test_grouplike_character_products_permute(q8_rep, q8_table):
         assert seen == set(range(q8_rep.rank))
 
 
-def test_identity_checks_examples(q8_rep, q8_table, ising_ring, ising_table, fib_ring, fib_table):
-    checks = bn.identity_checks(hg.RingAnalysis(q8_rep, table=q8_table))
+def test_identity_checks_examples(q8_rep, ising_ring, fib_ring):
+    checks = bn.identity_checks(hg.RingAnalysis(q8_rep))
     assert checks["p_sq_vs_adjoint_integral"] < 1e-9  # Eq (9.10) both sides
-    checks = bn.identity_checks(hg.RingAnalysis(ising_ring, table=ising_table))
+    checks = bn.identity_checks(hg.RingAnalysis(ising_ring))
     assert checks["p4_minus_p2"] < 1e-9
-    checks = bn.identity_checks(hg.RingAnalysis(fib_ring, table=fib_table))
+    checks = bn.identity_checks(hg.RingAnalysis(fib_ring))
     assert checks["phat4_minus_phat2"] >= 1e-4
 
 
-def test_nilpotent_corpus_is_burnside_and_dual(corpus_with_tables):
-    for ring, table in corpus_with_tables:
+def test_nilpotent_corpus_is_burnside_and_dual(full_corpus):
+    for ring in full_corpus:
         from hypergroups.structure import is_nilpotent
 
         if is_nilpotent(ring) is not None:
-            a = hg.RingAnalysis(ring, table=table)
+            a = hg.RingAnalysis(ring)
             assert a.burnside[0] and a.dual_burnside[0], ring.name
 
 
-def test_hypothesis_report(fib_ring, fib_table):
-    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(fib_ring, table=fib_table))
+def test_hypothesis_report(fib_ring):
+    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(fib_ring))
     assert not rep["weakly_integral"]
     assert rep["obstruction"] is None
 
 
-def test_obstruction_flagged_for_qualifying_failure(s3_rep, s3_table):
+def test_obstruction_flagged_for_qualifying_failure(s3_rep):
     # S3 is Burnside, so no obstruction; force the hypothetical branch shape
-    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(s3_rep, table=s3_table))
+    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(s3_rep))
     assert rep["burnside"] and rep["obstruction"] is None
 
 
-def test_burnside_report_assembly(ising_ring, ising_table):
-    rep = bn.burnside_report(hg.RingAnalysis(ising_ring, table=ising_table))
+def test_burnside_report_assembly(ising_ring):
+    rep = bn.burnside_report(hg.RingAnalysis(ising_ring))
     assert rep.is_burnside and rep.is_dual_burnside
     assert rep.grouplike_closure_ok
     assert set(rep.vanishing_elements) | set(rep.nonvanishing) == {0, 1, 2}

@@ -1,13 +1,16 @@
 import argparse
+import ast
+import inspect
 import json
 import os
+import textwrap
 
 import numpy as np
 import pytest
 
 from hypergroups import builders as bd
 from hypergroups.core import FusionData
-from hypergroups.cli import _common_flags, _tol, main
+from hypergroups.cli import _build_parser, _solver_flags, _tol, main
 from hypergroups.tolerance import DEFAULT_TOL
 
 
@@ -19,8 +22,59 @@ def run(capsys, *argv):
 
 def test_tolerance_flags_default_to_the_default_tolerance():
     parser = argparse.ArgumentParser()
-    _common_flags(parser)
+    _solver_flags(parser)
     assert _tol(parser.parse_args([])) == DEFAULT_TOL
+
+
+def _unread_arguments(parser: argparse.ArgumentParser) -> list:
+    """(subcommand, dest) for each argument a subcommand registers that its
+    handler never reads; `args.<dest>` is a read, and `_tol(args)` reads
+    tol_abs and tol_rel."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in subparsers.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(sub.get_default("func"))))
+        read = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        if any(isinstance(node, ast.Name) and node.id == "_tol" for node in ast.walk(tree)):
+            read |= {"tol_abs", "tol_rel"}
+        unread += [(name, a.dest) for a in sub._actions if a.dest != "help" and a.dest not in read]
+    return unread
+
+
+def test_every_registered_argument_is_read_by_its_handler():
+    assert _unread_arguments(_build_parser()) == []
+
+
+def test_the_unread_argument_guard_sees_an_unread_flag():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    subparsers.choices["generate"].add_argument("--seed", type=int, default=0)
+    subparsers.choices["enumerate"].add_argument("--modular-candidate", action="store_true")
+    assert _unread_arguments(parser) == [("generate", "seed"), ("enumerate", "modular_candidate")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "ising", "--format", "structured"],
+        ["generate", "ising", "--modular-candidate", "--exact-only", "--seed", "5", "--tol-abs", "1e-3"],
+        ["enumerate", "1,1,1,1,2,2", "--modular-candidate"],
+        ["enumerate", "1,1,1,1,2,2", "--exact-only"],
+        ["group", "(012),(01)", "--format", "structured"],
+        ["dual", "ring.json", "--exact-only"],
+        ["quotient", "ring.json", "--sub", "0", "--modular-candidate"],
+        ["batch", "rings", "--format", "structured"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_generate_and_analyze(tmp_path, capsys):
@@ -70,13 +124,13 @@ def test_analyze_loads_a_float_ring_at_the_command_tolerance(tmp_path, capsys):
 def test_analyze_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     # numeric cross-check failures anywhere in the pipeline map to exit 3
     import hypergroups.cli as cli
-    from hypergroups.errors import ExactNumericDisagreement
+    from hypergroups.errors import CrossCheckFailed
 
     path = str(tmp_path / "s3.json")
     bd.dump(bd.rep_ring(bd.catalog("S3")), path)
 
     def boom(*args, **kwargs):
-        raise ExactNumericDisagreement("x_1: exact det 1 vs numeric vanishing yes")
+        raise CrossCheckFailed("vanishing: x_1: exact det 1 vs numeric vanishing yes")
 
     monkeypatch.setattr(cli, "analyze", boom)
     code, _, err = run(capsys, "analyze", path)

@@ -24,7 +24,30 @@ from hypergroups.builders import (
     serialize,
 )
 from hypergroups.errors import AxiomViolation, InvalidRescale, NotNormalizable
-from hypergroups.tolerance import snap_value
+from hypergroups.tolerance import DEFAULT_TOL, snap_value
+
+
+def test_involution_of_keeps_each_callers_error():
+    """One inference of i* from N_{ij}^0 behind parse_text, the enumerator and
+    the dual; each keeps its own error class and message."""
+    from hypergroups.builders import parse_text
+    from hypergroups.dual import _involution_from_tensor
+    from hypergroups.errors import DualAxiomViolation, ParseError
+
+    assert core.involution_of(np.array([[1, 0, 0], [0, 0, 2], [0, 3, 0]], dtype=object)) == (0, 2, 1)
+    with pytest.raises(AxiomViolation, match=r"involution violated at indices \(1,\)"):
+        core.involution_of(np.array([[1, 0], [0, 0]]))
+    with pytest.raises(ParseError, match=r"cannot infer involution for element 1: hits \[0, 1\]"):
+        parse_text("1 0\n0 1\n\n1 1\n1 0\n")
+    real = np.zeros((2, 2, 2))
+    real[0, 0, 0] = real[1, 1, 0] = 1.0
+    assert _involution_from_tensor(real, DEFAULT_TOL) == (0, 1)
+    real[1, 0, 0] = 1e-3
+    with pytest.raises(DualAxiomViolation, match=r"ambiguous at character 1: hits \[0, 1\]"):
+        _involution_from_tensor(real, DEFAULT_TOL)
+    real[1, 0, 0], real[1, 1, 0] = 1.0, 0.0
+    with pytest.raises(DualAxiomViolation, match="dual involution is not a permutation"):
+        _involution_from_tensor(real, DEFAULT_TOL)
 
 
 def test_group_ring_z2_all_flags(z2_ring):

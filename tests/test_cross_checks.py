@@ -27,8 +27,8 @@ from hypergroups.errors import AxiomViolation, ClosureViolation, CrossCheckFaile
 # ---------------------------------------------------------------- burnside
 
 
-def test_identity_checks_reject_a_false_verdict_with_a_small_residual(ising_ring, ising_table):
-    a = hg.RingAnalysis(ising_ring, table=ising_table)
+def test_identity_checks_reject_a_false_verdict_with_a_small_residual(ising_ring):
+    a = hg.RingAnalysis(ising_ring)
     assert a.burnside[0]
     a.burnside = (False, 2)
     message = "phat_sq_vs_grouplikes = .* though verdict is false"
@@ -36,8 +36,8 @@ def test_identity_checks_reject_a_false_verdict_with_a_small_residual(ising_ring
         bn.identity_checks(a)
 
 
-def test_identity_checks_reject_a_true_verdict_with_a_large_residual(s3_rep, s3_table):
-    a = hg.RingAnalysis(s3_rep, table=s3_table)
+def test_identity_checks_reject_a_true_verdict_with_a_large_residual(s3_rep):
+    a = hg.RingAnalysis(s3_rep)
     assert not a.dual_burnside[0]
     a.dual_burnside = (True, None)
     message = "p_sq_vs_adjoint_integral = .* though verdict is true"
@@ -57,8 +57,8 @@ def _with_dual_table(a, **changes):
     a.dual = dd
 
 
-def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3_rep, s3_table):
-    a = hg.RingAnalysis(s3_rep, table=s3_table)
+def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3_rep):
+    a = hg.RingAnalysis(s3_rep)
     t = a.dual.table
     # exchange the dual characters at x_1 and x_2, whose orders differ
     perm = list(range(t.rank))
@@ -75,8 +75,8 @@ def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3
         hg.double_dual_check(a)
 
 
-def test_dual_codegrees_reject_a_perturbed_dual_codegree(s3_rep, s3_table):
-    a = hg.RingAnalysis(s3_rep, table=s3_table)
+def test_dual_codegrees_reject_a_perturbed_dual_codegree(s3_rep):
+    a = hg.RingAnalysis(s3_rep)
     n = a.dual.table.codegrees.copy()
     n[a.dual_match[1]] += 1e-2
     _with_dual_table(a, codegrees=n)
@@ -87,8 +87,8 @@ def test_dual_codegrees_reject_a_perturbed_dual_codegree(s3_rep, s3_table):
 # ---------------------------------------------------------------- structure
 
 
-def test_kernel_of_element_rejects_kernels_that_disagree(ising_ring, ising_table):
-    a = hg.RingAnalysis(ising_ring, table=ising_table)
+def test_kernel_of_element_rejects_kernels_that_disagree(ising_ring):
+    a = hg.RingAnalysis(ising_ring)
     agreement = a.fp_agreement.copy()
     agreement[2] = True  # every character acts on sigma like FPdim
     a.fp_agreement = agreement
@@ -96,32 +96,32 @@ def test_kernel_of_element_rejects_kernels_that_disagree(ising_ring, ising_table
         st.kernel_of_element(a, hg.basis_element(ising_ring, 2))
 
 
-def test_adjoint_rejects_a_support_other_than_the_grouplike_characters(ising_ring, ising_table):
-    a = hg.RingAnalysis(ising_ring, table=ising_table)
+def test_adjoint_rejects_a_support_other_than_the_grouplike_characters(ising_ring):
+    a = hg.RingAnalysis(ising_ring)
     a.grouplike_chars = (a.fp,)
     with pytest.raises(CrossCheckFailed, match=r"adjoint: J_ad \[.*\] != codegree test \[0\]"):
         st.adjoint(a)
 
 
-def _grading_analysis(ring, table, **cached):
+def _grading_analysis(ring, **cached):
     """An analysis with its adjoint and grouplike characters computed, then
     the attributes in `cached` overwritten."""
-    a = hg.RingAnalysis(ring, table=table)
+    a = hg.RingAnalysis(ring)
     a.adjoint, a.grouplike_chars, a.normalized
     for name, value in cached.items():
         setattr(a, name, value)
     return a
 
 
-def test_grading_rejects_an_identity_component_other_than_the_adjoint(ising_ring, ising_table):
-    a = _grading_analysis(ising_ring, ising_table, adjoint=st.SubHypergroup((0, 2), ising_ring))
+def test_grading_rejects_an_identity_component_other_than_the_adjoint(ising_ring):
+    a = _grading_analysis(ising_ring, adjoint=st.SubHypergroup((0, 2), ising_ring))
     message = r"grading: identity component \[0, 1, 2\] != adjoint"
     with pytest.raises(CrossCheckFailed, match=message):
         st.universal_grading(a)
 
 
-def test_grading_rejects_a_component_product_that_spreads(ising_ring, ising_table):
-    a = _grading_analysis(ising_ring, ising_table, adjoint=st.SubHypergroup((0,), ising_ring))
+def test_grading_rejects_a_component_product_that_spreads(ising_ring):
+    a = _grading_analysis(ising_ring, adjoint=st.SubHypergroup((0,), ising_ring))
     with pytest.raises(CrossCheckFailed, match=r"grading: component product 2 \* 2 spreads"):
         st.universal_grading(a)
 
@@ -139,34 +139,32 @@ def test_grading_table_must_be_a_group(table, message):
         st._check_group_table(np.array(table))
 
 
-def test_grading_rejects_a_component_count_other_than_the_grouplike_characters(
-    ising_ring, ising_table
-):
-    a = _grading_analysis(ising_ring, ising_table)
+def test_grading_rejects_a_component_count_other_than_the_grouplike_characters(ising_ring):
+    a = _grading_analysis(ising_ring)
     a.grouplike_chars = (a.fp,)
     message = r"grading: \|components\| = 2 != \|G\(H-hat\)\| = 1"
     with pytest.raises(CrossCheckFailed, match=message):
         st.universal_grading(a)
 
 
-def test_grading_rejects_a_character_partition_other_than_the_components(ising_ring, ising_table):
-    a = _grading_analysis(ising_ring, ising_table)
+def test_grading_rejects_a_character_partition_other_than_the_components(ising_ring):
+    a = _grading_analysis(ising_ring)
     other = next(j for j in range(3) if j not in a.grouplike_chars)
     a.grouplike_chars = (a.fp, other)
     with pytest.raises(CrossCheckFailed, match="grading: character-side partition differs"):
         st.universal_grading(a)
 
 
-def test_grading_rejects_a_component_dimension_off_the_share_of_fpdim(ising_ring, ising_table):
-    a = _grading_analysis(ising_ring, ising_table)
+def test_grading_rejects_a_component_dimension_off_the_share_of_fpdim(ising_ring):
+    a = _grading_analysis(ising_ring)
     a.n_h += 1e-2
     message = r"grading: FPdim\(R_g\) = 2\.0.* != FPdim\(H\)/\|U\|"
     with pytest.raises(CrossCheckFailed, match=message):
         st.universal_grading(a)
 
 
-def test_perp_rejects_a_set_that_is_not_its_biperp(ising_ring, ising_table, monkeypatch):
-    a = hg.RingAnalysis(ising_ring, table=ising_table)
+def test_perp_rejects_a_set_that_is_not_its_biperp(ising_ring, monkeypatch):
+    a = hg.RingAnalysis(ising_ring)
     monkeypatch.setattr(st, "_check_sub", lambda data, indices, tol: None)
     with pytest.raises(CrossCheckFailed, match=r"\(S-perp\)-perp = \[0, 1, 2\] != S = \[0, 2\]"):
         st.perp(a, st.SubHypergroup((0, 2), ising_ring))
@@ -206,8 +204,8 @@ def test_central_series_rejects_a_tensor_whose_series_disagree(monkeypatch):
         st.central_series(ring)
 
 
-def test_perp_commutator_and_series_validate_their_input(ising_ring, ising_table):
-    a = hg.RingAnalysis(ising_ring, table=ising_table)
+def test_perp_commutator_and_series_validate_their_input(ising_ring):
+    a = hg.RingAnalysis(ising_ring)
     with pytest.raises(ClosureViolation, match=r"indices \(0, 2\) are not closed"):
         st.perp(a, st.SubHypergroup((0, 2), ising_ring))
     ring = _sandwich_breaker()
@@ -226,15 +224,15 @@ def test_perp_commutator_and_series_validate_their_input(ising_ring, ising_table
 # ---------------------------------------------------------------- galois
 
 
-def test_codegree_conjugation_rejects_an_orbit_with_irrational_codegrees(fib_ring, fib_table):
-    a = hg.RingAnalysis(fib_ring, table=fib_table)
+def test_codegree_conjugation_rejects_an_orbit_with_irrational_codegrees(fib_ring):
+    a = hg.RingAnalysis(fib_ring)
     split = gl.OrbitPartition(orbits=((0,), (1,)), certificates={})
     with pytest.raises(CrossCheckFailed, match=r"conjugation: .* on orbit \(0,\) is not rational"):
         gl.check_codegree_conjugation(a, split)
 
 
-def test_codegree_conjugation_rejects_an_orbit_with_distinct_dual_orders(s3_rep, s3_table):
-    a = hg.RingAnalysis(s3_rep, table=s3_table)
+def test_codegree_conjugation_rejects_an_orbit_with_distinct_dual_orders(s3_rep):
+    a = hg.RingAnalysis(s3_rep)
     assert a.dual_flags.h_integral
     merged = gl.OrbitPartition(orbits=((0, 1, 2),), certificates={})
     message = r"conjugation: dual orders not constant on orbit \(0, 1, 2\)"

@@ -61,12 +61,12 @@ def test_z3_dual_all_flags():
     assert fl.real_non_negative and fl.rational and fl.h_integral
 
 
-def test_dual_codegrees(ising_ring, ising_table, z2_ring, s3_rep, s3_table):
-    nhat = hg.dual_codegrees(hg.RingAnalysis(ising_ring, table=ising_table))
+def test_dual_codegrees(ising_ring, z2_ring, s3_rep):
+    nhat = hg.dual_codegrees(hg.RingAnalysis(ising_ring))
     assert sorted(np.round(nhat, 8)) == [2.0, 4.0, 4.0]
     nhat = hg.dual_codegrees(hg.RingAnalysis(z2_ring))
     assert list(np.round(nhat, 8)) == [2.0, 2.0]
-    nhat = hg.dual_codegrees(hg.RingAnalysis(s3_rep, table=s3_table))
+    nhat = hg.dual_codegrees(hg.RingAnalysis(s3_rep))
     assert sorted(np.round(nhat, 8)) == [1.5, 6.0, 6.0]
 
 
@@ -102,9 +102,9 @@ def test_dual_idempotent_pairing(ising_ring, ising_table):
             assert abs(val - (1.0 if i == j else 0.0)) < 1e-9
 
 
-def test_double_dual_everywhere(corpus_with_tables):
-    for ring, table in corpus_with_tables:
-        perm = hg.double_dual_check(hg.RingAnalysis(ring, table=table))
+def test_double_dual_everywhere(full_corpus):
+    for ring in full_corpus:
+        perm = hg.double_dual_check(hg.RingAnalysis(ring))
         assert sorted(perm) == list(range(ring.rank)), ring.name
 
 

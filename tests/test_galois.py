@@ -26,14 +26,14 @@ from conftest import PHI
 from test_golden import NEAR_GROUPS
 
 
-def test_orbits_s3_all_singletons(s3_rep, s3_table):
-    part = ga.galois_orbits(hg.RingAnalysis(s3_rep, table=s3_table))
+def test_orbits_s3_all_singletons(s3_rep):
+    part = ga.galois_orbits(hg.RingAnalysis(s3_rep))
     assert part.orbits == ((0,), (1,), (2,))
     assert all(part.rational_mask)
 
 
 def test_orbits_fibonacci(fib_ring, fib_table):
-    part = ga.galois_orbits(hg.RingAnalysis(fib_ring, table=fib_table))
+    part = ga.galois_orbits(hg.RingAnalysis(fib_ring))
     assert part.orbits == ((0, 1),)
     assert not any(part.rational_mask)
     # symmetric functions: sum of roots 1, product -1 at rho
@@ -43,7 +43,7 @@ def test_orbits_fibonacci(fib_ring, fib_table):
 
 
 def test_orbits_ising(ising_ring, ising_table):
-    part = ga.galois_orbits(hg.RingAnalysis(ising_ring, table=ising_table))
+    part = ga.galois_orbits(hg.RingAnalysis(ising_ring))
     paired = next(o for o in part.orbits if len(o) == 2)
     single = next(o for o in part.orbits if len(o) == 1)
     # the +-sqrt(2) columns pair up; the (1,-1,0) column is rational
@@ -51,20 +51,19 @@ def test_orbits_ising(ising_ring, ising_table):
     assert abs(ising_table.values[2, single[0]]) < 1e-9
 
 
-def test_orbits_rejects_irrational_tensor(fib_ring, fib_table):
+def test_orbits_rejects_irrational_tensor(fib_ring):
     floaty = hg.FusionData(
         "irr", [0, 1], [[[1.0, 0], [0, 1]], [[0, 1], [1, math.sqrt(2)]]]
     )
-    table = hg.character_table(floaty)
     with pytest.raises(HypergroupError):
-        ga.galois_orbits(hg.RingAnalysis(floaty, table=table))
+        ga.galois_orbits(hg.RingAnalysis(floaty))
 
 
 def test_singleton_orbits_are_exactly_rational_characters(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.flags.rational:
             continue
-        part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
+        part = ga.galois_orbits(hg.RingAnalysis(ring))
         for j in range(ring.rank):
             col = table.values[:, j]
             # rational: real, and snaps to a solution of the character equation
@@ -76,33 +75,33 @@ def test_singleton_orbits_are_exactly_rational_characters(corpus_with_tables):
             assert (len(part.orbit_of(j)) == 1) == rational, (ring.name, j)
 
 
-def test_rep_ring_orbit_polynomials_integer(corpus_with_tables):
+def test_rep_ring_orbit_polynomials_integer(full_corpus):
     # each orbit's idempotent sum is exactly rational: its certificate is float noise
-    for ring, table in corpus_with_tables:
+    for ring in full_corpus:
         if not ring.name.startswith("K(Rep("):
             continue
-        part = ga.galois_orbits(hg.RingAnalysis(ring, table=table))
+        part = ga.galois_orbits(hg.RingAnalysis(ring))
         for orb, resid in part.certificates.items():
             assert resid < 1e-7, (ring.name, orb)
 
 
-def test_codegree_conjugation(fib_ring, fib_table, ising_ring, ising_table):
-    fib = hg.RingAnalysis(fib_ring, table=fib_table)
+def test_codegree_conjugation(fib_ring, fib_table, ising_ring):
+    fib = hg.RingAnalysis(fib_ring)
     report = ga.check_codegree_conjugation(fib, ga.galois_orbits(fib))
     # n1 * n2 = (1 + phi^2)(1 + phi^-2) = 5
     prod = fib_table.codegrees.prod()
     assert abs(prod - 5) < 1e-8
-    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+    ising = hg.RingAnalysis(ising_ring)
     part = ga.galois_orbits(ising)
     report = ga.check_codegree_conjugation(ising, part)
     paired = next(o for o in part.orbits if len(o) == 2)
     assert report[paired]["dual_order_spread"] < 1e-9
 
 
-def test_weak_integrality_examples(s3_rep, s3_table, ising_ring, ising_table, fib_ring, fib_table):
-    assert ga.weak_integrality(hg.RingAnalysis(s3_rep, table=s3_table)) == "integral"
-    assert ga.weak_integrality(hg.RingAnalysis(ising_ring, table=ising_table)) == "weakly_integral"
-    assert ga.weak_integrality(hg.RingAnalysis(fib_ring, table=fib_table)) == "irrational"
+def test_weak_integrality_examples(s3_rep, ising_ring, fib_ring):
+    assert ga.weak_integrality(hg.RingAnalysis(s3_rep)) == "integral"
+    assert ga.weak_integrality(hg.RingAnalysis(ising_ring)) == "weakly_integral"
+    assert ga.weak_integrality(hg.RingAnalysis(fib_ring)) == "irrational"
 
 
 def test_weak_integrality_theorem_guard(corpus_with_tables):
@@ -110,7 +109,7 @@ def test_weak_integrality_theorem_guard(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         dual_burn, _ = a.dual_burnside
         verdict = ga.weak_integrality(a)
         if dual_burn and ring.flags.rational and ring.flags.real_non_negative:
@@ -131,7 +130,7 @@ def test_fp_singleton_orbit_iff_rational_fpdim(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if not ring.flags.rational or table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         fp_orbit = ga.galois_orbits(a).orbit_of(table.fp_index)
         # the FP character is fixed by the Galois action iff its values are
         # rational, and then FPdim = sum h_i d_i^2 is read off exactly
@@ -299,7 +298,7 @@ def _orbit_outcome(find, a):
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, hg.Tolerance(1e-8, 1e-8)], ids=["default", "1e-8"])
 def test_orbits_and_certificates_match_the_stacked_snap(tol):
     rings = (
-        corpus(tol)
+        corpus()
         + [near_group(g, m) for g in NEAR_GROUPS for m in range(6)]
         + [group_ring(abelian_group([n])) for n in range(2, 15)]
     )

@@ -85,7 +85,7 @@ def test_regular_element_kernel_is_center_intersection(corpus_with_tables):
     for ring, table in corpus_with_tables[:12]:
         if table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         el = hg.regular_element(ring)
         ker = st.kernel_of_element(a, el)
         inter = None

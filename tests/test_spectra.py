@@ -195,7 +195,7 @@ def test_value_bound_and_codegree_bound(corpus_with_tables):
         assert (np.abs(table.values) <= d[:, None] + 1e-9).all(), ring.name
         n_h = hg.order(table)
         assert (table.codegrees <= n_h + 1e-8).all(), ring.name
-        gl = set(hg.RingAnalysis(ring, table=table).grouplike_chars)
+        gl = set(hg.RingAnalysis(ring).grouplike_chars)
         for j in range(ring.rank):
             is_max = abs(table.codegrees[j] - n_h) < 1e-8
             assert is_max == (j in gl), ring.name

@@ -26,7 +26,7 @@ def test_generated_sub_rejects_negative(ising_ring):
 
 
 def test_kernel_of_character(ising_ring, ising_table, s3_rep, s3_table):
-    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+    ising = hg.RingAnalysis(ising_ring)
     assert st.kernel_of_character(ising, ising_table.fp_index).indices == (0, 1, 2)
     s, t = s3_indices(s3_rep)
     sign_col = next(
@@ -35,34 +35,34 @@ def test_kernel_of_character(ising_ring, ising_table, s3_rep, s3_table):
         if abs(s3_table.values[s, j] - 1) < 1e-8
         and abs(s3_table.values[t, j] + 1) < 1e-8
     )
-    s3 = hg.RingAnalysis(s3_rep, table=s3_table)
+    s3 = hg.RingAnalysis(s3_rep)
     assert st.kernel_of_character(s3, sign_col).indices == (0, s)
     zero_col = next(j for j in range(3) if abs(s3_table.values[t, j]) < 1e-8)
     assert st.kernel_of_character(s3, zero_col).indices == (0,)
 
 
-def test_kernel_and_center_of_element(ising_ring, ising_table, s3_rep, s3_table):
-    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+def test_kernel_and_center_of_element(ising_ring, s3_rep, s3_table):
+    ising = hg.RingAnalysis(ising_ring)
     one = hg.basis_element(ising_ring, 0)
     assert st.kernel_of_element(ising, one) == frozenset({0, 1, 2})
     _, t = s3_indices(s3_rep)
     assert st.kernel_of_element(
-        hg.RingAnalysis(s3_rep, table=s3_table), hg.basis_element(s3_rep, t)
+        hg.RingAnalysis(s3_rep), hg.basis_element(s3_rep, t)
     ) == frozenset({s3_table.fp_index})
     center = st.center_of_element(ising, 2)
     # |mu(rho)| = sqrt(2) for the two grouplike characters
     assert center == frozenset(ising.grouplike_chars)
 
 
-def test_adjoint_examples(ising_ring, ising_table, s3_rep, s3_table):
+def test_adjoint_examples(ising_ring, s3_rep):
     z5 = group_ring(catalog("C5"))
     assert st.adjoint(hg.RingAnalysis(z5)).indices == (0,)
-    assert st.adjoint(hg.RingAnalysis(ising_ring, table=ising_table)).indices == (0, 1)
-    assert st.adjoint(hg.RingAnalysis(s3_rep, table=s3_table)).indices == (0, 1, 2)
+    assert st.adjoint(hg.RingAnalysis(ising_ring)).indices == (0, 1)
+    assert st.adjoint(hg.RingAnalysis(s3_rep)).indices == (0, 1, 2)
 
 
 def test_support_examples(ising_ring, ising_table):
-    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+    ising = hg.RingAnalysis(ising_ring)
     whole = st.SubHypergroup((0, 1, 2), ising_ring)
     assert st.support(ising, whole) == frozenset({ising_table.fp_index})
     trivial = st.SubHypergroup((0,), ising_ring)
@@ -133,13 +133,13 @@ def test_abelian_invariants_match_the_primary_decomposition():
         assert st._abelian_invariants(table) == reference_abelian_invariants(table), orders
 
 
-def test_universal_grading(ising_ring, ising_table, s3_rep, s3_table, q8_rep, q8_table):
-    g = st.universal_grading(hg.RingAnalysis(ising_ring, table=ising_table))
+def test_universal_grading(ising_ring, s3_rep, q8_rep):
+    g = st.universal_grading(hg.RingAnalysis(ising_ring))
     assert g.group_order == 2 and g.iso_class == (2,)
     assert g.components == ((0, 1), (2,))
-    g = st.universal_grading(hg.RingAnalysis(s3_rep, table=s3_table))
+    g = st.universal_grading(hg.RingAnalysis(s3_rep))
     assert g.group_order == 1
-    g = st.universal_grading(hg.RingAnalysis(q8_rep, table=q8_table))
+    g = st.universal_grading(hg.RingAnalysis(q8_rep))
     assert g.group_order == 2  # |Z(Q8)| = 2
 
 
@@ -157,7 +157,7 @@ def test_grading_matches_center_for_catalog():
 
 
 def test_perp_examples(ising_ring, ising_table):
-    ising = hg.RingAnalysis(ising_ring, table=ising_table)
+    ising = hg.RingAnalysis(ising_ring)
     trivial = st.SubHypergroup((0,), ising_ring)
     assert st.perp(ising, trivial) == frozenset({0, 1, 2})
     whole = st.SubHypergroup((0, 1, 2), ising_ring)
@@ -166,17 +166,17 @@ def test_perp_examples(ising_ring, ising_table):
     assert st.perp(ising, sub) == frozenset(ising.grouplike_chars)
 
 
-def test_grouplike_char_perp_is_adjoint(corpus_with_tables):
+def test_grouplike_char_perp_is_adjoint(full_corpus):
     # Cor 7.16: G(H-hat)-perp = H_ad
-    for ring, table in corpus_with_tables:
-        a = hg.RingAnalysis(ring, table=table)
+    for ring in full_corpus:
+        a = hg.RingAnalysis(ring)
         ad = st.adjoint(a)
         assert st.perp_characters(a, a.grouplike_chars) == frozenset(ad.indices), ring.name
 
 
-def test_quotient_trivial_is_identity(s3_rep, s3_table):
+def test_quotient_trivial_is_identity(s3_rep):
     q, classes = st.quotient(
-        hg.RingAnalysis(s3_rep, table=s3_table), st.SubHypergroup((0,), s3_rep)
+        hg.RingAnalysis(s3_rep), st.SubHypergroup((0,), s3_rep)
     )
     assert q.rank == s3_rep.rank
     # normalized version of the ring itself
@@ -194,10 +194,10 @@ def test_quotient_z4_by_order2():
     assert q.tensor[1, 1, 0] == 1  # Z[Z2]
 
 
-def test_quotient_s3_example(s3_rep, s3_table):
+def test_quotient_s3_example(s3_rep):
     s, t = s3_indices(s3_rep)
     q, classes = st.quotient(
-        hg.RingAnalysis(s3_rep, table=s3_table), st.SubHypergroup((0, s), s3_rep)
+        hg.RingAnalysis(s3_rep), st.SubHypergroup((0, s), s3_rep)
     )
     assert q.rank == 2
     assert [c for c in classes] == [(0, s), (t,)]
@@ -209,10 +209,10 @@ def test_quotient_s3_example(s3_rep, s3_table):
     assert tt[0] + tt[s] == 2 and tt[t] == 1
 
 
-def test_harrison_check_rejects_a_quotient_with_other_characters(s3_rep, s3_table):
+def test_harrison_check_rejects_a_quotient_with_other_characters(s3_rep):
     # S3 // {1, s} has characters (1, 1) and (1, -1/2); Z[C2] has (1, -1)
     s, _ = s3_indices(s3_rep)
-    a = hg.RingAnalysis(s3_rep, table=s3_table)
+    a = hg.RingAnalysis(s3_rep)
     sub = st.SubHypergroup((0, s), s3_rep)
     _, classes = st.quotient(a, sub)
     with pytest.raises(ClassInconsistency, match="Harrison duality failed"):
@@ -269,7 +269,7 @@ def test_brauer_criterion(corpus_with_tables):
     for ring, table in corpus_with_tables[:14]:
         if table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         for i in range(ring.rank):
             x = hg.basis_element(ring, i)
             gen = st.generated_sub(ring, x)
@@ -284,7 +284,7 @@ def test_p_squared_generates_adjoint(corpus_with_tables):
     for ring, table in corpus_with_tables:
         if table.fp_index is None:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         P = bn.product_P(a)
         P2 = hg.multiply(ring, P, P)
         ad = set(st.adjoint(a).indices)
@@ -292,13 +292,13 @@ def test_p_squared_generates_adjoint(corpus_with_tables):
         assert ad <= set(st.generated_sub(ring, P).indices), ring.name
 
 
-def test_join_support_law(corpus_with_tables):
+def test_join_support_law(full_corpus):
     # J_{S v T} = J_S n J_T for rings with few sub-hypergroups
-    for ring, table in corpus_with_tables:
+    for ring in full_corpus:
         subs = st.all_sub_hypergroups(ring)
         if len(subs) > 8:
             continue
-        a = hg.RingAnalysis(ring, table=table)
+        a = hg.RingAnalysis(ring)
         for s1 in subs:
             for s2 in subs:
                 join = st.SubHypergroup(
@@ -315,7 +315,7 @@ def test_grouplike_constituent_law(corpus_with_tables):
         if table.fp_index is None:
             continue
         support = ring.support_at(table.tol)
-        gl = hg.RingAnalysis(ring, table=table).grouplikes
+        gl = hg.RingAnalysis(ring).grouplikes
         d = table.fp_dims()
         inv = ring.involution
         for g in gl:
@@ -328,10 +328,10 @@ def test_grouplike_constituent_law(corpus_with_tables):
                 assert lhs == rhs, (ring.name, g, i)
 
 
-def test_adjoint_trivial_iff_dual_pointed(corpus_with_tables):
+def test_adjoint_trivial_iff_dual_pointed(full_corpus):
     # H_ad = C iff dual pointed; H_ad = H iff dual perfect
-    for ring, table in corpus_with_tables:
-        a = hg.RingAnalysis(ring, table=table)
+    for ring in full_corpus:
+        a = hg.RingAnalysis(ring)
         ad = st.adjoint(a)
         glc = a.grouplike_chars
         assert ad.is_trivial == (len(glc) == ring.rank), ring.name

@@ -10,6 +10,7 @@ and one exact form of the tensor.  Snapping is checked against the `limit_denomi
 """
 
 import ast
+import dataclasses
 import pathlib
 from dataclasses import replace
 from fractions import Fraction
@@ -26,7 +27,6 @@ from hypergroups import tolerance
 from hypergroups.errors import (
     CrossCheckFailed,
     IdempotentResidual,
-    InvalidTolerance,
     OrthogonalityResidualExceeded,
 )
 
@@ -75,8 +75,8 @@ def test_value_slack_bounds_the_primitive_idempotent_values(z2_ring, factor, rai
 @BOUNDARY
 def test_identity_slack_bounds_the_integral_against_its_idempotents(z2_ring, factor, raises):
     # lambda_H = F_0, the FP idempotent, rebuilt from the shifted F_0
-    bad = _with_idempotent_shift(hg.character_table(z2_ring), factor * IDENTITY)
-    a = hg.RingAnalysis(z2_ring, table=bad)
+    a = hg.RingAnalysis(z2_ring)
+    a.table = _with_idempotent_shift(a.table, factor * IDENTITY)
     _check_boundary(
         lambda: st.support(a, st.SubHypergroup((0, 1), z2_ring)),
         raises, IdempotentResidual, "lambda_S != sum of F_j",
@@ -86,11 +86,24 @@ def test_identity_slack_bounds_the_integral_against_its_idempotents(z2_ring, fac
 @BOUNDARY
 def test_route_slack_bounds_p_against_its_idempotent_expansion(z2_ring, factor, raises):
     # mu_0(P) = 1, so the expansion sum_j mu_j(P) F_j moves with F_0
-    bad = _with_idempotent_shift(hg.character_table(z2_ring), factor * ROUTE)
-    a = hg.RingAnalysis(z2_ring, table=bad)
+    a = hg.RingAnalysis(z2_ring)
+    a.table = _with_idempotent_shift(a.table, factor * ROUTE)
     _check_boundary(
         lambda: bn.product_P(a), raises, CrossCheckFailed, "idempotent expansion"
     )
+
+
+def _settable(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def test_a_tolerance_holds_only_abs_and_rel():
+    """Every other threshold is a named constant of tolerance.py."""
+    assert _settable(hg.Tolerance) == ("abs", "rel")
+    widened = dataclasses.make_dataclass(
+        "Widened", [("snap_denominator_bound", int, 10**4)], bases=(hg.Tolerance,), frozen=True
+    )
+    assert _settable(widened) != ("abs", "rel")
 
 
 def test_agrees_is_the_value_slack_at_the_target_scale():
@@ -253,24 +266,18 @@ def test_one_exact_form_of_the_ring():
 # ---------------------------------------------------------------- snapping
 
 
-@pytest.mark.parametrize("bound", [0, -5, 2.5, True, "10", None])
-def test_snap_denominator_bound_must_be_a_positive_int(bound):
-    with pytest.raises(InvalidTolerance, match="snap denominator bound"):
-        hg.Tolerance(1e-9, 1e-9, bound)
+def test_a_bound_of_one_snaps_integers_only(monkeypatch):
+    monkeypatch.setattr(tolerance, "SNAP_DENOMINATOR_BOUND", 1)
+    assert tolerance.snap_value(2.0000000001) == 2
+    assert isinstance(tolerance.snap_value(0.5), float)
 
 
-def test_a_bound_of_one_snaps_integers_only():
-    tol = hg.Tolerance(1e-9, 1e-9, 1)
-    assert tolerance.snap_value(2.0000000001, tol) == 2
-    assert isinstance(tolerance.snap_value(0.5, tol), float)
-
-
-def _old_snap(x, tol):
+def _old_snap(x, tol, bound):
     """The rule snap_value replaced: round, then Fraction.limit_denominator."""
     n = round(x)
     if abs(x - n) <= tol.zero(x):
         return int(n)
-    q = Fraction(x).limit_denominator(tol.snap_denominator_bound)
+    q = Fraction(x).limit_denominator(bound)
     if abs(x - float(q)) <= tol.zero(x):
         return q
     return x
@@ -290,22 +297,24 @@ def _snap_inputs(tol, count, seed):
     return np.concatenate([rationals, *noisy, irrationals]).tolist()
 
 
-def test_snap_value_matches_limit_denominator_on_seeded_values():
+def test_snap_value_matches_limit_denominator_on_seeded_values(monkeypatch):
     """5 * 10^4 values at each of two tolerances; value v is checked at bound
     v mod 4 of (1, 10, 10^4, 10^6), so each bound sees 12,500 values per
     tolerance, spread over every kind.  Each tolerance draws its own values,
-    so the 10^5 checks are on distinct inputs."""
+    so the 10^5 checks are on distinct inputs.  The bound is a module
+    constant, patched here one bound at a time."""
     bounds = (1, 10, 10**4, 10**6)
     kinds, seen = set(), set()
     for seed, a in enumerate((1e-9, 1e-6)):
-        settings = [hg.Tolerance(a, a, b) for b in bounds]
-        inputs = _snap_inputs(settings[0], 50_000, seed)
+        tol = hg.Tolerance(a, a)
+        inputs = _snap_inputs(tol, 50_000, seed)
         seen.update(inputs)
-        for v, x in enumerate(inputs):
-            tol = settings[v % len(bounds)]
-            got, want = tolerance.snap_value(x, tol), _old_snap(x, tol)
-            assert type(got) is type(want) and got == want, (x, tol)
-            kinds.add(type(got))
+        for b, bound in enumerate(bounds):
+            monkeypatch.setattr(tolerance, "SNAP_DENOMINATOR_BOUND", bound)
+            for x in inputs[b :: len(bounds)]:
+                got, want = tolerance.snap_value(x, tol), _old_snap(x, tol, bound)
+                assert type(got) is type(want) and got == want, (x, tol, bound)
+                kinds.add(type(got))
     assert kinds == {int, Fraction, float}
     assert len(seen) > 99_000
 
