@@ -16,7 +16,6 @@ from .core import (
     orders,
     regular_element,
     rescale,
-    tau_pairing,
     validate,
 )
 from .errors import HypergroupError
@@ -83,7 +82,6 @@ __all__ = [
     "orders",
     "regular_element",
     "rescale",
-    "tau_pairing",
     "validate",
     "HypergroupError",
     "CharacterTable",

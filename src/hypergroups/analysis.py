@@ -3,9 +3,12 @@
 A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
 property is computed on first use and then shared, so one analysis validates
 the ring, builds its character table, finds its FP column and order n(H),
-builds its dual and aligns the dual's characters, and tests vanishing once.
-Every spectral stage (structure, dual, Burnside, Galois, criteria) takes the
-analysis and reads the same flag set, table, dual, grouplikes and verdicts.
+checks the FP column as an exact character, builds its dual and aligns the
+dual's characters, and finds the table's zero pattern once.  Every spectral
+stage (structure, dual, Burnside, Galois, criteria) takes the analysis and
+reads the same flag set, table, dual, grouplikes and verdicts; the
+double-dual check reads the FP column `d`, and both Burnside verdicts read
+the one `zero_pattern`.
 
 The character-side readers (kernels, centers, perps, grouplike characters, the
 values of P and P-hat) read one normalized table nu[i, j] = mu_j(x_i)/d_i and
@@ -51,7 +54,9 @@ class RingAnalysis:
     Every integrality verdict reads one exact certificate: `exact_d`, or the
     FP value `exact_fp` (behind `fpdim` and `dim_squares`), an int or
     Fraction on an exact tensor only when certified, else a float; on a
-    floating tensor the values are bounded-denominator snaps."""
+    floating tensor the values are bounded-denominator snaps.  The Burnside
+    verdict (rows of `zero_pattern` holding a zero) and the dual-Burnside
+    verdict (its zero-free columns) read one zero pattern of the table."""
 
     def __init__(self, data: FusionData, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
         self.data = data
@@ -165,6 +170,14 @@ class RingAnalysis:
         return by_codegree
 
     @cached_property
+    def zero_pattern(self) -> np.ndarray:
+        """[i, j]: mu_j(x_i) = 0, i.e. |mu_j(x_i)| <= tol.zero(max_i |mu_j(x_i)|).
+        Burnside reads its rows that hold a zero, dual-Burnside its zero-free
+        columns."""
+        values = np.abs(self.table.values)
+        return values <= self.tol.zero(values.max(axis=0))
+
+    @cached_property
     def vanishing(self) -> tuple:
         return vanishing_elements(self)
 
@@ -177,9 +190,7 @@ class RingAnalysis:
     @cached_property
     def dual_burnside(self) -> tuple:
         """(verdict, witness): the zero-free characters are the grouplike ones."""
-        values = self.table.values
-        thr = self.tol.zero(np.abs(values).max(axis=0))
-        zero_free = set(np.flatnonzero((np.abs(values) > thr).all(axis=0)).tolist())
+        zero_free = set(np.flatnonzero(~self.zero_pattern.any(axis=0)).tolist())
         return _matches_grouplikes(zero_free, self.grouplike_chars)
 
     @cached_property

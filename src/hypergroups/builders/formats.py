@@ -229,9 +229,16 @@ def dump(data: FusionData, path) -> None:
 
 def load(path, tol: Tolerance = DEFAULT_TOL) -> FusionData:
     """Read a ring file in the structured or the text format, validated at
-    `tol` (text files hold integer tensors, which validate at any tolerance)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    `tol` (text files hold integer tensors, which validate at any tolerance).
+    A file that is not UTF-8 raises ParseError at its first bad byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # one read decodes the whole file, so exc.object is all of its bytes
+        raw, at = exc.object, exc.start
+        raise ParseError(raw.count(b"\n", 0, at) + 1, at - raw.rfind(b"\n", 0, at),
+                         f"not UTF-8 text: {exc.reason}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse(text, tol)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._exact import det_nonzero_mod_p, exact_det
-from .core import Element, FusionData, basis_element, multiply
+from .core import Element, FusionData, multiply
 from .errors import CrossCheckFailed, SignMismatch
 from .spectra import _match_columns, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
@@ -29,8 +29,6 @@ __all__ = [
     "BurnsideReport",
     "vanishing_elements",
     "product_P",
-    "product_Phat",
-    "product_Phat_values",
     "p_values",
     "phat_values",
     "sgn_values",
@@ -77,9 +75,8 @@ def vanishing_elements(a: RingAnalysis) -> tuple:
     det L_i = det C_i / L^m) confirms a non-vanishing element; Bareiss runs on
     the zero residues, and for the message when the verdicts disagree.
     """
-    data, values = a.data, a.table.values
-    thr = a.tol.zero(np.abs(values).max(axis=0))
-    vanishes = (np.abs(values) <= thr).any(axis=1)
+    data = a.data
+    vanishes = a.zero_pattern.any(axis=1)
     numeric = tuple(np.flatnonzero(vanishes).tolist())
     if data.is_exact:
         L, C = data.integer_tensor()
@@ -125,40 +122,6 @@ def product_P(a: RingAnalysis) -> Element:
     a.tol.check(np.abs(out.float_coords() - expansion).max(), ROUTE_SLACK, 1.0,
                 CrossCheckFailed, "P product disagrees with its idempotent expansion")
     return out
-
-
-def product_Phat(a: RingAnalysis) -> Element:
-    """P-hat = prod_j mu_j, multiplied out inside the dual hypergroup.
-
-    Returned in dual-basis coordinates; cross-checked against the pointwise
-    evaluations prod_j mu_j(x_i/d_i).
-    """
-    dual = a.dual
-    out = basis_element(dual.base, 0)
-    for j in range(dual.rank):
-        out = multiply(dual.base, out, basis_element(dual.base, j))
-    coords = out.float_coords()
-    cols = list(dual.char_order)
-    evals = np.einsum("p,ip->i", coords, a.normalized[:, cols].astype(complex))
-    expect = phat_values(a)
-    a.tol.check(np.abs(evals - expect).max(), ROUTE_SLACK, 1.0,
-                CrossCheckFailed, "P-hat product disagrees with pointwise evaluations")
-    return out
-
-
-def product_Phat_values(a: RingAnalysis) -> np.ndarray:
-    """P-hat as the vector of its evaluations at the normalized basis.
-
-    Cross-checked against Prop 4.1: on non-vanishing x_i the value equals
-    det(L_{x_i/d_i}), and it vanishes on vanishing elements.
-    """
-    vals = phat_values(a)
-    L = a.data.left_matrices_float()
-    for i in range(a.data.rank):
-        det = np.linalg.det(L[i] / a.d[i])
-        a.tol.check(abs(det - vals[i]), ROUTE_SLACK, 1.0 + abs(det),
-                    CrossCheckFailed, "P-hat({}) = {} != det L_(x_i/d_i) = {}", i, vals[i], det)
-    return vals
 
 
 def _permutation_sign(perm: list[int]) -> int:

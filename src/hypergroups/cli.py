@@ -216,7 +216,7 @@ def _cmd_batch(args) -> int:
                 exact_only=args.exact_only,
                 modular_candidate=args.modular_candidate,
             )
-        except Exception as exc:  # reported per file, batch continues
+        except (HypergroupError, OSError) as exc:  # reported per file, batch continues
             errors += 1
             print(f"{path}: ERROR {type(exc).__name__}: {exc}")
             continue

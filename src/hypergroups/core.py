@@ -41,14 +41,12 @@ __all__ = [
     "orders",
     "validate",
     "multiply",
-    "tau_pairing",
     "rescale",
     "normalize",
     "basis_element",
     "involution_of",
     "exact_character",
     "regular_element",
-    "scalar_kind",
     "prime_factorization",
 ]
 
@@ -69,17 +67,6 @@ def _coerce_scalar(x):
     if isinstance(x, numbers.Rational):
         return _coerce_scalar(Fraction(x))
     raise TypeError(f"unsupported scalar type {type(x).__name__}")
-
-
-def scalar_kind(value) -> str:
-    """One of 'integer', 'rational', 'float'."""
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, Fraction):
-        return "rational"
-    if isinstance(value, float):
-        return "float"
-    raise TypeError(f"not a library scalar: {type(value).__name__}")
 
 
 def _entries(tensor) -> tuple[np.ndarray, str]:
@@ -486,16 +473,6 @@ def multiply(data: FusionData, x: Element, y: Element) -> Element:
     return Element(tuple(float(v) for v in out))
 
 
-def tau_pairing(data: FusionData, x: Element, y: Element):
-    """tau(x y*) = sum_i x_i y_i / h_i (real scalars, so y* permutes coordinates)."""
-    m = data.rank
-    if len(x) != m or len(y) != m:
-        raise DimensionMismatch("element length != rank")
-    inv = data.involution
-    ystar = Element(tuple(y.coords[inv[i]] for i in range(m)))
-    return multiply(data, x, ystar).coords[0]
-
-
 def rescale(data: FusionData, alphas) -> FusionData:
     """New tensor for the rescaled basis y_i = x_i / alpha_i.
 
@@ -543,37 +520,44 @@ def exact_character(data: FusionData, values, tol: Tolerance = DEFAULT_TOL) -> l
     return snapped if (D * (C @ w) == L * np.outer(w, w)).all() else None
 
 
-def normalize(data: FusionData, mu1_values, tol: Tolerance = DEFAULT_TOL) -> FusionData:
-    """Rescale by a non-vanishing character so every row sum of the tensor is 1.
-
-    `mu1_values` is the value vector of the normalizing character (a character
-    table column).  When the tensor is exact and the values snap to rationals
-    that satisfy the character equation exactly, the result stays exact.
-    """
-    m = data.rank
-    vals = list(np.asarray(mu1_values).ravel())
-    if len(vals) != m:
+def normalizing_column(values, involution, tol: Tolerance = DEFAULT_TOL) -> list:
+    """The real parts of a normalizing character's value vector, checked
+    within tol: the values are real, nonzero, 1 at the unit and equal at i
+    and i* (else NotNormalizable)."""
+    m = len(involution)
+    floats = [complex(v) for v in np.asarray(values).ravel()]
+    if len(floats) != m:
         raise DimensionMismatch("character vector length != rank")
-    floats = [complex(v) for v in vals]
     if any(abs(v.imag) > tol.zero(abs(v)) for v in floats):
         raise NotNormalizable("normalizing character must be real-valued here")
     reals = [v.real for v in floats]
     if any(abs(v) <= tol.zero(1.0) for v in reals):
         bad = min(range(m), key=lambda i: abs(reals[i]))
         raise NotNormalizable(f"character vanishes on basis element {bad}")
+    if abs(reals[0] - 1.0) > tol.zero(1.0):
+        raise NotNormalizable(f"normalizing character is {reals[0]!r} at the unit")
+    for i in range(m):
+        if abs(reals[i] - reals[involution[i]]) > tol.zero(abs(reals[i])):
+            raise NotNormalizable(f"character values at {i} and {involution[i]} differ")
+    return reals
 
+
+def normalize(data: FusionData, mu1_values, tol: Tolerance = DEFAULT_TOL) -> FusionData:
+    """Rescale by a non-vanishing character so every row sum of the tensor is 1.
+
+    `mu1_values` is the value vector of the normalizing character (a character
+    table column), checked by `normalizing_column`.  When the tensor is exact
+    and the values snap to rationals that satisfy the character equation
+    exactly, the result stays exact.
+    """
+    reals = normalizing_column(mu1_values, data.involution, tol)
     snapped = exact_character(data, reals, tol) if data.is_exact else None
     if snapped is not None:
         if all(s == 1 for s in snapped):
             return data
         return rescale(data, snapped).with_name(f"{data.name}/normalized")
-    # rescale compares its scalars exactly: check the float column within tol,
-    # then hand it an exact 1 at the unit and equal values at i and i*
+    # rescale compares its scalars exactly: hand it an exact 1 at the unit and
+    # equal values at i and i*
     inv = data.involution
-    if abs(reals[0] - 1.0) > tol.zero(1.0):
-        raise NotNormalizable(f"normalizing character is {reals[0]!r} at the unit")
-    for i in range(m):
-        if abs(reals[i] - reals[inv[i]]) > tol.zero(abs(reals[i])):
-            raise NotNormalizable(f"character values at {i} and {inv[i]} differ")
-    alphas = [1] + [(reals[i] + reals[inv[i]]) / 2 for i in range(1, m)]
+    alphas = [1] + [(reals[i] + reals[inv[i]]) / 2 for i in range(1, data.rank)]
     return rescale(data, alphas).with_name(f"{data.name}/normalized")

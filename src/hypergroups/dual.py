@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FusionData, involution_of, normalize
+from .core import FusionData, involution_of, normalizing_column
 from .errors import CrossCheckFailed, DualAxiomViolation, HypergroupError, NotNormalizable
 from .spectra import CharacterTable, _match_columns, character_table, fp_character, order
 from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
@@ -193,8 +193,10 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     """Find the basis permutation identifying dual(dual(H)) with H normalized
     by the FP character, through the dual of the analysis.
 
-    Returns pi such that ddual.tensor[pi[a], pi[b], pi[c]] matches the
-    normalized primal tensor entrywise within tol.
+    The normalized primal is N_ij^k d_k / (d_i d_j), in float from the
+    analysis's FP column `a.d`, which first passes `normalizing_column`.
+    Returns pi such that ddual.tensor[pi[a], pi[b], pi[c]] matches it
+    entrywise within tol.
     """
     dd, tol = a.dual, a.tol
     dd2 = dual_hypergroup(dd.base, dd.table, augmentation_index(dd.table))
@@ -204,8 +206,9 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     col_to_pos = {col: pos for pos, col in enumerate(dd2.char_order)}
     pi = np.array([col_to_pos[col] for col in a.dual_match], dtype=int)
 
-    normalized = normalize(a.data, a.table.values[:, dd.mu1], tol)
-    T1 = normalized.float_tensor()
+    normalizing_column(a.table.values[:, dd.mu1], a.data.involution, tol)
+    d = a.d
+    T1 = a.data.float_tensor() * d / (d[:, None, None] * d[None, :, None])
     T2 = dd2.base.float_tensor()
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
     tol.check(resid, ROUTE_SLACK, 1.0 + np.abs(T1).max(),

@@ -73,9 +73,6 @@ class CharacterTable:
             raise NoPositiveColumn("table has no positive column")
         return self.values[:, self.fp_index].real.copy()
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j].copy()
-
 
 def _simultaneous_diagonalization(L: np.ndarray, seed: int):
     m = L.shape[0]

@@ -143,7 +143,10 @@ def element_support(x: Element, tol: Tolerance) -> set:
 
 
 def generated_sub(data: FusionData, x: Element, tol: Tolerance = DEFAULT_TOL) -> SubHypergroup:
-    """Sub-hypergroup generated by the constituents of a positive-cone element."""
+    """Sub-hypergroup generated by the constituents of a positive-cone element.
+
+    The tests check two laws on it: the Brauer criterion (<x> = H iff
+    ker(x) = {FP}) and <P^2> = H_ad."""
     seeds = element_support(x, tol)
     return SubHypergroup(closure(data, seeds, tol), data)
 
@@ -175,7 +178,8 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     """ker(x) = {j : mu_j(x) = FPdim(x)} for x in the positive cone.
 
     Asserts Lemma-style consistency: the kernel of a positive sum equals the
-    intersection of the kernels of its constituents.
+    intersection of the kernels of its constituents.  The tests check the
+    Brauer criterion and ker(I(1)) = the intersection of the Z(x_i) on it.
     """
     xv = x.float_coords()
     fp = float(xv @ a.d)
@@ -191,7 +195,8 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
 
 
 def center_of_element(a: RingAnalysis, i: int) -> frozenset:
-    """Z(x_i) = {j : |mu_j(x_i)| = FPdim(x_i)}."""
+    """Z(x_i) = {j : |mu_j(x_i)| = FPdim(x_i)}; the tests check
+    ker(I(1)) = the intersection of the Z(x_i)."""
     return frozenset(np.flatnonzero(a.modulus_agreement[i]).tolist())
 
 
@@ -446,7 +451,8 @@ def commutator_indices(data: FusionData, indices, tol: Tolerance = DEFAULT_TOL) 
 def commutator_sub(
     data: FusionData, sub: SubHypergroup, tol: Tolerance = DEFAULT_TOL
 ) -> SubHypergroup:
-    """S^co: generated by all x with supp(x x*) inside S; sandwich law asserted.
+    """S^co: generated by all x with supp(x x*) inside S; the sandwich law
+    (S^co)_ad <= S <= (S_ad)^co is asserted.
     The tensor must pass the axioms (else AxiomViolation) and `sub` must be a
     sub-hypergroup (else ClosureViolation)."""
     data.flags_at(tol)
@@ -509,7 +515,9 @@ def is_nilpotent(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> int | None:
 
 
 def all_sub_hypergroups(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Every sub-hypergroup, as the join-closure of singleton-generated subs."""
+    """Every sub-hypergroup, as the join-closure of singleton-generated subs.
+
+    The tests check the join law J_{S v T} = J_S n J_T over its output."""
     gens = {closure(data, [i], tol) for i in range(data.rank)}
     subs = set(gens)
     frontier = set(gens)

@@ -9,7 +9,7 @@ import pytest
 import hypergroups as hg
 from hypergroups import analysis, core, dual, spectra, tolerance
 from hypergroups.builders import catalog, corpus, dump, ising, load, near_group, rep_ring
-from hypergroups.report import analyze
+from hypergroups.report import analyze, render_structured
 
 
 def _spy_everywhere(fn):
@@ -52,6 +52,32 @@ def test_analyze_builds_each_invariant_once():
         "table": 1,
         "dual table": 1,
         "vanishing": 1,
+    }
+
+
+def test_a_corpus_pass_checks_each_fp_column_once():
+    rings = corpus()
+    try:
+        spies = {
+            fn.__name__: _spy_everywhere(fn)
+            for fn in [core.exact_character, spectra.character_table, dual.dual_hypergroup,
+                       core.normalize, core.rescale]
+        }
+        for ring in rings:
+            render_structured(analyze(ring))
+    finally:
+        mock.patch.stopall()
+    counts = {name: spy.call_count for name, spy in spies.items()}
+    # exact_d is the one character check of each FP column: the double-dual
+    # check reads the float column instead of rescaling the ring.  Two tables
+    # (the ring's and its dual's) and two duals (the dual and the double dual)
+    # per ring
+    assert counts == {
+        "exact_character": 39,
+        "character_table": 78,
+        "dual_hypergroup": 78,
+        "normalize": 0,
+        "rescale": 0,
     }
 
 
@@ -181,6 +207,6 @@ def test_integer_ring_file_tensors_skip_the_per_entry_scalar_rule(tmp_path, grou
     with mock.patch.object(core, "_entries", side_effect=tensor_entries) as built, \
             mock.patch.object(core, "_coerce_scalar", side_effect=per_entry):
         analyze(load(path))
-    # the file, its dual, the double dual and one rescaling of the file
-    assert built.call_count == 4
+    # the file, its dual and the double dual
+    assert built.call_count == 3
     assert from_tensors == []

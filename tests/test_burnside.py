@@ -92,17 +92,24 @@ def test_product_P_exact_for_integral_rings(q8_rep):
     assert P.is_exact
 
 
-def test_phat_values_against_determinants(s3_rep):
-    bn.product_Phat_values(hg.RingAnalysis(s3_rep))  # raises CrossCheckFailed on mismatch
+def test_phat_values_against_determinants(full_corpus):
+    # Prop 4.1: P-hat(x_i/d_i) = det(L_i/d_i)
+    for ring in full_corpus:
+        a = hg.RingAnalysis(ring)
+        if a.table.fp_index is None:
+            continue
+        vals, L = bn.phat_values(a), ring.left_matrices_float()
+        for i in range(ring.rank):
+            det = np.linalg.det(L[i] / a.d[i])
+            assert abs(det - vals[i]) <= 1e-8 * (1 + abs(det)), (ring.name, i)
 
 
 def test_product_phat_in_dual(q8_rep, fib_ring, fib_table):
     # Q8 is Burnside: P-hat^2 must be the sum of the grouplike dual idempotents,
     # i.e. P-hat evaluates to +-1 exactly on the grouplikes
     q8 = hg.RingAnalysis(q8_rep)
-    phat = bn.product_Phat(q8)
-    assert len(phat) == q8_rep.rank
     vals = bn.phat_values(q8)
+    assert len(vals) == q8_rep.rank
     gl = set(q8.grouplikes)
     for i in range(q8_rep.rank):
         if i in gl:

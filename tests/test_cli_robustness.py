@@ -133,3 +133,37 @@ def test_quotient_sub_implies_the_unit(tmp_path, capsys, ring):
     explicit = run_main(capsys, ["quotient", path, "--sub", "0,1"])
     assert implied[0] == 0
     assert implied == explicit
+
+
+# Z[C2] in the text format, its last entry a Latin-1 byte
+NOT_UTF8 = b"1 0\n0 1\n\n0 1\n1 \xe9\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "ring.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_main(capsys, ["analyze", str(path)])
+    assert_domain_error(code, out, err)
+    assert "line 5, col 3: not UTF-8 text" in err
+
+
+def test_batch_reports_a_file_that_is_not_utf8_and_goes_on(tmp_path, capsys):
+    d = tmp_path / "rings"
+    d.mkdir()
+    (d / "a.txt").write_bytes(NOT_UTF8)
+    bd.dump(bd.ising(), str(d / "b.json"))
+    code, out, _ = run_main(capsys, ["batch", str(d)])
+    first, second = out.splitlines()
+    assert code == 1
+    assert first.endswith("a.txt: ERROR ParseError: parse error at line 5, col 3: "
+                          "not UTF-8 text: invalid continuation byte")
+    assert "b.json: rank" in second
+
+
+def test_batch_lets_a_programming_error_propagate(tmp_path):
+    d = tmp_path / "rings"
+    d.mkdir()
+    bd.dump(bd.ising(), str(d / "a.json"))
+    with mock.patch("hypergroups.cli.analyze", side_effect=RuntimeError("a bug")):
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["batch", str(d)])
