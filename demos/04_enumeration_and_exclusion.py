@@ -4,7 +4,8 @@ Type [1,1,1,1,2,2] has exactly four fusion rings up to basis relabeling; the
 prime-support criterion excludes all of them from modular categorification
 (3 divides FPdim = 12 but neither the number of invertibles nor any d^2).
 The same screening kills every member of the half-Frobenius family
-[[1, n^2], [n, m]] whenever m+1 has a prime factor not dividing n, and the
+[[1, n^2], [n, m]] whenever m+1 has a prime factor not dividing n (each
+line quotes the certificate of frobenius_test at alpha = 1/2), and the
 Galois-orbit machinery shows why: the FP character of such a ring is rational
 while an irrational FPdim would contradict dual-Burnside rationality.
 """
@@ -29,10 +30,10 @@ def main():
     for kk in (3, 5, 7):
         a = hg.RingAnalysis(family_ring(2, [2, 2], [kk]))
         v = cr.modular_prime_support(a)
-        frob = cr.is_frobenius(a, "1/2")
+        frob = cr.frobenius_test(a, "1/2").certificate
         print(
             f"  |K| = {kk}: FPdim {round(a.n_h)}, "
-            f"1/2-Frobenius {frob}, modular screening: "
+            f"{frob}, modular screening: "
             f"{'EXCLUDED' if v.excluded else 'open'} ({v.certificate})"
         )
 

@@ -182,8 +182,10 @@ class FusionData:
 
     def support_at(self, tol: Tolerance) -> np.ndarray:
         """The constituent relation as a read-only boolean (m, m, m) array:
-        S[i, j, k] says x_k is a constituent of x_i x_j.  S = N > 0 on exact
-        tensors and N > tol.zero(1 + max|N|) on floating ones; built once per
+        S[i, j, k] says x_k is a constituent of x_i x_j, that is, N_ij^k is
+        nonzero.  S = N != 0 on exact tensors and |N| > tol.zero(1 + max|N|)
+        on floating ones; on RN data, which has no entry below
+        -tol.zero(max|N|), this is N > 0 within tol.  Built once per
         tolerance, and once for an exact tensor."""
         key = None if self.is_exact else tol
         if key not in self._support:
@@ -202,8 +204,9 @@ class FusionData:
 
 def _constituents(data: FusionData, tol: Tolerance) -> np.ndarray:
     if data.is_exact:
-        return data.tensor > 0
-    return data.tensor > tol.zero(1.0 + float(np.abs(data.tensor).max()))
+        return data.tensor != 0
+    magnitude = np.abs(data.tensor)
+    return magnitude > tol.zero(1.0 + float(magnitude.max()))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Categorification exclusion tests for candidate fusion rings.
 
 Each test returns an ExclusionVerdict: whether its hypotheses apply to the
-ring, whether the ring is excluded, and a human-readable certificate.  Every
+ring, whether the ring is excluded, and a human-readable certificate.  A test
+whose hypotheses fail says so in its verdict and never raises; only a ring
+that is not a fusion ring, passed to a test that needs one, raises
+HypergroupError.  Every
 integrality the tests decide (FPdim, d_i, d_i^2, FPdim(H_ad)) is read from the
 analysis's exact certificates `fpdim`, `exact_d`, `dim_squares` and
 `exact_fp`; this module snaps no float.
@@ -19,7 +22,7 @@ from ._exact import exact_det
 from .analysis import RingAnalysis
 from .burnside import burnside_hypothesis_report
 from .core import FusionData, prime_factorization, regular_element
-from .errors import HypergroupError, NotApplicable, NotNearGroup, NotWeaklyIntegral
+from .errors import HypergroupError
 from .structure import grouplike_indices
 from .tolerance import DEFAULT_TOL, Tolerance
 
@@ -32,7 +35,6 @@ __all__ = [
     "divisibility_test",
     "near_group_modular_test",
     "frobenius_test",
-    "is_frobenius",
     "detect_near_group",
 ]
 
@@ -55,18 +57,10 @@ def exclusions(a: RingAnalysis, modular_candidate: bool) -> list:
     verdicts = [burnside_exclusion(a), divisibility_test(a)]
     verdicts += [frobenius_test(a, Fraction(alpha)) for alpha in (1, "1/2")]
     if modular_candidate:
-        for name, test in (
-            ("modular_prime_support", modular_prime_support),
-            ("squarefree_factor", squarefree_factor_test),
-        ):
-            try:
-                verdicts.append(test(a))
-            except NotWeaklyIntegral as exc:
-                verdicts.append(ExclusionVerdict(name, False, False, str(exc)))
-        try:
-            verdicts.append(near_group_modular_test(a))
-        except NotNearGroup:
-            pass
+        verdicts += [modular_prime_support(a), squarefree_factor_test(a)]
+        near_group = near_group_modular_test(a)
+        if near_group.applicable:
+            verdicts.append(near_group)
     return verdicts
 
 
@@ -75,10 +69,9 @@ def _require_fusion_ring(data: FusionData, tol: Tolerance):
         raise HypergroupError(f"{data.name}: test needs a fusion ring")
 
 
-def _integer_order(a: RingAnalysis) -> int:
-    if not isinstance(a.fpdim, int):
-        raise NotWeaklyIntegral(f"{a.data.name}: FPdim {a.n_h} is not an integer")
-    return a.fpdim
+def _fpdim_not_integer(name: str, a: RingAnalysis) -> ExclusionVerdict:
+    """The verdict of a test that needs an integer FPdim on a ring without one."""
+    return ExclusionVerdict(name, False, False, f"{a.data.name}: FPdim {a.n_h} is not an integer")
 
 
 def _integers(values) -> bool:
@@ -113,7 +106,9 @@ def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
 def modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
     """Modular candidates obey V(FPdim) = V(|G(H)|) u V(d_i^2)."""
     _require_fusion_ring(a.data, a.tol)
-    n = _integer_order(a)
+    if not isinstance(a.fpdim, int):
+        return _fpdim_not_integer("modular_prime_support", a)
+    n = a.fpdim
     d_sq = a.dim_squares
     if not _integers(d_sq):
         return ExclusionVerdict(
@@ -138,7 +133,9 @@ def squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
     to FPdim/d and to every d_i^2 must divide |G(H)|; perfect rings must have
     no powerless prime at all."""
     _require_fusion_ring(a.data, a.tol)
-    n = _integer_order(a)
+    if not isinstance(a.fpdim, int):
+        return _fpdim_not_integer("squarefree_factor", a)
+    n = a.fpdim
     d_sq = a.dim_squares
     if not _integers(d_sq):
         return ExclusionVerdict(
@@ -175,6 +172,7 @@ def squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
 def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
     """For dual-Burnside rings (prod d_i)^2 / FPdim(H_ad) must be an integer;
     nilpotent rings additionally need V(FPdim(H_ad)) = u V(d_i^2)."""
+    _require_fusion_ring(a.data, a.tol)
     dual_burn, _ = a.dual_burnside
     if not dual_burn:
         return ExclusionVerdict(
@@ -195,7 +193,7 @@ def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
             f"(prod d_i)^2 / FPdim(H_ad) = {float(ratio):.9g} is not an integer",
         )
     cls = a.series.nilpotency_class
-    if cls is not None and a.flags.fusion_ring and _integers(d_sq + [fp_ad]):
+    if cls is not None and _integers(d_sq + [fp_ad]):
         lhs = set(prime_factorization(fp_ad)) if fp_ad > 1 else set()
         rhs = set()
         for sq in d_sq:
@@ -215,24 +213,21 @@ def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
 
 def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
     """(group_size, m) when the ring is K(G, m): one non-invertible rho absorbed
-    by every grouplike, with rho^2 = sum_G g + m rho."""
+    by every grouplike, with rho^2 = sum_G g + m rho; None when it is not."""
     _require_fusion_ring(data, tol)
     g = grouplike_indices(data, tol)
     non = [i for i in range(data.rank) if i not in set(g)]
     if len(non) != 1:
-        raise NotNearGroup(f"{data.name}: {len(non)} non-invertible basis elements")
+        return None
     rho = non[0]
     S = data.support_at(tol)
     only_rho = np.zeros(data.rank, dtype=bool)
     only_rho[rho] = True
     for i in g:
         if not ((S[i, rho] == only_rho).all() and (S[rho, i] == only_rho).all()):
-            raise NotNearGroup(f"{data.name}: grouplike {i} does not absorb rho")
-        if data.tensor[i, rho, rho] != 1:
-            raise NotNearGroup(f"{data.name}: grouplike action on rho not multiplicity-free")
-    for i in g:
-        if data.tensor[rho, rho, i] != 1:
-            raise NotNearGroup(f"{data.name}: rho^2 misses a grouplike")
+            return None
+        if data.tensor[i, rho, rho] != 1 or data.tensor[rho, rho, i] != 1:
+            return None
     m = int(data.tensor[rho, rho, rho])
     return len(g), m
 
@@ -240,41 +235,37 @@ def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
 def near_group_modular_test(a: RingAnalysis) -> ExclusionVerdict:
     """Modular near-group screening: K(G, m) cannot be modular when G is
     non-trivial with m > 0, nor when m = 0 and |G| is not 1 or 2."""
-    g_size, m = detect_near_group(a.data, a.tol)
+    shape = detect_near_group(a.data, a.tol)
+    if shape is None:
+        return ExclusionVerdict(
+            "near_group_modular", False, False, f"{a.data.name}: not a near-group ring K(G, m)"
+        )
+    g_size, m = shape
     excluded = (g_size > 1 and m > 0) or (m == 0 and g_size not in (1, 2))
     g_hat = len(a.grouplike_chars)
     cert = f"K(G,m) with |G| = {g_size}, m = {m}; |G(H)| = {g_size} vs |G(H-hat)| = {g_hat}"
     return ExclusionVerdict("near_group_modular", True, excluded, cert)
 
 
-def is_frobenius(a: RingAnalysis, alpha) -> bool:
-    """FPdim(H)^alpha / d_i is an algebraic integer for every i.
+def frobenius_test(a: RingAnalysis, alpha) -> ExclusionVerdict:
+    """Whether FPdim(H)^alpha / d_i is an algebraic integer for every i
+    (informational, never excluding).
 
     alpha = 1 needs an integral ring and checks FPdim / d_i in Z;
     alpha = 1/2 checks FPdim / d_i^2 in Z (the usual half-Frobenius reading
     on integral data).
     """
-    n = _integer_order(a)
-    alpha = Fraction(alpha)
-    if alpha == 1:
-        dims = a.exact_d
-        if dims is None or not _integers(dims):
-            raise NotApplicable("alpha = 1 needs integral dimensions")
-        return all(n % x == 0 for x in dims)
-    if alpha == Fraction(1, 2):
-        if not _integers(a.dim_squares):
-            raise NotApplicable("alpha = 1/2 needs integral d_i^2")
-        return all(n % sq == 0 for sq in a.dim_squares)
-    raise NotApplicable(f"unsupported alpha {alpha}")
-
-
-def frobenius_test(a: RingAnalysis, alpha) -> ExclusionVerdict:
-    """Report of the alpha-Frobenius property (informational, never excluding)."""
-    try:
-        ok = is_frobenius(a, alpha)
-    except (NotApplicable, NotWeaklyIntegral) as exc:
-        return ExclusionVerdict(f"frobenius({alpha})", False, False, str(exc))
-    word = "holds" if ok else "fails"
-    return ExclusionVerdict(
-        f"frobenius({alpha})", True, False, f"{alpha}-Frobenius property {word}"
-    )
+    name = f"frobenius({alpha})"
+    if not isinstance(a.fpdim, int):
+        return _fpdim_not_integer(name, a)
+    exponent = Fraction(alpha)
+    if exponent == 1:
+        divisors, need = a.exact_d, "alpha = 1 needs integral dimensions"
+    elif exponent == Fraction(1, 2):
+        divisors, need = a.dim_squares, "alpha = 1/2 needs integral d_i^2"
+    else:
+        return ExclusionVerdict(name, False, False, f"unsupported alpha {exponent}")
+    if divisors is None or not _integers(divisors):
+        return ExclusionVerdict(name, False, False, need)
+    word = "holds" if all(a.fpdim % x == 0 for x in divisors) else "fails"
+    return ExclusionVerdict(name, True, False, f"{alpha}-Frobenius property {word}")

@@ -4,9 +4,10 @@ Everything raised on purpose by this library derives from HypergroupError.
 A domain error (invalid input, or a ring outside a method's scope) is a plain
 HypergroupError subclass, and the CLI exits 2 on it.  A numeric failure (a
 floating computation that fails its own checks on valid input) derives from
-NumericFailure, and the CLI exits 3 on it.  Every cross-check between two
-computations of one quantity raises CrossCheckFailed, whose message begins
-with the check's name where the text does not already say it.
+NumericFailure, and the CLI exits 3 on it.  An exclusion test that does not
+apply to a ring says so in its verdict instead of raising.  Every cross-check
+between two computations of one quantity raises CrossCheckFailed, whose
+message begins with the check's name where the text does not already say it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ __all__ = [
     "NotNormalizable",
     "NotAbelian",
     "NumericFailure",
-    "NoPositiveColumn",
-    "MultiplePositiveColumns",
     "OrthogonalityResidualExceeded",
     "InexactTensor",
     "DualAxiomViolation",
@@ -32,9 +31,6 @@ __all__ = [
     "ClassInconsistency",
     "NoValidPartition",
     "TheoremViolation",
-    "NotWeaklyIntegral",
-    "NotNearGroup",
-    "NotApplicable",
     "OrderBoundExceeded",
     "ParseError",
     "BudgetExceeded",
@@ -78,16 +74,6 @@ class NotAbelian(HypergroupError):
 
 class NumericFailure(HypergroupError):
     """A floating computation failed its own consistency requirements."""
-
-
-
-
-class NoPositiveColumn(NumericFailure):
-    pass
-
-
-class MultiplePositiveColumns(NumericFailure):
-    pass
 
 
 class OrthogonalityResidualExceeded(NumericFailure):
@@ -140,18 +126,6 @@ class NoValidPartition(NumericFailure):
 
 class TheoremViolation(NumericFailure):
     """A theorem-backed implication failed on qualifying data; indicates a bug."""
-
-
-class NotWeaklyIntegral(HypergroupError):
-    pass
-
-
-class NotNearGroup(HypergroupError):
-    pass
-
-
-class NotApplicable(HypergroupError):
-    pass
 
 
 class OrderBoundExceeded(HypergroupError):

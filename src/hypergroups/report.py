@@ -17,7 +17,7 @@ from .burnside import BurnsideReport, burnside_report
 from .core import FusionData
 from .criteria import exclusions
 from .dual import dual_codegrees, double_dual_check
-from .errors import InexactTensor, MultiplePositiveColumns, NoPositiveColumn
+from .errors import InexactTensor, NotNormalizable
 from .galois import check_codegree_conjugation, galois_orbits, weak_integrality
 from .structure import kernel_of_character, universal_grading
 from .tolerance import DEFAULT_TOL, SNAP_DENOMINATOR_BOUND, Tolerance
@@ -102,7 +102,7 @@ def analyze(
 
     try:
         a.fp
-    except (NoPositiveColumn, MultiplePositiveColumns) as exc:
+    except NotNormalizable as exc:
         report.notes.append(f"no FP character: {exc}")
         return report
 

@@ -19,8 +19,6 @@ from .errors import (
     CrossCheckFailed,
     IdempotentResidual,
     InexactTensor,
-    MultiplePositiveColumns,
-    NoPositiveColumn,
     NotAbelian,
     NotNormalizable,
     NumericFailure,
@@ -70,7 +68,7 @@ class CharacterTable:
     def fp_dims(self) -> np.ndarray:
         """d_i = FPdim(x_i), the entries of the unique positive column."""
         if self.fp_index is None:
-            raise NoPositiveColumn("table has no positive column")
+            raise NotNormalizable("table has no positive column")
         return self.values[:, self.fp_index].real.copy()
 
 
@@ -225,9 +223,9 @@ def fp_character(table: CharacterTable) -> int:
     """Index of the unique strictly positive column (the FP character)."""
     candidates = table.positive_columns
     if not candidates:
-        raise NoPositiveColumn("no strictly positive character column")
+        raise NotNormalizable("no strictly positive character column")
     if len(candidates) > 1:
-        raise MultiplePositiveColumns(f"positive columns {list(candidates)}")
+        raise NotNormalizable(f"positive columns {list(candidates)}")
     return candidates[0]
 
 

@@ -168,9 +168,13 @@ def _check_sub(data: FusionData, indices, tol: Tolerance):
 # ---------------------------------------------------------------- kernels
 
 def kernel_of_character(a: RingAnalysis, j: int) -> SubHypergroup:
-    """ker(mu_j) = {i : mu_j(x_i) = FPdim(x_i)}; verified closed."""
+    """ker(mu_j) = {i : mu_j(x_i) = FPdim(x_i)}; verified closed.  The indices
+    come from the analysis, not the caller, so a kernel that is not closed is
+    a failed cross-check."""
     idx = np.flatnonzero(a.fp_agreement[:, j]).tolist()
-    _check_sub(a.data, idx, a.tol)
+    got = closure(a.data, idx, a.tol)
+    if list(got) != idx:
+        raise CrossCheckFailed(f"kernel: indices {tuple(idx)} are not closed (closure {got})")
     return SubHypergroup(idx, a.data)
 
 

@@ -4,12 +4,13 @@ import inspect
 import json
 import os
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypergroups import builders as bd
-from hypergroups.core import FusionData
+from hypergroups.core import FusionData, rescale
 from hypergroups.cli import _build_parser, _solver_flags, _tol, main
 from hypergroups.tolerance import DEFAULT_TOL
 
@@ -149,6 +150,31 @@ def test_analyze_failed_dual_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", path, "--tol-abs", "1e-8", "--tol-rel", "1e-8")
     assert code == 3
     assert err.startswith("numeric failure: dual tensor fails hypergroup axioms")
+
+
+def test_a_ring_with_no_fp_character_is_a_domain_error(tmp_path, capsys):
+    # sign-rescaled Z[C3] is a valid hypergroup with no positive character column
+    path = str(tmp_path / "signed.json")
+    bd.dump(rescale(bd.group_ring(bd.catalog("C3")), [1, -1, -1]), path)
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert "note: no FP character: no strictly positive character column" in out
+    code, _, err = run(capsys, "dual", path)
+    assert code == 2
+    assert err == "error: no strictly positive character column\n"
+
+
+def test_a_negative_structure_constant_is_a_constituent(tmp_path, capsys):
+    # x_1 x_1 = x_0 - x_1/2 is a valid hypergroup that is not RN
+    ring = FusionData("signed", [0, 1], [[[1, 0], [0, 1]], [[0, 1], [1, Fraction(-1, 2)]]])
+    floating = FusionData("signed", [0, 1], ring.float_tensor())
+    for data in (ring, floating):
+        assert data.support_at(DEFAULT_TOL)[1, 1].tolist() == [True, True]
+    path = str(tmp_path / "signed.json")
+    bd.dump(ring, path)
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert err == "error: universal grading needs RN data\n"
 
 
 def test_analyze_exact_only_rejects_floats(tmp_path, capsys):

@@ -9,12 +9,13 @@ import hypergroups as hg
 from hypergroups import criteria as cr
 from hypergroups.builders import (
     catalog,
+    class_hypergroup,
     family_ring,
+    fibonacci,
     group_ring,
     near_group,
     rep_ring,
 )
-from hypergroups.errors import NotNearGroup
 
 
 def test_prime_factorization():
@@ -90,8 +91,7 @@ def test_near_group_detection(ising_ring, fib_ring):
     assert cr.detect_near_group(ising_ring) == (2, 0)
     assert cr.detect_near_group(fib_ring) == (1, 1)
     assert cr.detect_near_group(near_group([3], 3)) == (3, 3)
-    with pytest.raises(NotNearGroup):
-        cr.detect_near_group(group_ring(catalog("C4")))
+    assert cr.detect_near_group(group_ring(catalog("C4"))) is None
 
 
 def test_near_group_modular_verdicts(ising_ring, fib_ring):
@@ -106,12 +106,56 @@ def test_near_group_modular_verdicts(ising_ring, fib_ring):
 
 
 def test_frobenius(s3_rep):
-    assert cr.is_frobenius(hg.RingAnalysis(s3_rep), 1)
+    v = cr.frobenius_test(hg.RingAnalysis(s3_rep), 1)
+    assert v.applicable and not v.excluded and "holds" in v.certificate
     fam = family_ring(2, [2, 2], [3])
     a = hg.RingAnalysis(fam)
-    assert cr.is_frobenius(a, Fraction(1, 2))
     v = cr.frobenius_test(a, Fraction(1, 2))
     assert v.applicable and not v.excluded and "holds" in v.certificate
+
+
+EXCLUDING_TESTS = [
+    cr.burnside_exclusion,
+    cr.divisibility_test,
+    cr.modular_prime_support,
+    cr.squarefree_factor_test,
+    cr.near_group_modular_test,
+]
+
+
+@pytest.mark.parametrize("test", EXCLUDING_TESTS, ids=lambda test: test.__name__)
+def test_excluding_tests_need_a_fusion_ring(test):
+    a = hg.RingAnalysis(class_hypergroup(catalog("S3")))
+    with pytest.raises(hg.HypergroupError, match=r"Cl\(S3\): test needs a fusion ring"):
+        test(a)
+
+
+def test_every_exclusion_test_returns_a_verdict_on_every_fusion_ring(full_corpus):
+    # a test whose hypotheses fail says so in its verdict; exclusions() lists
+    # the same verdicts, leaving out a near-group test that does not apply
+    tests = EXCLUDING_TESTS + [
+        lambda a: cr.frobenius_test(a, Fraction(1)),
+        lambda a: cr.frobenius_test(a, Fraction(1, 2)),
+    ]
+    extra = [fibonacci(), group_ring(catalog("C4")), near_group([3], 3)]
+    for ring in [r for r in full_corpus if r.flags.fusion_ring] + extra:
+        a = hg.RingAnalysis(ring)
+        verdicts = [test(a) for test in tests]
+        assert all(isinstance(v, cr.ExclusionVerdict) for v in verdicts), ring.name
+        listed = [v for v in verdicts if v.applicable or v.test_name != "near_group_modular"]
+        assert sorted(cr.exclusions(a, True), key=str) == sorted(listed, key=str), ring.name
+
+
+def test_tests_needing_an_integer_fpdim_do_not_apply_to_fibonacci(fib_ring):
+    a = hg.RingAnalysis(fib_ring)
+    for v in (
+        cr.modular_prime_support(a),
+        cr.squarefree_factor_test(a),
+        cr.frobenius_test(a, 1),
+        cr.frobenius_test(a, "1/2"),
+    ):
+        assert not v.applicable and not v.excluded
+        assert v.certificate == f"Fibonacci: FPdim {a.n_h} is not an integer"
 
 
 def test_rep_rings_never_excluded_by_ungated_tests(full_corpus):

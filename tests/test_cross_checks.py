@@ -6,7 +6,8 @@ asserts that the check raises CrossCheckFailed with its own message.  On
 valid data these checks hold by theorem, so only a corrupted input reaches
 them; where the function first validates its input (the axioms, a
 sub-hypergroup), the test switches that validation off.  A scan of src/
-keeps every class of errors.py raised or caught.
+keeps every class of errors.py raised or caught, and a second scan keeps
+the library's own error classes out of except clauses outside the CLI.
 """
 
 import ast
@@ -21,6 +22,7 @@ from hypergroups import burnside as bn
 from hypergroups import errors
 from hypergroups import galois as gl
 from hypergroups import structure as st
+from hypergroups.builders import catalog, group_ring
 from hypergroups.errors import AxiomViolation, ClosureViolation, CrossCheckFailed
 
 
@@ -94,6 +96,15 @@ def test_kernel_of_element_rejects_kernels_that_disagree(ising_ring):
     a.fp_agreement = agreement
     with pytest.raises(CrossCheckFailed, match=r"kernel: kernel of sum \[0\] != intersection"):
         st.kernel_of_element(a, hg.basis_element(ising_ring, 2))
+
+
+def test_kernel_of_character_rejects_a_kernel_that_is_not_closed():
+    a = hg.RingAnalysis(group_ring(catalog("C4")))
+    agreement = a.fp_agreement.copy()
+    agreement[:, 1] = [True, True, False, False]  # x_1 without its inverse x_3
+    a.fp_agreement = agreement
+    with pytest.raises(CrossCheckFailed, match=r"kernel: indices \(0, 1\) are not closed"):
+        st.kernel_of_character(a, 1)
 
 
 def test_adjoint_rejects_a_support_other_than_the_grouplike_characters(ising_ring):
@@ -288,3 +299,49 @@ def test_every_error_class_is_raised_or_caught_in_src():
     sources = [path.read_text() for path in SRC.rglob("*.py") if path.name != "errors.py"]
     used = set().union(*map(raised_or_caught, sources))
     assert not defined - used, f"error classes never raised or caught: {sorted(defined - used)}"
+
+
+# (module, enclosing function, class) of the excepts in src/ that may catch a
+# library error: "no FP character" is a report note, and a dual that fails
+# the axioms is a numeric failure
+ALLOWED_CATCHES = {
+    ("report.py", "analyze", "NotNormalizable"),
+    ("dual.py", "dual_hypergroup", "HypergroupError"),
+}
+
+
+def caught_library_errors(source: str, module: str) -> set:
+    """(module, enclosing function, class) for each class of errors.py that
+    an except clause names."""
+    library = set(errors.__all__)
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                found.update((module, function, n) for n in _names(child.type) if n in library)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_catch_guard_sees_a_library_error_and_its_function():
+    snippet = (
+        "def f():\n    try:\n        g()\n"
+        "    except (errors.NotAbelian, ValueError):\n        pass\n"
+    )
+    assert caught_library_errors(snippet, "m.py") == {("m.py", "f", "NotAbelian")}
+    assert caught_library_errors("try:\n    g()\nexcept KeyError:\n    pass\n", "m.py") == set()
+
+
+def test_no_except_outside_the_cli_catches_a_library_error():
+    found = set()
+    for path in SRC.rglob("*.py"):
+        module = path.relative_to(SRC).as_posix()
+        if module != "cli.py":
+            found |= caught_library_errors(path.read_text(), module)
+    assert not found - ALLOWED_CATCHES, sorted(found - ALLOWED_CATCHES)

@@ -8,8 +8,6 @@ import hypergroups as hg
 from hypergroups.builders import catalog, catalog_names, class_hypergroup, group_ring, rep_ring
 from hypergroups.errors import (
     InexactTensor,
-    MultiplePositiveColumns,
-    NoPositiveColumn,
     NotAbelian,
     NotNormalizable,
 )
@@ -78,7 +76,7 @@ def test_fp_character_no_positive_column():
     data = hg.rescale(group_ring(catalog("C3")), [1, -1, -1])
     assert not data.flags.real_non_negative
     table = hg.character_table(data)
-    with pytest.raises(NoPositiveColumn):
+    with pytest.raises(NotNormalizable, match="no strictly positive character column"):
         hg.fp_character(table)
 
 
@@ -86,7 +84,7 @@ def test_fp_character_multiple_positive_guard(ising_table):
     from dataclasses import replace
 
     fake = replace(ising_table, positive_columns=(0, 1))
-    with pytest.raises(MultiplePositiveColumns):
+    with pytest.raises(NotNormalizable, match=r"positive columns \[0, 1\]"):
         hg.fp_character(fake)
 
 
