@@ -3,12 +3,12 @@
 A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
 property is computed on first use and then shared, so one analysis validates
 the ring, builds its character table, finds its FP column and order n(H),
-checks the FP column as an exact character, builds its dual and aligns the
-dual's characters, and finds the table's zero pattern once.  Every spectral
-stage (structure, dual, Burnside, Galois, criteria) takes the analysis and
-reads the same flag set, table, dual, grouplikes and verdicts; the
-double-dual check reads the FP column `d`, and both Burnside verdicts read
-the one `zero_pattern`.
+checks the FP column as an exact character, builds its dual and the dual's
+character table and aligns the dual's characters, and finds the table's zero
+pattern once.  Every spectral stage (structure, dual, Burnside, Galois,
+criteria) takes the analysis and reads the same flag set, tables, dual,
+grouplikes and verdicts; the double-dual check reads the FP column `d`, and
+both Burnside verdicts read the one `zero_pattern`.
 
 The character-side readers (kernels, centers, perps, grouplike characters, the
 values of P and P-hat) read one normalized table nu[i, j] = mu_j(x_i)/d_i and
@@ -210,7 +210,12 @@ class RingAnalysis:
         return self.dual.base.flags_at(self.tol)
 
     @cached_property
+    def dual_table(self) -> CharacterTable:
+        """The dual's character table, at the analysis's tolerance and seed."""
+        return character_table(self.dual.base, tol=self.tol, seed=self.seed)
+
+    @cached_property
     def dual_match(self) -> np.ndarray:
         """dual_match[i]: the column of the dual's character table that is
         evaluation at x_i / d_i."""
-        return match_dual_characters(self.dual, self.table)
+        return match_dual_characters(self.dual, self.table, self.dual_table)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from fractions import Fraction
 from itertools import chain
@@ -242,6 +243,4 @@ def load(path, tol: Tolerance = DEFAULT_TOL) -> FusionData:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse(text, tol)
-    import os
-
     return parse_text(text, name=os.path.splitext(os.path.basename(str(path)))[0])

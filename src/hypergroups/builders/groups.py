@@ -28,7 +28,6 @@ ORDER_BOUND = 10**4
 class FiniteGroup:
     name: str
     cayley: np.ndarray  # (n, n) int, cayley[i, j] = index of g_i g_j, unit = 0
-    element_names: list[str] | None = None
     _inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._exact import det_nonzero_mod_p, exact_det
 from .core import Element, FusionData, multiply
-from .errors import CrossCheckFailed, SignMismatch
+from .errors import CrossCheckFailed
 from .spectra import _match_columns, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
@@ -120,7 +120,7 @@ def product_P(a: RingAnalysis) -> Element:
     out = Element(tuple(v.tolist()))
     expansion = (p_values(a)[None, :] * table.idempotents.T).sum(axis=1)
     a.tol.check(np.abs(out.float_coords() - expansion).max(), ROUTE_SLACK, 1.0,
-                CrossCheckFailed, "P product disagrees with its idempotent expansion")
+                "P: P product disagrees with its idempotent expansion")
     return out
 
 
@@ -146,12 +146,14 @@ def _checked_sign(
 ) -> int:
     """The sign of the permutation `permutation()`, which must equal
     `numeric`, a product of normalized values that must be +-1 (else
-    SignMismatch(not_unit.format(*args)))."""
+    CrossCheckFailed(not_unit.format(*args)))."""
     for resid in (abs(numeric.imag), abs(abs(numeric.real) - 1.0)):
-        tol.check(resid, VALUE_SLACK, 1.0, SignMismatch, not_unit, *args)
+        tol.check(resid, VALUE_SLACK, 1.0, not_unit, *args)
     exact = _permutation_sign(permutation())
     if exact != int(np.sign(numeric.real)):
-        raise SignMismatch(f"sgn({name}): permutation {exact} vs product {numeric.real:+.3f}")
+        raise CrossCheckFailed(
+            f"sgn: sgn({name}): permutation {exact} vs product {numeric.real:+.3f}"
+        )
     return exact
 
 
@@ -167,7 +169,7 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
 
     def basis_permutation(i: int) -> list:
         if (S[i].sum(axis=1) != 1).any():
-            raise SignMismatch(f"grouplike {i} does not permute the basis")
+            raise CrossCheckFailed(f"sgn: grouplike {i} does not permute the basis")
         return S[i].argmax(axis=1).tolist()
 
     def character_permutation(j: int) -> list:
@@ -178,20 +180,20 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
             table.values,
             prods,
             thr,
-            SignMismatch,
-            lambda k, resid: f"mu_{j} * mu_{k} is not a character"
+            CrossCheckFailed,
+            lambda k, resid: f"sgn: mu_{j} * mu_{k} is not a character"
             if resid > thr[k]
-            else f"mu_{j} does not permute the characters",
+            else f"sgn: mu_{j} does not permute the characters",
         ).tolist()
 
     pv, qv = phat_values(a), p_values(a)
     sgn_el, sgn_ch = {}, {}
     for i in a.grouplikes:
         sgn_el[i] = _checked_sign(pv[i], f"x_{i}", lambda: basis_permutation(i), tol,
-                                  "P-hat value at grouplike {} is {}, not +-1", i, pv[i])
+                                  "sgn: P-hat value at grouplike {} is {}, not +-1", i, pv[i])
     for j in a.grouplike_chars:
         sgn_ch[j] = _checked_sign(qv[j], f"mu_{j}", lambda: character_permutation(j), tol,
-                                  "mu_{}(P) = {}, not +-1", j, qv[j])
+                                  "sgn: mu_{}(P) = {}, not +-1", j, qv[j])
     return sgn_el, sgn_ch
 
 
@@ -241,9 +243,9 @@ def identity_checks(a: RingAnalysis) -> dict:
     for name, verdict in expectations.items():
         if verdict:
             tol.check(out[name], IDENTITY_SLACK, 1.0,
-                      CrossCheckFailed, "{} = {:.3e} though verdict is true", name, out[name])
+                      "identity: {} = {:.3e} though verdict is true", name, out[name])
         elif out[name] <= IDENTITY_SLACK * tol.zero(1.0):
-            raise CrossCheckFailed(f"{name} = {out[name]:.3e} though verdict is false")
+            raise CrossCheckFailed(f"identity: {name} = {out[name]:.3e} though verdict is false")
     return out
 
 

@@ -11,6 +11,7 @@ import os
 import sys
 
 from .builders import (
+    abelian_group,
     dump,
     enumerate_by_type,
     family_ring,
@@ -121,8 +122,6 @@ def _cmd_generate(args) -> int:
     elif kind == "family":
         if len(args.params) != 3:
             raise HypergroupError("family needs: N G_ORDERS K_ORDERS")
-        from .builders import abelian_group
-
         n = _parse_int(args.params[0], "N")
         ring = family_ring(
             n, _parse_orders(args.params[1]), abelian_group(_parse_orders(args.params[2]))
@@ -130,8 +129,6 @@ def _cmd_generate(args) -> int:
     elif kind == "group-ring":
         if len(args.params) != 1:
             raise HypergroupError("group-ring needs: ORDERS")
-        from .builders import abelian_group
-
         ring = group_ring(abelian_group(_parse_orders(args.params[0])))
     elif kind == "ising":
         ring = ising()
@@ -194,7 +191,7 @@ def _cmd_enumerate(args) -> int:
             excluded += 1
         mark = "EXCLUDED" if out.excluded else "open"
         print(f"[{idx}] {ring.name}: modular categorification {mark} ({out.certificate}){loc}")
-    word = "all excluded" if excluded == len(rings) else f"{excluded} of {len(rings)} excluded"
+    word = "all excluded" if excluded == len(rings) > 0 else f"{excluded} of {len(rings)} excluded"
     print(f"{len(rings)} ring(s) up to relabeling; {word}")
     return 0
 

@@ -6,20 +6,19 @@ table and a normalizing character as FusionData, snapped in one array pass to
 exact rationals when every entry snaps, so the whole primal tool chain applies
 to duals unchanged.  The stages that read the dual of a ring under analysis
 (`dual_codegrees`, `double_dual_check`) take its RingAnalysis, which builds
-the dual, its flags and its character alignment once.
+the dual, its flags, its character table and its character alignment once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import FusionData, involution_of, normalizing_column
 from .errors import CrossCheckFailed, DualAxiomViolation, HypergroupError, NotNormalizable
-from .spectra import CharacterTable, _match_columns, character_table, fp_character, order
+from .spectra import CharacterTable, _match_columns, fp_character, order
 from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
 
 if TYPE_CHECKING:
@@ -41,24 +40,17 @@ class DualData:
 
     `base` is the dual as plain FusionData (unit = the normalizing character).
     `char_order[j]` is the primal character-table column sitting at dual basis
-    position j, so position 0 always carries mu1.  `tol` is the tolerance the
-    dual was built at.
+    position j, so position 0 always carries mu1.
     """
 
     base: FusionData
     orders_hat: np.ndarray
     mu1: int
     char_order: tuple
-    tol: Tolerance
 
     @property
     def rank(self) -> int:
         return self.base.rank
-
-    @cached_property
-    def table(self) -> CharacterTable:
-        """Character table of the dual, built once at the default solver seed."""
-        return character_table(self.base, tol=self.tol)
 
 
 def augmentation_index(table: CharacterTable) -> int:
@@ -97,8 +89,7 @@ def dual_hypergroup(data: FusionData, table: CharacterTable, mu1: int | None = N
     phat = phat / n[None, None, :]
 
     imax = np.abs(phat.imag).max()
-    tol.check(imax, VALUE_SLACK, 1.0,
-              DualAxiomViolation, "dual tensor has imaginary part {:.3e}", imax)
+    tol.check(imax, VALUE_SLACK, 1.0, "dual: dual tensor has imaginary part {:.3e}", imax)
     real = phat.real
 
     snapped = snap_array(real, tol)
@@ -118,17 +109,11 @@ def dual_hypergroup(data: FusionData, table: CharacterTable, mu1: int | None = N
     )
     # Lemma 2.6 / Eq (2.11): h-hat_j = n(H)/n_j and sum h-hat_j = n(H)
     tol.check(np.abs(hhat - n_primal / n).max(), IDENTITY_SLACK, 1.0 + n_primal,
-              DualAxiomViolation, "h-hat_j != n(H)/n_j")
+              "dual: h-hat_j != n(H)/n_j")
     tol.check(abs(hhat.sum() - n_primal), IDENTITY_SLACK, 1.0 + n_primal,
-              DualAxiomViolation, "sum of dual orders != n(H)")
+              "dual: sum of dual orders != n(H)")
     _check_involution_conjugation(Ap, d, involution_hat, tol)
-    return DualData(
-        base=base,
-        orders_hat=hhat,
-        mu1=mu1,
-        char_order=tuple(perm),
-        tol=tol,
-    )
+    return DualData(base=base, orders_hat=hhat, mu1=mu1, char_order=tuple(perm))
 
 
 def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
@@ -150,8 +135,7 @@ def _check_involution_conjugation(Ap, d, involution_hat, tol: Tolerance):
     scale = 1.0 + np.abs(norm).max()
     for j, js in enumerate(involution_hat):
         tol.check(np.abs(norm[:, js] - norm[:, j].conj()).max(), IDENTITY_SLACK, scale,
-                  DualAxiomViolation, "dual involution {} -> {} does not match value conjugation",
-                  j, js)
+                  "dual: dual involution {} -> {} does not match value conjugation", j, js)
 
 
 def dual_codegrees(a: RingAnalysis) -> np.ndarray:
@@ -163,16 +147,18 @@ def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     d = a.d
     nhat = a.n_h / (a.table.h * d * d[list(a.data.involution)])
     # direct computation on the dual tensor
-    direct = a.dual.table.codegrees[a.dual_match]
+    direct = a.dual_table.codegrees[a.dual_match]
     resid = np.abs(direct - nhat).max()
     a.tol.check(resid, IDENTITY_SLACK, 1.0 + np.abs(nhat).max(),
-                CrossCheckFailed, "dual codegrees: formula vs direct mismatch {:.3e}", resid)
+                "dual codegrees: formula vs direct mismatch {:.3e}", resid)
     return nhat
 
 
-def match_dual_characters(dd: DualData, table: CharacterTable) -> np.ndarray:
-    """match[i] = column of dd.table equal to evaluation at x_i / d_i, where
-    dd is the dual built from `table`.
+def match_dual_characters(
+    dd: DualData, table: CharacterTable, dual_table: CharacterTable
+) -> np.ndarray:
+    """match[i] = column of `dual_table` equal to evaluation at x_i / d_i,
+    where dd is the dual built from `table` and `dual_table` is its table.
 
     The characters of the dual are ev_{x_i/d_i}; this aligns the dual's own
     canonical character order with the primal basis.
@@ -181,11 +167,12 @@ def match_dual_characters(dd: DualData, table: CharacterTable) -> np.ndarray:
     d = table.values[:, dd.mu1]
     rows = table.values[:, list(dd.char_order)] / d[:, None]  # rows[i] over dual basis
     return _match_columns(
-        dd.table.values,
+        dual_table.values,
         rows,
         ROUTE_SLACK * tol.zero(1.0 + np.abs(rows).max()),
         CrossCheckFailed,
-        lambda i, resid: f"cannot align dual character for basis element {i} (residual {resid:.3e})",
+        lambda i, resid: "dual alignment: cannot align dual character"
+        f" for basis element {i} (residual {resid:.3e})",
     )
 
 
@@ -199,7 +186,7 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     entrywise within tol.
     """
     dd, tol = a.dual, a.tol
-    dd2 = dual_hypergroup(dd.base, dd.table, augmentation_index(dd.table))
+    dd2 = dual_hypergroup(dd.base, a.dual_table, augmentation_index(a.dual_table))
 
     # dd2 basis position p holds dual-table column dd2.char_order[p];
     # primal index i sits at dual-table column dual_match[i].
@@ -212,5 +199,5 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     T2 = dd2.base.float_tensor()
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
     tol.check(resid, ROUTE_SLACK, 1.0 + np.abs(T1).max(),
-              CrossCheckFailed, "double dual mismatch, residual {:.3e}", resid)
+              "double dual: mismatch, residual {:.3e}", resid)
     return tuple(int(x) for x in pi)

@@ -5,9 +5,9 @@ A domain error (invalid input, or a ring outside a method's scope) is a plain
 HypergroupError subclass, and the CLI exits 2 on it.  A numeric failure (a
 floating computation that fails its own checks on valid input) derives from
 NumericFailure, and the CLI exits 3 on it.  An exclusion test that does not
-apply to a ring says so in its verdict instead of raising.  Every cross-check
-between two computations of one quantity raises CrossCheckFailed, whose
-message begins with the check's name where the text does not already say it.
+apply to a ring says so in its verdict instead of raising.  When a computed
+quantity fails a check (every `Tolerance.check` among them), the library
+raises CrossCheckFailed, and the message begins with the check's name.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ __all__ = [
     "NotNormalizable",
     "NotAbelian",
     "NumericFailure",
-    "OrthogonalityResidualExceeded",
     "InexactTensor",
     "DualAxiomViolation",
     "CrossCheckFailed",
     "ClosureViolation",
-    "SignMismatch",
     "NotPositive",
-    "IdempotentResidual",
-    "ClassInconsistency",
     "NoValidPartition",
     "TheoremViolation",
     "OrderBoundExceeded",
@@ -76,10 +72,6 @@ class NumericFailure(HypergroupError):
     """A floating computation failed its own consistency requirements."""
 
 
-class OrthogonalityResidualExceeded(NumericFailure):
-    pass
-
-
 class InexactTensor(HypergroupError):
     pass
 
@@ -89,39 +81,19 @@ class DualAxiomViolation(NumericFailure):
 
 
 class CrossCheckFailed(NumericFailure):
-    """Two computations of one quantity disagree; the message names the check."""
-
+    """A computed quantity failed a check; the message begins with the check's name."""
 
 
 class ClosureViolation(HypergroupError):
     pass
 
 
-class SignMismatch(NumericFailure):
-    pass
-
-
-
 class NotPositive(HypergroupError):
     pass
 
 
-
-class IdempotentResidual(NumericFailure):
-    pass
-
-
-
-
-class ClassInconsistency(NumericFailure):
-    pass
-
-
-
-
 class NoValidPartition(NumericFailure):
     pass
-
 
 
 class TheoremViolation(NumericFailure):
@@ -130,7 +102,6 @@ class TheoremViolation(NumericFailure):
 
 class OrderBoundExceeded(HypergroupError):
     pass
-
 
 
 class ParseError(HypergroupError):

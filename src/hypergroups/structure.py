@@ -22,15 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Element, FusionData, components, normalize
-from .errors import (
-    ClassInconsistency,
-    ClosureViolation,
-    CrossCheckFailed,
-    HypergroupError,
-    IdempotentResidual,
-    NotAbelian,
-    NotPositive,
-)
+from .errors import ClosureViolation, CrossCheckFailed, HypergroupError, NotAbelian, NotPositive
 from .spectra import _match_columns, character_table, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
@@ -236,7 +228,7 @@ def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     js = frozenset(np.flatnonzero(np.abs(vals - 1.0) <= VALUE_SLACK * tol.zero(1.0)).tolist())
     rebuilt = table.idempotents[sorted(js)].sum(axis=0)
     tol.check(np.abs(rebuilt - lam.float_coords()).max(), IDENTITY_SLACK, 1.0,
-              IdempotentResidual, "lambda_S != sum of F_j over its support for S = {}", sub.indices)
+              "support: lambda_S != sum of F_j over its support for S = {}", sub.indices)
     return js
 
 
@@ -346,7 +338,7 @@ def _grading_spectral_checks(a: RingAnalysis, components):
     for comp in components:
         r = sum(h[i] * d[i] ** 2 for i in comp)
         a.tol.check(abs(r - share), IDENTITY_SLACK, 1.0 + n_h,
-                    CrossCheckFailed, "grading: FPdim(R_g) = {} != FPdim(H)/|U| = {}", r, share)
+                    "grading: FPdim(R_g) = {} != FPdim(H)/|U| = {}", r, share)
 
 
 # ---------------------------------------------------------------- perp
@@ -359,7 +351,7 @@ def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     back = perp_characters(a, out)
     if back != frozenset(sub.indices):
         raise CrossCheckFailed(
-            f"(S-perp)-perp = {sorted(back)} != S = {list(sub.indices)}"
+            f"perp: (S-perp)-perp = {sorted(back)} != S = {list(sub.indices)}"
         )
     return frozenset(out)
 
@@ -411,15 +403,15 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
     bad = np.argwhere(spread > (0 if exact else VALUE_SLACK * tol.zero(1.0)))
     if len(bad):
         la, lb = min((int(label[p]), int(label[r])) for p, r in bad)
-        raise ClassInconsistency(
-            f"class product [{la}][{lb}] depends on representatives"
+        raise CrossCheckFailed(
+            f"quotient: class product [{la}][{lb}] depends on representatives"
         )
     inv = data.involution
     qinv = [label[inv[cls[0]]] for cls in classes]
     result = FusionData(f"{data.name}//{list(sub.indices)}", qinv, qt)
     qflags = result.flags_at(tol)
     if not (qflags.abelian and qflags.real_non_negative):
-        raise ClassInconsistency("quotient is not an ARN hypergroup")
+        raise CrossCheckFailed("quotient: quotient is not an ARN hypergroup")
     _harrison_check(a, sub, result, classes)
     return result, classes
 
@@ -435,11 +427,12 @@ def _harrison_check(a: RingAnalysis, sub, quot, classes):
         qtable.values,
         restrictions,
         ROUTE_SLACK * a.tol.zero(1.0),
-        ClassInconsistency,
-        lambda r, resid: "Harrison duality failed: S-perp restriction is not a quotient character",
+        CrossCheckFailed,
+        lambda r, resid: "quotient: Harrison duality failed:"
+        " S-perp restriction is not a quotient character",
     )
     if len(matched) != quot.rank:
-        raise ClassInconsistency("Harrison duality failed: character counts differ")
+        raise CrossCheckFailed("quotient: Harrison duality failed: character counts differ")
 
 
 # ---------------------------------------------------------------- commutator and series

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidTolerance
+from .errors import CrossCheckFailed, InvalidTolerance
 
 __all__ = ["Tolerance", "DEFAULT_TOL", "snap_value", "snap_array"]
 
@@ -44,13 +44,13 @@ class Tolerance:
         """Threshold below which a value of the given ambient scale counts as zero."""
         return self.abs + self.rel * abs(scale)
 
-    def check(self, residual, slack, scale, error, message: str, *args):
-        """Raise error(message.format(*args)) when residual > slack * zero(scale).
+    def check(self, residual, slack, scale, message: str, *args):
+        """Raise CrossCheckFailed(message.format(*args)) when residual > slack * zero(scale).
 
-        The message is formatted only on failure, so a passing check costs
-        one comparison."""
+        The message begins with the check's name.  It is formatted only on
+        failure, so a passing check costs one comparison."""
         if residual > slack * self.zero(scale):
-            raise error(message.format(*args))
+            raise CrossCheckFailed(message.format(*args))
 
     def agrees(self, values, target):
         """|values - target| <= VALUE_SLACK * zero(1 + target), elementwise."""

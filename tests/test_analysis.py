@@ -34,7 +34,6 @@ def test_analyze_builds_each_invariant_once():
             ("dual", analysis, "dual_hypergroup"),
             ("double dual", dual, "dual_hypergroup"),
             ("table", analysis, "character_table"),
-            ("dual table", dual, "character_table"),
             ("vanishing", analysis, "vanishing_elements"),
         ]
     }
@@ -44,15 +43,30 @@ def test_analyze_builds_each_invariant_once():
     finally:
         mock.patch.stopall()
     counts = {name: m.call_count for name, m in mocks.items()}
-    # the ring, its dual and the double dual are validated once each
+    # the ring, its dual and the double dual are validated once each; the
+    # analysis builds the ring's table and its dual's
     assert counts == {
         "validate": 3,
         "dual": 1,
         "double dual": 1,
-        "table": 1,
-        "dual table": 1,
+        "table": 2,
         "vanishing": 1,
     }
+
+
+def test_both_tables_are_built_at_the_analysis_seed():
+    a = hg.RingAnalysis(ising(), seed=3)
+    try:
+        spy = _spy_everywhere(spectra.character_table)
+        hg.dual_codegrees(a)
+        hg.double_dual_check(a)
+    finally:
+        mock.patch.stopall()
+    # a call that passes no seed builds at the default seed 0
+    assert [(c.args[0].name, c.kwargs.get("seed", 0)) for c in spy.call_args_list] == [
+        ("Ising", 3),
+        ("dual(Ising)", 3),
+    ]
 
 
 def test_a_corpus_pass_checks_each_fp_column_once():

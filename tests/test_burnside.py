@@ -6,7 +6,8 @@ import pytest
 import hypergroups as hg
 from hypergroups import burnside as bn
 from hypergroups.builders import catalog, class_hypergroup, group_ring, near_group, rep_ring
-from hypergroups.errors import CrossCheckFailed, SignMismatch
+from hypergroups.criteria import burnside_exclusion
+from hypergroups.errors import CrossCheckFailed
 from conftest import NILPOTENT_CATALOG, s3_indices
 
 
@@ -144,7 +145,7 @@ def test_sgn_values_rejects_a_product_that_is_no_character(ising_ring, ising_tab
     values[2, k] = 0.5
     a = hg.RingAnalysis(ising_ring)
     a.table = replace(ising_table, values=values)
-    with pytest.raises(SignMismatch, match="is not a character"):
+    with pytest.raises(CrossCheckFailed, match="is not a character"):
         bn.sgn_values(a)
 
 
@@ -201,9 +202,24 @@ def test_hypothesis_report(fib_ring):
 
 
 def test_obstruction_flagged_for_qualifying_failure(s3_rep):
-    # S3 is Burnside, so no obstruction; force the hypothetical branch shape
+    # S3 is Burnside, so no obstruction
     rep = bn.burnside_hypothesis_report(hg.RingAnalysis(s3_rep))
     assert rep["burnside"] and rep["obstruction"] is None
+    # a failed Burnside verdict on the same qualifying ring (weakly integral,
+    # h-integral dual) is an obstruction, and the Burnside test excludes it
+    a = hg.RingAnalysis(s3_rep)
+    a.burnside = (False, 1)
+    rep = bn.burnside_hypothesis_report(a)
+    assert rep["weakly_integral"] and rep["dual_h_integral"] and not rep["burnside"]
+    assert rep["obstruction"] == (
+        "weakly-integral fusion ring with h-integral dual is not Burnside: "
+        "no weakly-integral categorification exists"
+    )
+    verdict = burnside_exclusion(a)
+    assert verdict.applicable and verdict.excluded
+    assert verdict.certificate == (
+        "basis element 1 of FPdim 2 is non-vanishing (det L = 0) but not grouplike"
+    )
 
 
 def test_burnside_report_assembly(ising_ring):

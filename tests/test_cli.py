@@ -251,6 +251,13 @@ def test_enumerate_command(tmp_path, capsys):
     assert len(os.listdir(outdir)) == 4
 
 
+def test_enumerate_a_type_with_no_ring_excludes_none(capsys):
+    # no fusion ring has type 1,2: x^2 = 1 + m x has FPdim 2 only for m = 3/2
+    code, out, _ = run(capsys, "enumerate", "1,2")
+    assert code == 0
+    assert out == "0 ring(s) up to relabeling; 0 of 0 excluded\n"
+
+
 def test_batch_command(tmp_path, capsys):
     d = tmp_path / "rings"
     d.mkdir()

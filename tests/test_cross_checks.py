@@ -6,12 +6,15 @@ asserts that the check raises CrossCheckFailed with its own message.  On
 valid data these checks hold by theorem, so only a corrupted input reaches
 them; where the function first validates its input (the axioms, a
 sub-hypergroup), the test switches that validation off.  A scan of src/
-keeps every class of errors.py raised or caught, and a second scan keeps
-the library's own error classes out of except clauses outside the CLI.
+keeps every class of errors.py raised or caught, a second keeps the
+library's own error classes out of except clauses outside the CLI, and a
+third keeps every message that can reach CrossCheckFailed starting with the
+name of its check.
 """
 
 import ast
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -51,17 +54,15 @@ def test_identity_checks_reject_a_true_verdict_with_a_large_residual(s3_rep):
 
 
 def _with_dual_table(a, **changes):
-    """Point `a` at a copy of its dual whose character table has `changes`;
+    """Point `a` at a copy of its dual's character table with `changes`;
     the alignment `a.dual_match` stays the one read off the true table."""
     a.dual_match
-    dd = replace(a.dual)
-    dd.__dict__["table"] = replace(a.dual.table, **changes)
-    a.dual = dd
+    a.dual_table = replace(a.dual_table, **changes)
 
 
 def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3_rep):
     a = hg.RingAnalysis(s3_rep)
-    t = a.dual.table
+    t = a.dual_table
     # exchange the dual characters at x_1 and x_2, whose orders differ
     perm = list(range(t.rank))
     i, j = a.dual_match[1], a.dual_match[2]
@@ -73,13 +74,13 @@ def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3
         idempotents=t.idempotents[perm],
         positive_columns=tuple(sorted(perm.index(c) for c in t.positive_columns)),
     )
-    with pytest.raises(CrossCheckFailed, match="double dual mismatch, residual"):
+    with pytest.raises(CrossCheckFailed, match="double dual: mismatch, residual"):
         hg.double_dual_check(a)
 
 
 def test_dual_codegrees_reject_a_perturbed_dual_codegree(s3_rep):
     a = hg.RingAnalysis(s3_rep)
-    n = a.dual.table.codegrees.copy()
+    n = a.dual_table.codegrees.copy()
     n[a.dual_match[1]] += 1e-2
     _with_dual_table(a, codegrees=n)
     with pytest.raises(CrossCheckFailed, match="dual codegrees: formula vs direct mismatch"):
@@ -254,7 +255,7 @@ def test_codegree_conjugation_rejects_an_orbit_with_distinct_dual_orders(s3_rep)
 # ---------------------------------------------------------------- guard
 
 SRC = pathlib.Path(errors.__file__).parent
-CHECKS = {"check": 3, "_match_columns": 3}  # routine -> position of its error argument
+CHECKS = {"_match_columns": 3}  # routine -> position of its error argument
 
 
 def _names(node) -> list:
@@ -287,8 +288,7 @@ def raised_or_caught(source: str) -> set:
 def test_guard_sees_raises_catches_and_check_errors():
     assert raised_or_caught("raise A('x')\nraise B from exc") == {"A", "B"}
     assert raised_or_caught("try:\n    f()\nexcept (C, errors.D):\n    pass") == {"C", "D"}
-    checks = "tol.check(r, S, 1.0, E, 'm')\n_match_columns(v, w, t, F, g)"
-    assert raised_or_caught(checks) == {"E", "F"}
+    assert raised_or_caught("_match_columns(v, w, t, F, g)") == {"F"}
     assert raised_or_caught("x = G('m')\nh(r, S, 1.0, H, 'm')") == set()
 
 
@@ -345,3 +345,95 @@ def test_no_except_outside_the_cli_catches_a_library_error():
         if module != "cli.py":
             found |= caught_library_errors(path.read_text(), module)
     assert not found - ALLOWED_CATCHES, sorted(found - ALLOWED_CATCHES)
+
+
+# A message that can reach CrossCheckFailed begins with its check's name.
+# Positions of the message in the calls that raise it: every Tolerance.check,
+# every CrossCheckFailed(...), the `not_unit` text of _checked_sign, and the
+# message of a _match_columns call whose error is CrossCheckFailed.
+CHECK_NAME = re.compile(r"^[A-Za-z][A-Za-z -]*: ")
+MESSAGE_AT = {"check": 3, "CrossCheckFailed": 0, "_checked_sign": 4, "_match_columns": 4}
+# the message parameters of Tolerance.check and _checked_sign, checked where
+# their texts are given
+PASSED_ON = {"message", "not_unit"}
+DELETED_CLASSES = ("OrthogonalityResidualExceeded", "IdempotentResidual", "SignMismatch",
+                   "ClassInconsistency")
+
+
+def _leading_texts(node) -> list:
+    """The literal text each branch of a message expression starts with, or
+    None for a branch that starts with no literal."""
+    if isinstance(node, ast.Lambda):
+        return _leading_texts(node.body)
+    if isinstance(node, ast.IfExp):
+        return _leading_texts(node.body) + _leading_texts(node.orelse)
+    if isinstance(node, ast.JoinedStr):
+        node = node.values[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return [None]
+
+
+def unnamed_check_messages(source: str) -> list:
+    """(line, problem) for each threshold-check message without a check name,
+    each Tolerance.check given an exception class, and each deleted class."""
+    found = [(0, name) for name in DELETED_CLASSES if name in source]
+    library = set(errors.__all__) | set(DELETED_CLASSES)
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or not _names(node.func):
+            continue
+        routine = _names(node.func)[-1]
+        pos = MESSAGE_AT.get(routine)
+        if pos is None or len(node.args) <= pos:
+            continue
+        if routine == "_match_columns" and "CrossCheckFailed" not in _names(node.args[3]):
+            continue
+        if routine == "check":
+            found += [(node.lineno, f"check given {n}")
+                      for arg in node.args for n in _names(arg) if n in library]
+        message = node.args[pos]
+        if isinstance(message, ast.Call) and _names(message.func) == ["format"]:
+            message = message.func.value
+        if isinstance(message, ast.Name) and message.id in PASSED_ON:
+            continue
+        found += [(node.lineno, repr(text)) for text in _leading_texts(message)
+                  if text is None or not CHECK_NAME.match(text)]
+    return found
+
+
+def test_message_guard_sees_each_unnamed_message():
+    snippet = "\n".join([
+        "tol.check(r, S, 1.0, 'no name {}', x)",
+        "tol.check(r, S, 1.0, CrossCheckFailed, 'grading: x')",
+        "raise CrossCheckFailed(f'{name} = 1')",
+        "_checked_sign(v, 'x', perm, tol, 'not +-1 {}', i)",
+        "_match_columns(v, w, t, CrossCheckFailed, lambda r, e: 'sgn: a' if e else f'mu_{r} b')",
+        "tol.check(r, S, 1.0, text)",
+        "# IdempotentResidual",
+    ])
+    assert unnamed_check_messages(snippet) == [
+        (0, "IdempotentResidual"),
+        (1, "'no name {}'"),
+        (2, "check given CrossCheckFailed"),
+        (2, "None"),
+        (3, "None"),
+        (4, "'not +-1 {}'"),
+        (5, "'mu_'"),
+        (6, "None"),
+    ]
+    named = "\n".join([
+        "tol.check(r, S, 1.0, 'double dual: mismatch {}', x)",
+        "raise CrossCheckFailed(message.format(*args))",
+        "raise CrossCheckFailed(f'sgn: sgn({name}): {x}')",
+        "_checked_sign(v, 'x', perm, tol, 'sgn: not +-1 {}', i)",
+        "_checked_sign(v, 'x', perm, tol, not_unit, i)",
+        "_match_columns(v, w, t, NotNormalizable, lambda r, e: 'no column')",
+        "_match_columns(v, w, t, CrossCheckFailed, lambda r, e: 'quotient: a' f' {r}')",
+    ])
+    assert unnamed_check_messages(named) == []
+
+
+def test_every_threshold_check_message_names_its_check():
+    found = [(path.relative_to(SRC).as_posix(), *fault)
+             for path in SRC.rglob("*.py") for fault in unnamed_check_messages(path.read_text())]
+    assert not found, found

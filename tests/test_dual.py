@@ -88,8 +88,8 @@ def test_dual_is_normalized(corpus_with_tables):
 def test_dual_idempotent_pairing(ising_ring, ising_table):
     # <E-hat_i, x_j/d_j> = delta_ij via the dual table alignment
     dd = hg.dual_hypergroup(ising_ring, ising_table)
-    dual_table = dd.table
-    match = match_dual_characters(dd, ising_table)
+    dual_table = hg.character_table(dd.base)
+    match = match_dual_characters(dd, ising_table, dual_table)
     d = ising_table.fp_dims()
     m = ising_ring.rank
     for i in range(m):
@@ -118,7 +118,7 @@ def test_augmentation_index(ising_ring, ising_table):
 def test_augmentation_index_rejects_a_table_without_an_all_ones_column(
     ising_ring, ising_table
 ):
-    dt = hg.dual_hypergroup(ising_ring, ising_table).table
+    dt = hg.character_table(hg.dual_hypergroup(ising_ring, ising_table).base)
     values = dt.values.copy()
     values[1, augmentation_index(dt)] += 1e-3
     with pytest.raises(NotNormalizable):
@@ -130,4 +130,4 @@ def test_match_dual_characters_rejects_a_corrupted_primal_value(ising_ring, isin
     values = ising_table.values.copy()
     values[1, next(j for j in range(3) if j != dd.mu1)] += 0.1
     with pytest.raises(CrossCheckFailed, match="cannot align dual character"):
-        match_dual_characters(dd, replace(ising_table, values=values))
+        match_dual_characters(dd, replace(ising_table, values=values), hg.character_table(dd.base))

@@ -7,7 +7,7 @@ from hypergroups import structure as st
 from hypergroups import burnside as bn
 from hypergroups.builders import abelian_group, catalog, class_hypergroup, group_ring, rep_ring
 from hypergroups.core import prime_factorization
-from hypergroups.errors import ClassInconsistency, ClosureViolation, NotAbelian, NotPositive
+from hypergroups.errors import ClosureViolation, CrossCheckFailed, NotAbelian, NotPositive
 from conftest import s3_indices
 
 
@@ -215,7 +215,7 @@ def test_harrison_check_rejects_a_quotient_with_other_characters(s3_rep):
     a = hg.RingAnalysis(s3_rep)
     sub = st.SubHypergroup((0, s), s3_rep)
     _, classes = st.quotient(a, sub)
-    with pytest.raises(ClassInconsistency, match="Harrison duality failed"):
+    with pytest.raises(CrossCheckFailed, match="Harrison duality failed"):
         st._harrison_check(a, sub, group_ring(catalog("C2")), classes)
 
 
