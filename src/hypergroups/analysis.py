@@ -2,13 +2,16 @@
 
 A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
 property is computed on first use and then shared, so one analysis validates
-the ring, builds its character table, finds its FP column and order n(H),
+the ring, builds its character table, reads its FP column and order n(H),
 checks the FP column as an exact character, builds its dual and the dual's
 character table and aligns the dual's characters, and finds the table's zero
-pattern once.  Every spectral stage (structure, dual, Burnside, Galois,
-criteria) takes the analysis and reads the same flag set, tables, dual,
-grouplikes and verdicts; the double-dual check reads the FP column `d`, and
-both Burnside verdicts read the one `zero_pattern`.
+pattern once.  The FP column, 0 in canonical order, is the one normalizing
+character: the dual is built there, its basis element j is the table's
+column j, and the double dual is the dual of the dual at its all-ones
+column.  Every spectral stage (structure, dual, Burnside, Galois, criteria)
+takes the analysis and reads the same flag set, tables, dual, grouplikes and
+verdicts; the double-dual check reads the FP column `d`, and both Burnside
+verdicts read the one `zero_pattern`.
 
 The character-side readers (kernels, centers, perps, grouplike characters, the
 values of P and P-hat) read one normalized table nu[i, j] = mu_j(x_i)/d_i and
@@ -25,9 +28,9 @@ import numpy as np
 
 from .burnside import vanishing_elements
 from .core import FlagSet, FusionData, exact_character, regular_element
-from .dual import DualData, dual_hypergroup, match_dual_characters
+from .dual import DualData, dual_hypergroup
 from .errors import CrossCheckFailed
-from .spectra import CharacterTable, character_table, fp_character, order, verify_fp_value
+from .spectra import CharacterTable, _match_columns, character_table, order, verify_fp_value
 from .structure import (
     CentralSeries,
     SubHypergroup,
@@ -35,7 +38,7 @@ from .structure import (
     central_series,
     grouplike_indices,
 )
-from .tolerance import DEFAULT_TOL, VALUE_SLACK, Tolerance, snap_array, snap_value
+from .tolerance import DEFAULT_TOL, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array, snap_value
 
 __all__ = ["RingAnalysis"]
 
@@ -56,7 +59,11 @@ class RingAnalysis:
     Fraction on an exact tensor only when certified, else a float; on a
     floating tensor the values are bounded-denominator snaps.  The Burnside
     verdict (rows of `zero_pattern` holding a zero) and the dual-Burnside
-    verdict (its zero-free columns) read one zero pattern of the table."""
+    verdict (its zero-free columns) read one zero pattern of the table.
+
+    `d` is the FP column (column 0 of `table`; NotNormalizable without one),
+    `dual` the dual at it, whose basis element j is the table's column j, and
+    `dual_match` the column of `dual_table` at each primal basis element."""
 
     def __init__(self, data: FusionData, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
         self.data = data
@@ -70,10 +77,6 @@ class RingAnalysis:
     @cached_property
     def table(self) -> CharacterTable:
         return character_table(self.data, tol=self.tol, seed=self.seed)
-
-    @cached_property
-    def fp(self) -> int:
-        return fp_character(self.table)
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -96,7 +99,7 @@ class RingAnalysis:
 
     @cached_property
     def n_h(self) -> float:
-        return order(self.table, self.fp)
+        return order(self.table)
 
     @cached_property
     def exact_d(self) -> list | None:
@@ -203,7 +206,7 @@ class RingAnalysis:
 
     @cached_property
     def dual(self) -> DualData:
-        return dual_hypergroup(self.data, self.table, self.fp)
+        return dual_hypergroup(self.data, self.table)
 
     @cached_property
     def dual_flags(self) -> FlagSet:
@@ -217,5 +220,13 @@ class RingAnalysis:
     @cached_property
     def dual_match(self) -> np.ndarray:
         """dual_match[i]: the column of the dual's character table that is
-        evaluation at x_i / d_i."""
-        return match_dual_characters(self.dual, self.table, self.dual_table)
+        evaluation at x_i / d_i, the row `normalized[i]` over the dual basis.
+        It aligns the dual's canonical character order with the primal basis."""
+        rows = self.normalized
+        return _match_columns(
+            self.dual_table.values,
+            rows,
+            ROUTE_SLACK * self.tol.zero(1.0 + np.abs(rows).max()),
+            lambda i, resid: "dual alignment: cannot align dual character"
+            f" for basis element {i} (residual {resid:.3e})",
+        )

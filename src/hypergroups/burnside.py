@@ -180,7 +180,6 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
             table.values,
             prods,
             thr,
-            CrossCheckFailed,
             lambda k, resid: f"sgn: mu_{j} * mu_{k} is not a character"
             if resid > thr[k]
             else f"sgn: mu_{j} does not permute the characters",

@@ -246,6 +246,13 @@ class Element:
         return len(self.coords)
 
 
+def check_length(data: FusionData, *elements) -> None:
+    """Raise DimensionMismatch unless each element (an Element or a sequence
+    of coordinates) has one coordinate per basis element."""
+    if any(len(x) != data.rank for x in elements):
+        raise DimensionMismatch("element length != rank")
+
+
 def basis_element(data: FusionData, i: int) -> Element:
     coords = [0] * data.rank
     coords[i] = 1
@@ -257,6 +264,9 @@ def regular_element(data: FusionData, indices=None) -> Element:
     over the basis indices S (default: all, giving I(1)); exact on an exact
     tensor, where it is sum_{i in S} C_{ii*} / C_{ii*}^0 (L cancels)."""
     idx = np.arange(data.rank) if indices is None else np.asarray(indices, dtype=int)
+    outside = idx[(idx < 0) | (idx >= data.rank)].tolist()
+    if outside:
+        raise DimensionMismatch(f"indices {outside} are out of range for rank {data.rank}")
     pairs = idx, np.array(data.involution)[idx]
     rows = (data.integer_tensor()[1] if data.is_exact else data.tensor)[pairs]
     if not rows[:, 0].all():
@@ -461,9 +471,7 @@ def _first(mask: np.ndarray) -> tuple | None:
 
 def multiply(data: FusionData, x: Element, y: Element) -> Element:
     """Product of two elements; exact whenever both inputs and the tensor are exact."""
-    m = data.rank
-    if len(x) != m or len(y) != m:
-        raise DimensionMismatch("element length != rank")
+    check_length(data, x, y)
     if data.is_exact and x.is_exact and y.is_exact:
         # x = u / Dx, y = v / Dy, N = C / L: x y = sum_ij u_i v_j C_ij / (L Dx Dy)
         L, C = data.integer_tensor()

@@ -1,12 +1,15 @@
 """Dual hypergroups of abelian normalizable hypergroups.
 
 The dual lives on the characters; its structure constants come from the
-orthogonality relations.  `dual_hypergroup` builds the dual from a character
-table and a normalizing character as FusionData, snapped in one array pass to
-exact rationals when every entry snaps, so the whole primal tool chain applies
-to duals unchanged.  The stages that read the dual of a ring under analysis
-(`dual_codegrees`, `double_dual_check`) take its RingAnalysis, which builds
-the dual, its flags, its character table and its character alignment once.
+orthogonality relations.  `dual_hypergroup` builds the dual at the FP
+character, column 0 of the character table, as FusionData whose basis
+element j is the table's column j, snapped in one array pass to exact
+rationals when every entry snaps, so the whole primal tool chain applies to
+duals unchanged.  The dual's own FP column is its all-ones column, column 0
+of its table, so the double dual needs no index map either.  The stages that
+read the dual of a ring under analysis (`dual_codegrees`, `double_dual_check`)
+take its RingAnalysis, which builds the dual, its flags, its character table
+and its character alignment once.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import FusionData, involution_of, normalizing_column
-from .errors import CrossCheckFailed, DualAxiomViolation, HypergroupError, NotNormalizable
-from .spectra import CharacterTable, _match_columns, fp_character, order
+from .errors import DualAxiomViolation, HypergroupError
+from .spectra import CharacterTable, order
 from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
 
 if TYPE_CHECKING:
@@ -29,63 +32,42 @@ __all__ = [
     "dual_hypergroup",
     "dual_codegrees",
     "double_dual_check",
-    "augmentation_index",
-    "match_dual_characters",
 ]
 
 
 @dataclass(frozen=True)
 class DualData:
-    """The dual hypergroup together with its bookkeeping.
+    """The dual hypergroup and its orders.
 
-    `base` is the dual as plain FusionData (unit = the normalizing character).
-    `char_order[j]` is the primal character-table column sitting at dual basis
-    position j, so position 0 always carries mu1.
+    `base` is the dual as plain FusionData: basis element j is character
+    column j of the table it was built from, so element 0, the FP character,
+    is its unit.  `orders_hat[j]` is h-hat_j = n(H)/n_j.
     """
 
     base: FusionData
     orders_hat: np.ndarray
-    mu1: int
-    char_order: tuple
 
     @property
     def rank(self) -> int:
         return self.base.rank
 
 
-def augmentation_index(table: CharacterTable) -> int:
-    """Column of the all-ones character (exists iff the data is normalized)."""
-    (j,) = _match_columns(
-        table.values,
-        np.ones((1, table.rank)),
-        VALUE_SLACK * table.tol.zero(1.0),
-        NotNormalizable,
-        lambda r, resid: "no all-ones character column",
-    )
-    return int(j)
+def dual_hypergroup(data: FusionData, table: CharacterTable) -> DualData:
+    """Build the dual of an abelian hypergroup at its FP character, at the
+    table's tolerance.
 
-
-def dual_hypergroup(data: FusionData, table: CharacterTable, mu1: int | None = None) -> DualData:
-    """Build the dual of an abelian hypergroup normalizable via character mu1,
-    at the table's tolerance.
-
-    Dual basis order: mu1 first (it is the dual's unit), then the remaining
-    characters in canonical table order.
+    Dual basis element j is the table's column j; the FP column, 0 in
+    canonical order, is the dual's unit.
     """
     tol = table.tol
     m = data.rank
-    if mu1 is None:
-        mu1 = fp_character(table)
-    n_primal = order(table, mu1)
+    n_primal = order(table)
     A = table.values
-    d = A[:, mu1]
-
-    perm = [mu1] + [j for j in range(m) if j != mu1]
-    Ap = A[:, perm]
-    n = table.codegrees[perm]
+    d = A[:, 0]
+    n = table.codegrees
     inv = list(data.involution)
     w = table.h / d
-    phat = np.einsum("i,ij,ik,il->jkl", w, Ap, Ap, Ap[inv, :])
+    phat = np.einsum("i,ij,ik,il->jkl", w, A, A, A[inv, :])
     phat = phat / n[None, None, :]
 
     imax = np.abs(phat.imag).max()
@@ -112,8 +94,8 @@ def dual_hypergroup(data: FusionData, table: CharacterTable, mu1: int | None = N
               "dual: h-hat_j != n(H)/n_j")
     tol.check(abs(hhat.sum() - n_primal), IDENTITY_SLACK, 1.0 + n_primal,
               "dual: sum of dual orders != n(H)")
-    _check_involution_conjugation(Ap, d, involution_hat, tol)
-    return DualData(base=base, orders_hat=hhat, mu1=mu1, char_order=tuple(perm))
+    _check_involution_conjugation(A, d, involution_hat, tol)
+    return DualData(base=base, orders_hat=hhat)
 
 
 def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
@@ -129,9 +111,9 @@ def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
     return inv
 
 
-def _check_involution_conjugation(Ap, d, involution_hat, tol: Tolerance):
+def _check_involution_conjugation(A, d, involution_hat, tol: Tolerance):
     """mu_{j#} of the normalized basis is the complex conjugate of mu_j."""
-    norm = Ap / d[:, None]
+    norm = A / d[:, None]
     scale = 1.0 + np.abs(norm).max()
     for j, js in enumerate(involution_hat):
         tol.check(np.abs(norm[:, js] - norm[:, j].conj()).max(), IDENTITY_SLACK, scale,
@@ -154,28 +136,6 @@ def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     return nhat
 
 
-def match_dual_characters(
-    dd: DualData, table: CharacterTable, dual_table: CharacterTable
-) -> np.ndarray:
-    """match[i] = column of `dual_table` equal to evaluation at x_i / d_i,
-    where dd is the dual built from `table` and `dual_table` is its table.
-
-    The characters of the dual are ev_{x_i/d_i}; this aligns the dual's own
-    canonical character order with the primal basis.
-    """
-    tol = table.tol
-    d = table.values[:, dd.mu1]
-    rows = table.values[:, list(dd.char_order)] / d[:, None]  # rows[i] over dual basis
-    return _match_columns(
-        dual_table.values,
-        rows,
-        ROUTE_SLACK * tol.zero(1.0 + np.abs(rows).max()),
-        CrossCheckFailed,
-        lambda i, resid: "dual alignment: cannot align dual character"
-        f" for basis element {i} (residual {resid:.3e})",
-    )
-
-
 def double_dual_check(a: RingAnalysis) -> tuple:
     """Find the basis permutation identifying dual(dual(H)) with H normalized
     by the FP character, through the dual of the analysis.
@@ -185,15 +145,13 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     Returns pi such that ddual.tensor[pi[a], pi[b], pi[c]] matches it
     entrywise within tol.
     """
-    dd, tol = a.dual, a.tol
-    dd2 = dual_hypergroup(dd.base, a.dual_table, augmentation_index(a.dual_table))
+    tol = a.tol
+    # dd2 basis element p is dual-table column p, and primal index i sits at
+    # dual-table column dual_match[i]
+    dd2 = dual_hypergroup(a.dual.base, a.dual_table)
+    pi = a.dual_match
 
-    # dd2 basis position p holds dual-table column dd2.char_order[p];
-    # primal index i sits at dual-table column dual_match[i].
-    col_to_pos = {col: pos for pos, col in enumerate(dd2.char_order)}
-    pi = np.array([col_to_pos[col] for col in a.dual_match], dtype=int)
-
-    normalizing_column(a.table.values[:, dd.mu1], a.data.involution, tol)
+    normalizing_column(a.table.values[:, 0], a.data.involution, tol)
     d = a.d
     T1 = a.data.float_tensor() * d / (d[:, None, None] * d[None, :, None])
     T2 = dd2.base.float_tensor()

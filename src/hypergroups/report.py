@@ -101,7 +101,7 @@ def analyze(
     report.codegrees = [_round(x) for x in table.codegrees]
 
     try:
-        a.fp
+        a.d
     except NotNormalizable as exc:
         report.notes.append(f"no FP character: {exc}")
         return report

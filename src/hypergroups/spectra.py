@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import exact_det
-from .core import Element, FusionData, basis_element, integer_form, multiply, orders
-from .errors import InexactTensor, NotAbelian, NotNormalizable, NumericFailure
+from .core import Element, FusionData, basis_element, check_length, integer_form, multiply, orders
+from .errors import CrossCheckFailed, InexactTensor, NotAbelian, NotNormalizable, NumericFailure
 from .tolerance import (
     COLUMN_ORDER_DIGITS, DEFAULT_TOL, EIGEN_CONDITION, EIGEN_GAP, ENTRY_SLACK, IDENTITY_SLACK,
     VALUE_SLACK, Tolerance,
@@ -59,9 +59,7 @@ class CharacterTable:
 
     def fp_dims(self) -> np.ndarray:
         """d_i = FPdim(x_i), the entries of the unique positive column."""
-        if self.fp_index is None:
-            raise NotNormalizable("table has no positive column")
-        return self.values[:, self.fp_index].real.copy()
+        return self.values[:, fp_character(self)].real.copy()
 
 
 def _simultaneous_diagonalization(L: np.ndarray, seed: int):
@@ -163,12 +161,12 @@ def _positive_columns(values: np.ndarray, tol: Tolerance) -> list[int]:
     return np.flatnonzero(real & (values.real > tol.zero(1.0)).all(axis=0)).tolist()
 
 
-def _match_columns(values: np.ndarray, vecs: np.ndarray, thr, error, message) -> np.ndarray:
+def _match_columns(values: np.ndarray, vecs: np.ndarray, thr, message) -> np.ndarray:
     """cols[r]: the column of `values` nearest row r of `vecs` in the max norm.
 
-    Raises error(message(r, residual)) at the first row r farther than `thr`
-    (a scalar, or one per row) from its nearest column, else at the first row
-    whose nearest column an earlier row has taken.
+    Raises CrossCheckFailed(message(r, residual)) at the first row r farther
+    than `thr` (a scalar, or one per row) from its nearest column, else at the
+    first row whose nearest column an earlier row has taken.
     """
     diffs = np.abs(vecs[:, None, :] - values.T[None, :, :]).max(axis=2)
     cols = diffs.argmin(axis=1)
@@ -176,7 +174,7 @@ def _match_columns(values: np.ndarray, vecs: np.ndarray, thr, error, message) ->
     repeated = [r for r in range(len(cols)) if cols[r] in cols[:r]]
     bad = [*np.flatnonzero(resid > thr).tolist(), *repeated]
     if bad:
-        raise error(message(bad[0], resid[bad[0]]))
+        raise CrossCheckFailed(message(bad[0], resid[bad[0]]))
     return cols
 
 
@@ -219,16 +217,14 @@ def fp_character(table: CharacterTable) -> int:
     return candidates[0]
 
 
-def order(table: CharacterTable, mu1: int | None = None) -> float:
-    """n(H, B, mu1) = sum_i h_i |mu1(x_i)|^2, the codegree of mu1, for a
-    non-vanishing character mu1 (default: the FP character)."""
-    tol = table.tol
-    if mu1 is None:
-        mu1 = fp_character(table)
-    col = table.values[:, mu1]
-    if (np.abs(col) <= tol.zero(1.0 + np.abs(col).max())).any():
-        raise NotNormalizable(f"character {mu1} vanishes on a basis element")
-    return float(table.codegrees[mu1])
+def order(table: CharacterTable) -> float:
+    """n(H) = sum_i h_i d_i^2, the codegree of the FP character, which must
+    vanish on no basis element."""
+    fp = fp_character(table)
+    col = table.values[:, fp]
+    if (np.abs(col) <= table.tol.zero(1.0 + np.abs(col).max())).any():
+        raise NotNormalizable(f"character {fp} vanishes on a basis element")
+    return float(table.codegrees[fp])
 
 
 def integral_element(data: FusionData, table: CharacterTable) -> Element:
@@ -284,6 +280,7 @@ def verify_fp_value(
     candidate = p / q, D L L_x[k, j] = sum_l w_l C_{lj}^k and the test is
     det(q D L L_x - p D L Id) = 0; the Perron matrix rounds each entry of L_x.
     """
+    check_length(data, x)
     if not data.is_exact:
         raise InexactTensor("exact tensor required")
     L, C = data.integer_tensor()

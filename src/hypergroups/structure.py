@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Element, FusionData, components, normalize
+from .core import Element, FusionData, check_length, components, normalize
 from .errors import ClosureViolation, CrossCheckFailed, HypergroupError, NotAbelian, NotPositive
 from .spectra import _match_columns, character_table, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
@@ -139,6 +139,7 @@ def generated_sub(data: FusionData, x: Element, tol: Tolerance = DEFAULT_TOL) ->
 
     The tests check two laws on it: the Brauer criterion (<x> = H iff
     ker(x) = {FP}) and <P^2> = H_ad."""
+    check_length(data, x)
     seeds = element_support(x, tol)
     return SubHypergroup(closure(data, seeds, tol), data)
 
@@ -177,6 +178,7 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     intersection of the kernels of its constituents.  The tests check the
     Brauer criterion and ker(I(1)) = the intersection of the Z(x_i) on it.
     """
+    check_length(a.data, x)
     xv = x.float_coords()
     fp = float(xv @ a.d)
     vals = xv @ a.table.values
@@ -381,7 +383,7 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
         raise NotAbelian("quotients are defined for abelian data")
     if not a.flags.real_non_negative:
         raise HypergroupError("quotients are defined for RN data")
-    _check_sub(data, sub.indices, tol)
+    sperp = perp(a, sub)
     normalized = normalize(data, a.d, tol)
 
     m = data.rank
@@ -412,14 +414,13 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
     qflags = result.flags_at(tol)
     if not (qflags.abelian and qflags.real_non_negative):
         raise CrossCheckFailed("quotient: quotient is not an ARN hypergroup")
-    _harrison_check(a, sub, result, classes)
+    _harrison_check(a, sperp, result, classes)
     return result, classes
 
 
-def _harrison_check(a: RingAnalysis, sub, quot, classes):
+def _harrison_check(a: RingAnalysis, sperp, quot, classes):
     """Characters of H//S are the restrictions of the S-perp characters."""
     qtable = character_table(quot, tol=a.tol, seed=a.seed)
-    sperp = perp(a, sub)
     reps = [cls[0] for cls in classes]
     # row r: the S-perp character sorted(sperp)[r] on the normalized representatives
     restrictions = a.normalized[np.ix_(reps, sorted(sperp))].T
@@ -427,7 +428,6 @@ def _harrison_check(a: RingAnalysis, sub, quot, classes):
         qtable.values,
         restrictions,
         ROUTE_SLACK * a.tol.zero(1.0),
-        CrossCheckFailed,
         lambda r, resid: "quotient: Harrison duality failed:"
         " S-perp restriction is not a quotient character",
     )

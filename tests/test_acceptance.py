@@ -253,7 +253,7 @@ def test_criterion_8_near_group_rules():
     j_minus = next(
         j for j in range(k33.rank) if abs(table.values[rho, j] - x2) < 1e-8
     )
-    pos = list(dd.char_order).index(j_minus)
+    pos = j_minus  # dual basis element j is character column j
     row = dd.base.float_tensor()[pos, pos]
     coeff_plus = row[0]
     coeff_minus = row[pos]

@@ -123,21 +123,26 @@ def test_analyze_reads_the_fp_column_order_and_dual_alignment_once():
                 ("positive scan", spectra._positive_columns),
                 ("fp_character", spectra.fp_character),
                 ("order", spectra.order),
-                ("match", dual.match_dual_characters),
                 ("dual", dual.dual_hypergroup),
             ]
         }
+        spies["match"] = mock.patch.object(
+            analysis, "_match_columns", wraps=spectra._match_columns
+        ).start()
         analyze(ring, modular_candidate=True)
     finally:
         mock.patch.stopall()
     counts = {name: spy.call_count for name, spy in spies.items()}
     # the positive columns are scanned once per table (the ring's and its
-    # dual's) and fp_character reads that scan; n(H) is the FP codegree of
-    # the table, which order reads once for the analysis and once in each
-    # dual it builds (the dual of the ring and the dual of that dual)
+    # dual's) and fp_character reads that scan: for d, in each order call
+    # and for the d_i of the integrals of the adjoint's support and of the
+    # identity checks; n(H) is the FP codegree of the table, which order
+    # reads once for the analysis and once in each dual it builds (the dual
+    # of the ring and the dual of that dual); the dual's characters are
+    # aligned with the basis once
     assert counts == {
         "positive scan": 2,
-        "fp_character": 1,
+        "fp_character": 6,
         "order": 3,
         "match": 1,
         "dual": 2,

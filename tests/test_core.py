@@ -23,7 +23,7 @@ from hypergroups.builders import (
     rep_ring,
     serialize,
 )
-from hypergroups.errors import AxiomViolation, InvalidRescale, NotNormalizable
+from hypergroups.errors import AxiomViolation, DimensionMismatch, InvalidRescale, NotNormalizable
 from hypergroups.tolerance import DEFAULT_TOL, snap_value
 
 
@@ -443,6 +443,25 @@ def test_multiply_exactness(s3_rep):
     y = hg.Element((0, 1, Fraction(2, 3)))
     out = hg.multiply(s3_rep, x, y)
     assert out.is_exact
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda r, a: hg.multiply(r, hg.Element((1, 0)), hg.basis_element(r, 1)),
+         "element length != rank"),
+        (lambda r, a: hg.generated_sub(r, hg.Element((1, 0, 0, 1))), "element length != rank"),
+        (lambda r, a: hg.kernel_of_element(a, hg.Element((1, 0))), "element length != rank"),
+        (lambda r, a: hg.verify_fp_value(r, (1, 0), 1), "element length != rank"),
+        (lambda r, a: hg.regular_element(r, [0, 5]), r"indices \[5\] are out of range for rank 3"),
+        (lambda r, a: hg.regular_element(r, [-1]), r"indices \[-1\] are out of range for rank 3"),
+    ],
+    ids=["multiply", "generated_sub", "kernel_of_element", "verify_fp_value",
+         "regular_element", "regular_element_negative"],
+)
+def test_an_element_of_the_wrong_length_is_a_dimension_mismatch(ising_ring, call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call(ising_ring, hg.RingAnalysis(ising_ring))
 
 
 def _tau(data, i, j):

@@ -110,7 +110,7 @@ def test_kernel_of_character_rejects_a_kernel_that_is_not_closed():
 
 def test_adjoint_rejects_a_support_other_than_the_grouplike_characters(ising_ring):
     a = hg.RingAnalysis(ising_ring)
-    a.grouplike_chars = (a.fp,)
+    a.grouplike_chars = (0,)
     with pytest.raises(CrossCheckFailed, match=r"adjoint: J_ad \[.*\] != codegree test \[0\]"):
         st.adjoint(a)
 
@@ -153,7 +153,7 @@ def test_grading_table_must_be_a_group(table, message):
 
 def test_grading_rejects_a_component_count_other_than_the_grouplike_characters(ising_ring):
     a = _grading_analysis(ising_ring)
-    a.grouplike_chars = (a.fp,)
+    a.grouplike_chars = (0,)
     message = r"grading: \|components\| = 2 != \|G\(H-hat\)\| = 1"
     with pytest.raises(CrossCheckFailed, match=message):
         st.universal_grading(a)
@@ -162,7 +162,7 @@ def test_grading_rejects_a_component_count_other_than_the_grouplike_characters(i
 def test_grading_rejects_a_character_partition_other_than_the_components(ising_ring):
     a = _grading_analysis(ising_ring)
     other = next(j for j in range(3) if j not in a.grouplike_chars)
-    a.grouplike_chars = (a.fp, other)
+    a.grouplike_chars = (0, other)
     with pytest.raises(CrossCheckFailed, match="grading: character-side partition differs"):
         st.universal_grading(a)
 
@@ -255,7 +255,7 @@ def test_codegree_conjugation_rejects_an_orbit_with_distinct_dual_orders(s3_rep)
 # ---------------------------------------------------------------- guard
 
 SRC = pathlib.Path(errors.__file__).parent
-CHECKS = {"_match_columns": 3}  # routine -> position of its error argument
+CHECKS = {"_match_columns": "CrossCheckFailed"}  # routine -> the class every call raises
 
 
 def _names(node) -> list:
@@ -271,7 +271,7 @@ def _names(node) -> list:
 
 
 def raised_or_caught(source: str) -> set:
-    """Names raised, caught, or passed as the error of a check routine."""
+    """Names raised, caught, or raised by a call of a check routine."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
@@ -279,16 +279,16 @@ def raised_or_caught(source: str) -> set:
         elif isinstance(node, ast.ExceptHandler) and node.type is not None:
             found.update(_names(node.type))
         elif isinstance(node, ast.Call):
-            pos = CHECKS.get(_names(node.func)[-1] if _names(node.func) else None)
-            if pos is not None and len(node.args) > pos:
-                found.update(_names(node.args[pos]))
+            routine = (_names(node.func) or [None])[-1]
+            if routine in CHECKS:
+                found.add(CHECKS[routine])
     return found
 
 
 def test_guard_sees_raises_catches_and_check_errors():
     assert raised_or_caught("raise A('x')\nraise B from exc") == {"A", "B"}
     assert raised_or_caught("try:\n    f()\nexcept (C, errors.D):\n    pass") == {"C", "D"}
-    assert raised_or_caught("_match_columns(v, w, t, F, g)") == {"F"}
+    assert raised_or_caught("_match_columns(v, w, t, g)") == {"CrossCheckFailed"}
     assert raised_or_caught("x = G('m')\nh(r, S, 1.0, H, 'm')") == set()
 
 
@@ -350,11 +350,11 @@ def test_no_except_outside_the_cli_catches_a_library_error():
 # A message that can reach CrossCheckFailed begins with its check's name.
 # Positions of the message in the calls that raise it: every Tolerance.check,
 # every CrossCheckFailed(...), the `not_unit` text of _checked_sign, and the
-# message of a _match_columns call whose error is CrossCheckFailed.
+# message of every _match_columns call.
 CHECK_NAME = re.compile(r"^[A-Za-z][A-Za-z -]*: ")
-MESSAGE_AT = {"check": 3, "CrossCheckFailed": 0, "_checked_sign": 4, "_match_columns": 4}
-# the message parameters of Tolerance.check and _checked_sign, checked where
-# their texts are given
+MESSAGE_AT = {"check": 3, "CrossCheckFailed": 0, "_checked_sign": 4, "_match_columns": 3}
+# the message parameters of Tolerance.check, _checked_sign and _match_columns,
+# checked where their texts are given
 PASSED_ON = {"message", "not_unit"}
 DELETED_CLASSES = ("OrthogonalityResidualExceeded", "IdempotentResidual", "SignMismatch",
                    "ClassInconsistency")
@@ -386,14 +386,14 @@ def unnamed_check_messages(source: str) -> list:
         pos = MESSAGE_AT.get(routine)
         if pos is None or len(node.args) <= pos:
             continue
-        if routine == "_match_columns" and "CrossCheckFailed" not in _names(node.args[3]):
-            continue
         if routine == "check":
             found += [(node.lineno, f"check given {n}")
                       for arg in node.args for n in _names(arg) if n in library]
         message = node.args[pos]
         if isinstance(message, ast.Call) and _names(message.func) == ["format"]:
             message = message.func.value
+        elif isinstance(message, ast.Call) and isinstance(message.func, ast.Name):
+            message = message.func  # a text built by a function it was passed
         if isinstance(message, ast.Name) and message.id in PASSED_ON:
             continue
         found += [(node.lineno, repr(text)) for text in _leading_texts(message)
@@ -407,9 +407,11 @@ def test_message_guard_sees_each_unnamed_message():
         "tol.check(r, S, 1.0, CrossCheckFailed, 'grading: x')",
         "raise CrossCheckFailed(f'{name} = 1')",
         "_checked_sign(v, 'x', perm, tol, 'not +-1 {}', i)",
-        "_match_columns(v, w, t, CrossCheckFailed, lambda r, e: 'sgn: a' if e else f'mu_{r} b')",
+        "_match_columns(v, w, t, lambda r, e: 'sgn: a' if e else f'mu_{r} b')",
         "tol.check(r, S, 1.0, text)",
         "# IdempotentResidual",
+        "_match_columns(v, w, t, lambda r, e: 'no column')",
+        "raise CrossCheckFailed(describe(r))",
     ])
     assert unnamed_check_messages(snippet) == [
         (0, "IdempotentResidual"),
@@ -420,6 +422,8 @@ def test_message_guard_sees_each_unnamed_message():
         (4, "'not +-1 {}'"),
         (5, "'mu_'"),
         (6, "None"),
+        (8, "'no column'"),
+        (9, "None"),
     ]
     named = "\n".join([
         "tol.check(r, S, 1.0, 'double dual: mismatch {}', x)",
@@ -427,8 +431,9 @@ def test_message_guard_sees_each_unnamed_message():
         "raise CrossCheckFailed(f'sgn: sgn({name}): {x}')",
         "_checked_sign(v, 'x', perm, tol, 'sgn: not +-1 {}', i)",
         "_checked_sign(v, 'x', perm, tol, not_unit, i)",
-        "_match_columns(v, w, t, NotNormalizable, lambda r, e: 'no column')",
-        "_match_columns(v, w, t, CrossCheckFailed, lambda r, e: 'quotient: a' f' {r}')",
+        "_match_columns(v, w, t, lambda r, e: 'quotient: a' f' {r}')",
+        "_match_columns(v, w, t, message)",
+        "raise CrossCheckFailed(message(bad[0], resid[bad[0]]))",
     ])
     assert unnamed_check_messages(named) == []
 

@@ -1,14 +1,18 @@
-import math
+import dataclasses
+import inspect
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hypergroups as hg
-from hypergroups.builders import catalog, class_hypergroup, group_ring, rep_ring
-from hypergroups.dual import augmentation_index, match_dual_characters
-from hypergroups.errors import CrossCheckFailed, NotNormalizable
+from hypergroups.builders import catalog, class_hypergroup, corpus, group_ring, near_group
+from hypergroups.errors import CrossCheckFailed
+from hypergroups.spectra import _match_columns
+from hypergroups.tolerance import ROUTE_SLACK, VALUE_SLACK
 from conftest import PHI
+from test_golden import NEAR_GROUPS
 
 
 def test_z2_self_dual(z2_ring):
@@ -18,14 +22,6 @@ def test_z2_self_dual(z2_ring):
     # self-dual up to normalization: the dual of Z[Z2] is the Z[Z2] hypergroup
     assert np.allclose(dd.base.float_tensor(), z2_ring.float_tensor())
     assert list(dd.orders_hat) == [1.0, 1.0]
-
-
-def test_dual_needs_a_nonvanishing_character(s3_rep, s3_table):
-    vanishing = next(
-        j for j in range(3) if (np.abs(s3_table.values[:, j]) < 1e-9).any()
-    )
-    with pytest.raises(NotNormalizable):
-        hg.dual_hypergroup(s3_rep, s3_table, vanishing)
 
 
 def test_s3_dual_is_class_hypergroup(s3_rep, s3_table):
@@ -85,18 +81,16 @@ def test_dual_is_normalized(corpus_with_tables):
         assert np.abs(sums - 1.0).max() < 1e-8, ring.name
 
 
-def test_dual_idempotent_pairing(ising_ring, ising_table):
+def test_dual_idempotent_pairing(ising_ring):
     # <E-hat_i, x_j/d_j> = delta_ij via the dual table alignment
-    dd = hg.dual_hypergroup(ising_ring, ising_table)
-    dual_table = hg.character_table(dd.base)
-    match = match_dual_characters(dd, ising_table, dual_table)
-    d = ising_table.fp_dims()
+    a = hg.RingAnalysis(ising_ring)
+    d = a.table.fp_dims()
     m = ising_ring.rank
     for i in range(m):
-        ehat = dual_table.idempotents[match[i]]  # coords over dual basis mu_j
+        ehat = a.dual_table.idempotents[a.dual_match[i]]  # coords over dual basis mu_j
         for j in range(m):
             val = sum(
-                ehat[pos] * ising_table.values[j, dd.char_order[pos]] / d[j]
+                ehat[pos] * a.table.values[j, pos] / d[j]
                 for pos in range(m)
             )
             assert abs(val - (1.0 if i == j else 0.0)) < 1e-9
@@ -108,26 +102,65 @@ def test_double_dual_everywhere(full_corpus):
         assert sorted(perm) == list(range(ring.rank)), ring.name
 
 
-def test_augmentation_index(ising_ring, ising_table):
-    dd = hg.dual_hypergroup(ising_ring, ising_table)
-    dt = hg.character_table(dd.base)
-    j = augmentation_index(dt)
-    assert np.abs(dt.values[:, j] - 1.0).max() < 1e-9
+def _invariant_rings():
+    return corpus() + [near_group(orders, m) for orders in NEAR_GROUPS for m in range(6)]
 
 
-def test_augmentation_index_rejects_a_table_without_an_all_ones_column(
-    ising_ring, ising_table
-):
-    dt = hg.character_table(hg.dual_hypergroup(ising_ring, ising_table).base)
-    values = dt.values.copy()
-    values[1, augmentation_index(dt)] += 1e-3
-    with pytest.raises(NotNormalizable):
-        augmentation_index(replace(dt, values=values))
+def test_the_dual_is_built_at_column_0_and_its_fp_column_is_all_ones():
+    """Dual basis element j is table column j, so the FP column 0 is the
+    dual's unit and the dual's own FP column, its all-ones column, is
+    column 0 of the dual's table: no index map between them."""
+    rings = _invariant_rings()
+    assert len(rings) == 39 + 96
+    for ring in rings:
+        a = hg.RingAnalysis(ring)
+        assert a.table.fp_index == 0, ring.name
+        dual = a.dual.base.float_tensor()
+        assert np.abs(dual[0] - np.eye(ring.rank)).max() <= VALUE_SLACK * a.tol.zero(1.0), ring.name
+        assert a.dual_table.positive_columns == (0,), ring.name
+        ones = np.abs(a.dual_table.values[:, 0] - 1.0).max()
+        assert ones <= VALUE_SLACK * a.tol.zero(1.0), ring.name
+        assert a.dual_match[0] == 0, ring.name
+        # dual character dual_match[i] at dual element j is mu_j(x_i) / d_i
+        aligned = np.abs(a.dual_table.values[:, a.dual_match] - a.normalized.T).max()
+        assert aligned <= ROUTE_SLACK * a.tol.zero(1.0 + np.abs(a.normalized).max()), ring.name
+
+
+def _fields(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def test_dual_data_holds_only_the_dual_and_its_orders():
+    """The dual's basis is the table's column order, so it keeps no index map."""
+    assert _fields(hg.DualData) == ("base", "orders_hat")
+    widened = dataclasses.make_dataclass(
+        "Widened", [("char_order", tuple, ())], bases=(hg.DualData,), frozen=True
+    )
+    assert _fields(widened) != ("base", "orders_hat")
+
+
+def test_the_dual_takes_no_character_argument():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(hg.dual_hypergroup) == ["data", "table"]
+    assert params(hg.order) == ["table"]
+    assert params(_match_columns) == ["values", "vecs", "thr", "message"]
+    assert not hasattr(hg.RingAnalysis, "fp")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    texts = [p.read_text() for p in [root / "README.md", *(root / "src").rglob("*.py"),
+                                     *(root / "demos").glob("*.py")]]
+    for name in ("augmentation_index", "match_dual_characters", "char_order", "col_to_pos"):
+        assert not any(name in text for text in texts), name
 
 
 def test_match_dual_characters_rejects_a_corrupted_primal_value(ising_ring, ising_table):
-    dd = hg.dual_hypergroup(ising_ring, ising_table)
+    # RingAnalysis.dual_match aligns the dual built from the true table
+    # against the rows of a corrupted one
+    a = hg.RingAnalysis(ising_ring)
+    a.dual_table
     values = ising_table.values.copy()
-    values[1, next(j for j in range(3) if j != dd.mu1)] += 0.1
+    values[1, 1] += 0.1
+    a.table = replace(ising_table, values=values)
     with pytest.raises(CrossCheckFailed, match="cannot align dual character"):
-        match_dual_characters(dd, replace(ising_table, values=values), hg.character_table(dd.base))
+        a.dual_match

@@ -76,9 +76,7 @@ def test_orders_invariants(full_corpus):
 def test_dual_of_dual_flags_roundtrip(ising_ring, ising_table):
     dd = hg.dual_hypergroup(ising_ring, ising_table)
     tdd = hg.character_table(dd.base)
-    from hypergroups.dual import augmentation_index
-
-    dd2 = hg.dual_hypergroup(dd.base, tdd, augmentation_index(tdd))
+    dd2 = hg.dual_hypergroup(dd.base, tdd)
     fl = dd2.base.flags
     assert fl.real_non_negative and fl.h_integral
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hypergroups as hg
+from hypergroups import spectra
 from hypergroups.builders import catalog, catalog_names, class_hypergroup, group_ring, rep_ring
 from hypergroups.errors import (
     InexactTensor,
@@ -107,10 +109,15 @@ def test_order_examples(z2_ring, ising_ring, ising_table, fib_ring, fib_table):
 
 
 def test_order_needs_nonvanishing(s3_rep, s3_table):
+    # d_t = 2.5e-9 is positive beyond tol.zero(1) = 2e-9, but zero within
+    # tol.zero(1 + max |d|) = 3e-9, the scale of the vanishing test
     s, t = s3_indices(s3_rep)
-    zero_col = next(j for j in range(3) if abs(s3_table.values[t, j]) < 1e-9)
-    with pytest.raises(NotNormalizable):
-        hg.order(s3_table, zero_col)
+    values = s3_table.values.copy()
+    values[t, 0] = 2.5e-9
+    tiny = replace(s3_table, values=values)
+    assert spectra._positive_columns(values, s3_table.tol) == [0] == list(tiny.positive_columns)
+    with pytest.raises(NotNormalizable, match="character 0 vanishes on a basis element"):
+        hg.order(tiny)
 
 
 def test_integral_element(z2_ring, ising_ring, ising_table, s3_rep, s3_table):

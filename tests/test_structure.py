@@ -1,6 +1,8 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 import hypergroups as hg
 from hypergroups import structure as st
@@ -216,7 +218,15 @@ def test_harrison_check_rejects_a_quotient_with_other_characters(s3_rep):
     sub = st.SubHypergroup((0, s), s3_rep)
     _, classes = st.quotient(a, sub)
     with pytest.raises(CrossCheckFailed, match="Harrison duality failed"):
-        st._harrison_check(a, sub, group_ring(catalog("C2")), classes)
+        st._harrison_check(a, st.perp(a, sub), group_ring(catalog("C2")), classes)
+
+
+def test_quotient_checks_its_sub_hypergroup_once(s3_rep):
+    s, _ = s3_indices(s3_rep)
+    a = hg.RingAnalysis(s3_rep)
+    with mock.patch.object(st, "_check_sub", wraps=st._check_sub) as spy:
+        st.quotient(a, st.SubHypergroup((0, s), s3_rep))
+    assert spy.call_count == 1
 
 
 def test_quotient_rejects_nonabelian():
