@@ -21,12 +21,12 @@ def show(ring):
     print("formal codegrees n_j:", np.round(table.codegrees, 6))
     print("FP dimensions d_i:", np.round(table.fp_dims(), 6))
     print("order n(H) = FPdim(H):", round(a.n_h, 9))
-    lam = hg.integral_element(ring, table)
+    lam = hg.integral_element(a)
     print("integral (idempotent at FPdim):", np.round(lam.float_coords(), 6))
 
-    fl = a.dual_flags
+    fl = a.dual.flags
     print(f"dual: RN={fl.real_non_negative} rational={fl.rational} h-integral={fl.h_integral}")
-    print("dual orders h-hat_j:", np.round(a.dual.orders_hat, 6))
+    print("dual orders h-hat_j:", np.round(a.orders_hat, 6))
     print("dual codegrees:", np.round(hg.dual_codegrees(a), 6))
     perm = hg.double_dual_check(a)
     print("double dual isomorphic to the normalized ring via", perm)

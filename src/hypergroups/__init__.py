@@ -29,7 +29,6 @@ from .spectra import (
     verify_fp_value,
 )
 from .dual import (
-    DualData,
     double_dual_check,
     dual_codegrees,
     dual_hypergroup,
@@ -91,7 +90,6 @@ __all__ = [
     "integral_element",
     "order",
     "verify_fp_value",
-    "DualData",
     "double_dual_check",
     "dual_codegrees",
     "dual_hypergroup",

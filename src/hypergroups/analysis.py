@@ -3,15 +3,17 @@
 A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
 property is computed on first use and then shared, so one analysis validates
 the ring, builds its character table, reads its FP column and order n(H),
-checks the FP column as an exact character, builds its dual and the dual's
-character table and aligns the dual's characters, and finds the table's zero
-pattern once.  The FP column, 0 in canonical order, is the one normalizing
-character: the dual is built there, its basis element j is the table's
-column j, and the double dual is the dual of the dual at its all-ones
-column.  Every spectral stage (structure, dual, Burnside, Galois, criteria)
-takes the analysis and reads the same flag set, tables, dual, grouplikes and
-verdicts; the double-dual check reads the FP column `d`, and both Burnside
-verdicts read the one `zero_pattern`.
+checks the FP column as an exact character, builds its dual, aligns the
+dual's characters, and finds the table's zero pattern once.  The FP column,
+0 in canonical order, is the one normalizing character: the dual is built
+there, its basis element j is the table's column j.  The dual is itself a
+ring under analysis, `dual`, at the same tolerance and seed: its flags,
+character table and orders are read from it, and the double dual is
+`dual.dual`, the dual of the dual at its all-ones column.  Every spectral
+stage (structure, dual, Burnside, Galois, criteria) takes the analysis and
+reads the same flag set, tables, dual, grouplikes and verdicts; the
+double-dual check reads the FP column `d`, and both Burnside verdicts read
+the one `zero_pattern`.
 
 The character-side readers (kernels, centers, perps, grouplike characters, the
 values of P and P-hat) read one normalized table nu[i, j] = mu_j(x_i)/d_i and
@@ -28,7 +30,7 @@ import numpy as np
 
 from .burnside import vanishing_elements
 from .core import FlagSet, FusionData, exact_character, regular_element
-from .dual import DualData, dual_hypergroup
+from .dual import dual_hypergroup
 from .errors import CrossCheckFailed
 from .spectra import CharacterTable, _match_columns, character_table, order, verify_fp_value
 from .structure import (
@@ -62,8 +64,9 @@ class RingAnalysis:
     verdict (its zero-free columns) read one zero pattern of the table.
 
     `d` is the FP column (column 0 of `table`; NotNormalizable without one),
-    `dual` the dual at it, whose basis element j is the table's column j, and
-    `dual_match` the column of `dual_table` at each primal basis element."""
+    `dual` the analysis of the dual at it, whose basis element j is the
+    table's column j, and `dual_match` the column of `dual.table` at each
+    primal basis element."""
 
     def __init__(self, data: FusionData, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
         self.data = data
@@ -205,17 +208,15 @@ class RingAnalysis:
         return central_series(self.data, self.tol)
 
     @cached_property
-    def dual(self) -> DualData:
-        return dual_hypergroup(self.data, self.table)
+    def dual(self) -> RingAnalysis:
+        """The analysis of the dual, at the analysis's tolerance and seed."""
+        return RingAnalysis(dual_hypergroup(self), self.tol, self.seed)
 
-    @cached_property
-    def dual_flags(self) -> FlagSet:
-        return self.dual.base.flags_at(self.tol)
-
-    @cached_property
-    def dual_table(self) -> CharacterTable:
-        """The dual's character table, at the analysis's tolerance and seed."""
-        return character_table(self.dual.base, tol=self.tol, seed=self.seed)
+    @property
+    def orders_hat(self) -> np.ndarray:
+        """h-hat_j = n(H)/n_j (Lemma 2.6), which `dual_hypergroup` checks the
+        dual tensor's own orders against."""
+        return self.n_h / self.table.codegrees
 
     @cached_property
     def dual_match(self) -> np.ndarray:
@@ -224,7 +225,7 @@ class RingAnalysis:
         It aligns the dual's canonical character order with the primal basis."""
         rows = self.normalized
         return _match_columns(
-            self.dual_table.values,
+            self.dual.table.values,
             rows,
             ROUTE_SLACK * self.tol.zero(1.0 + np.abs(rows).max()),
             lambda i, resid: "dual alignment: cannot align dual character"

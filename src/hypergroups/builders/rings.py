@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..analysis import RingAnalysis
 from ..core import FusionData, rescale
-from ..dual import dual_hypergroup
 from ..errors import InvalidOrders, NumericFailure
-from ..spectra import character_table
 from ..tolerance import DEFAULT_TOL, Tolerance, snap_array, snap_value
 from .groups import FiniteGroup, abelian_group, catalog, catalog_names
 
@@ -72,16 +71,15 @@ def rep_ring(g: FiniteGroup, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Fus
     The irreducible degrees are recovered as sqrt of the dual orders and every
     structure constant must snap to a non-negative integer, else NumericFailure.
     """
-    cl = class_hypergroup(g)
-    table = character_table(cl, tol=tol, seed=seed)
-    dd = dual_hypergroup(cl, table)
+    a = RingAnalysis(class_hypergroup(g), tol, seed)
+    dual = a.dual.data
     dims = []
-    for h in dd.orders_hat:
+    for h in a.orders_hat:
         d = snap_value(float(np.sqrt(h)), tol)
         if not isinstance(d, int) or d <= 0:
             raise NumericFailure(f"rep ring: irreducible degree sqrt({h}) does not snap to int")
         dims.append(d)
-    ring = rescale(dd.base, [Fraction(1, d) for d in dims])
+    ring = rescale(dual, [Fraction(1, d) for d in dims])
     tensor = ring.tensor if ring.is_exact else snap_array(ring.tensor, tol)
     if tensor is None or any(not isinstance(x, int) or x < 0 for x in tensor.ravel()):
         raise NumericFailure("rep ring: rescaled dual is not a non-negative integer tensor")

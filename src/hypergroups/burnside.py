@@ -215,7 +215,7 @@ def identity_checks(a: RingAnalysis) -> dict:
     resid_phat = float(np.abs(pv**2 - indicator).max())
 
     # (ii) Eq (1.5): P^2 = lambda_{H_ad} as elements of H.
-    lam_ad = integral_element_of_subset(data, table, a.adjoint.indices)
+    lam_ad = integral_element_of_subset(a, a.adjoint.indices)
     p = product_P(a)
     p2 = multiply(data, p, p)
     resid_p = float(np.abs(p2.float_coords() - lam_ad.float_coords()).max())
@@ -251,7 +251,7 @@ def identity_checks(a: RingAnalysis) -> dict:
 def burnside_hypothesis_report(a: RingAnalysis) -> dict:
     """Which hypotheses of the Burnside theorems hold, and whether a failed
     verdict on qualifying data is a categorification obstruction."""
-    dual_h_integral = a.dual_flags.h_integral
+    dual_h_integral = a.dual.flags.h_integral
     weakly_integral = isinstance(a.fpdim, int)
     integrality = "exact" if a.data.is_exact else "assumed"
     burn, witness = a.burnside

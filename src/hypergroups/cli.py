@@ -28,10 +28,8 @@ from .builders import (
 from .analysis import RingAnalysis
 from .core import FusionData
 from .criteria import modular_prime_support, squarefree_factor_test
-from .dual import dual_hypergroup
 from .errors import HypergroupError, InvalidOrders, InvalidType, NumericFailure
 from .report import analyze, render_structured, render_text
-from .spectra import character_table
 from .structure import SubHypergroup, quotient
 from .tolerance import DEFAULT_TOL, Tolerance
 
@@ -143,9 +141,7 @@ def _cmd_generate(args) -> int:
 def _cmd_dual(args) -> int:
     tol = _tol(args)
     data = load(args.path, tol)
-    table = character_table(data, tol=tol, seed=args.seed)
-    dd = dual_hypergroup(data, table)
-    _write_ring(dd.base, args.out)
+    _write_ring(RingAnalysis(data, tol, args.seed).dual.data, args.out)
     return 0
 
 

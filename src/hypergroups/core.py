@@ -253,7 +253,17 @@ def check_length(data: FusionData, *elements) -> None:
         raise DimensionMismatch("element length != rank")
 
 
+def check_indices(data: FusionData, indices) -> None:
+    """Raise DimensionMismatch unless each index names a basis element,
+    0 <= i < rank: a negative index does not wrap."""
+    idx = np.asarray(indices, dtype=int)
+    outside = idx[(idx < 0) | (idx >= data.rank)].tolist()
+    if outside:
+        raise DimensionMismatch(f"indices {outside} are out of range for rank {data.rank}")
+
+
 def basis_element(data: FusionData, i: int) -> Element:
+    check_indices(data, [i])
     coords = [0] * data.rank
     coords[i] = 1
     return Element(tuple(coords))
@@ -264,9 +274,7 @@ def regular_element(data: FusionData, indices=None) -> Element:
     over the basis indices S (default: all, giving I(1)); exact on an exact
     tensor, where it is sum_{i in S} C_{ii*} / C_{ii*}^0 (L cancels)."""
     idx = np.arange(data.rank) if indices is None else np.asarray(indices, dtype=int)
-    outside = idx[(idx < 0) | (idx >= data.rank)].tolist()
-    if outside:
-        raise DimensionMismatch(f"indices {outside} are out of range for rank {data.rank}")
+    check_indices(data, idx)
     pairs = idx, np.array(data.involution)[idx]
     rows = (data.integer_tensor()[1] if data.is_exact else data.tensor)[pairs]
     if not rows[:, 0].all():

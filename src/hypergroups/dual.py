@@ -1,67 +1,47 @@
 """Dual hypergroups of abelian normalizable hypergroups.
 
 The dual lives on the characters; its structure constants come from the
-orthogonality relations.  `dual_hypergroup` builds the dual at the FP
-character, column 0 of the character table, as FusionData whose basis
-element j is the table's column j, snapped in one array pass to exact
-rationals when every entry snaps, so the whole primal tool chain applies to
-duals unchanged.  The dual's own FP column is its all-ones column, column 0
-of its table, so the double dual needs no index map either.  The stages that
-read the dual of a ring under analysis (`dual_codegrees`, `double_dual_check`)
-take its RingAnalysis, which builds the dual, its flags, its character table
-and its character alignment once.
+orthogonality relations.  `dual_hypergroup(a)` builds the dual of the ring
+under analysis `a` at the FP character, column 0 of its character table, as
+FusionData whose basis element j is the table's column j, snapped in one
+array pass to exact rationals when every entry snaps, so the whole primal
+tool chain applies to duals unchanged.  `RingAnalysis.dual` is the analysis
+of that ring at the same tolerance and seed, so the dual's flags, table and
+codegrees are read as any ring's are.  The dual's own FP column is its
+all-ones column, column 0 of its table, so the double dual `a.dual.dual`
+needs no index map either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import FusionData, involution_of, normalizing_column
 from .errors import DualAxiomViolation, HypergroupError
-from .spectra import CharacterTable, order
 from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance, snap_array
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
 
 __all__ = [
-    "DualData",
     "dual_hypergroup",
     "dual_codegrees",
     "double_dual_check",
 ]
 
 
-@dataclass(frozen=True)
-class DualData:
-    """The dual hypergroup and its orders.
-
-    `base` is the dual as plain FusionData: basis element j is character
-    column j of the table it was built from, so element 0, the FP character,
-    is its unit.  `orders_hat[j]` is h-hat_j = n(H)/n_j.
-    """
-
-    base: FusionData
-    orders_hat: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank
-
-
-def dual_hypergroup(data: FusionData, table: CharacterTable) -> DualData:
+def dual_hypergroup(a: RingAnalysis) -> FusionData:
     """Build the dual of an abelian hypergroup at its FP character, at the
-    table's tolerance.
+    analysis's tolerance.
 
     Dual basis element j is the table's column j; the FP column, 0 in
     canonical order, is the dual's unit.
     """
-    tol = table.tol
+    data, table, tol = a.data, a.table, a.tol
     m = data.rank
-    n_primal = order(table)
+    n_primal = a.n_h
     A = table.values
     d = A[:, 0]
     n = table.codegrees
@@ -78,9 +58,9 @@ def dual_hypergroup(data: FusionData, table: CharacterTable) -> DualData:
     tensor = real if snapped is None else snapped
 
     involution_hat = _involution_from_tensor(real, tol)
-    base = FusionData(f"dual({data.name})", involution_hat, tensor)
+    dual = FusionData(f"dual({data.name})", involution_hat, tensor)
     try:
-        flags = base.flags_at(tol)
+        flags = dual.flags_at(tol)
     except HypergroupError as exc:
         raise DualAxiomViolation(f"dual tensor fails hypergroup axioms: {exc}") from exc
     if not flags.normalized:
@@ -95,7 +75,7 @@ def dual_hypergroup(data: FusionData, table: CharacterTable) -> DualData:
     tol.check(abs(hhat.sum() - n_primal), IDENTITY_SLACK, 1.0 + n_primal,
               "dual: sum of dual orders != n(H)")
     _check_involution_conjugation(A, d, involution_hat, tol)
-    return DualData(base=base, orders_hat=hhat)
+    return dual
 
 
 def _involution_from_tensor(real: np.ndarray, tol: Tolerance) -> tuple:
@@ -129,7 +109,7 @@ def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     d = a.d
     nhat = a.n_h / (a.table.h * d * d[list(a.data.involution)])
     # direct computation on the dual tensor
-    direct = a.dual_table.codegrees[a.dual_match]
+    direct = a.dual.table.codegrees[a.dual_match]
     resid = np.abs(direct - nhat).max()
     a.tol.check(resid, IDENTITY_SLACK, 1.0 + np.abs(nhat).max(),
                 "dual codegrees: formula vs direct mismatch {:.3e}", resid)
@@ -148,13 +128,13 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     tol = a.tol
     # dd2 basis element p is dual-table column p, and primal index i sits at
     # dual-table column dual_match[i]
-    dd2 = dual_hypergroup(a.dual.base, a.dual_table)
+    dd2 = a.dual.dual.data
     pi = a.dual_match
 
     normalizing_column(a.table.values[:, 0], a.data.involution, tol)
     d = a.d
     T1 = a.data.float_tensor() * d / (d[:, None, None] * d[None, :, None])
-    T2 = dd2.base.float_tensor()
+    T2 = dd2.float_tensor()
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
     tol.check(resid, ROUTE_SLACK, 1.0 + np.abs(T1).max(),
               "double dual: mismatch, residual {:.3e}", resid)

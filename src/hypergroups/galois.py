@@ -126,8 +126,8 @@ def check_codegree_conjugation(a: RingAnalysis, partition: OrbitPartition) -> di
                 )
             worst = max(worst, abs(float(c) - float(s)))
         report[orb] = {"codegree_residual": worst}
-        if a.dual_flags.h_integral:
-            hs = a.dual.orders_hat[list(orb)]
+        if a.dual.flags.h_integral:
+            hs = a.dual.table.h[list(orb)]
             spread = float(np.abs(hs - hs[0]).max())
             tol.check(spread, VALUE_SLACK, 1.0 + float(np.abs(hs).max()),
                       "conjugation: dual orders not constant on orbit {}: {}", orb, hs)

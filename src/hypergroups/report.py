@@ -110,13 +110,12 @@ def analyze(
     report.fp_dim_total = _round(a.n_h)
     report.order = _round(a.n_h)
 
-    dd = a.dual
-    dfl = a.dual_flags
+    dfl = a.dual.flags
     nhat = dual_codegrees(a)
     double_dual_check(a)
     report.dual = {
-        "orders_hat": [_round(x) for x in dd.orders_hat],
-        "involution_hat": list(dd.base.involution),
+        "orders_hat": [_round(x) for x in a.orders_hat],
+        "involution_hat": list(a.dual.data.involution),
         "rn": dfl.real_non_negative,
         "rational": dfl.rational,
         "h_integral": dfl.h_integral,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .tolerance import (
     COLUMN_ORDER_DIGITS, DEFAULT_TOL, EIGEN_CONDITION, EIGEN_GAP, ENTRY_SLACK, IDENTITY_SLACK,
     VALUE_SLACK, Tolerance,
 )
+
+if TYPE_CHECKING:
+    from .analysis import RingAnalysis
 
 __all__ = [
     "CharacterTable",
@@ -227,19 +231,18 @@ def order(table: CharacterTable) -> float:
     return float(table.codegrees[fp])
 
 
-def integral_element(data: FusionData, table: CharacterTable) -> Element:
+def integral_element(a: RingAnalysis) -> Element:
     """The integral lambda_H of the whole basis, the primitive idempotent at
     the FP character.
 
     Verified to be idempotent and to absorb every basis element:
     x_i lambda = d_i lambda.
     """
-    tol = table.tol
-    lam = integral_element_of_subset(data, table, range(data.rank))
+    data, tol, d = a.data, a.tol, a.d
+    lam = integral_element_of_subset(a, range(data.rank))
     sq = multiply(data, lam, lam)
     tol.check(np.abs(sq.float_coords() - lam.float_coords()).max(), VALUE_SLACK, 1.0,
               "integral: lambda^2 != lambda")
-    d = table.fp_dims()
     for i in range(data.rank):
         prod = multiply(data, basis_element(data, i), lam)
         resid = np.abs(prod.float_coords() - d[i] * lam.float_coords()).max()
@@ -248,19 +251,15 @@ def integral_element(data: FusionData, table: CharacterTable) -> Element:
     return lam
 
 
-def integral_element_of_subset(
-    data: FusionData, table: CharacterTable, indices
-) -> Element:
+def integral_element_of_subset(a: RingAnalysis, indices) -> Element:
     """Integral of the sub-hypergroup spanned by `indices`, embedded in the parent.
 
     lambda_S = (1/n(S)) sum_{i in S} h_{i*} d_{i*} x_i with n(S) = sum h_i d_i^2.
     """
-    d = table.fp_dims()
-    h = table.h
-    inv = data.involution
+    d, h, inv = a.d, a.table.h, a.data.involution
     idx = sorted(indices)
     n_s = float(sum(h[i] * d[i] ** 2 for i in idx))
-    coords = [0.0] * data.rank
+    coords = [0.0] * a.data.rank
     for i in idx:
         coords[i] = float(h[inv[i]] * d[inv[i]] / n_s)
     return Element(tuple(coords))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Element, FusionData, check_length, components, normalize
+from .core import Element, FusionData, check_indices, check_length, components, normalize
 from .errors import ClosureViolation, CrossCheckFailed, HypergroupError, NotAbelian, NotPositive
 from .spectra import _match_columns, character_table, integral_element_of_subset
 from .tolerance import DEFAULT_TOL, GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
@@ -164,6 +164,7 @@ def kernel_of_character(a: RingAnalysis, j: int) -> SubHypergroup:
     """ker(mu_j) = {i : mu_j(x_i) = FPdim(x_i)}; verified closed.  The indices
     come from the analysis, not the caller, so a kernel that is not closed is
     a failed cross-check."""
+    check_indices(a.data, [j])
     idx = np.flatnonzero(a.fp_agreement[:, j]).tolist()
     got = closure(a.data, idx, a.tol)
     if list(got) != idx:
@@ -195,6 +196,7 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
 def center_of_element(a: RingAnalysis, i: int) -> frozenset:
     """Z(x_i) = {j : |mu_j(x_i)| = FPdim(x_i)}; the tests check
     ker(I(1)) = the intersection of the Z(x_i)."""
+    check_indices(a.data, [i])
     return frozenset(np.flatnonzero(a.modulus_agreement[i]).tolist())
 
 
@@ -225,7 +227,7 @@ def adjoint(a: RingAnalysis) -> SubHypergroup:
 def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     """J_S: characters with mu_j(lambda_S) = 1; verified lambda_S = sum_{J_S} F_j."""
     table, tol = a.table, a.tol
-    lam = integral_element_of_subset(a.data, table, sub.indices)
+    lam = integral_element_of_subset(a, sub.indices)
     vals = lam.float_coords() @ table.values
     js = frozenset(np.flatnonzero(np.abs(vals - 1.0) <= VALUE_SLACK * tol.zero(1.0)).tolist())
     rebuilt = table.idempotents[sorted(js)].sum(axis=0)

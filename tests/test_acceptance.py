@@ -85,10 +85,8 @@ def test_criterion_3_eq_9_10_identity():
         central = acl.grouplikes
         assert len(central) == len(g.center())
         q, _ = st.quotient(acl, st.SubHypergroup(central, cl))
-        tq = hg.character_table(q)
-        dq = hg.dual_hypergroup(q, tq)
         dims_gz = sorted(
-            int(round(float(np.sqrt(h)))) for h in dq.orders_hat
+            int(round(float(np.sqrt(h)))) for h in hg.RingAnalysis(q).orders_hat
         )  # Irr(G/Z) degrees
         d = table.fp_dims()
         ad = st.adjoint(a).indices
@@ -113,7 +111,7 @@ def test_criterion_4_spectral_invariants(corpus_with_tables):
         assert np.abs(second - np.diag(1.0 / table.h)).max() < 1e-9, ring.name
         assert abs((1.0 / n).sum() - 1.0) < 1e-10, ring.name
         a = hg.RingAnalysis(ring)
-        assert abs(a.dual.orders_hat.sum() - hg.order(table)) < 1e-8, ring.name
+        assert abs(a.orders_hat.sum() - hg.order(table)) < 1e-8, ring.name
         hg.double_dual_check(a)
     for name in catalog_names():
         g = catalog(name)
@@ -137,11 +135,11 @@ def test_criterion_5_grading_and_nilpotency(corpus_with_tables, ising_ring):
     assert series.upper[-1].indices == (0,)
     assert series.lower[-1].is_whole
     checked = 0
-    for ring, table in corpus_with_tables:
-        dd = hg.dual_hypergroup(ring, table)
-        if not dd.base.flags.real_non_negative:
+    for ring, _ in corpus_with_tables:
+        dual = hg.RingAnalysis(ring).dual.data
+        if not dual.flags.real_non_negative:
             continue
-        assert st.is_nilpotent(ring) == st.is_nilpotent(dd.base), ring.name
+        assert st.is_nilpotent(ring) == st.is_nilpotent(dual), ring.name
         checked += 1
     assert checked >= 20
     _report(5, f"|U| = |Z(G)| = |G(H-hat)| on catalog; class equality on {checked} dualizable rings")
@@ -245,8 +243,8 @@ def test_criterion_7_enumeration_and_exclusion():
 
 def test_criterion_8_near_group_rules():
     k33 = near_group([3], 3)
-    table = hg.character_table(k33)
-    dd = hg.dual_hypergroup(k33, table)
+    a = hg.RingAnalysis(k33)
+    table = a.table
     x1 = (3 + np.sqrt(21)) / 2
     x2 = (3 - np.sqrt(21)) / 2
     rho = k33.rank - 1
@@ -254,12 +252,12 @@ def test_criterion_8_near_group_rules():
         j for j in range(k33.rank) if abs(table.values[rho, j] - x2) < 1e-8
     )
     pos = j_minus  # dual basis element j is character column j
-    row = dd.base.float_tensor()[pos, pos]
+    row = a.dual.data.float_tensor()[pos, pos]
     coeff_plus = row[0]
     coeff_minus = row[pos]
     assert abs(coeff_plus - (x2**2 + 3) / (x1**2 + 3)) < 1e-9
     assert abs(coeff_minus - (x1**2 - x2**2) / (x1**2 + 3)) < 1e-9
-    assert cr.near_group_modular_test(hg.RingAnalysis(k33)).excluded
+    assert cr.near_group_modular_test(a).excluded
     for ring in (near_group([2], 0), near_group([], 1)):
         assert not cr.near_group_modular_test(hg.RingAnalysis(ring)).excluded, ring.name
     _report(8, "K(Z3,3) psi-minus^2 coefficients reproduced at 1e-9 and excluded; Ising/Fib kept")

@@ -1,6 +1,8 @@
 """One analysis computes each shared invariant once."""
 
+import ast
 import math
+import pathlib
 import sys
 from unittest import mock
 
@@ -32,7 +34,6 @@ def test_analyze_builds_each_invariant_once():
         for name, mod, attr in [
             ("validate", core, "validate"),
             ("dual", analysis, "dual_hypergroup"),
-            ("double dual", dual, "dual_hypergroup"),
             ("table", analysis, "character_table"),
             ("vanishing", analysis, "vanishing_elements"),
         ]
@@ -44,11 +45,11 @@ def test_analyze_builds_each_invariant_once():
         mock.patch.stopall()
     counts = {name: m.call_count for name, m in mocks.items()}
     # the ring, its dual and the double dual are validated once each; the
-    # analysis builds the ring's table and its dual's
+    # dual and the double dual (the dual's own dual) are built by analyses,
+    # which build the ring's table and its dual's
     assert counts == {
         "validate": 3,
-        "dual": 1,
-        "double dual": 1,
+        "dual": 2,
         "table": 2,
         "vanishing": 1,
     }
@@ -134,28 +135,26 @@ def test_analyze_reads_the_fp_column_order_and_dual_alignment_once():
         mock.patch.stopall()
     counts = {name: spy.call_count for name, spy in spies.items()}
     # the positive columns are scanned once per table (the ring's and its
-    # dual's) and fp_character reads that scan: for d, in each order call
-    # and for the d_i of the integrals of the adjoint's support and of the
-    # identity checks; n(H) is the FP codegree of the table, which order
-    # reads once for the analysis and once in each dual it builds (the dual
-    # of the ring and the dual of that dual); the dual's characters are
-    # aligned with the basis once
+    # dual's) and fp_character reads that scan: for d, and in each order
+    # call; n(H) is the FP codegree of the table, which order reads once per
+    # analysis (the ring's and its dual's), and each dual is built from its
+    # analysis's n(H); the dual's characters are aligned with the basis once
     assert counts == {
         "positive scan": 2,
-        "fp_character": 6,
-        "order": 3,
+        "fp_character": 3,
+        "order": 2,
         "match": 1,
         "dual": 2,
     }
 
 
 def test_dual_tensor_snaps_only_its_non_integer_entries():
-    ring = rep_ring(catalog("S3"))
-    table = hg.character_table(ring)
+    a = hg.RingAnalysis(rep_ring(catalog("S3")))
+    a.n_h
     with mock.patch.object(tolerance, "snap_value", wraps=tolerance.snap_value) as spy:
-        dd = hg.dual_hypergroup(ring, table)
-    fractions = sum(not isinstance(x, int) for x in dd.base.tensor.ravel())
-    assert dd.base.is_exact and 0 < fractions < dd.rank**3
+        dual = hg.dual_hypergroup(a)
+    fractions = sum(not isinstance(x, int) for x in dual.tensor.ravel())
+    assert dual.is_exact and 0 < fractions < dual.rank**3
     assert spy.call_count == fractions
 
 
@@ -229,3 +228,39 @@ def test_integer_ring_file_tensors_skip_the_per_entry_scalar_rule(tmp_path, grou
     # the file, its dual and the double dual
     assert built.call_count == 3
     assert from_tensors == []
+
+
+# ---------------------------------------------------------------- guard
+
+SRC = pathlib.Path(analysis.__file__).parent
+
+
+def ring_and_table_signatures(source: str) -> list:
+    """The public functions and methods of `source` with one parameter
+    annotated FusionData and another annotated CharacterTable."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            args = node.args
+            notes = [ast.unparse(p.annotation) for p in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                     if p.annotation is not None]
+            if any("FusionData" in n for n in notes) and any("CharacterTable" in n for n in notes):
+                found.append(node.name)
+    return found
+
+
+def test_guard_sees_a_ring_and_table_signature():
+    source = (
+        "def pair(data: FusionData, table: CharacterTable): ...\n"
+        "def quoted(data: 'FusionData', *, table: 'CharacterTable | None' = None): ...\n"
+        "def one(a: RingAnalysis, table: CharacterTable): ...\n"
+        "def _private(data: FusionData, table: CharacterTable): ...\n"
+    )
+    assert ring_and_table_signatures(source) == ["pair", "quoted"]
+
+
+def test_no_public_function_takes_a_ring_and_a_table():
+    """A ring and a table built apart could disagree: every function that
+    reads both takes the RingAnalysis that holds them."""
+    found = {path.name: ring_and_table_signatures(path.read_text()) for path in SRC.rglob("*.py")}
+    assert {name: fns for name, fns in found.items() if fns} == {}

@@ -500,15 +500,15 @@ def test_involution_representatives_one_per_class(dims):
         assert candidates.index(sigma) == min(candidates.index(c) for c in cls)
 
 
-def test_class_hypergroup_is_dual_of_rep_ring(s3_rep, s3_table):
+def test_class_hypergroup_is_dual_of_rep_ring(s3_rep):
     # dual(rep_ring(G)) agrees with the class hypergroup up to basis order
-    dd = hg.dual_hypergroup(s3_rep, s3_table)
+    a = hg.RingAnalysis(s3_rep)
     cl = bd.class_hypergroup(bd.catalog("S3"))
-    assert sorted(np.round(dd.orders_hat, 8)) == sorted(
+    assert sorted(np.round(a.orders_hat, 8)) == sorted(
         float(h) for h in hg.orders(cl)
     )
     tcl = hg.character_table(cl)
-    tdd = hg.character_table(dd.base)
+    tdd = a.dual.table
     assert np.allclose(sorted(tcl.codegrees), sorted(tdd.codegrees))
 
 

@@ -105,7 +105,7 @@ def test_phat_values_against_determinants(full_corpus):
             assert abs(det - vals[i]) <= 1e-8 * (1 + abs(det)), (ring.name, i)
 
 
-def test_product_phat_in_dual(q8_rep, fib_ring, fib_table):
+def test_product_phat_in_dual(q8_rep, fib_ring):
     # Q8 is Burnside: P-hat^2 must be the sum of the grouplike dual idempotents,
     # i.e. P-hat evaluates to +-1 exactly on the grouplikes
     q8 = hg.RingAnalysis(q8_rep)
@@ -118,9 +118,10 @@ def test_product_phat_in_dual(q8_rep, fib_ring, fib_table):
         else:
             assert abs(vals[i]) < 1e-9
     # and Prop 4.2 via dual determinants: mu_j(P) = det of dual left multiplication
-    ddf = hg.dual_hypergroup(fib_ring, fib_table)
-    L = ddf.base.left_matrices_float()
-    pv = bn.p_values(hg.RingAnalysis(fib_ring))
+    fib = hg.RingAnalysis(fib_ring)
+    ddf = fib.dual.data
+    L = ddf.left_matrices_float()
+    pv = bn.p_values(fib)
     for pos in range(ddf.rank):
         det = np.linalg.det(L[pos])
         j = pos  # dual basis element j is character column j

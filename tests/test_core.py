@@ -10,6 +10,7 @@ import pytest
 import hypergroups as hg
 from hypergroups import burnside as bn
 from hypergroups import core
+from hypergroups import structure as st
 from hypergroups._exact import det_nonzero_mod_p, exact_det
 from hypergroups.builders import (
     abelian_group,
@@ -455,9 +456,18 @@ def test_multiply_exactness(s3_rep):
         (lambda r, a: hg.verify_fp_value(r, (1, 0), 1), "element length != rank"),
         (lambda r, a: hg.regular_element(r, [0, 5]), r"indices \[5\] are out of range for rank 3"),
         (lambda r, a: hg.regular_element(r, [-1]), r"indices \[-1\] are out of range for rank 3"),
+        # a negative index does not wrap to the last basis element or character
+        (lambda r, a: hg.basis_element(r, 3), r"indices \[3\] are out of range for rank 3"),
+        (lambda r, a: hg.basis_element(r, -1), r"indices \[-1\] are out of range for rank 3"),
+        (lambda r, a: hg.kernel_of_character(a, 3), r"indices \[3\] are out of range for rank 3"),
+        (lambda r, a: hg.kernel_of_character(a, -1), r"indices \[-1\] are out of range for rank 3"),
+        (lambda r, a: st.center_of_element(a, 3), r"indices \[3\] are out of range for rank 3"),
+        (lambda r, a: st.center_of_element(a, -1), r"indices \[-1\] are out of range for rank 3"),
     ],
     ids=["multiply", "generated_sub", "kernel_of_element", "verify_fp_value",
-         "regular_element", "regular_element_negative"],
+         "regular_element", "regular_element_negative", "basis_element", "basis_element_negative",
+         "kernel_of_character", "kernel_of_character_negative", "center_of_element",
+         "center_of_element_negative"],
 )
 def test_an_element_of_the_wrong_length_is_a_dimension_mismatch(ising_ring, call, message):
     with pytest.raises(DimensionMismatch, match=message):

@@ -57,12 +57,12 @@ def _with_dual_table(a, **changes):
     """Point `a` at a copy of its dual's character table with `changes`;
     the alignment `a.dual_match` stays the one read off the true table."""
     a.dual_match
-    a.dual_table = replace(a.dual_table, **changes)
+    a.dual.table = replace(a.dual.table, **changes)
 
 
 def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3_rep):
     a = hg.RingAnalysis(s3_rep)
-    t = a.dual_table
+    t = a.dual.table
     # exchange the dual characters at x_1 and x_2, whose orders differ
     perm = list(range(t.rank))
     i, j = a.dual_match[1], a.dual_match[2]
@@ -80,7 +80,7 @@ def test_double_dual_check_rejects_a_dual_table_with_two_characters_exchanged(s3
 
 def test_dual_codegrees_reject_a_perturbed_dual_codegree(s3_rep):
     a = hg.RingAnalysis(s3_rep)
-    n = a.dual_table.codegrees.copy()
+    n = a.dual.table.codegrees.copy()
     n[a.dual_match[1]] += 1e-2
     _with_dual_table(a, codegrees=n)
     with pytest.raises(CrossCheckFailed, match="dual codegrees: formula vs direct mismatch"):
@@ -245,7 +245,7 @@ def test_codegree_conjugation_rejects_an_orbit_with_irrational_codegrees(fib_rin
 
 def test_codegree_conjugation_rejects_an_orbit_with_distinct_dual_orders(s3_rep):
     a = hg.RingAnalysis(s3_rep)
-    assert a.dual_flags.h_integral
+    assert a.dual.flags.h_integral
     merged = gl.OrbitPartition(orbits=((0, 1, 2),), certificates={})
     message = r"conjugation: dual orders not constant on orbit \(0, 1, 2\)"
     with pytest.raises(CrossCheckFailed, match=message):

@@ -11,10 +11,9 @@ from hypergroups.builders.enumeration import _canonical_key, _relabelings
 def test_dual_of_abelian_group_ring_is_the_dual_group():
     # Z[Z4]-dual: a group hypergroup again, with element orders {1, 2, 4, 4}
     ring = group_ring(catalog("C4"))
-    table = hg.character_table(ring)
-    dd = hg.dual_hypergroup(ring, table)
-    assert np.allclose(dd.orders_hat, 1.0)
-    t = dd.base.float_tensor()
+    a = hg.RingAnalysis(ring)
+    assert np.allclose(a.orders_hat, 1.0)
+    t = a.dual.data.float_tensor()
     cayley = np.zeros((4, 4), dtype=int)
     for i in range(4):
         for j in range(4):

@@ -120,14 +120,13 @@ def test_order_needs_nonvanishing(s3_rep, s3_table):
         hg.order(tiny)
 
 
-def test_integral_element(z2_ring, ising_ring, ising_table, s3_rep, s3_table):
-    t = hg.character_table(z2_ring)
-    lam = hg.integral_element(z2_ring, t)
+def test_integral_element(z2_ring, ising_ring, s3_rep):
+    lam = hg.integral_element(hg.RingAnalysis(z2_ring))
     assert np.allclose(lam.float_coords(), [0.5, 0.5])
-    lam = hg.integral_element(ising_ring, ising_table)
+    lam = hg.integral_element(hg.RingAnalysis(ising_ring))
     assert np.allclose(lam.float_coords(), [0.25, 0.25, SQRT2 / 4])
     s, tt = s3_indices(s3_rep)
-    lam = hg.integral_element(s3_rep, s3_table)
+    lam = hg.integral_element(hg.RingAnalysis(s3_rep))
     expected = np.zeros(3)
     expected[0] = 1 / 6
     expected[s] = 1 / 6
