@@ -34,7 +34,6 @@ from .dual import (
     dual_hypergroup,
 )
 from .burnside import (
-    BurnsideReport,
     burnside_report,
     product_P,
     sgn_values,
@@ -93,7 +92,6 @@ __all__ = [
     "double_dual_check",
     "dual_codegrees",
     "dual_hypergroup",
-    "BurnsideReport",
     "burnside_report",
     "product_P",
     "sgn_values",

@@ -1,6 +1,8 @@
 """The Burnside stage: vanishing sets, P and P-hat, signs, and the structural
 identity residuals that certify the Burnside and dual-Burnside verdicts, which
-RingAnalysis holds.
+RingAnalysis holds.  `burnside_report` is the report's `burnside` section;
+whether a failed verdict obstructs categorification is decided in one place,
+`criteria.burnside_exclusion`.
 
 The headline verdicts never rest on floats alone when exactness is available:
 every numeric zero claim on an exact tensor is confirmed by an exact
@@ -10,7 +12,6 @@ determinant, and the run aborts on disagreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -26,34 +27,15 @@ if TYPE_CHECKING:
     from .analysis import RingAnalysis
 
 __all__ = [
-    "BurnsideReport",
     "vanishing_elements",
     "product_P",
     "p_values",
     "phat_values",
     "sgn_values",
     "identity_checks",
-    "burnside_hypothesis_report",
     "burnside_report",
     "grouplike_closure_ok",
 ]
-
-
-@dataclass
-class BurnsideReport:
-    grouplike_elements: tuple
-    vanishing_elements: tuple
-    nonvanishing: tuple
-    is_burnside: bool
-    burnside_witness: int | None
-    grouplike_characters: tuple
-    is_dual_burnside: bool
-    dual_witness: int | None
-    sgn_elements: dict
-    sgn_characters: dict
-    identity_checks: dict
-    grouplike_closure_ok: bool
-    hypothesis_notes: list = field(default_factory=list)
 
 
 def grouplike_closure_ok(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -248,54 +230,22 @@ def identity_checks(a: RingAnalysis) -> dict:
     return out
 
 
-def burnside_hypothesis_report(a: RingAnalysis) -> dict:
-    """Which hypotheses of the Burnside theorems hold, and whether a failed
-    verdict on qualifying data is a categorification obstruction."""
-    dual_h_integral = a.dual.flags.h_integral
-    weakly_integral = isinstance(a.fpdim, int)
-    integrality = "exact" if a.data.is_exact else "assumed"
-    burn, witness = a.burnside
-    report = {
-        "rational": a.flags.rational,
-        "weakly_integral": weakly_integral,
-        "dual_h_integral": dual_h_integral,
-        "algebraic_integrality": integrality,
-        "burnside": burn,
-        "witness": witness,
-        "obstruction": None,
-    }
-    if (
-        a.flags.fusion_ring
-        and weakly_integral
-        and dual_h_integral
-        and not burn
-    ):
-        report["obstruction"] = (
-            "weakly-integral fusion ring with h-integral dual is not Burnside: "
-            "no weakly-integral categorification exists"
-        )
-    return report
-
-
-def burnside_report(a: RingAnalysis) -> BurnsideReport:
-    """The Burnside stage of a RingAnalysis: verdicts, witnesses, signs and
-    the identity residuals that certify them."""
+def burnside_report(a: RingAnalysis) -> dict:
+    """The report's `burnside` section: both verdicts with their witnesses,
+    the grouplikes, the vanishing set, the signs and grouplike closure."""
     burn, w1 = a.burnside
     dual_burn, w2 = a.dual_burnside
     sgn_el, sgn_ch = sgn_values(a)
-    hypo = burnside_hypothesis_report(a)
-    return BurnsideReport(
-        grouplike_elements=a.grouplikes,
-        vanishing_elements=a.vanishing,
-        nonvanishing=tuple(i for i in range(a.data.rank) if i not in set(a.vanishing)),
-        is_burnside=burn,
-        burnside_witness=w1,
-        grouplike_characters=a.grouplike_chars,
-        is_dual_burnside=dual_burn,
-        dual_witness=w2,
-        sgn_elements=sgn_el,
-        sgn_characters=sgn_ch,
-        identity_checks=identity_checks(a),
-        grouplike_closure_ok=grouplike_closure_ok(a.data, a.grouplikes, a.tol),
-        hypothesis_notes=[hypo["obstruction"]] if hypo["obstruction"] else [],
-    )
+    return {
+        "grouplike_elements": list(a.grouplikes),
+        "vanishing_elements": list(a.vanishing),
+        "nonvanishing": [i for i in range(a.data.rank) if i not in a.vanishing],
+        "is_burnside": burn,
+        "burnside_witness": w1,
+        "grouplike_characters": list(a.grouplike_chars),
+        "is_dual_burnside": dual_burn,
+        "dual_witness": w2,
+        "sgn_elements": {str(k): v for k, v in sorted(sgn_el.items())},
+        "sgn_characters": {str(k): v for k, v in sorted(sgn_ch.items())},
+        "grouplike_closure_ok": grouplike_closure_ok(a.data, a.grouplikes, a.tol),
+    }

@@ -20,7 +20,6 @@ import numpy as np
 
 from ._exact import exact_det
 from .analysis import RingAnalysis
-from .burnside import burnside_hypothesis_report
 from .core import FusionData, prime_factorization, regular_element
 from .errors import HypergroupError
 from .structure import grouplike_indices
@@ -79,11 +78,12 @@ def _integers(values) -> bool:
 
 
 def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
-    """Weakly-integral fusion rings with h-integral dual must be Burnside: the
-    obstruction that `burnside_hypothesis_report` decides excludes the ring."""
+    """Weakly-integral fusion rings with h-integral dual must be Burnside
+    (the paper's categorification criterion): a ring that meets both
+    hypotheses and is not Burnside is excluded.  This is the one place the
+    obstruction is decided; the report's note reads this verdict."""
     _require_fusion_ring(a.data, a.tol)
-    hypo = burnside_hypothesis_report(a)
-    weakly_integral, dual_h_integral = hypo["weakly_integral"], hypo["dual_h_integral"]
+    weakly_integral, dual_h_integral = isinstance(a.fpdim, int), a.dual.flags.h_integral
     if not (weakly_integral and dual_h_integral):
         return ExclusionVerdict(
             "burnside",
@@ -91,9 +91,9 @@ def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
             False,
             f"not applicable (weakly integral: {weakly_integral}, h-integral dual: {dual_h_integral})",
         )
-    if hypo["obstruction"] is None:
+    burn, witness = a.burnside
+    if burn:
         return ExclusionVerdict("burnside", True, False, "ring is Burnside")
-    witness = hypo["witness"]
     # a fusion ring has L = 1, so det C_i = det L_{x_i}
     det = exact_det(a.data.integer_tensor()[1][witness])
     cert = (

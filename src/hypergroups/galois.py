@@ -45,12 +45,6 @@ class OrbitPartition:
         sizes = {j: len(orb) for orb in self.orbits for j in orb}
         return tuple(sizes[j] == 1 for j in sorted(sizes))
 
-    def orbit_of(self, j: int) -> tuple:
-        for orb in self.orbits:
-            if j in orb:
-                return orb
-        raise KeyError(j)
-
 
 def galois_orbits(a: RingAnalysis) -> OrbitPartition:
     """The Galois orbits of the characters of a rational hypergroup.

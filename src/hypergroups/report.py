@@ -3,7 +3,10 @@
 analyze() drives validate -> spectra -> dual -> burnside -> structure ->
 galois -> criteria and collects everything into an AnalysisReport that renders
 deterministically (identical inputs, seed and tolerances give byte-identical
-structured output).
+structured output).  Each section is read from one RingAnalysis: the
+`burnside` section is `burnside_report`, the residuals are `identity_checks`,
+and the categorification-obstruction note is written when the `burnside`
+exclusion verdict excludes the ring.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import __version__ as _version
 from .analysis import RingAnalysis
-from .burnside import BurnsideReport, burnside_report
+from .burnside import burnside_report, identity_checks
 from .core import FusionData
 from .criteria import exclusions
 from .dual import dual_codegrees, double_dual_check
@@ -123,22 +126,8 @@ def analyze(
         "double_dual_isomorphic": True,
     }
 
-    br: BurnsideReport = burnside_report(a)
-    report.burnside = {
-        "grouplike_elements": list(br.grouplike_elements),
-        "vanishing_elements": list(br.vanishing_elements),
-        "nonvanishing": list(br.nonvanishing),
-        "is_burnside": br.is_burnside,
-        "burnside_witness": br.burnside_witness,
-        "grouplike_characters": list(br.grouplike_characters),
-        "is_dual_burnside": br.is_dual_burnside,
-        "dual_witness": br.dual_witness,
-        "sgn_elements": {str(k): v for k, v in sorted(br.sgn_elements.items())},
-        "sgn_characters": {str(k): v for k, v in sorted(br.sgn_characters.items())},
-        "grouplike_closure_ok": br.grouplike_closure_ok,
-    }
-    report.residuals.update({k: _round(v) for k, v in br.identity_checks.items()})
-    report.notes.extend(br.hypothesis_notes)
+    report.burnside = burnside_report(a)
+    report.residuals = {k: _round(v) for k, v in identity_checks(a).items()}
 
     grading = universal_grading(a)
     report.grading = {
@@ -155,7 +144,7 @@ def analyze(
 
     if flags.rational:
         orbits = galois_orbits(a)
-        conj = check_codegree_conjugation(a, orbits)
+        check_codegree_conjugation(a, orbits)
         report.galois = {
             "orbits": [list(o) for o in orbits.orbits],
             "rational_characters": [
@@ -164,10 +153,12 @@ def analyze(
             "max_certificate_residual": _round(
                 max((v for v in orbits.certificates.values()), default=0.0)
             ),
-            "codegree_conjugation_ok": bool(conj is not None),
+            # check_codegree_conjugation raises CrossCheckFailed otherwise
+            "codegree_conjugation_ok": True,
         }
 
     if flags.fusion_ring:
+        verdicts = exclusions(a, modular_candidate)
         report.exclusions = [
             {
                 "test": v.test_name,
@@ -175,8 +166,13 @@ def analyze(
                 "excluded": v.excluded,
                 "certificate": v.certificate,
             }
-            for v in exclusions(a, modular_candidate)
+            for v in verdicts
         ]
+        if any(v.test_name == "burnside" and v.excluded for v in verdicts):
+            report.notes.append(
+                "weakly-integral fusion ring with h-integral dual is not Burnside: "
+                "no weakly-integral categorification exists"
+            )
     return report
 
 

@@ -79,8 +79,6 @@ class SubHypergroup:
 @dataclass(frozen=True)
 class GradingResult:
     components: tuple  # tuple of sorted index tuples
-    group_table: np.ndarray  # (g, g) int table on component labels
-    identity_component: int
     iso_class: tuple  # invariant factors of the (abelian) grading group
 
     @property
@@ -301,12 +299,7 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
         _grading_spectral_checks(a, comps)
 
     iso = _abelian_invariants(gtable) if (gtable == gtable.T).all() else ()
-    return GradingResult(
-        components=tuple(map(tuple, comps)),
-        group_table=gtable,
-        identity_component=0,
-        iso_class=iso,
-    )
+    return GradingResult(components=tuple(map(tuple, comps)), iso_class=iso)
 
 
 def _check_group_table(t: np.ndarray):

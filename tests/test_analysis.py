@@ -264,3 +264,51 @@ def test_no_public_function_takes_a_ring_and_a_table():
     reads both takes the RingAnalysis that holds them."""
     found = {path.name: ring_and_table_signatures(path.read_text()) for path in SRC.rglob("*.py")}
     assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(defining: list, reading: list) -> list:
+    """The fields, as "Class.field", of the @dataclass classes in the
+    `defining` sources that no `reading` source reads as an attribute.  A
+    class that reads its own `__dataclass_fields__` reads every field."""
+    read = {node.attr for source in reading for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for source in defining:
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            if any(getattr(node, "attr", None) == "__dataclass_fields__" for node in ast.walk(cls)):
+                continue
+            unread += [f"{cls.name}.{f.target.id}" for f in cls.body
+                       if isinstance(f, ast.AnnAssign) and f.target.id not in read]
+    return unread
+
+
+def test_guard_sees_an_unread_field():
+    source = (
+        "@dataclass\nclass A:\n    read: int\n    unread: int\n    written: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    kept: int\n    lost: int\n"
+        "@dataclass\nclass C:\n    whole: int\n"
+        "    def as_dict(self):\n        return list(self.__dataclass_fields__)\n"
+        "class D:\n    plain: int\n"
+        "def f(a, b):\n    a.written = 1\n    return a.read + b.kept + B(lost=1).kept\n"
+    )
+    assert unread_fields([source], [source]) == ["A.unread", "A.written", "B.lost"]
+
+
+def test_every_record_field_is_read():
+    """A field that nothing reads is code that buys nothing: every field of
+    a library dataclass is read somewhere in the library, tests or demos."""
+    tests = pathlib.Path(__file__).resolve().parent
+    defining = [path.read_text() for path in SRC.rglob("*.py")]
+    reading = defining + [path.read_text() for folder in (tests, tests.parent / "demos")
+                          for path in folder.rglob("*.py")]
+    assert unread_fields(defining, reading) == []

@@ -5,10 +5,13 @@ import pytest
 
 import hypergroups as hg
 from hypergroups import burnside as bn
+from hypergroups import report as report_module
 from hypergroups.builders import catalog, class_hypergroup, group_ring, near_group, rep_ring
 from hypergroups.criteria import burnside_exclusion
-from hypergroups.errors import CrossCheckFailed
+from hypergroups.errors import CrossCheckFailed, HypergroupError
+from hypergroups.report import analyze
 from conftest import NILPOTENT_CATALOG, s3_indices
+from test_golden import NEAR_GROUPS
 
 
 def test_grouplike_elements_examples(ising_ring, s3_rep):
@@ -197,25 +200,22 @@ def test_nilpotent_corpus_is_burnside_and_dual(full_corpus):
 
 
 def test_hypothesis_report(fib_ring):
-    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(fib_ring))
-    assert not rep["weakly_integral"]
-    assert rep["obstruction"] is None
+    verdict = burnside_exclusion(hg.RingAnalysis(fib_ring))
+    assert not verdict.applicable and not verdict.excluded
+    assert "weakly integral: False" in verdict.certificate
 
 
 def test_obstruction_flagged_for_qualifying_failure(s3_rep):
     # S3 is Burnside, so no obstruction
-    rep = bn.burnside_hypothesis_report(hg.RingAnalysis(s3_rep))
-    assert rep["burnside"] and rep["obstruction"] is None
+    a = hg.RingAnalysis(s3_rep)
+    assert a.burnside[0]
+    verdict = burnside_exclusion(a)
+    assert verdict.applicable and not verdict.excluded
     # a failed Burnside verdict on the same qualifying ring (weakly integral,
     # h-integral dual) is an obstruction, and the Burnside test excludes it
     a = hg.RingAnalysis(s3_rep)
     a.burnside = (False, 1)
-    rep = bn.burnside_hypothesis_report(a)
-    assert rep["weakly_integral"] and rep["dual_h_integral"] and not rep["burnside"]
-    assert rep["obstruction"] == (
-        "weakly-integral fusion ring with h-integral dual is not Burnside: "
-        "no weakly-integral categorification exists"
-    )
+    assert isinstance(a.fpdim, int) and a.dual.flags.h_integral
     verdict = burnside_exclusion(a)
     assert verdict.applicable and verdict.excluded
     assert verdict.certificate == (
@@ -223,9 +223,48 @@ def test_obstruction_flagged_for_qualifying_failure(s3_rep):
     )
 
 
+OBSTRUCTION = (
+    "weakly-integral fusion ring with h-integral dual is not Burnside: "
+    "no weakly-integral categorification exists"
+)
+
+
+def _burnside_verdict(report) -> dict:
+    return next(v for v in report.exclusions if v["test"] == "burnside")
+
+
+def test_report_notes_the_obstruction_of_an_excluded_ring(s3_rep, monkeypatch):
+    # a forced failed verdict; the identity residuals, which would rightly
+    # contradict it, are stubbed
+    monkeypatch.setattr(hg.RingAnalysis, "burnside", property(lambda self: (False, 1)))
+    monkeypatch.setattr(report_module, "identity_checks", lambda a: {})
+    rep = analyze(s3_rep)
+    assert rep.notes == [OBSTRUCTION]
+    assert _burnside_verdict(rep)["excluded"]
+
+
+def test_obstruction_note_iff_the_burnside_verdict_excludes(full_corpus):
+    rings = full_corpus + [near_group(g, m) for g in NEAR_GROUPS for m in range(6)]
+    reports = 0
+    for ring in rings:
+        try:
+            rep = analyze(ring)
+        except HypergroupError:
+            continue
+        reports += 1
+        excluded = rep.exclusions != [] and _burnside_verdict(rep)["excluded"]
+        assert (OBSTRUCTION in rep.notes) == excluded, ring.name
+    assert reports > len(full_corpus)
+
+
 def test_burnside_report_assembly(ising_ring):
     rep = bn.burnside_report(hg.RingAnalysis(ising_ring))
-    assert rep.is_burnside and rep.is_dual_burnside
-    assert rep.grouplike_closure_ok
-    assert set(rep.vanishing_elements) | set(rep.nonvanishing) == {0, 1, 2}
-    assert set(rep.grouplike_elements) <= set(rep.nonvanishing)
+    assert list(rep) == [
+        "grouplike_elements", "vanishing_elements", "nonvanishing", "is_burnside",
+        "burnside_witness", "grouplike_characters", "is_dual_burnside", "dual_witness",
+        "sgn_elements", "sgn_characters", "grouplike_closure_ok",
+    ]
+    assert rep["is_burnside"] and rep["is_dual_burnside"]
+    assert rep["grouplike_closure_ok"]
+    assert set(rep["vanishing_elements"]) | set(rep["nonvanishing"]) == {0, 1, 2}
+    assert set(rep["grouplike_elements"]) <= set(rep["nonvanishing"])
