@@ -7,10 +7,16 @@ free orbits in row-major order of their first entries.  Each row sum
 sum_k N_{ij}^k d_k must reach d_i d_j, so at a node the values an orbit can
 take form one interval: at most what every row it meets still needs, and at
 least what the later orbits cannot supply at their caps.  Only that interval
-is visited, and associativity is checked at the leaves.  The results are
-deduplicated by canonical form under dimension-preserving basis relabelings.
-Involutions conjugate under those relabelings give relabeled rings, so only
-one involution per conjugacy class is searched.
+is visited, and associativity is checked at the leaves.  Involutions
+conjugate under the dimension-preserving basis relabelings give relabeled
+rings, so only one involution per conjugacy class is searched.
+
+The rings are deduplicated by canonical form: the least raveled T[p, p, p]
+over the relabelings p.  It is computed once per isomorphism class.  The
+first leaf of a class is relabeled every way by flat gathers through one
+relabeling index, and every relabeled copy is indexed by a fingerprint of
+its bytes; a later leaf of the class is recognised by one lookup and one
+exact comparison.
 """
 
 from __future__ import annotations
@@ -25,23 +31,43 @@ from ..errors import BudgetExceeded, InvalidType
 __all__ = ["enumerate_by_type", "normalize_type", "type_of"]
 
 SIZE_BOUND = 64
+# relabeled copies gathered per take in `_relabeled_rows`
+_ROW_CHUNK = 256
 
 
 def normalize_type(type_vector) -> list[int]:
-    """Accept [[d, k], ...] pairs or a flat dimension list; return sorted dims."""
+    """Accept [[d, k], ...] pairs or a flat dimension list; return sorted dims.
+
+    Raises InvalidType for a dimension or multiplicity that is not an integer,
+    a negative multiplicity, a dimension below 1 or a type without the unit.
+    """
     tv = list(type_vector)
     if tv and isinstance(tv[0], (list, tuple)):
         dims = []
         for d, k in tv:
-            dims.extend([int(d)] * int(k))
+            k = _integer(k, "multiplicity")
+            if k < 0:
+                raise InvalidType(f"multiplicity {k} is negative")
+            dims.extend([_integer(d, "dimension")] * k)
     else:
-        dims = [int(d) for d in tv]
+        dims = [_integer(d, "dimension") for d in tv]
     if any(d < 1 for d in dims):
         raise InvalidType("dimensions must be positive")
     dims.sort()
     if not dims or dims[0] != 1:
         raise InvalidType("type must contain the unit dimension 1")
     return dims
+
+
+def _integer(x, what: str) -> int:
+    """x as an int, or InvalidType when x is not an integer."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidType(f"{what} {x!r} is not an integer") from None
+    if n != x:
+        raise InvalidType(f"{what} {x!r} is not an integer")
+    return n
 
 
 def type_of(dims) -> list[list[int]]:
@@ -147,6 +173,16 @@ def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
     of values that keeps every row sum it touches within reach.  `budget`
     caps the number of search nodes across those involutions; exceeding it
     raises BudgetExceeded, as does a type with sum k d^2 > 64.
+
+    Each associative leaf is first looked up in the class index, which maps
+    the fingerprint of every relabeled copy of every class found so far to
+    (the class's first leaf, the relabeling).  A hit counts only once the
+    leaf equals that relabeling of that leaf, so the output never depends on
+    the fingerprints.  A leaf that misses is relabeled every way; the least
+    copy is its canonical form and every copy joins the index.  The
+    relabelings are built at the first associative leaf, so a type with no
+    ring never builds them.  Rings are named in the order their classes are
+    found and returned sorted by canonical form.
     """
     dims = normalize_type(type_vector)
     m = len(dims)
@@ -154,15 +190,25 @@ def enumerate_by_type(type_vector, budget: int = 2_000_000) -> list[FusionData]:
         raise BudgetExceeded(f"sum of d^2 exceeds {SIZE_BOUND}")
     d = np.array(dims, dtype=np.int64)
     nodes = {"n": 0}
-    found: dict[tuple, FusionData] = {}
-    relabelings = _relabelings(dims)
+    found: dict[bytes, FusionData] = {}
+    index = None
+    classes: dict[int, tuple[np.ndarray, int]] = {}
 
     for sigma in _involution_representatives(dims):
-        tensors = _search_involution(m, d, sigma, nodes, budget)
-        for tensor in tensors:
-            key = _canonical_key(tensor, relabelings)
+        for tensor in _search_involution(m, d, sigma, nodes, budget):
+            flat = tensor.astype(np.uint8).ravel()
+            raw = flat.tobytes()
+            hit = classes.get(_fingerprint(raw))
+            if hit is not None and hit[0].take(index[hit[1]]).tobytes() == raw:
+                continue
+            if index is None:
+                index = _relabeling_index(_relabelings(dims))
+            key = raw  # a row itself: the relabelings include the identity
+            for r, row in enumerate(_relabeled_rows(flat, index)):
+                classes.setdefault(_fingerprint(row), (flat, r))
+                key = min(key, row)
             if key not in found:
-                canon = np.array(key, dtype=np.int64).reshape(m, m, m)
+                canon = np.frombuffer(key, dtype=np.uint8).astype(np.int64).reshape(m, m, m)
                 ring = FusionData(
                     f"enum{type_of(dims)}#{len(found)}",
                     involution_of(canon[:, :, 0]),
@@ -187,58 +233,107 @@ def _relabelings(dims: list[int]) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+def _relabeling_index(P: np.ndarray) -> np.ndarray:
+    """(R, m^3) flat index: T.ravel()[index[r]] is T[p, p, p].ravel() for p = P[r].
+
+    It is held in the smallest unsigned dtype that holds m^3 - 1 (uint16 up to
+    m = 40); every partial sum below is at most m^3 - 1, so none wraps.
+    """
+    m = P.shape[1]
+    P = P.astype(np.min_scalar_type(m ** 3 - 1))
+    flat = (P[:, :, None, None] * m + P[:, None, :, None]) * m + P[:, None, None, :]
+    return flat.reshape(len(P), m ** 3)
+
+
+def _relabeled_rows(flat: np.ndarray, index: np.ndarray):
+    """The bytes of T[p, p, p].ravel() for each row of the relabeling index, in order.
+
+    flat is the raveled uint8 tensor.  The rows are gathered _ROW_CHUNK at a
+    time, so the (R, m^3) stack is never held at once.
+    """
+    n = index.shape[1]
+    for start in range(0, len(index), _ROW_CHUNK):
+        block = flat.take(index[start:start + _ROW_CHUNK]).tobytes()
+        for a in range(0, len(block), n):
+            yield block[a:a + n]
+
+
+def _fingerprint(row: bytes) -> int:
+    """Fingerprint of a raveled uint8 tensor; a match is always confirmed exactly."""
+    return hash(row)
+
+
 def _canonical_key(tensor: np.ndarray, P: np.ndarray) -> tuple:
     """Lexicographically least raveled T[p, p, p] over the rows p of P.
 
-    P is `_relabelings(dims)`.  Every relabeled tensor is built at once as an
-    (R, m^3) uint8 stack (the entries of a type with sum d^2 <= 64 are at most
-    49) and the least row is taken with one lexsort, whose last key is the
-    primary one.
+    P is `_relabelings(dims)`.  The tensor is raveled as uint8 (the entries
+    of a type with sum d^2 <= 64 are at most 49) and relabeled by one flat
+    gather through `_relabeling_index`.  For uint8 rows of one length the
+    byte order is the lexicographic order of the entries, so the key is the
+    least byte row.
     """
-    T = tensor.astype(np.uint8)
-    stack = T[P[:, :, None, None], P[:, None, :, None], P[:, None, None, :]]
-    stack = stack.reshape(len(P), -1)
-    return tuple(stack[np.lexsort(stack.T[::-1])[0]].tolist())
+    flat = tensor.astype(np.uint8).ravel()
+    return tuple(min(_relabeled_rows(flat, _relabeling_index(P))))
 
 
 def _search_involution(m, d, sigma, nodes, budget):
+    """Associative tensors of one involution, in depth-first leaf order.
+
+    The tree is walked iteratively.  Entering the node of step pos counts
+    one node against the budget, narrows the step's orbit to its interval
+    [lo, hi] and takes lo; backtracking moves the deepest step that has not
+    reached its hi to its next value.
+    """
     oid_of = _orbit_labels(m, sigma)
     setup = _search_setup(oid_of, d, sigma)
     if setup is None:
         return []
     values, caps, steps, need = setup
     results = []
-
-    def dfs(pos):
-        nodes["n"] += 1
-        if nodes["n"] > budget:
+    depth = len(steps)
+    his = [0] * depth
+    count = nodes["n"]
+    pos = 0
+    while True:
+        count += 1
+        if count > budget:
             raise BudgetExceeded(f"search exceeded {budget} nodes")
-        if pos == len(steps):
+        if pos < depth:
+            oid, rows = steps[pos]
+            # v keeps every row r of the orbit feasible iff
+            # need_r - rem_r <= v W_r <= need_r; both bounds are monotone in v.
+            # With W_r > 0, floor(n / w) < hi iff n < hi w, and
+            # ceil(n / w) > lo iff n > lo w, so a row divides only to move a bound
+            lo, hi = 0, caps[oid]
+            for r, w, rem in rows:
+                n = need[r]
+                if n < hi * w:
+                    hi = n // w
+                if n - rem > lo * w:
+                    lo = (n - rem + w - 1) // w
+            if lo <= hi:
+                for r, w, _ in rows:
+                    need[r] -= lo * w
+                values[oid] = lo
+                his[pos] = hi
+                pos += 1
+                continue
+        else:
             tensor = np.array(values, dtype=np.int64)[oid_of]
             lhs, rhs = bracketings(tensor)
             if (lhs == rhs).all():
                 results.append(tensor)
-            return
-        oid, rows = steps[pos]
-        # v keeps every row r of the orbit feasible iff
-        # need_r - rem_r <= v W_r <= need_r; both bounds are monotone in v
-        lo, hi = 0, caps[oid]
-        for r, w, rem in rows:
-            if need[r] // w < hi:
-                hi = need[r] // w
-            if (need[r] - rem + w - 1) // w > lo:
-                lo = (need[r] - rem + w - 1) // w
-        if lo > hi:
-            return
-        for r, w, _ in rows:
-            need[r] -= lo * w
-        for v in range(lo, hi + 1):
-            values[oid] = v
-            dfs(pos + 1)
+        while True:
+            pos -= 1
+            if pos < 0:
+                nodes["n"] = count
+                return results
+            oid, rows = steps[pos]
             for r, w, _ in rows:
                 need[r] -= w
-        for r, w, _ in rows:
-            need[r] += (hi + 1) * w
-
-    dfs(0)
-    return results
+            if values[oid] < his[pos]:
+                values[oid] += 1
+                pos += 1
+                break
+            for r, w, _ in rows:
+                need[r] += (his[pos] + 1) * w

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import hypergroups as hg
 from hypergroups import builders as bd
-from hypergroups.errors import BudgetExceeded, HypergroupError, ParseError
+from hypergroups.errors import BudgetExceeded, HypergroupError, InvalidType, ParseError
 from conftest import NILPOTENT_CATALOG, PHI
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -253,6 +253,20 @@ def test_enumerate_tiny_types():
     assert len(rings) == 2  # Z4 and Z2 x Z2
 
 
+@pytest.mark.parametrize(
+    "type_vector, reason",
+    [
+        ([1, 2.7], "dimension 2.7 is not an integer"),
+        ([[1, 1], [2, 1.5]], "multiplicity 1.5 is not an integer"),
+        ([[1, 1], [2, -3]], "multiplicity -3 is negative"),
+    ],
+)
+def test_normalize_type_rejects_what_it_would_change(type_vector, reason):
+    # each of these used to be truncated or dropped into another type
+    with pytest.raises(InvalidType, match=reason):
+        bd.normalize_type(type_vector)
+
+
 def test_enumerate_type_112122():
     rings = bd.enumerate_by_type([1, 1, 1, 1, 2, 2])
     assert len(rings) == 4
@@ -296,6 +310,8 @@ SEARCH_NODES = {
     (1,) * 4 + (2,) * 3: 2680,
     (1,) * 2 + (2,) * 4: 1707,
     (1,) * 7: 734,
+    (1,) * 8: 7487,
+    (1,) * 8 + (2,) * 2: 195224,
 }
 
 
@@ -310,6 +326,36 @@ def test_enumerate_visits_the_recorded_search_tree(dims):
     assert _ring_entries(bd.enumerate_by_type(list(dims), budget=n)) == _ring_entries(rings)
     with pytest.raises(BudgetExceeded):
         bd.enumerate_by_type(list(dims), budget=n - 1)
+
+
+@pytest.mark.parametrize(
+    "dims", [[1] * 6, [1, 1, 1, 1, 2, 2], [1, 1, 1, 1, 2, 2, 2]], ids=lambda dims: "-".join(map(str, dims))
+)
+def test_class_index_relabels_each_class_once_and_never_trusts_a_fingerprint(dims, monkeypatch):
+    from hypergroups.builders import enumeration
+
+    gathers = []
+    relabeled_rows = enumeration._relabeled_rows
+    monkeypatch.setattr(
+        enumeration, "_relabeled_rows", lambda *args: gathers.append(1) or relabeled_rows(*args)
+    )
+    rings = _ring_entries(bd.enumerate_by_type(dims))
+    assert len(gathers) == len(rings)
+    # every fingerprint collides: each hit must fail its exact comparison
+    # unless the leaf really is that relabeling of that class
+    monkeypatch.setattr(enumeration, "_fingerprint", lambda row: 0)
+    assert _ring_entries(bd.enumerate_by_type(dims)) == rings
+
+
+@pytest.mark.parametrize("dims", [[1] + [2] * 6, [1] * 6 + [2] * 2], ids=lambda dims: "-".join(map(str, dims)))
+def test_a_type_with_no_ring_builds_no_relabelings(dims, monkeypatch):
+    from hypergroups.builders import enumeration
+
+    def refuse(dims):
+        raise AssertionError("relabelings built for a type with no ring")
+
+    monkeypatch.setattr(enumeration, "_relabelings", refuse)
+    assert bd.enumerate_by_type(dims) == []
 
 
 def _reference_orbits(m, sigma):

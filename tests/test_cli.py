@@ -296,6 +296,14 @@ def test_enumerate_skips_non_commutative_rings(capsys):
     assert "2 ring(s) up to relabeling" in lines[-1]
 
 
+def test_enumerate_a_type_with_many_relabelings(capsys):
+    # [1^8] has 5,040 relabelings; its five rings are Z[C8], Z[C4 x C2],
+    # Z[C2^3] and the non-commutative Z[D4] and Z[Q8]
+    code, out, _ = run(capsys, "enumerate", "1,1,1,1,1,1,1,1")
+    assert code == 0
+    assert "5 ring(s) up to relabeling" in out.splitlines()[-1]
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
