@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 batch-level or I/O errors, 2 axiom/domain violations,
 from __future__ import annotations
 
 import argparse
+import functools
+import multiprocessing
 import os
 import sys
 
@@ -192,33 +194,51 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _batch_line(path, tol, seed, exact_only, modular_candidate) -> tuple[str, bool]:
+    """Load and analyze one file; return its `batch` line and whether it is an
+    ERROR line.  Runs in a worker process, so it prints nothing."""
+    try:
+        rep = analyze(
+            load(path, tol),
+            tol=tol,
+            seed=seed,
+            exact_only=exact_only,
+            modular_candidate=modular_candidate,
+        )
+    except (HypergroupError, OSError) as exc:  # reported per file, batch continues
+        return f"{path}: ERROR {type(exc).__name__}: {exc}", True
+    b = rep.burnside or {}
+    return (
+        f"{path}: rank {rep.rank:3d}  burnside {str(b.get('is_burnside', '-')):5s} "
+        f"dual {str(b.get('is_dual_burnside', '-')):5s} "
+        f"nilpotency {rep.nilpotency_class if rep.nilpotency_class is not None else '-'}",
+        False,
+    )
+
+
 def _cmd_batch(args) -> int:
+    """Analyze every `.json` and `.txt` file of a directory, one line per file.
+
+    The files go to parallel worker processes, one per CPU this process may run
+    on and never more than the files, each holding one analysis at a time; no
+    flag selects this.  The lines print in sorted path order as they finish:
+    the same lines and exit code as a serial run.  Workers are forked, not
+    spawned, so they do not import numpy and the library again."""
     paths = sorted(
         os.path.join(args.dir, f)
         for f in os.listdir(args.dir)
         if f.endswith((".json", ".txt"))
     )
-    tol = _tol(args)
+    if not paths:
+        return 0
+    work = functools.partial(_batch_line, tol=_tol(args), seed=args.seed,
+                             exact_only=args.exact_only, modular_candidate=args.modular_candidate)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     errors = 0
-    for path in paths:
-        try:
-            rep = analyze(
-                load(path, tol),
-                tol=tol,
-                seed=args.seed,
-                exact_only=args.exact_only,
-                modular_candidate=args.modular_candidate,
-            )
-        except (HypergroupError, OSError) as exc:  # reported per file, batch continues
-            errors += 1
-            print(f"{path}: ERROR {type(exc).__name__}: {exc}")
-            continue
-        b = rep.burnside or {}
-        print(
-            f"{path}: rank {rep.rank:3d}  burnside {str(b.get('is_burnside', '-')):5s} "
-            f"dual {str(b.get('is_dual_burnside', '-')):5s} "
-            f"nilpotency {rep.nilpotency_class if rep.nilpotency_class is not None else '-'}"
-        )
+    with multiprocessing.get_context("fork").Pool(min(len(paths), cpus or 1)) as pool:
+        for line, failed in pool.imap(work, paths, chunksize=1):
+            errors += failed
+            print(line)
     return 1 if errors else 0
 
 

@@ -2,16 +2,20 @@ import argparse
 import ast
 import inspect
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hypergroups import builders as bd
 from hypergroups.core import FusionData, rescale
-from hypergroups.cli import _build_parser, _solver_flags, _tol, main
+from hypergroups.cli import _batch_line, _build_parser, _solver_flags, _tol, main
 from hypergroups.tolerance import DEFAULT_TOL
 
 
@@ -268,23 +272,57 @@ def test_batch_command(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 2
     assert lines[0] < lines[1]  # path-sorted
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_collects_errors(tmp_path, capsys):
+    # more files than workers: exact rings, floating duals (irrational d), a
+    # file that is not JSON, one that is not UTF-8 and a directory named x.json
     d = tmp_path / "rings"
     d.mkdir()
     bd.dump(bd.ising(), str(d / "a.json"))
+    bd.dump(bd.rep_ring(bd.catalog("S3")), str(d / "c_s3.json"))
+    bd.dump(bd.group_ring(bd.abelian_group([2, 2])), str(d / "d_c2xc2.json"))
+    bd.dump(bd.near_group([], 1), str(d / "e_k1.json"))
+    bd.dump(bd.near_group([2], 1), str(d / "f_k2.json"))
+    bd.dump(bd.near_group([3], 2), str(d / "g_k3.json"))
     (d / "broken.json").write_text("{not json")
-    code, out, _ = run(capsys, "batch", str(d))
+    (d / "h.txt").write_bytes(b"1 0\n0 1\n\n0 1\n1 \xe9\n")
+    (d / "x.json").mkdir()
+    code, out, _ = run(capsys, "batch", str(d), "--modular-candidate")
     assert code == 1
-    assert "ERROR" in out
+    paths = sorted(str(p) for p in d.iterdir())
+    lines = [_batch_line(p, DEFAULT_TOL, 0, False, True) for p in paths]
+    assert out == "".join(f"{line}\n" for line, _ in lines)
+    assert [failed for _, failed in lines] == [
+        os.path.basename(p) in ("broken.json", "h.txt", "x.json") for p in paths]
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_empty_dir(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()
-    code, out, _ = run(capsys, "batch", str(d))
-    assert code == 0 and out.strip() == ""
+    with mock.patch("hypergroups.cli.multiprocessing.get_context") as get_context:
+        code, out, _ = run(capsys, "batch", str(d))
+    assert code == 0 and out == ""
+    get_context.assert_not_called()
+
+
+def test_batch_in_a_fresh_interpreter(tmp_path):
+    # a deadlocked worker pool fails here instead of hanging the suite
+    d = tmp_path / "rings"
+    d.mkdir()
+    bd.dump(bd.ising(), str(d / "a.json"))
+    bd.dump(bd.fibonacci(), str(d / "b.json"))
+    (d / "c.json").write_text("{not json")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "hypergroups.cli", "batch", str(d)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    want = [_batch_line(str(d / f), DEFAULT_TOL, 0, False, False)[0]
+            for f in ("a.json", "b.json", "c.json")]
+    assert proc.stdout == "".join(f"{line}\n" for line in want)
 
 
 def test_enumerate_skips_non_commutative_rings(capsys):

@@ -2,6 +2,7 @@
 one-line error, and no exception escapes `main`."""
 
 import json
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -167,3 +168,4 @@ def test_batch_lets_a_programming_error_propagate(tmp_path):
     with mock.patch("hypergroups.cli.analyze", side_effect=RuntimeError("a bug")):
         with pytest.raises(RuntimeError, match="a bug"):
             main(["batch", str(d)])
+    assert multiprocessing.active_children() == []
