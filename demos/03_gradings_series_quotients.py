@@ -24,7 +24,7 @@ def grading_tour(name):
 
 
 def series_tour(ring):
-    cs = st.central_series(ring)
+    cs = hg.RingAnalysis(ring).series
     up = [list(s.indices) for s in cs.upper]
     low = [list(s.indices) for s in cs.lower]
     verdict = cs.nilpotency_class

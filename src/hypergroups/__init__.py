@@ -47,7 +47,6 @@ from .structure import (
     central_series,
     commutator_sub,
     generated_sub,
-    is_nilpotent,
     kernel_of_character,
     kernel_of_element,
     perp,
@@ -103,7 +102,6 @@ __all__ = [
     "central_series",
     "commutator_sub",
     "generated_sub",
-    "is_nilpotent",
     "kernel_of_character",
     "kernel_of_element",
     "perp",

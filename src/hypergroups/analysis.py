@@ -2,16 +2,17 @@
 
 A RingAnalysis holds a ring at one tolerance and solver seed.  Each cached
 property is computed on first use and then shared, so one analysis validates
-the ring, builds its character table, reads its FP column and order n(H),
-checks the FP column as an exact character, builds its dual, aligns the
-dual's characters, and finds the table's zero pattern once.  The FP column,
-0 in canonical order, is the one normalizing character: the dual is built
-there, its basis element j is the table's column j.  The dual is itself a
-ring under analysis, `dual`, at the same tolerance and seed: its flags,
-character table and orders are read from it, and the double dual is
-`dual.dual`, the dual of the dual at its all-ones column.  Every spectral
-stage (structure, dual, Burnside, Galois, criteria) takes the analysis and
-reads the same flag set, tables, dual, grouplikes and verdicts; the
+the ring, builds its constituent relation `support`, builds its character
+table, reads its FP column and order n(H), checks the FP column as an exact
+character, builds its dual, aligns the dual's characters, and finds the
+table's zero pattern once.  The FP column, 0 in canonical order, is the one
+normalizing character: the dual is built there, its basis element j is the
+table's column j.  The dual is itself a ring under analysis, `dual`, at the
+same tolerance and seed: its flags, character table and orders are read from
+it, and the double dual is `dual.dual`, the dual of the dual at its all-ones
+column.  Every stage (structure, dual, Burnside, Galois, criteria) takes the
+analysis, so none reads the ring at another tolerance, and reads the same
+flag set, constituent relation, tables, dual, grouplikes and verdicts; the
 double-dual check reads the FP column `d`, and both Burnside verdicts read
 the one `zero_pattern`.
 
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .burnside import vanishing_elements
-from .core import FlagSet, FusionData, exact_character, regular_element
+from .core import FlagSet, FusionData, _constituents, exact_character, regular_element
 from .dual import dual_hypergroup
 from .errors import CrossCheckFailed
 from .spectra import CharacterTable, _match_columns, character_table, order, verify_fp_value
@@ -76,6 +77,12 @@ class RingAnalysis:
     @cached_property
     def flags(self) -> FlagSet:
         return self.data.flags_at(self.tol)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """S[i, j, k]: x_k is a constituent of x_i x_j at the analysis
+        tolerance (read-only; see `core._constituents`)."""
+        return _constituents(self.data, self.tol)
 
     @cached_property
     def table(self) -> CharacterTable:
@@ -152,7 +159,7 @@ class RingAnalysis:
     def grouplikes(self) -> tuple:
         """Indices with x x* supported on the unit alone; with an FP column the
         normalizable criterion h_i d_i d_{i*} = 1 must pick the same set."""
-        g = grouplike_indices(self.data, self.tol)
+        g = grouplike_indices(self)
         if self.table.fp_index is not None:
             hdd = self.table.h * self.d * self.d[list(self.data.involution)]
             alt = tuple(np.flatnonzero(np.abs(hdd - 1.0) <= VALUE_SLACK * self.tol.zero(1.0)).tolist())
@@ -205,7 +212,7 @@ class RingAnalysis:
 
     @cached_property
     def series(self) -> CentralSeries:
-        return central_series(self.data, self.tol)
+        return central_series(self)
 
     @cached_property
     def dual(self) -> RingAnalysis:

@@ -33,7 +33,7 @@ import numpy as np
 from ..core import FusionData, involution_of
 from ..errors import ParseError
 from ..tolerance import DEFAULT_TOL, Tolerance
-from .groups import FiniteGroup, group_from_generators
+from .groups import FiniteGroup, _cycles, _pad, group_from_generators
 
 __all__ = [
     "serialize",
@@ -213,13 +213,7 @@ def parse_group(text: str, name: str = "G") -> FiniteGroup:
                 cycles.append(pts)
                 points = max(points, max(pts) + 1)
         cycles_per_gen.append(cycles)
-    perms = []
-    for cycles in cycles_per_gen:
-        perm = list(range(points))
-        for cyc in cycles:
-            for t in range(len(cyc)):
-                perm[cyc[t]] = cyc[(t + 1) % len(cyc)]
-        perms.append(tuple(perm))
+    perms = [_pad(_cycles(*cycles), points) for cycles in cycles_per_gen]
     return group_from_generators(perms, name)
 
 

@@ -7,6 +7,7 @@ The catalog ships generators only; every group-theoretic fact used in tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -147,22 +148,17 @@ def abelian_group(cyclic_orders, name: str | None = None) -> FiniteGroup:
         raise InvalidOrders(f"cyclic orders {orders} must be positive")
     if not orders:
         return FiniteGroup(name or "C1", np.zeros((1, 1), dtype=int))
-    gens = []
-    deg = sum(orders)
-    offset = 0
-    for k in orders:
-        cycle = list(range(deg))
-        for t in range(k):
-            cycle[offset + t] = offset + (t + 1) % k
-        gens.append(tuple(cycle))
-        offset += k
+    starts = list(accumulate(orders, initial=0))
+    gens = [_pad(_cycles(range(s, s + k)), starts[-1]) for s, k in zip(starts, orders)]
     label = name or "x".join(f"C{k}" for k in orders)
     return group_from_generators(gens, label)
 
 
 def _cycles(*cycles) -> tuple:
-    deg = max(max(c) for c in cycles) + 1
-    perm = list(range(deg))
+    """The permutation with the given disjoint cycles, each a sequence of
+    points, on the points up to the largest one named; `_pad` extends it to a
+    common degree."""
+    perm = list(range(max((max(c) + 1 for c in cycles), default=0)))
     for c in cycles:
         for t in range(len(c)):
             perm[c[t]] = c[(t + 1) % len(c)]
@@ -170,6 +166,7 @@ def _cycles(*cycles) -> tuple:
 
 
 def _pad(perm: tuple, deg: int) -> tuple:
+    """`perm` extended to the points {0..deg-1}, fixing the added points."""
     return tuple(list(perm) + list(range(len(perm), deg)))
 
 

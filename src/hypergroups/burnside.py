@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._exact import det_nonzero_mod_p, exact_det
-from .core import Element, FusionData, multiply
+from .core import Element, multiply
 from .errors import CrossCheckFailed
 from .spectra import _match_columns, integral_element_of_subset
-from .tolerance import DEFAULT_TOL, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
+from .tolerance import IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -38,12 +38,12 @@ __all__ = [
 ]
 
 
-def grouplike_closure_ok(data: FusionData, gset, tol: Tolerance = DEFAULT_TOL) -> bool:
+def grouplike_closure_ok(a: RingAnalysis) -> bool:
     """Whether the grouplikes are closed under product (single support) and involution."""
-    gl = sorted(set(gset))
-    if any(data.involution[i] not in gl for i in gl):
+    gl = sorted(a.grouplikes)
+    if any(a.data.involution[i] not in gl for i in gl):
         return False
-    products = data.support_at(tol)[np.ix_(gl, gl)]
+    products = a.support[np.ix_(gl, gl)]
     inside = products[..., gl].sum(axis=2)
     return bool((inside == 1).all() and (products.sum(axis=2) == 1).all())
 
@@ -147,7 +147,7 @@ def sgn_values(a: RingAnalysis) -> tuple[dict, dict]:
     (resp. on the characters).  The two must agree.
     """
     table, tol = a.table, a.tol
-    S = a.data.support_at(tol)
+    S = a.support
 
     def basis_permutation(i: int) -> list:
         if (S[i].sum(axis=1) != 1).any():
@@ -247,5 +247,5 @@ def burnside_report(a: RingAnalysis) -> dict:
         "dual_witness": w2,
         "sgn_elements": {str(k): v for k, v in sorted(sgn_el.items())},
         "sgn_characters": {str(k): v for k, v in sorted(sgn_ch.items())},
-        "grouplike_closure_ok": grouplike_closure_ok(a.data, a.grouplikes, a.tol),
+        "grouplike_closure_ok": grouplike_closure_ok(a),
     }

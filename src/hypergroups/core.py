@@ -10,6 +10,9 @@ float64.  Promotion to float is one-way: floats only ever enter through the
 spectral code, never by mutating an exact ring.  Exact arithmetic reads one
 form of the ring, `FusionData.integer_tensor()` = (L, C = L N): a vector is
 cleared on its own by `integer_form` and contracted with C on Python ints.
+A FusionData holds only the tensor, its float and integer forms and the flags
+of `validate`, which `load` runs before any analysis exists; the constituent
+relation (`_constituents`) at a tolerance is held by the ring's RingAnalysis.
 
 Construction coerces scalars by dtype: integer and bool arrays become Python
 ints and float arrays float64, one whole-array call each, as does object input
@@ -142,7 +145,6 @@ class FusionData:
         self._float_tensor = None
         self._integer_tensor = None
         self._flags = {}
-        self._support = {}
 
     def float_tensor(self) -> np.ndarray:
         """float64 view of the tensor (cached)."""
@@ -180,18 +182,6 @@ class FusionData:
             self._flags[key] = validate(self, tol)
         return self._flags[key]
 
-    def support_at(self, tol: Tolerance) -> np.ndarray:
-        """The constituent relation as a read-only boolean (m, m, m) array:
-        S[i, j, k] says x_k is a constituent of x_i x_j, that is, N_ij^k is
-        nonzero.  S = N != 0 on exact tensors and |N| > tol.zero(1 + max|N|)
-        on floating ones; on RN data, which has no entry below
-        -tol.zero(max|N|), this is N > 0 within tol.  Built once per
-        tolerance, and once for an exact tensor."""
-        key = None if self.is_exact else tol
-        if key not in self._support:
-            self._support[key] = _freeze(_constituents(self, tol))
-        return self._support[key]
-
     def with_name(self, name: str) -> "FusionData":
         other = FusionData.__new__(FusionData)
         other.__dict__.update(self.__dict__)
@@ -203,10 +193,15 @@ class FusionData:
 
 
 def _constituents(data: FusionData, tol: Tolerance) -> np.ndarray:
+    """The constituent relation as a read-only boolean (m, m, m) array:
+    S[i, j, k] says x_k is a constituent of x_i x_j, that is, N_ij^k is
+    nonzero.  S = N != 0 on exact tensors and |N| > tol.zero(1 + max|N|) on
+    floating ones; on RN data, which has no entry below -tol.zero(max|N|),
+    this is N > 0 within tol."""
     if data.is_exact:
-        return data.tensor != 0
+        return _freeze(data.tensor != 0)
     magnitude = np.abs(data.tensor)
-    return magnitude > tol.zero(1.0 + float(magnitude.max()))
+    return _freeze(magnitude > tol.zero(1.0 + float(magnitude.max())))
 
 
 @dataclass(frozen=True)
@@ -254,12 +249,16 @@ def check_length(data: FusionData, *elements) -> None:
 
 
 def check_indices(data: FusionData, indices) -> None:
-    """Raise DimensionMismatch unless each index names a basis element,
-    0 <= i < rank: a negative index does not wrap."""
-    idx = np.asarray(indices, dtype=int)
-    outside = idx[(idx < 0) | (idx >= data.rank)].tolist()
+    """Raise DimensionMismatch unless each index is an integer that names a
+    basis element, 0 <= i < rank: a negative index does not wrap, and a float
+    or a bool is not an index."""
+    outside = [
+        i for i in indices
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < data.rank
+    ]
     if outside:
-        raise DimensionMismatch(f"indices {outside} are out of range for rank {data.rank}")
+        shown = ", ".join(map(str, outside))
+        raise DimensionMismatch(f"indices [{shown}] are out of range for rank {data.rank}")
 
 
 def basis_element(data: FusionData, i: int) -> Element:
@@ -273,8 +272,9 @@ def regular_element(data: FusionData, indices=None) -> Element:
     """I_S(1) = sum_{i in S} h_i x_i x_{i*} = sum_{i in S} N_{ii*} / N_{ii*}^0
     over the basis indices S (default: all, giving I(1)); exact on an exact
     tensor, where it is sum_{i in S} C_{ii*} / C_{ii*}^0 (L cancels)."""
+    if indices is not None:
+        check_indices(data, indices)
     idx = np.arange(data.rank) if indices is None else np.asarray(indices, dtype=int)
-    check_indices(data, idx)
     pairs = idx, np.array(data.involution)[idx]
     rows = (data.integer_tensor()[1] if data.is_exact else data.tensor)[pairs]
     if not rows[:, 0].all():

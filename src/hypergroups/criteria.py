@@ -20,10 +20,9 @@ import numpy as np
 
 from ._exact import exact_det
 from .analysis import RingAnalysis
-from .core import FusionData, prime_factorization, regular_element
+from .core import prime_factorization, regular_element
 from .errors import HypergroupError
 from .structure import grouplike_indices
-from .tolerance import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "ExclusionVerdict",
@@ -63,9 +62,9 @@ def exclusions(a: RingAnalysis, modular_candidate: bool) -> list:
     return verdicts
 
 
-def _require_fusion_ring(data: FusionData, tol: Tolerance):
-    if not data.flags_at(tol).fusion_ring:
-        raise HypergroupError(f"{data.name}: test needs a fusion ring")
+def _require_fusion_ring(a: RingAnalysis):
+    if not a.flags.fusion_ring:
+        raise HypergroupError(f"{a.data.name}: test needs a fusion ring")
 
 
 def _fpdim_not_integer(name: str, a: RingAnalysis) -> ExclusionVerdict:
@@ -82,7 +81,7 @@ def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
     (the paper's categorification criterion): a ring that meets both
     hypotheses and is not Burnside is excluded.  This is the one place the
     obstruction is decided; the report's note reads this verdict."""
-    _require_fusion_ring(a.data, a.tol)
+    _require_fusion_ring(a)
     weakly_integral, dual_h_integral = isinstance(a.fpdim, int), a.dual.flags.h_integral
     if not (weakly_integral and dual_h_integral):
         return ExclusionVerdict(
@@ -105,7 +104,7 @@ def burnside_exclusion(a: RingAnalysis) -> ExclusionVerdict:
 
 def modular_prime_support(a: RingAnalysis) -> ExclusionVerdict:
     """Modular candidates obey V(FPdim) = V(|G(H)|) u V(d_i^2)."""
-    _require_fusion_ring(a.data, a.tol)
+    _require_fusion_ring(a)
     if not isinstance(a.fpdim, int):
         return _fpdim_not_integer("modular_prime_support", a)
     n = a.fpdim
@@ -132,7 +131,7 @@ def squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
     """Square-free part test: the largest square-free divisor d of FPdim coprime
     to FPdim/d and to every d_i^2 must divide |G(H)|; perfect rings must have
     no powerless prime at all."""
-    _require_fusion_ring(a.data, a.tol)
+    _require_fusion_ring(a)
     if not isinstance(a.fpdim, int):
         return _fpdim_not_integer("squarefree_factor", a)
     n = a.fpdim
@@ -172,7 +171,7 @@ def squarefree_factor_test(a: RingAnalysis) -> ExclusionVerdict:
 def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
     """For dual-Burnside rings (prod d_i)^2 / FPdim(H_ad) must be an integer;
     nilpotent rings additionally need V(FPdim(H_ad)) = u V(d_i^2)."""
-    _require_fusion_ring(a.data, a.tol)
+    _require_fusion_ring(a)
     dual_burn, _ = a.dual_burnside
     if not dual_burn:
         return ExclusionVerdict(
@@ -211,16 +210,18 @@ def divisibility_test(a: RingAnalysis) -> ExclusionVerdict:
     )
 
 
-def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
+def detect_near_group(a: RingAnalysis):
     """(group_size, m) when the ring is K(G, m): one non-invertible rho absorbed
-    by every grouplike, with rho^2 = sum_G g + m rho; None when it is not."""
-    _require_fusion_ring(data, tol)
-    g = grouplike_indices(data, tol)
+    by every grouplike, with rho^2 = sum_G g + m rho; None when it is not.
+    It reads the tensor and `support` only, never the character table."""
+    _require_fusion_ring(a)
+    data = a.data
+    g = grouplike_indices(a)
     non = [i for i in range(data.rank) if i not in set(g)]
     if len(non) != 1:
         return None
     rho = non[0]
-    S = data.support_at(tol)
+    S = a.support
     only_rho = np.zeros(data.rank, dtype=bool)
     only_rho[rho] = True
     for i in g:
@@ -235,7 +236,7 @@ def detect_near_group(data: FusionData, tol: Tolerance = DEFAULT_TOL):
 def near_group_modular_test(a: RingAnalysis) -> ExclusionVerdict:
     """Modular near-group screening: K(G, m) cannot be modular when G is
     non-trivial with m > 0, nor when m = 0 and |G| is not 1 or 2."""
-    shape = detect_near_group(a.data, a.tol)
+    shape = detect_near_group(a)
     if shape is None:
         return ExclusionVerdict(
             "near_group_modular", False, False, f"{a.data.name}: not a near-group ring K(G, m)"

@@ -1,12 +1,15 @@
 """Sub-hypergroup machinery: generated closures, kernels, adjoint, supports,
 universal grading, perp, quotients, central series and nilpotency.
 
-Every "x_k is a constituent of x_i x_j" question reads the one boolean tensor
-`FusionData.support_at(tol)`, so the lattice laws tested downstream see one
-consistent notion of "constituent".  The tensor-only functions take the ring
-and a tolerance; the character-side ones (kernels, centers, adjoint, supports,
-perp, the universal grading and quotients) take the RingAnalysis and read its
-table, FP dimensions, order and grouplike characters.
+Every function takes the RingAnalysis.  Every "x_k is a constituent of
+x_i x_j" question reads its one boolean tensor `support`, so the lattice laws
+tested downstream see one consistent notion of "constituent" at one
+tolerance.  The tensor-side functions (closures, the adjoint and commutator
+indices, grouplikes, the central series) read only `flags` and `support` and
+never build the character table, so they work on non-commutative rings; the
+character-side ones (kernels, centers, adjoint, supports, perp, the universal
+grading and quotients) read its table, FP dimensions, order and grouplike
+characters.
 
 Kernels, centers and perps are rows and columns of the analysis's agreement
 matrices `fp_agreement` (mu_j(x_i) = d_i) and `modulus_agreement`
@@ -21,10 +24,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Element, FusionData, check_indices, check_length, components, normalize
+from .core import Element, FusionData, _constituents, check_indices, check_length, components, normalize
 from .errors import ClosureViolation, CrossCheckFailed, HypergroupError, NotAbelian, NotPositive
 from .spectra import _match_columns, character_table, integral_element_of_subset
-from .tolerance import DEFAULT_TOL, GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK, Tolerance
+from .tolerance import GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK
 
 if TYPE_CHECKING:
     from .analysis import RingAnalysis
@@ -47,7 +50,6 @@ __all__ = [
     "commutator_sub",
     "commutator_indices",
     "central_series",
-    "is_nilpotent",
     "all_sub_hypergroups",
     "grouplike_indices",
 ]
@@ -59,6 +61,11 @@ class SubHypergroup:
     parent: FusionData
 
     def __post_init__(self):
+        outside = [i for i in self.indices if not 0 <= i < self.parent.rank]
+        if outside:
+            raise ClosureViolation(
+                f"indices {outside} are out of range for rank {self.parent.rank}"
+            )
         object.__setattr__(self, "indices", tuple(sorted(set(self.indices) | {0})))
 
     def __contains__(self, i: int) -> bool:
@@ -95,10 +102,10 @@ class CentralSeries:
 
 # ---------------------------------------------------------------- supports
 
-def _close(data: FusionData, S: np.ndarray, member: np.ndarray) -> tuple:
+def _close(a: RingAnalysis, S: np.ndarray, member: np.ndarray) -> tuple:
     """Smallest index set containing 0 and `member` (a boolean mask) that is
     closed under the involution and under the constituents S of products."""
-    inv = np.array(data.involution)
+    inv = np.array(a.data.involution)
     member = member.copy()
     member[0] = True
     while True:
@@ -109,22 +116,22 @@ def _close(data: FusionData, S: np.ndarray, member: np.ndarray) -> tuple:
         member = grown
 
 
-def _self_products(data: FusionData, tol: Tolerance) -> np.ndarray:
+def _self_products(a: RingAnalysis) -> np.ndarray:
     """Row i: the constituents of x_i x_{i*}."""
-    return data.support_at(tol)[np.arange(data.rank), data.involution]
+    return a.support[np.arange(a.data.rank), a.data.involution]
 
 
-def closure(data: FusionData, seeds, tol: Tolerance = DEFAULT_TOL) -> tuple:
+def closure(a: RingAnalysis, seeds) -> tuple:
     """Smallest involution- and product-closed index set containing 0 and seeds."""
-    member = np.zeros(data.rank, dtype=bool)
+    member = np.zeros(a.data.rank, dtype=bool)
     member[list(seeds)] = True
-    return _close(data, data.support_at(tol), member)
+    return _close(a, a.support, member)
 
 
-def element_support(x: Element, tol: Tolerance) -> set:
+def element_support(a: RingAnalysis, x: Element) -> set:
     """Indices of the positive coordinates of a positive-cone element, compared
-    with 0 on an exact element and within tol otherwise."""
-    thr = 0 if x.is_exact else tol.zero(1.0 + float(np.abs(x.float_coords()).max()))
+    with 0 on an exact element and within the analysis tolerance otherwise."""
+    thr = 0 if x.is_exact else a.tol.zero(1.0 + float(np.abs(x.float_coords()).max()))
     c = np.array(x.coords, dtype=object)
     neg = np.flatnonzero(c < -thr)
     if len(neg):
@@ -132,28 +139,20 @@ def element_support(x: Element, tol: Tolerance) -> set:
     return set(np.flatnonzero(c > thr).tolist())
 
 
-def generated_sub(data: FusionData, x: Element, tol: Tolerance = DEFAULT_TOL) -> SubHypergroup:
+def generated_sub(a: RingAnalysis, x: Element) -> SubHypergroup:
     """Sub-hypergroup generated by the constituents of a positive-cone element.
 
     The tests check two laws on it: the Brauer criterion (<x> = H iff
     ker(x) = {FP}) and <P^2> = H_ad."""
-    check_length(data, x)
-    seeds = element_support(x, tol)
-    return SubHypergroup(closure(data, seeds, tol), data)
+    check_length(a.data, x)
+    return SubHypergroup(closure(a, element_support(a, x)), a.data)
 
 
-def _check_sub(data: FusionData, indices, tol: Tolerance):
-    """Raise ClosureViolation unless `indices` name a sub-hypergroup."""
-    outside = [i for i in indices if not 0 <= i < data.rank]
-    if outside:
-        raise ClosureViolation(
-            f"indices {outside} are out of range for rank {data.rank}"
-        )
-    got = closure(data, [i for i in indices if i != 0], tol)
-    if got != tuple(sorted(set(indices) | {0})):
-        raise ClosureViolation(
-            f"indices {tuple(indices)} are not closed (closure {got})"
-        )
+def _check_sub(a: RingAnalysis, sub: SubHypergroup):
+    """Raise ClosureViolation unless `sub` is closed: a sub-hypergroup."""
+    got = closure(a, sub.indices)
+    if got != sub.indices:
+        raise ClosureViolation(f"indices {sub.indices} are not closed (closure {got})")
 
 
 # ---------------------------------------------------------------- kernels
@@ -164,7 +163,7 @@ def kernel_of_character(a: RingAnalysis, j: int) -> SubHypergroup:
     a failed cross-check."""
     check_indices(a.data, [j])
     idx = np.flatnonzero(a.fp_agreement[:, j]).tolist()
-    got = closure(a.data, idx, a.tol)
+    got = closure(a, idx)
     if list(got) != idx:
         raise CrossCheckFailed(f"kernel: indices {tuple(idx)} are not closed (closure {got})")
     return SubHypergroup(idx, a.data)
@@ -182,7 +181,7 @@ def kernel_of_element(a: RingAnalysis, x: Element) -> frozenset:
     fp = float(xv @ a.d)
     vals = xv @ a.table.values
     ker = frozenset(np.flatnonzero(a.tol.agrees(vals, fp)).tolist())
-    supp = sorted(element_support(x, a.tol))
+    supp = sorted(element_support(a, x))
     inter = frozenset(np.flatnonzero(a.fp_agreement[supp].all(axis=0)).tolist())
     if supp and inter != ker:
         raise CrossCheckFailed(
@@ -200,21 +199,21 @@ def center_of_element(a: RingAnalysis, i: int) -> frozenset:
 
 # ---------------------------------------------------------------- adjoint
 
-def adjoint_indices(data: FusionData, indices=None, tol: Tolerance = DEFAULT_TOL) -> tuple:
+def adjoint_indices(a: RingAnalysis, indices=None) -> tuple:
     """Adjoint of the sub-hypergroup on the closed set `indices` (default: the
     whole ring): generated, inside it, by the constituents of x x* over its
     members x, which are the support of its regular element I(1)."""
-    inside = np.ones(data.rank, dtype=bool)
+    inside = np.ones(a.data.rank, dtype=bool)
     if indices is not None:
         inside[:] = False
         inside[[0, *indices]] = True
-    seeds = _self_products(data, tol)[inside].any(axis=0) & inside
-    return _close(data, data.support_at(tol) & inside, seeds)
+    seeds = _self_products(a)[inside].any(axis=0) & inside
+    return _close(a, a.support & inside, seeds)
 
 
 def adjoint(a: RingAnalysis) -> SubHypergroup:
     """H_ad = <I(1)>, with the Prop-6.4 support cross-check J_ad = {j : n_j = FPdim}."""
-    ad = SubHypergroup(adjoint_indices(a.data, None, a.tol), a.data)
+    ad = SubHypergroup(adjoint_indices(a), a.data)
     by_codegree = frozenset(a.grouplike_chars)
     js = support(a, ad)
     if js != by_codegree:
@@ -236,9 +235,9 @@ def support(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
 
 # ---------------------------------------------------------------- grading
 
-def grouplike_indices(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> tuple:
+def grouplike_indices(a: RingAnalysis) -> tuple:
     """Basis elements with x x* supported on the unit alone (Def of grouplike)."""
-    xx = _self_products(data, tol)
+    xx = _self_products(a)
     unit_only = xx[:, 0] & ~xx[:, 1:].any(axis=1)
     return tuple(np.flatnonzero(unit_only).tolist())
 
@@ -270,11 +269,10 @@ def universal_grading(a: RingAnalysis) -> GradingResult:
     the character-side partition and the component count |G(H-hat)| are
     mandatory cross-checks.
     """
-    data, tol = a.data, a.tol
     if not a.flags.real_non_negative:
         raise HypergroupError("universal grading needs RN data")
-    m = data.rank
-    S = data.support_at(tol)
+    m = a.data.rank
+    S = a.support
     ad = a.adjoint.indices
     # linked[a, b]: x_b is a constituent of s x_a or x_a s for some s in H_ad
     linked = S[list(ad)].any(axis=0) | S[:, list(ad)].any(axis=1)
@@ -343,7 +341,7 @@ def _grading_spectral_checks(a: RingAnalysis, components):
 def perp(a: RingAnalysis, sub: SubHypergroup) -> frozenset:
     """S-perp: characters restricting to FPdim on the sub-hypergroup S (else
     ClosureViolation); biperp must return S."""
-    _check_sub(a.data, sub.indices, a.tol)
+    _check_sub(a, sub)
     out = np.flatnonzero(a.fp_agreement[list(sub.indices)].all(axis=0)).tolist()
     back = perp_characters(a, out)
     if back != frozenset(sub.indices):
@@ -383,7 +381,7 @@ def quotient(a: RingAnalysis, sub: SubHypergroup) -> tuple:
 
     m = data.rank
     # reach[p, w]: x_w is a constituent of x_p s for some s in S
-    reach = normalized.support_at(tol)[:, list(sub.indices)].any(axis=1)
+    reach = _constituents(normalized, tol)[:, list(sub.indices)].any(axis=1)
     meets = np.triu(reach @ reach.T, 1)
     label = components(m, *np.nonzero(meets))
     classes = [tuple(np.flatnonzero(label == c).tolist()) for c in range(label.max() + 1)]
@@ -432,46 +430,44 @@ def _harrison_check(a: RingAnalysis, sperp, quot, classes):
 
 # ---------------------------------------------------------------- commutator and series
 
-def commutator_indices(data: FusionData, indices, tol: Tolerance = DEFAULT_TOL) -> tuple:
+def commutator_indices(a: RingAnalysis, indices) -> tuple:
     """Closure of the x with supp(x x*) inside `indices`."""
-    outside = np.ones(data.rank, dtype=bool)
+    outside = np.ones(a.data.rank, dtype=bool)
     outside[list(indices)] = False
-    seeds = ~(_self_products(data, tol) & outside).any(axis=1)
-    return _close(data, data.support_at(tol), seeds)
+    seeds = ~(_self_products(a) & outside).any(axis=1)
+    return _close(a, a.support, seeds)
 
 
-def commutator_sub(
-    data: FusionData, sub: SubHypergroup, tol: Tolerance = DEFAULT_TOL
-) -> SubHypergroup:
+def commutator_sub(a: RingAnalysis, sub: SubHypergroup) -> SubHypergroup:
     """S^co: generated by all x with supp(x x*) inside S; the sandwich law
     (S^co)_ad <= S <= (S_ad)^co is asserted.
     The tensor must pass the axioms (else AxiomViolation) and `sub` must be a
     sub-hypergroup (else ClosureViolation)."""
-    data.flags_at(tol)
-    _check_sub(data, sub.indices, tol)
-    co = commutator_indices(data, sub.indices, tol)
+    a.flags
+    _check_sub(a, sub)
+    co = commutator_indices(a, sub.indices)
     # (S^co)_ad <= S <= (S_ad)^co
-    co_ad = adjoint_indices(data, co, tol)
-    s_ad = adjoint_indices(data, sub.indices, tol)
-    s_ad_co = commutator_indices(data, s_ad, tol)
+    co_ad = adjoint_indices(a, co)
+    s_ad = adjoint_indices(a, sub.indices)
+    s_ad_co = commutator_indices(a, s_ad)
     if not (set(co_ad) <= set(sub.indices) <= set(s_ad_co)):
         raise CrossCheckFailed(
             f"sandwich: (S^co)_ad = {co_ad}, S = {sub.indices}, (S_ad)^co = {s_ad_co}"
         )
-    return SubHypergroup(co, data)
+    return SubHypergroup(co, a.data)
 
 
-def central_series(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> CentralSeries:
+def central_series(a: RingAnalysis) -> CentralSeries:
     """Upper series by iterated adjoints, lower by iterated commutators.
 
     The tensor must pass the axioms (else AxiomViolation), and the two
     characterizations of nilpotency must agree (H^(n) trivial iff H_(n) is
     everything)."""
-    data.flags_at(tol)
-    m = data.rank
+    a.flags
+    m = a.data.rank
     upper = [tuple(range(m))]
     while True:
-        nxt = adjoint_indices(data, upper[-1], tol)
+        nxt = adjoint_indices(a, upper[-1])
         if nxt == upper[-1]:
             break
         upper.append(nxt)
@@ -479,7 +475,7 @@ def central_series(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> CentralSer
             break
     lower = [(0,)]
     while True:
-        nxt = commutator_indices(data, lower[-1], tol)
+        nxt = commutator_indices(a, lower[-1])
         if nxt == lower[-1]:
             break
         lower.append(nxt)
@@ -496,30 +492,26 @@ def central_series(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> CentralSer
             f"series: upper series class {cls} vs lower series class {lower_cls}"
         )
     return CentralSeries(
-        upper=tuple(SubHypergroup(u, data) for u in upper),
-        lower=tuple(SubHypergroup(l, data) for l in lower),
+        upper=tuple(SubHypergroup(u, a.data) for u in upper),
+        lower=tuple(SubHypergroup(l, a.data) for l in lower),
         nilpotency_class=cls,
     )
 
 
-def is_nilpotent(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> int | None:
-    return central_series(data, tol).nilpotency_class
-
-
-def all_sub_hypergroups(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> list:
+def all_sub_hypergroups(a: RingAnalysis) -> list:
     """Every sub-hypergroup, as the join-closure of singleton-generated subs.
 
     The tests check the join law J_{S v T} = J_S n J_T over its output."""
-    gens = {closure(data, [i], tol) for i in range(data.rank)}
+    gens = {closure(a, [i]) for i in range(a.data.rank)}
     subs = set(gens)
     frontier = set(gens)
     while frontier:
         new = set()
         for s in frontier:
             for t in gens:
-                joined = closure(data, set(s) | set(t), tol)
+                joined = closure(a, set(s) | set(t))
                 if joined not in subs:
                     new.add(joined)
         subs |= new
         frontier = new
-    return [SubHypergroup(s, data) for s in sorted(subs, key=lambda s: (len(s), s))]
+    return [SubHypergroup(s, a.data) for s in sorted(subs, key=lambda s: (len(s), s))]

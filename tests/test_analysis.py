@@ -98,8 +98,11 @@ def test_a_corpus_pass_checks_each_fp_column_once():
 
 def test_analyze_builds_the_support_tensor_once():
     ring = rep_ring(catalog("S4"))
-    with mock.patch.object(core, "_constituents", wraps=core._constituents) as spy:
+    try:
+        spy = _spy_everywhere(core._constituents)
         analyze(ring, modular_candidate=True)
+    finally:
+        mock.patch.stopall()
     assert sum(c.args[0] is ring for c in spy.call_args_list) == 1
 
 
@@ -264,6 +267,27 @@ def test_no_public_function_takes_a_ring_and_a_table():
     reads both takes the RingAnalysis that holds them."""
     found = {path.name: ring_and_table_signatures(path.read_text()) for path in SRC.rglob("*.py")}
     assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def test_every_stage_reads_the_ring_at_its_analysis_tolerance():
+    """A stage that took a ring and a tolerance could read the ring at a
+    tolerance other than its analysis's: the stages import no default
+    tolerance, no public function of theirs takes a ring as `data`, and the
+    constituent relation lives on the analysis alone."""
+    stages = ["structure", "criteria", "burnside", "galois", "dual"]
+    found = {}
+    for stage in stages:
+        tree = ast.parse((SRC / f"{stage}.py").read_text())
+        imports = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.name == "DEFAULT_TOL"]
+        params = [f"{node.name}({p.arg})" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  for p in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+                  if p.arg == "data"]
+        if imports or params:
+            found[stage] = imports + params
+    assert found == {}
+    assert not hasattr(hg.FusionData, "support_at")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hypergroups import builders as bd
+from hypergroups.analysis import RingAnalysis
 from hypergroups.core import FusionData, rescale
 from hypergroups.cli import _batch_line, _build_parser, _solver_flags, _tol, main
 from hypergroups.tolerance import DEFAULT_TOL
@@ -173,7 +174,7 @@ def test_a_negative_structure_constant_is_a_constituent(tmp_path, capsys):
     ring = FusionData("signed", [0, 1], [[[1, 0], [0, 1]], [[0, 1], [1, Fraction(-1, 2)]]])
     floating = FusionData("signed", [0, 1], ring.float_tensor())
     for data in (ring, floating):
-        assert data.support_at(DEFAULT_TOL)[1, 1].tolist() == [True, True]
+        assert RingAnalysis(data).support[1, 1].tolist() == [True, True]
     path = str(tmp_path / "signed.json")
     bd.dump(ring, path)
     code, _, err = run(capsys, "analyze", path)

@@ -451,7 +451,7 @@ def test_multiply_exactness(s3_rep):
     [
         (lambda r, a: hg.multiply(r, hg.Element((1, 0)), hg.basis_element(r, 1)),
          "element length != rank"),
-        (lambda r, a: hg.generated_sub(r, hg.Element((1, 0, 0, 1))), "element length != rank"),
+        (lambda r, a: hg.generated_sub(a, hg.Element((1, 0, 0, 1))), "element length != rank"),
         (lambda r, a: hg.kernel_of_element(a, hg.Element((1, 0))), "element length != rank"),
         (lambda r, a: hg.verify_fp_value(r, (1, 0), 1), "element length != rank"),
         (lambda r, a: hg.regular_element(r, [0, 5]), r"indices \[5\] are out of range for rank 3"),
@@ -463,11 +463,20 @@ def test_multiply_exactness(s3_rep):
         (lambda r, a: hg.kernel_of_character(a, -1), r"indices \[-1\] are out of range for rank 3"),
         (lambda r, a: st.center_of_element(a, 3), r"indices \[3\] are out of range for rank 3"),
         (lambda r, a: st.center_of_element(a, -1), r"indices \[-1\] are out of range for rank 3"),
+        # a float is not truncated to an index, and a bool is not an index
+        (lambda r, a: hg.regular_element(r, [1.7]), r"indices \[1.7\] are out of range for rank 3"),
+        (lambda r, a: hg.regular_element(r, [True]), r"indices \[True\] are out of range for rank 3"),
+        (lambda r, a: hg.basis_element(r, 1.5), r"indices \[1.5\] are out of range for rank 3"),
+        (lambda r, a: hg.kernel_of_character(a, 1.5), r"indices \[1.5\] are out of range for rank 3"),
+        (lambda r, a: st.center_of_element(a, 1.5), r"indices \[1.5\] are out of range for rank 3"),
+        (lambda r, a: st.center_of_element(a, False), r"indices \[False\] are out of range for rank 3"),
     ],
     ids=["multiply", "generated_sub", "kernel_of_element", "verify_fp_value",
          "regular_element", "regular_element_negative", "basis_element", "basis_element_negative",
          "kernel_of_character", "kernel_of_character_negative", "center_of_element",
-         "center_of_element_negative"],
+         "center_of_element_negative", "regular_element_float", "regular_element_bool",
+         "basis_element_float", "kernel_of_character_float", "center_of_element_float",
+         "center_of_element_bool"],
 )
 def test_an_element_of_the_wrong_length_is_a_dimension_mismatch(ising_ring, call, message):
     with pytest.raises(DimensionMismatch, match=message):

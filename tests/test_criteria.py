@@ -88,10 +88,10 @@ def test_divisibility_not_applicable(s3_rep):
 
 
 def test_near_group_detection(ising_ring, fib_ring):
-    assert cr.detect_near_group(ising_ring) == (2, 0)
-    assert cr.detect_near_group(fib_ring) == (1, 1)
-    assert cr.detect_near_group(near_group([3], 3)) == (3, 3)
-    assert cr.detect_near_group(group_ring(catalog("C4"))) is None
+    assert cr.detect_near_group(hg.RingAnalysis(ising_ring)) == (2, 0)
+    assert cr.detect_near_group(hg.RingAnalysis(fib_ring)) == (1, 1)
+    assert cr.detect_near_group(hg.RingAnalysis(near_group([3], 3))) == (3, 3)
+    assert cr.detect_near_group(hg.RingAnalysis(group_ring(catalog("C4")))) is None
 
 
 def test_near_group_modular_verdicts(ising_ring, fib_ring):

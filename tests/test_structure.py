@@ -14,17 +14,18 @@ from conftest import s3_indices
 
 
 def test_generated_sub_examples(ising_ring, s3_rep):
+    ising = hg.RingAnalysis(ising_ring)
     one = hg.basis_element(ising_ring, 0)
-    assert st.generated_sub(ising_ring, one).indices == (0,)
+    assert st.generated_sub(ising, one).indices == (0,)
     rho = hg.basis_element(ising_ring, 2)
-    assert st.generated_sub(ising_ring, rho).indices == (0, 1, 2)
+    assert st.generated_sub(ising, rho).indices == (0, 1, 2)
     s, _ = s3_indices(s3_rep)
-    assert st.generated_sub(s3_rep, hg.basis_element(s3_rep, s)).indices == (0, s)
+    assert st.generated_sub(hg.RingAnalysis(s3_rep), hg.basis_element(s3_rep, s)).indices == (0, s)
 
 
 def test_generated_sub_rejects_negative(ising_ring):
     with pytest.raises(NotPositive):
-        st.generated_sub(ising_ring, hg.Element((1, -1, 0)))
+        st.generated_sub(hg.RingAnalysis(ising_ring), hg.Element((1, -1, 0)))
 
 
 def test_kernel_of_character(ising_ring, ising_table, s3_rep, s3_table):
@@ -238,21 +239,22 @@ def test_quotient_rejects_nonabelian():
 def test_commutator_examples(ising_ring, s3_rep):
     # S = {0}: commutator = grouplikes
     z4 = group_ring(catalog("C4"))
-    assert st.commutator_sub(z4, st.SubHypergroup((0,), z4)).indices == (0, 1, 2, 3)
+    assert st.commutator_sub(hg.RingAnalysis(z4), st.SubHypergroup((0,), z4)).indices == (0, 1, 2, 3)
     sub = st.SubHypergroup((0, 1), ising_ring)
-    assert st.commutator_sub(ising_ring, sub).indices == (0, 1, 2)
+    assert st.commutator_sub(hg.RingAnalysis(ising_ring), sub).indices == (0, 1, 2)
     s, _ = s3_indices(s3_rep)
-    assert st.commutator_sub(s3_rep, st.SubHypergroup((0, s), s3_rep)).indices == (0, s)
+    sub = st.SubHypergroup((0, s), s3_rep)
+    assert st.commutator_sub(hg.RingAnalysis(s3_rep), sub).indices == (0, s)
 
 
 def test_central_series(ising_ring, s3_rep):
     z6 = group_ring(catalog("C6"))
-    assert st.central_series(z6).nilpotency_class == 1
-    cs = st.central_series(ising_ring)
+    assert st.central_series(hg.RingAnalysis(z6)).nilpotency_class == 1
+    cs = st.central_series(hg.RingAnalysis(ising_ring))
     assert cs.nilpotency_class == 2
     assert [s.indices for s in cs.upper] == [(0, 1, 2), (0, 1), (0,)]
     assert [s.indices for s in cs.lower] == [(0,), (0, 1), (0, 1, 2)]
-    assert st.central_series(s3_rep).nilpotency_class is None
+    assert st.central_series(hg.RingAnalysis(s3_rep)).nilpotency_class is None
 
 
 def test_nilpotency_matches_group_nilpotency():
@@ -261,17 +263,17 @@ def test_nilpotency_matches_group_nilpotency():
 
     for name in catalog_names():
         ring = rep_ring(catalog(name))
-        got = st.is_nilpotent(ring) is not None
+        got = hg.RingAnalysis(ring).series.nilpotency_class is not None
         assert got == (name in NILPOTENT_CATALOG), name
 
 
 def test_dual_nilpotency_class_equal(corpus_with_tables):
     # Theorem: H nilpotent iff dual nilpotent, same class (dualizable corpus rings)
     for ring, _ in corpus_with_tables:
-        dual = hg.RingAnalysis(ring).dual.data
-        if not dual.flags.real_non_negative:
+        a = hg.RingAnalysis(ring)
+        if not a.dual.flags.real_non_negative:
             continue
-        assert st.is_nilpotent(ring) == st.is_nilpotent(dual), ring.name
+        assert a.series.nilpotency_class == a.dual.series.nilpotency_class, ring.name
 
 
 def test_brauer_criterion(corpus_with_tables):
@@ -282,7 +284,7 @@ def test_brauer_criterion(corpus_with_tables):
         a = hg.RingAnalysis(ring)
         for i in range(ring.rank):
             x = hg.basis_element(ring, i)
-            gen = st.generated_sub(ring, x)
+            gen = st.generated_sub(a, x)
             ker = st.kernel_of_element(a, x)
             assert gen.is_whole == (ker == frozenset({table.fp_index})), ring.name
             js = st.support(a, gen)
@@ -298,21 +300,21 @@ def test_p_squared_generates_adjoint(corpus_with_tables):
         P = bn.product_P(a)
         P2 = hg.multiply(ring, P, P)
         ad = set(st.adjoint(a).indices)
-        assert set(st.generated_sub(ring, P2).indices) == ad, ring.name
-        assert ad <= set(st.generated_sub(ring, P).indices), ring.name
+        assert set(st.generated_sub(a, P2).indices) == ad, ring.name
+        assert ad <= set(st.generated_sub(a, P).indices), ring.name
 
 
 def test_join_support_law(full_corpus):
     # J_{S v T} = J_S n J_T for rings with few sub-hypergroups
     for ring in full_corpus:
-        subs = st.all_sub_hypergroups(ring)
+        a = hg.RingAnalysis(ring)
+        subs = st.all_sub_hypergroups(a)
         if len(subs) > 8:
             continue
-        a = hg.RingAnalysis(ring)
         for s1 in subs:
             for s2 in subs:
                 join = st.SubHypergroup(
-                    st.closure(ring, set(s1.indices) | set(s2.indices)), ring
+                    st.closure(a, set(s1.indices) | set(s2.indices)), ring
                 )
                 lhs = st.support(a, join)
                 rhs = st.support(a, s1) & st.support(a, s2)
@@ -324,8 +326,8 @@ def test_grouplike_constituent_law(corpus_with_tables):
     for ring, table in corpus_with_tables[:16]:
         if table.fp_index is None:
             continue
-        support = ring.support_at(table.tol)
-        gl = hg.RingAnalysis(ring).grouplikes
+        a = hg.RingAnalysis(ring, table.tol)
+        support, gl = a.support, a.grouplikes
         d = table.fp_dims()
         inv = ring.involution
         for g in gl:
@@ -362,14 +364,20 @@ def test_quotient_vanishing_lift():
             assert member in vanish
 
 
-def test_sub_arguments_are_checked():
+def test_sub_arguments_are_checked(ising_ring):
     z4 = group_ring(catalog("C4"))
     with pytest.raises(ClosureViolation, match="not closed"):
         st.quotient(hg.RingAnalysis(z4), st.SubHypergroup((0, 1), z4))
     with pytest.raises(ClosureViolation, match="out of range"):
         st.quotient(hg.RingAnalysis(z4), st.SubHypergroup((0, 7), z4))
     with pytest.raises(ClosureViolation, match="not closed"):
-        st.commutator_sub(z4, st.SubHypergroup((0, 1), z4))
+        st.commutator_sub(hg.RingAnalysis(z4), st.SubHypergroup((0, 1), z4))
+    # an index outside the ring is the caller's error, not a failed check
+    ising = hg.RingAnalysis(ising_ring)
+    with pytest.raises(ClosureViolation, match=r"indices \[9\] are out of range for rank 3"):
+        st.support(ising, st.SubHypergroup((0, 9), ising_ring))
+    with pytest.raises(ClosureViolation, match=r"indices \[-1\] are out of range for rank 3"):
+        st.support(ising, st.SubHypergroup((0, -1), ising_ring))
 
 
 def test_quotient_of_irrational_and_float_rings(ising_ring):
@@ -383,19 +391,22 @@ def test_quotient_of_irrational_and_float_rings(ising_ring):
 
 
 def test_one_support_tensor_per_tolerance(ising_ring):
-    support = ising_ring.support_at(hg.Tolerance(abs=1e-3, rel=1e-3))
-    assert support is ising_ring.support_at(hg.Tolerance())  # exact: one key
+    a = hg.RingAnalysis(ising_ring, hg.Tolerance(abs=1e-3, rel=1e-3))
+    support = a.support
+    assert support is a.support  # built once per analysis
+    assert (support == hg.RingAnalysis(ising_ring).support).all()  # exact: any tolerance
     assert support.dtype == bool and not support.flags.writeable
     assert (support == (ising_ring.float_tensor() > 0)).all()
     floaty = hg.FusionData("Ising/float", ising_ring.involution, ising_ring.float_tensor())
     loose, tight = hg.Tolerance(abs=10.0, rel=1e-9), hg.Tolerance()
-    assert not floaty.support_at(loose).any()  # every entry is below the threshold
-    assert (floaty.support_at(tight) == support).all()
+    assert not hg.RingAnalysis(floaty, loose).support.any()  # every entry is below the threshold
+    assert (hg.RingAnalysis(floaty, tight).support == support).all()
 
 
 # ---------------------------------------------------------------- set-based references
-# The element-by-element constituent relation that support_at replaced, kept
-# here as an independent reference for the boolean-array readers.
+# The element-by-element constituent relation that the boolean tensor
+# `RingAnalysis.support` replaced, kept here as an independent reference for
+# the boolean-array readers.
 
 def _ref_threshold(data, tol):
     if data.is_exact:
@@ -435,7 +446,7 @@ def _ref_restrict(data, indices):
 
 def _ref_adjoint(data, indices, tol):
     sub, back = (data, list(range(data.rank))) if indices is None else _ref_restrict(data, indices)
-    seeds = st.element_support(hg.regular_element(sub), tol)
+    seeds = st.element_support(hg.RingAnalysis(sub, tol), hg.regular_element(sub))
     return tuple(sorted(back[i] for i in _ref_closure(sub, seeds, tol)))
 
 
@@ -513,21 +524,22 @@ def test_support_readers_match_set_based_references(full_corpus, tol):
     for seed, ring in enumerate(full_corpus):
         for data in _variants(ring, seed):
             name = data.name
+            a = hg.RingAnalysis(data, tol)
             for i in range(data.rank):
-                assert st.closure(data, [i], tol) == _ref_closure(data, [i], tol), (name, i)
-            assert st.grouplike_indices(data, tol) == _ref_grouplikes(data, tol), name
-            subs = [s.indices for s in st.all_sub_hypergroups(data, tol)]
-            assert st.adjoint_indices(data, None, tol) == _ref_adjoint(data, None, tol), name
+                assert st.closure(a, [i]) == _ref_closure(data, [i], tol), (name, i)
+            assert st.grouplike_indices(a) == _ref_grouplikes(data, tol), name
+            subs = [s.indices for s in st.all_sub_hypergroups(a)]
+            assert st.adjoint_indices(a) == _ref_adjoint(data, None, tol), name
             for s in subs:
-                assert st.adjoint_indices(data, s, tol) == _ref_adjoint(data, s, tol), (name, s)
-                assert st.commutator_indices(data, s, tol) == _ref_commutator(data, s, tol), (
+                assert st.adjoint_indices(a, s) == _ref_adjoint(data, s, tol), (name, s)
+                assert st.commutator_indices(a, s) == _ref_commutator(data, s, tol), (
                     name,
                     s,
                 )
-            series = st.central_series(data, tol)
+            series = st.central_series(a)
             assert (
                 [u.indices for u in series.upper],
                 [low.indices for low in series.lower],
             ) == _ref_series(data, tol), name
-            grading = st.universal_grading(hg.RingAnalysis(data, tol))
+            grading = st.universal_grading(a)
             assert grading.components == _ref_grading_components(data, tol), name
