@@ -28,8 +28,8 @@ def show(ring):
     print(f"dual: RN={fl.real_non_negative} rational={fl.rational} h-integral={fl.h_integral}")
     print("dual orders h-hat_j:", np.round(a.orders_hat, 6))
     print("dual codegrees:", np.round(hg.dual_codegrees(a), 6))
-    perm = hg.double_dual_check(a)
-    print("double dual isomorphic to the normalized ring via", perm)
+    hg.double_dual_check(a)
+    print("double dual isomorphic to the normalized ring via", a.dual_match.tolist())
 
 
 if __name__ == "__main__":

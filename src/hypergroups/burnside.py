@@ -34,18 +34,7 @@ __all__ = [
     "sgn_values",
     "identity_checks",
     "burnside_report",
-    "grouplike_closure_ok",
 ]
-
-
-def grouplike_closure_ok(a: RingAnalysis) -> bool:
-    """Whether the grouplikes are closed under product (single support) and involution."""
-    gl = sorted(a.grouplikes)
-    if any(a.data.involution[i] not in gl for i in gl):
-        return False
-    products = a.support[np.ix_(gl, gl)]
-    inside = products[..., gl].sum(axis=2)
-    return bool((inside == 1).all() and (products.sum(axis=2) == 1).all())
 
 
 def vanishing_elements(a: RingAnalysis) -> tuple:
@@ -232,7 +221,10 @@ def identity_checks(a: RingAnalysis) -> dict:
 
 def burnside_report(a: RingAnalysis) -> dict:
     """The report's `burnside` section: both verdicts with their witnesses,
-    the grouplikes, the vanishing set, the signs and grouplike closure."""
+    the grouplikes and grouplike characters, the vanishing set and its
+    complement, and the signs.  Each value is read from `a`; the grouplikes
+    of a validated hypergroup always form a group, so their closure is no
+    field."""
     burn, w1 = a.burnside
     dual_burn, w2 = a.dual_burnside
     sgn_el, sgn_ch = sgn_values(a)
@@ -247,5 +239,4 @@ def burnside_report(a: RingAnalysis) -> dict:
         "dual_witness": w2,
         "sgn_elements": {str(k): v for k, v in sorted(sgn_el.items())},
         "sgn_characters": {str(k): v for k, v in sorted(sgn_ch.items())},
-        "grouplike_closure_ok": grouplike_closure_ok(a),
     }

@@ -38,10 +38,21 @@ from .tolerance import DEFAULT_TOL, Tolerance
 __all__ = ["main"]
 
 
+def _seed(text: str) -> int:
+    """A solver seed: a non-negative int, which numpy's default_rng requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} is negative")
+    return seed
+
+
 def _solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.abs, help="absolute tolerance")
     p.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel, help="relative tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for the spectral solver")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the spectral solver (>= 0)")
 
 
 def _analysis_flags(p: argparse.ArgumentParser):

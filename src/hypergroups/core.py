@@ -206,9 +206,9 @@ def _constituents(data: FusionData, tol: Tolerance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlagSet:
+    # no `real` flag: FusionData rejects complex scalars, so every tensor is real
     symmetric: bool
     normalized: bool
-    real: bool
     rational: bool
     real_non_negative: bool
     abelian: bool
@@ -248,14 +248,17 @@ def check_length(data: FusionData, *elements) -> None:
         raise DimensionMismatch("element length != rank")
 
 
+def _bad_indices(rank: int, indices) -> list:
+    """The entries of `indices` that name no basis element: an index is an
+    integer 0 <= i < rank, so a negative index does not wrap, and a float or
+    a bool is not an index."""
+    return [i for i in indices
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rank]
+
+
 def check_indices(data: FusionData, indices) -> None:
-    """Raise DimensionMismatch unless each index is an integer that names a
-    basis element, 0 <= i < rank: a negative index does not wrap, and a float
-    or a bool is not an index."""
-    outside = [
-        i for i in indices
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < data.rank
-    ]
+    """Raise DimensionMismatch unless each index names a basis element."""
+    outside = _bad_indices(data.rank, indices)
     if outside:
         shown = ", ".join(map(str, outside))
         raise DimensionMismatch(f"indices [{shown}] are out of range for rank {data.rank}")
@@ -270,11 +273,12 @@ def basis_element(data: FusionData, i: int) -> Element:
 
 def regular_element(data: FusionData, indices=None) -> Element:
     """I_S(1) = sum_{i in S} h_i x_i x_{i*} = sum_{i in S} N_{ii*} / N_{ii*}^0
-    over the basis indices S (default: all, giving I(1)); exact on an exact
-    tensor, where it is sum_{i in S} C_{ii*} / C_{ii*}^0 (L cancels)."""
+    over the set S of basis indices (default: all, giving I(1); a repeated
+    index counts once); exact on an exact tensor, where it is
+    sum_{i in S} C_{ii*} / C_{ii*}^0 (L cancels)."""
     if indices is not None:
         check_indices(data, indices)
-    idx = np.arange(data.rank) if indices is None else np.asarray(indices, dtype=int)
+    idx = np.arange(data.rank) if indices is None else np.asarray(sorted(set(indices)), dtype=int)
     pairs = idx, np.array(data.involution)[idx]
     rows = (data.integer_tensor()[1] if data.is_exact else data.tensor)[pairs]
     if not rows[:, 0].all():
@@ -460,7 +464,6 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> FlagSet:
     return FlagSet(
         symmetric=bool((np.abs(col0 - col0.T) <= zero).all()),
         normalized=bool((np.abs(A.sum(axis=2) - one) <= eps(max(s, 1.0) * m)).all()),
-        real=True,
         rational=exact,
         real_non_negative=rn,
         abelian=bool((np.abs(A - A.transpose(1, 0, 2)) <= zero).all()),

@@ -116,14 +116,15 @@ def dual_codegrees(a: RingAnalysis) -> np.ndarray:
     return nhat
 
 
-def double_dual_check(a: RingAnalysis) -> tuple:
-    """Find the basis permutation identifying dual(dual(H)) with H normalized
-    by the FP character, through the dual of the analysis.
+def double_dual_check(a: RingAnalysis) -> None:
+    """Check that dual(dual(H)) is H normalized by the FP character, through
+    the dual of the analysis.
 
     The normalized primal is N_ij^k d_k / (d_i d_j), in float from the
     analysis's FP column `a.d`, which first passes `normalizing_column`.
-    Returns pi such that ddual.tensor[pi[a], pi[b], pi[c]] matches it
-    entrywise within tol.
+    With pi = `a.dual_match`, ddual.tensor[pi[a], pi[b], pi[c]] must match it
+    entrywise within tol.  Returns nothing and raises CrossCheckFailed on a
+    mismatch.
     """
     tol = a.tol
     # dd2 basis element p is dual-table column p, and primal index i sits at
@@ -138,4 +139,3 @@ def double_dual_check(a: RingAnalysis) -> tuple:
     resid = float(np.abs(T2[np.ix_(pi, pi, pi)] - T1).max())
     tol.check(resid, ROUTE_SLACK, 1.0 + np.abs(T1).max(),
               "double dual: mismatch, residual {:.3e}", resid)
-    return tuple(int(x) for x in pi)

@@ -7,6 +7,9 @@ structured output).  Each section is read from one RingAnalysis: the
 `burnside` section is `burnside_report`, the residuals are `identity_checks`,
 and the categorification-obstruction note is written when the `burnside`
 exclusion verdict excludes the ring.
+
+Every field holds a value some ring can change: the checks that only pass or
+raise (`double_dual_check`, `check_codegree_conjugation`) write no field.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class AnalysisReport:
     tolerances: dict
     version: str = _version
     fp_dims: list | None = None
-    fp_dim_total: float | None = None
     character_table: list | None = None
     codegrees: list | None = None
     order: float | None = None
@@ -110,7 +112,6 @@ def analyze(
         return report
 
     report.fp_dims = [_round(x) for x in a.d]
-    report.fp_dim_total = _round(a.n_h)
     report.order = _round(a.n_h)
 
     dfl = a.dual.flags
@@ -123,7 +124,6 @@ def analyze(
         "rational": dfl.rational,
         "h_integral": dfl.h_integral,
         "codegrees_hat": [_round(x) for x in nhat],
-        "double_dual_isomorphic": True,
     }
 
     report.burnside = burnside_report(a)
@@ -153,8 +153,6 @@ def analyze(
             "max_certificate_residual": _round(
                 max((v for v in orbits.certificates.values()), default=0.0)
             ),
-            # check_codegree_conjugation raises CrossCheckFailed otherwise
-            "codegree_conjugation_ok": True,
         }
 
     if flags.fusion_ring:
@@ -186,7 +184,7 @@ def render_text(report: AnalysisReport) -> str:
     lines.append(f"flags: {', '.join(flags_on) if flags_on else 'none'}")
     if report.fp_dims is not None:
         lines.append(f"FP dims: {report.fp_dims}")
-        lines.append(f"FPdim(H) = {report.fp_dim_total}  ({report.weak_integrality})")
+        lines.append(f"FPdim(H) = {report.order}  ({report.weak_integrality})")
     if report.codegrees is not None:
         lines.append(f"formal codegrees: {report.codegrees}")
     if report.dual is not None:

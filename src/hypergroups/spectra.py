@@ -254,10 +254,11 @@ def integral_element(a: RingAnalysis) -> Element:
 def integral_element_of_subset(a: RingAnalysis, indices) -> Element:
     """Integral of the sub-hypergroup spanned by `indices`, embedded in the parent.
 
-    lambda_S = (1/n(S)) sum_{i in S} h_{i*} d_{i*} x_i with n(S) = sum h_i d_i^2.
+    lambda_S = (1/n(S)) sum_{i in S} h_{i*} d_{i*} x_i with n(S) = sum h_i d_i^2,
+    over the set S of `indices` (a repeated index counts once).
     """
     d, h, inv = a.d, a.table.h, a.data.involution
-    idx = sorted(indices)
+    idx = sorted(set(indices))
     n_s = float(sum(h[i] * d[i] ** 2 for i in idx))
     coords = [0.0] * a.data.rank
     for i in idx:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Element, FusionData, _constituents, check_indices, check_length, components, normalize
+from .core import Element, FusionData, _bad_indices, _constituents, check_indices, check_length, components, normalize
 from .errors import ClosureViolation, CrossCheckFailed, HypergroupError, NotAbelian, NotPositive
 from .spectra import _match_columns, character_table, integral_element_of_subset
 from .tolerance import GRADING_DIGITS, IDENTITY_SLACK, ROUTE_SLACK, VALUE_SLACK
@@ -61,7 +61,7 @@ class SubHypergroup:
     parent: FusionData
 
     def __post_init__(self):
-        outside = [i for i in self.indices if not 0 <= i < self.parent.rank]
+        outside = _bad_indices(self.parent.rank, self.indices)
         if outside:
             raise ClosureViolation(
                 f"indices {outside} are out of range for rank {self.parent.rank}"

@@ -173,7 +173,7 @@ def test_near_groups_that_failed_rescale_now_report():
     assert abs(max(k81.fp_dims) - (1 + math.sqrt(33)) / 2) < 1e-9
     assert k81.burnside["is_burnside"] and not k81.burnside["is_dual_burnside"]
     assert k81.nilpotency_class is None
-    assert k30.dual["double_dual_isomorphic"] and k81.dual["double_dual_isomorphic"]
+    assert k30.dual is not None and k81.dual is not None
 
 
 def test_dim_squares_are_exact_where_the_fp_column_is_not():
@@ -336,3 +336,61 @@ def test_every_record_field_is_read():
     reading = defining + [path.read_text() for folder in (tests, tests.parent / "demos")
                           for path in folder.rglob("*.py")]
     assert unread_fields(defining, reading) == []
+
+
+# (module, function) whose every write into a record must be computed: a
+# literal True or False there is a field no ring can change
+RECORD_WRITERS = [("report.py", "analyze"), ("burnside.py", "burnside_report"),
+                  ("core.py", "validate")]
+
+
+def literal_record_values(source: str, function: str) -> list:
+    """The line numbers at which `function` in `source` writes a literal
+    True or False into a record: as a dict value, as a keyword argument, or
+    assigned to an attribute or to an item of one (`r.x = True`,
+    `r.x["k"] = False`).  An item of a local array (`mask[i] = True`) is not
+    a record."""
+    def is_record(target):
+        return isinstance(target, ast.Attribute) or (
+            isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute))
+
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name != function:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Dict):
+                values = node.values
+            elif isinstance(node, ast.Call):
+                values = [k.value for k in node.keywords]
+            elif isinstance(node, ast.Assign) and any(map(is_record, node.targets)):
+                values = [node.value]
+            else:
+                continue
+            found += [v.lineno for v in values
+                      if isinstance(v, ast.Constant) and isinstance(v.value, bool)]
+    return sorted(found)
+
+
+def test_guard_sees_a_literal_record_value():
+    source = (
+        "def build(a, mask):\n"
+        "    r = R(kind='x', real=True)\n"
+        "    r.dual = {'rn': a.rn, 'iso': True}\n"
+        "    r.galois['ok'] = False\n"
+        "    r.flag = True\n"
+        "    mask[0] = True\n"
+        "    done = False\n"
+        "    return sorted(a, key=len)\n"
+        "def other():\n"
+        "    return {'x': True}\n"
+    )
+    assert literal_record_values(source, "build") == [2, 3, 4, 5]
+
+
+def test_no_report_value_is_a_literal_bool():
+    """A check that passes or raises has no False to report: its field would
+    be True in every report, so the report writes only computed values."""
+    found = {f"{module}:{function}": literal_record_values((SRC / module).read_text(), function)
+             for module, function in RECORD_WRITERS}
+    assert {k: v for k, v in found.items() if v} == {}

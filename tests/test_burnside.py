@@ -260,9 +260,8 @@ def test_burnside_report_assembly(ising_ring):
     assert list(rep) == [
         "grouplike_elements", "vanishing_elements", "nonvanishing", "is_burnside",
         "burnside_witness", "grouplike_characters", "is_dual_burnside", "dual_witness",
-        "sgn_elements", "sgn_characters", "grouplike_closure_ok",
+        "sgn_elements", "sgn_characters",
     ]
     assert rep["is_burnside"] and rep["is_dual_burnside"]
-    assert rep["grouplike_closure_ok"]
     assert set(rep["vanishing_elements"]) | set(rep["nonvanishing"]) == {0, 1, 2}
     assert set(rep["grouplike_elements"]) <= set(rep["nonvanishing"])

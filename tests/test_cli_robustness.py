@@ -126,6 +126,33 @@ def test_malformed_arguments_are_domain_errors(capsys, argv):
     assert_domain_error(*run_main(capsys, argv))
 
 
+# every subcommand that takes --seed, with the ring file, directory or
+# generators it needs
+SEEDED = {
+    "analyze": lambda d: ["analyze", str(d / "ising.json")],
+    "batch": lambda d: ["batch", str(d)],
+    "group": lambda d: ["group", "(0 1 2),(0 1)"],
+    "dual": lambda d: ["dual", str(d / "ising.json")],
+    "quotient": lambda d: ["quotient", str(d / "ising.json"), "--sub", "0,1"],
+    "enumerate": lambda d: ["enumerate", "1,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("seed, reason", [("-1", "seed -1 is negative"),
+                                          ("abc", "invalid int value: 'abc'")])
+def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(tmp_path, capsys, command, seed, reason):
+    """numpy's default_rng takes no negative seed: the value is refused where
+    --seed is parsed, as a malformed option, not from inside the solver."""
+    bd.dump(bd.ising(), str(tmp_path / "ising.json"))
+    with pytest.raises(SystemExit) as info:
+        main([*SEEDED[command](tmp_path), "--seed", seed])
+    out = capsys.readouterr()
+    assert info.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1].endswith(f"error: argument --seed: {reason}")
+    assert "Traceback" not in out.err
+
+
 @pytest.mark.parametrize("ring", [bd.group_ring(bd.catalog("C2")), bd.ising()], ids=lambda ring: ring.name)
 def test_quotient_sub_implies_the_unit(tmp_path, capsys, ring):
     path = str(tmp_path / "ring.json")

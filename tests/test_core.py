@@ -9,7 +9,7 @@ import pytest
 
 import hypergroups as hg
 from hypergroups import burnside as bn
-from hypergroups import core
+from hypergroups import core, spectra
 from hypergroups import structure as st
 from hypergroups._exact import det_nonzero_mod_p, exact_det
 from hypergroups.builders import (
@@ -53,7 +53,7 @@ def test_involution_of_keeps_each_callers_error():
 
 def test_group_ring_z2_all_flags(z2_ring):
     f = z2_ring.flags
-    assert f.symmetric and f.real and f.rational and f.real_non_negative
+    assert f.symmetric and f.rational and f.real_non_negative
     assert f.abelian and f.fusion_ring and f.h_integral
     # group rings are normalized (every product is a single basis element)
     assert f.normalized
@@ -269,7 +269,6 @@ def _reference_outcome(data):
     return hg.FlagSet(
         symmetric=all(N[a, b, 0] == N[b, a, 0] for a in range(m) for b in range(m)),
         normalized=all(sum(N[a, b, :]) == 1 for a in range(m) for b in range(m)),
-        real=True,
         rational=True,
         real_non_negative=rn,
         abelian=all(N[a, b, k] == N[b, a, k] for a, b, k in np.ndindex(m, m, m)),
@@ -481,6 +480,14 @@ def test_multiply_exactness(s3_rep):
 def test_an_element_of_the_wrong_length_is_a_dimension_mismatch(ising_ring, call, message):
     with pytest.raises(DimensionMismatch, match=message):
         call(ising_ring, hg.RingAnalysis(ising_ring))
+
+
+def test_a_repeated_index_counts_once(ising_ring):
+    """regular_element and integral_element_of_subset sum over a set S."""
+    assert hg.regular_element(ising_ring, [1, 1]) == hg.regular_element(ising_ring, [1])
+    assert hg.regular_element(ising_ring, [1, 1]).coords == (1, 0, 0)
+    lam = spectra.integral_element_of_subset(hg.RingAnalysis(ising_ring), [0, 1, 1])
+    assert np.allclose(lam.float_coords(), [0.5, 0.5, 0.0], rtol=0, atol=1e-12)
 
 
 def _tau(data, i, j):

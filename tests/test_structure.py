@@ -378,6 +378,12 @@ def test_sub_arguments_are_checked(ising_ring):
         st.support(ising, st.SubHypergroup((0, 9), ising_ring))
     with pytest.raises(ClosureViolation, match=r"indices \[-1\] are out of range for rank 3"):
         st.support(ising, st.SubHypergroup((0, -1), ising_ring))
+    # the integer rule of check_indices: a float is not truncated, a bool is not an index
+    s3 = rep_ring(catalog("S3"))
+    with pytest.raises(ClosureViolation, match=r"indices \[1.0\] are out of range for rank 3"):
+        st.perp(hg.RingAnalysis(s3), st.SubHypergroup((0, 1.0), s3))
+    with pytest.raises(ClosureViolation, match=r"indices \[True\] are out of range for rank 3"):
+        st.SubHypergroup((0, True), ising_ring)
 
 
 def test_quotient_of_irrational_and_float_rings(ising_ring):
